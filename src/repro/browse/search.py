@@ -81,6 +81,39 @@ def _shortest_paths_to_nodes(graph: Graph, targets: set[int]) -> dict[int, tuple
     return paths
 
 
+def _bfs_tree(fg: FrozenGraph) -> dict[int, int]:
+    """Reachable node -> the edge that first reaches it in a BFS (root: -1).
+
+    Walked once per snapshot over the CSR arrays and kept in its
+    extension slot: following the entries back to the root spells the
+    same shortest label path :func:`_shortest_paths_to_nodes` would build
+    (same level order, same first discovery), for just the nodes asked.
+    """
+    tree = fg._ext.get("bfs_tree")
+    if tree is None:
+        offsets, targets, index = fg.offsets, fg.targets, fg.index
+        tree = fg._ext["bfs_tree"] = {fg.root: -1}
+        queue = [fg.root]
+        for node in queue:  # grows while iterated: first in, first out
+            pos = node if index is None else index[node]
+            for i in range(offsets[pos], offsets[pos + 1]):
+                if targets[i] not in tree:
+                    tree[targets[i]] = i
+                    queue.append(targets[i])
+    return tree
+
+
+def _frozen_path(fg: FrozenGraph, node: int) -> tuple[Label, ...]:
+    """The shortest label path from the root to ``node`` (empty if unreachable)."""
+    tree = _bfs_tree(fg)
+    labels: list[Label] = []
+    edge = tree.get(node, -1)
+    while edge >= 0:
+        labels.append(fg.labels_seq[fg.label_ids[edge]])
+        edge = tree[fg.srcs[edge]]
+    return tuple(reversed(labels))
+
+
 def _frozen_label_scan(fg: FrozenGraph, keep) -> list[Edge]:
     """Scan a frozen graph by *distinct label*, then by edge.
 
@@ -103,7 +136,11 @@ def _frozen_label_scan(fg: FrozenGraph, keep) -> list[Edge]:
 
 
 def _attach_paths(graph: Graph, edges: list[Edge]) -> list[Finding]:
-    paths = _shortest_paths_to_nodes(graph, {e.src for e in edges})
+    sources = {e.src for e in edges}
+    if isinstance(graph, FrozenGraph):
+        paths = {src: _frozen_path(graph, src) for src in sources}
+    else:
+        paths = _shortest_paths_to_nodes(graph, sources)
     findings = [Finding(e, paths.get(e.src, ())) for e in edges]
     findings.sort(key=lambda f: (len(f.path), f.edge.src, f.edge.dst))
     return findings
@@ -124,8 +161,8 @@ def find_value(
         edges = list(indexes.value.find_exact(target))
     elif isinstance(graph, FrozenGraph):
         # the interned label space answers an exact-value probe directly
-        reach = graph.reachable()
-        edges = [e for e in graph.edges_with_label(target) if e.src in reach]
+        tree = _bfs_tree(graph)
+        edges = [e for e in graph.edges_with_label(target) if e.src in tree]
     else:
         edges = [
             e

@@ -21,11 +21,21 @@ tested up to bisimulation.
 
 from __future__ import annotations
 
-from .graph import Graph
-from .labels import Label, label_of, sym
-from .oem import OemDatabase, Oid
+from typing import Iterator
 
-__all__ = ["oem_to_graph", "graph_to_oem", "DATA_MARKER", "LABEL_MARKER", "TREE_MARKER"]
+from .frozen import FrozenGraph, freeze
+from .graph import Graph, GraphError
+from .labels import label_of, sym
+from .oem import OemDatabase, OemError, OemObject, Oid
+
+__all__ = [
+    "oem_to_graph",
+    "graph_to_oem",
+    "OemView",
+    "DATA_MARKER",
+    "LABEL_MARKER",
+    "TREE_MARKER",
+]
 
 #: Reserved symbols used to embed non-OEM-expressible edges into OEM.
 DATA_MARKER = "@data"
@@ -102,7 +112,116 @@ def _unwrap_marker(db: OemDatabase, obj) -> "tuple[object, Oid] | None":
     return label_value, tree_oid
 
 
-def graph_to_oem(graph: Graph, name: str = "DB") -> OemDatabase:
+class _SnapshotObjects(dict):
+    """oid -> :class:`OemObject`, decoded from the snapshot on first touch.
+
+    This is the one definition of section 2's graph -> OEM mapping.  A
+    node's oid is its node id: it is *atomic* when it encodes exactly one
+    scalar (``{v: {}}``), else complex with one child per out-edge in
+    edge order -- a symbol edge keeps its name and target, any other
+    base-labeled edge ``i`` becomes a ``@data`` child with the synthetic
+    oid ``first_synthetic + 2*i``: the atom itself when the edge ends in
+    a leaf, else a wrapper holding the atom (oid ``+ 1``) under
+    ``@label`` and the target under ``@tree``.
+    """
+
+    def __init__(self, fg: FrozenGraph) -> None:
+        super().__init__()
+        self.fg = fg
+        self.first_synthetic = max(fg.node_ids, default=-1) + 1
+        # label id -> symbol name, or None for a base label
+        self.symbols = [
+            str(lab.value) if lab.is_symbol else None for lab in fg.labels_seq
+        ]
+
+    def is_scalar(self, pos: int) -> bool:
+        """Does the node at ``pos`` encode exactly one scalar ``{v: {}}``?"""
+        fg = self.fg
+        lo = fg.offsets[pos]
+        return (
+            fg.offsets[pos + 1] - lo == 1
+            and self.symbols[fg.label_ids[lo]] is None
+            and fg.out_degree(fg.targets[lo]) == 0
+        )
+
+    def atom_oid(self, edge: int) -> Oid:
+        """The atomic object that holds the value on base-labeled ``edge``."""
+        fg = self.fg
+        if self.is_scalar(fg._pos(fg.srcs[edge])):
+            return fg.srcs[edge]
+        wrapped = fg.out_degree(fg.targets[edge]) > 0
+        return self.first_synthetic + 2 * edge + wrapped
+
+    def __missing__(self, oid: Oid) -> OemObject:
+        fg = self.fg
+        edge, is_label = divmod(oid - self.first_synthetic, 2)
+        if edge >= fg.num_edges:
+            raise KeyError(oid)
+        if edge >= 0:
+            value = fg.labels_seq[fg.label_ids[edge]].value
+            if is_label or fg.out_degree(fg.targets[edge]) == 0:
+                obj = OemObject(oid, atom=value)
+            else:
+                obj = OemObject(
+                    oid,
+                    children=[(LABEL_MARKER, oid + 1), (TREE_MARKER, fg.targets[edge])],
+                )
+        else:
+            try:
+                pos = fg._pos(oid)
+            except GraphError:
+                raise KeyError(oid) from None
+            lo, hi = fg.offsets[pos], fg.offsets[pos + 1]
+            if self.is_scalar(pos):
+                obj = OemObject(oid, atom=fg.labels_seq[fg.label_ids[lo]].value)
+            else:
+                symbols, label_ids, targets = self.symbols, fg.label_ids, fg.targets
+                base = self.first_synthetic
+                obj = OemObject(
+                    oid,
+                    children=[
+                        (name, targets[i])
+                        if (name := symbols[label_ids[i]]) is not None
+                        else (DATA_MARKER, base + 2 * i)
+                        for i in range(lo, hi)
+                    ],
+                )
+        self[oid] = obj
+        return obj
+
+
+class OemView(OemDatabase):
+    """A frozen snapshot read as an OEM database, in place.
+
+    The :class:`OemDatabase` read protocol over the CSR arrays of a
+    :class:`~repro.core.frozen.FrozenGraph`: objects are decoded per
+    touched node (:class:`_SnapshotObjects`) and kept, so a query pays
+    for what it reads.  The snapshot is immutable, hence so is the view.
+    """
+
+    def __init__(self, fg: FrozenGraph, name: str = "DB") -> None:
+        super().__init__()
+        self.fg = fg
+        self._objects = _SnapshotObjects(fg)
+        self._names = {name: fg.root}
+        self._oids: "list[Oid] | None" = None
+
+    def oids(self) -> Iterator[Oid]:
+        """Every object reachable from the entry point, ascending."""
+        if self._oids is None:
+            self._oids = sorted(self.reachable(self.fg.root))
+        return iter(self._oids)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.oids())
+
+    def _read_only(self, *args: object) -> Oid:
+        raise OemError("an OemView is a read-only view of its snapshot")
+
+    new_atomic = new_complex = add_child = set_name = _read_only
+
+
+def graph_to_oem(graph: "Graph | FrozenGraph", name: str = "DB") -> OemDatabase:
     """Encode an edge-labeled graph as an OEM database rooted at ``name``.
 
     Sharing and cycles are preserved: each graph node maps to exactly one
@@ -110,41 +229,21 @@ def graph_to_oem(graph: Graph, name: str = "DB") -> OemDatabase:
     place-holders" (section 2).  Pure OEM-shaped graphs (symbol edges,
     scalars as ``{v: {}}``) round-trip without markers; other base-labeled
     edges are wrapped as described in the module docstring.
+
+    The result is the materialized copy of :class:`OemView` (same objects
+    and child order, oids renumbered densely from 1 in the view's order):
+    a mutable database or exchange format -- queries can read the view.
     """
+    view = OemView(freeze(graph), name)
     db = OemDatabase()
-    memo: dict[int, Oid] = {}
-
-    def is_scalar_node(node: int) -> Label | None:
-        """If the node encodes exactly one scalar ``{v: {}}``, return v's label."""
-        edges = graph.edges_from(node)
-        if len(edges) == 1 and edges[0].label.is_base and graph.out_degree(edges[0].dst) == 0:
-            return edges[0].label
-        return None
-
-    def conv(node: int) -> Oid:
-        if node in memo:
-            return memo[node]
-        scalar = is_scalar_node(node)
-        if scalar is not None:
-            oid = db.new_atomic(scalar.value)
-            memo[node] = oid
-            return oid
-        oid = db.new_complex()
-        memo[node] = oid
-        for edge in graph.edges_from(node):
-            if edge.label.is_symbol:
-                db.add_child(oid, str(edge.label.value), conv(edge.dst))
-            elif graph.out_degree(edge.dst) == 0:
-                # A base-data edge to a leaf among other edges: keep the
-                # value as an atomic child under the reserved marker.
-                db.add_child(oid, DATA_MARKER, db.new_atomic(edge.label.value))
-            else:
-                # Base-data edge with a real subtree: wrap label and tree.
-                wrapper = db.new_complex()
-                db.add_child(wrapper, LABEL_MARKER, db.new_atomic(edge.label.value))
-                db.add_child(wrapper, TREE_MARKER, conv(edge.dst))
-                db.add_child(oid, DATA_MARKER, wrapper)
-        return oid
-
-    db.set_name(name, conv(graph.root))
+    objects = [view.get(oid) for oid in view.oids()]
+    renumbered: dict[Oid, Oid] = {}
+    for obj in objects:
+        renumbered[obj.oid] = (
+            db.new_complex() if obj.is_complex else db.new_atomic(obj.atom)
+        )
+    for obj in objects:
+        for label, child in obj.children:
+            db.add_child(renumbered[obj.oid], label, renumbered[child])
+    db.set_name(name, renumbered[view.lookup_name(name)])
     return db

@@ -130,7 +130,7 @@ class FrozenGraph:
         self.snapshot_id = next(_SNAPSHOT_IDS)
         self.source_version = graph.version
         self._edge_cache: dict[int, tuple[Edge, ...]] = {}
-        self._by_label: dict[int, tuple[Edge, ...]] | None = None
+        self._by_label: list[array] | None = None
         self._reachable_from_root: set[int] | None = None
         #: scratch space for per-snapshot derived structures (the query
         #: planner's summary/statistics live here); FrozenGraph has
@@ -299,31 +299,32 @@ class FrozenGraph:
     def edges_with_label(self, label: Label) -> tuple[Edge, ...]:
         """Every edge carrying exactly ``label``, in insertion order.
 
-        Built lazily from the interned label space on first use; after
-        that each exact-label lookup is a dict hit, which is what turns
-        the section-1.3 browsing scans into point lookups over a frozen
-        graph (no :class:`~repro.index.GraphIndexes` needed).
+        An exact-label lookup is a walk over that label's edge list
+        (:meth:`label_edge_ids`), which is what turns the section-1.3
+        browsing scans into point lookups over a frozen graph (no
+        :class:`~repro.index.GraphIndexes` needed).
         """
         lid = self.label_index.get(label)
         if lid is None:
             return ()
-        return self._label_edges(lid)
+        srcs, targets = self.srcs, self.targets
+        return tuple(Edge(srcs[i], label, targets[i]) for i in self.label_edge_ids(lid))
 
-    def _label_edges(self, lid: int) -> tuple[Edge, ...]:
-        if self._by_label is None:
-            self._by_label = {}
-        cached = self._by_label.get(lid)
-        if cached is None:
-            labels_seq, srcs, targets = self.labels_seq, self.srcs, self.targets
-            label = labels_seq[lid]
-            label_ids = self.label_ids
-            cached = tuple(
-                Edge(srcs[i], label, targets[i])
-                for i in range(len(label_ids))
-                if label_ids[i] == lid
-            )
-            self._by_label[lid] = cached
-        return cached
+    def label_edge_ids(self, lid: int) -> array:
+        """The indices of the edges carrying label id ``lid``, ascending.
+
+        The per-label edge lists of the whole snapshot are built in one
+        pass over ``label_ids`` on first use and kept: they are the
+        reverse-lookup structure of the value probes (``find``, Lorel's
+        where-clause pushdown), sized by the edge count, not by how many
+        labels were asked for.
+        """
+        by_label = self._by_label
+        if by_label is None:
+            by_label = self._by_label = [array("q") for _ in self.labels_seq]
+            for i, lid_i in enumerate(self.label_ids):
+                by_label[lid_i].append(i)
+        return by_label[lid]
 
     # -- construction without a Graph ------------------------------------------
 
@@ -455,6 +456,9 @@ class FrozenGraph:
         if self._root is not None:
             g.set_root(self._root)
         return g
+
+    #: same copy-out as on the mutable layout: a fresh :class:`Graph`
+    subgraph = Graph.subgraph
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         root = self._root if self._root is not None else "?"

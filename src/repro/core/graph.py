@@ -314,21 +314,23 @@ class Graph:
 
     # -- copying and surgery ----------------------------------------------------
 
-    def _absorb(self, other: "Graph") -> dict[int, int]:
-        """Copy all nodes/edges reachable from ``other``'s root into ``self``.
+    def _absorb(self, other: "Graph", start: int | None = None) -> dict[int, int]:
+        """Copy all nodes/edges reachable from ``start`` in ``other`` into ``self``.
 
-        Returns the node-id mapping ``other -> self``.  Used by every
-        operation that combines graphs without sharing mutable state.
+        ``start`` defaults to ``other``'s root.  Returns the node-id mapping
+        ``other -> self``.  Used by every operation that combines graphs
+        without sharing mutable state; it reads ``other`` through the read
+        API only, so a :class:`~repro.core.frozen.FrozenGraph` works too.
         """
         mapping: dict[int, int] = {}
-        reach = other.reachable()
-        for node in sorted(reach):
+        reach = sorted(other.reachable(start))
+        for node in reach:
             mapping[node] = self.new_node()
-        for node in sorted(reach):
-            for edge in other._adj[node]:
-                self._adj[mapping[node]].append(
-                    Edge(mapping[node], edge.label, mapping[edge.dst])
-                )
+        for node in reach:
+            src = mapping[node]
+            self._adj[src] = [
+                Edge(src, edge.label, mapping[edge.dst]) for edge in other.edges_from(node)
+            ]
         self._version += 1
         return mapping
 
@@ -342,12 +344,7 @@ class Graph:
     def subgraph(self, node: int) -> "Graph":
         """The graph re-rooted at ``node`` (restricted to what it reaches)."""
         g = Graph()
-        original_root, self._root = self._root, node
-        try:
-            mapping = g._absorb(self)
-        finally:
-            self._root = original_root
-        g.set_root(mapping[node])
+        g.set_root(g._absorb(self, node)[node])
         return g
 
     def garbage_collect(self) -> "Graph":

@@ -74,9 +74,10 @@ def lorel(
 
         indexes = oem_indexes_for(db)
     if optimize:
-        query = reorder_from_clauses(
-            query, stats=indexes.stats if indexes is not None else None
-        )
+        # one clause has one order: the statistics are only collected
+        # when there is a choice for them to make
+        several = indexes is not None and len(query.from_clauses) > 1
+        query = reorder_from_clauses(query, stats=indexes.stats if several else None)
     return evaluate_lorel(query, db, db_name, indexes=indexes)
 
 

@@ -58,76 +58,26 @@ class LorelRuntimeError(ValueError):
 _PLAN_CACHE = PlanCache(name="lorel_plan_cache")
 
 
-def _oem_rpq(db: OemDatabase, start: Oid, dfa: LazyDfa) -> set[Oid]:
-    """Product traversal over OEM children (symbol-labeled edges)."""
-    results: set[Oid] = set()
-    seen = {(start, dfa.start)}
-    if dfa.is_accepting(dfa.start):
-        results.add(start)
-    queue = deque([(start, dfa.start)])
-    while queue:
-        oid, state = queue.popleft()
-        obj = db.get(oid)
-        for label, child in obj.children:
-            nxt = dfa.step(state, sym(label))
-            if dfa.is_dead(nxt):
-                continue
-            config = (child, nxt)
-            if config in seen:
-                continue
-            seen.add(config)
-            if dfa.is_accepting(nxt):
-                results.add(child)
-            queue.append(config)
-    return results
-
-
-def _oem_rpq_profiled(
-    db: OemDatabase, start: Oid, dfa: LazyDfa, profile: QueryProfile
-) -> set[Oid]:
-    """:func:`_oem_rpq` accumulating traversal counts into ``profile``.
-
-    Counts are derived from the explored config set after the traversal
-    (every seen config is expanded exactly once), so the loop itself is
-    the plain one -- the same post-hoc strategy as the RPQ product.
-    """
-    states_before = dfa.num_materialized_states
-    results: set[Oid] = set()
-    seen = {(start, dfa.start)}
-    if dfa.is_accepting(dfa.start):
-        results.add(start)
-    queue = deque([(start, dfa.start)])
-    while queue:
-        oid, state = queue.popleft()
-        obj = db.get(oid)
-        for label, child in obj.children:
-            nxt = dfa.step(state, sym(label))
-            if dfa.is_dead(nxt):
-                continue
-            config = (child, nxt)
-            if config in seen:
-                continue
-            seen.add(config)
-            if dfa.is_accepting(nxt):
-                results.add(child)
-            queue.append(config)
-    visited = {config[0] for config in seen}
-    profile.product_pairs += len(seen)
-    profile.nodes_visited += len(visited)
-    profile.edges_expanded += db.total_fanout(visited)
-    profile.dfa_states += dfa.num_materialized_states - states_before
-    return results
-
-
-def _oem_rpq_many(db: OemDatabase, starts: list[Oid], dfa: LazyDfa) -> dict[Oid, set[Oid]]:
-    """Batched :func:`_oem_rpq`: one tagged traversal serving many starts.
+def _oem_rpq_many(
+    db: OemDatabase,
+    starts: list[Oid],
+    dfa: LazyDfa,
+    profile: "QueryProfile | None" = None,
+) -> dict[Oid, set[Oid]]:
+    """Product traversal over OEM children, one tagged walk for many starts.
 
     Configurations carry their origin, ``(start, oid, state)``, so each
     start gets its own answer while all of them share the plan's
     materialized states and truth vectors in a single queue -- this is
     what turns Lorel's per-binding path conditions from one traversal
     per environment into one traversal per clause.
+
+    With ``profile``, traversal counts accumulate into it, derived from
+    the explored config set after the traversal (every seen config is
+    expanded exactly once) -- the same post-hoc strategy as the RPQ
+    product, so the loop itself stays the plain one.
     """
+    states_before = dfa.num_materialized_states
     order = list(dict.fromkeys(starts))
     results: dict[Oid, set[Oid]] = {s: set() for s in order}
     accept_start = dfa.is_accepting(dfa.start)
@@ -152,6 +102,12 @@ def _oem_rpq_many(db: OemDatabase, starts: list[Oid], dfa: LazyDfa) -> dict[Oid,
             if dfa.is_accepting(nxt):
                 results[tag].add(child)
             queue.append(config)
+    if profile is not None:
+        visited = {oid for _, oid, _ in seen}
+        profile.product_pairs += len(seen)
+        profile.nodes_visited += len(visited)
+        profile.edges_expanded += db.total_fanout(visited)
+        profile.dfa_states += dfa.num_materialized_states - states_before
     return results
 
 
@@ -194,13 +150,13 @@ class _Runner:
             return {start}
         if self.profile is not None:
             dfa = self.dfa_of(operand.path, operand.path_text)
-            return _oem_rpq_profiled(self.db, start, dfa, self.profile)
+            return _oem_rpq_many(self.db, [start], dfa, self.profile)[start]
         assert self._memo is not None
         key = (operand.path_text, start)
         cached = self._memo.get(key)
         if cached is None:
             dfa = self.dfa_of(operand.path, operand.path_text)
-            cached = self._memo[key] = _oem_rpq(self.db, start, dfa)
+            cached = self._memo[key] = _oem_rpq_many(self.db, [start], dfa)[start]
         return cached
 
     def prefetch(self, operand: PathOperand, starts: list[Oid]) -> None:
@@ -303,30 +259,27 @@ def _bindings_with_runner(
         # When the clause path is a fixed symbol chain, a seeded clause
         # skips the forward traversal entirely: a candidate binds iff the
         # reverse walk from it over the chain reaches the clause's start,
-        # which the index answers from its parent map.  The two
-        # enumerations produce the same sorted oid set -- the candidate
-        # set is exact per conjunct and the reverse walk is exact per
-        # path -- so only the work changes (the property suite compares
-        # whole binding lists).
-        sources_of: "dict[Oid, set[Oid]] | None" = None
+        # which the index answers from its reverse edges in one tagged
+        # walk for the whole candidate set.  The two enumerations produce
+        # the same sorted oid set -- the candidate set is exact per
+        # conjunct and the reverse walk is exact per path -- so only the
+        # work changes (the property suite compares whole binding lists).
+        reached: "dict[Oid, set[Oid]] | None" = None
         if allowed is not None:
             from ..planner.pushdown import fixed_symbol_path
 
             fixed = fixed_symbol_path(clause.path)
             if fixed is not None:
-                sources_of = {
-                    oid: indexes.sources_via({oid}, fixed) for oid in allowed
-                }
-        if runner.profile is None and sources_of is None:
+                reached = indexes.reaching(allowed, fixed)
+        if runner.profile is None and reached is None:
             # batch all environments' starts through one tagged traversal
             runner.prefetch(
                 operand, [runner.start_of(clause.base, env) for env in envs]
             )
         nxt: list[dict[str, Oid]] = []
         for env in envs:
-            if sources_of is not None:
-                start = runner.start_of(clause.base, env)
-                targets = (o for o, srcs in sources_of.items() if start in srcs)
+            if reached is not None:
+                targets = reached.get(runner.start_of(clause.base, env), ())
             else:
                 targets = (
                     oid

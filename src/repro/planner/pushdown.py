@@ -10,7 +10,9 @@ from those atoms yields exactly the alias bindings that can survive.
 :class:`OemIndexes` materializes the two structures that walk needs in
 one pass over the database: the distinct-value groups of the atomic
 objects (one coercing comparison per distinct value, not per object) and
-the reverse parent map.  :func:`pushdown_candidates` decomposes a where
+the reverse parent map (over an :class:`~repro.core.convert.OemView`
+both are already in the snapshot: its interned label table and per-label
+edge lists).  :func:`pushdown_candidates` decomposes a where
 predicate into AND-conjuncts, recognizes the pushable shape --
 ``alias.fixed.symbol.path  op  literal`` (either orientation) and
 ``... like pattern`` -- and intersects the candidate sets per alias.
@@ -36,6 +38,8 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, Callable, Iterator
 
+from ..core.convert import DATA_MARKER, LABEL_MARKER, TREE_MARKER, OemView
+from ..core.labels import sym
 from ..core.oem import OemDatabase, Oid
 from ..lorel.ast import (
     BoolOp,
@@ -67,7 +71,12 @@ def fixed_symbol_path(regex: "PathRegex | None") -> "tuple[str, ...] | None":
     path = fixed_path_of(regex)
     if path is None or not all(lab.is_symbol for lab in path):
         return None
-    return tuple(str(lab.value) for lab in path)
+    names = tuple(str(lab.value) for lab in path)
+    # the reserved wrappers of non-OEM edges are not plain symbol edges
+    # of the underlying graph: such paths stay with the forward traversal
+    if any(name in (DATA_MARKER, LABEL_MARKER, TREE_MARKER) for name in names):
+        return None
+    return names
 
 
 class OemIndexes:
@@ -83,6 +92,10 @@ class OemIndexes:
         self._built_version = db.version
         self.hits = 0
         self.misses = 0
+        self._stats: "GraphStatistics | None" = None
+        self._index(db)
+
+    def _index(self, db: OemDatabase) -> None:
         # distinct atom value -> oids of the atomic objects holding it.
         # Keyed by (type, value) so 1 / 1.0 / True stay distinct groups
         # (Lorel's coercion decides their comparability, not dict hashing).
@@ -97,9 +110,14 @@ class OemIndexes:
             else:
                 for name, child in obj.children:
                     self._parents.setdefault(child, []).append((name, oid))
-        #: frequency statistics over the same snapshot, for the
-        #: cost-based clause reordering (one build serves both uses)
-        self.stats = GraphStatistics.from_oem(db)
+
+    @property
+    def stats(self) -> GraphStatistics:
+        """Frequency statistics over the same snapshot, built on first use
+        (only the cost-based ordering of *several* from clauses reads them)."""
+        if self._stats is None:
+            self._stats = GraphStatistics.from_oem(self._db_ref())
+        return self._stats
 
     def is_stale(self) -> bool:
         """True iff the database mutated (or died) since the build."""
@@ -121,27 +139,70 @@ class OemIndexes:
                 out.update(oids)
         return out
 
-    def sources_via(self, targets: set[Oid], labels: tuple[str, ...]) -> set[Oid]:
-        """Oids from which the forward symbol path ``labels`` reaches a target.
+    def _edges_into(
+        self, children: "dict[Oid, set[Oid]]", label: str
+    ) -> Iterator[tuple[Oid, Oid]]:
+        """``(child, parent)`` for every ``label`` edge ending in ``children``."""
+        for oid in children:
+            for name, parent in self._parents.get(oid, ()):
+                if name == label:
+                    yield oid, parent
+
+    def reaching(
+        self, targets: set[Oid], labels: tuple[str, ...]
+    ) -> dict[Oid, set[Oid]]:
+        """Source oid -> the ``targets`` its forward symbol path reaches.
 
         A reverse walk: for path ``a.b``, step to parents through ``b``,
-        then through ``a``.  Multi-parents and cycles are fine -- the
-        walk is a fixed number of label-filtered set expansions.
+        then through ``a``, each frontier oid carrying the targets it
+        came from.  Multi-parents and cycles are fine -- the walk is a
+        fixed number of label-filtered set expansions.
         """
-        current = targets
+        current = {oid: {oid} for oid in targets}
         for label in reversed(labels):
-            nxt: set[Oid] = set()
-            for oid in current:
-                for name, parent in self._parents.get(oid, ()):
-                    if name == label:
-                        nxt.add(parent)
+            nxt: dict[Oid, set[Oid]] = {}
+            for child, parent in self._edges_into(current, label):
+                nxt.setdefault(parent, set()).update(current[child])
             current = nxt
             if not current:
                 break
         return current
 
+    def sources_via(self, targets: set[Oid], labels: tuple[str, ...]) -> set[Oid]:
+        """Oids from which the forward symbol path ``labels`` reaches a target."""
+        return set(self.reaching(targets, labels))
+
     def accounting(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses}
+
+
+class _SnapshotIndexes(OemIndexes):
+    """The same probes over an :class:`OemView`, with nothing to build: the
+    snapshot's interned label table holds each distinct value once, and its
+    per-label edge lists are the reverse edges by label."""
+
+    def _index(self, view: OemView) -> None:
+        self._objects = view._objects
+
+    def atoms_where(self, test: Callable[[object], bool]) -> set[Oid]:
+        objects, fg = self._objects, self._objects.fg
+        return {
+            objects.atom_oid(edge)
+            for lid, label in enumerate(fg.labels_seq)
+            if objects.symbols[lid] is None and test(label.value)
+            for edge in fg.label_edge_ids(lid)
+        }
+
+    def _edges_into(
+        self, children: "dict[Oid, set[Oid]]", label: str
+    ) -> Iterator[tuple[Oid, Oid]]:
+        fg = self._objects.fg
+        lid = fg.label_index.get(sym(label))
+        if lid is not None:
+            srcs, targets = fg.srcs, fg.targets
+            for edge in fg.label_edge_ids(lid):
+                if targets[edge] in children:
+                    yield targets[edge], srcs[edge]
 
 
 #: One cached OemIndexes per database; values hold only a weakref back to
@@ -155,7 +216,7 @@ def oem_indexes_for(db: OemDatabase) -> OemIndexes:
     """The cached :class:`OemIndexes` of ``db``, rebuilt when stale."""
     cached = _INDEX_CACHE.get(db)
     if cached is None or cached.is_stale():
-        cached = OemIndexes(db)
+        cached = _SnapshotIndexes(db) if isinstance(db, OemView) else OemIndexes(db)
         _INDEX_CACHE[db] = cached
     return cached
 
@@ -209,8 +270,7 @@ def _candidate_entry(
     path = fixed_symbol_path(operand.path)
     if path is None:
         return None
-    atoms = indexes.atoms_where(test)
-    return operand.base, indexes.sources_via(atoms, path)
+    return operand.base, indexes.sources_via(indexes.atoms_where(test), path)
 
 
 def pushdown_candidates(

@@ -27,7 +27,8 @@ The typed outcome contract (docs/SERVICE.md):
 ``deadline``    the per-query deadline expired at a checkpoint;
                 carries the partial answer and its report
 ``overloaded``  shed at admission; no work was done
-``error``       bad query, open breaker, or injected worker fault
+``error``       bad query, open breaker, injected worker fault -- or an
+                engine bug, typed ``InternalError`` and logged
 ==============  ==================================================
 """
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from typing import TYPE_CHECKING, Iterator
 
 from ..automata.plan_cache import PlanCache
@@ -82,6 +84,8 @@ __all__ = [
     "label_from_wire",
     "request_over_socket",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 #: Engine ops that go through admission (control-plane ops bypass it).
 #: ``apply`` is one of them: writes compete for the same worker slots as
@@ -230,11 +234,7 @@ class QueryService:
                 raise ValueError("pass a graph or a store, not both")
             self._static_view: "SnapshotView | None" = None
         elif graph is not None:
-            view = SnapshotView(freeze(graph), 0)
-            # serve the *original* mutable graph to the one-shot engines
-            # (no thaw copy): without a store nothing ever mutates it
-            view._graph = graph.thaw() if isinstance(graph, FrozenGraph) else graph
-            self._static_view = view
+            self._static_view = SnapshotView(freeze(graph), 0)
         else:
             raise ValueError("QueryService needs a graph or a store")
         self.metrics = metrics
@@ -265,6 +265,7 @@ class QueryService:
             for status in ("ok", "partial", "deadline", "overloaded", "error")
         }
         self._cancelled_counter = metrics.counter("service_cancelled")
+        self._internal_errors = metrics.counter("service_internal_error")
         self._requests = metrics.counter("service_requests")
         self._ops_histogram = metrics.histogram("service_query_ops")
         self._sql_answered = metrics.counter("service_sql_answered")
@@ -285,13 +286,6 @@ class QueryService:
     def frozen(self) -> FrozenGraph:
         """The current frozen snapshot (per-version cached with a store)."""
         return self.current_view().frozen
-
-    @property
-    def graph(self) -> Graph:
-        """The mutable-API graph behind the current snapshot."""
-        if self.store is not None:
-            return self.store.graph
-        return self.current_view().graph
 
     # -- connection lifecycle ----------------------------------------------------
 
@@ -423,6 +417,16 @@ class QueryService:
             task.response = self._respond(
                 rid, "error", error=str(exc), error_type=type(exc).__name__
             )
+        except Exception as exc:
+            # anything else is a bug in an engine, not in the request --
+            # but the client is still owed a response frame: an exception
+            # escaping here would kill the front-end's driver task and
+            # leave the caller waiting on its own socket timeout
+            self._internal_errors.inc()
+            _LOG.exception("internal error serving request %s (%s)", rid, op)
+            task.response = self._respond(
+                rid, "error", error=f"{type(exc).__name__}: {exc}", error_type="InternalError"
+            )
         finally:
             if stepper is not None:
                 self._ops_histogram.observe(stepper.ops)
@@ -503,14 +507,14 @@ class QueryService:
             if profiled:
                 result, profile = evaluate_query_profiled(
                     parse_query(query),
-                    {"db": view.graph, "DB": view.graph},
+                    {"db": view.frozen, "DB": view.frozen},
                     query_text=query,
                 )
                 return self._respond(
                     rid, "ok", result=to_obj(result), profile=profile.as_dict()
                 )
             return self._respond(
-                rid, "ok", result=to_obj(unql(query, db=view.graph))
+                rid, "ok", result=to_obj(unql(query, db=view.frozen))
             )
         # find: the section-1.3 "where is it" browse query
         value: object = query
@@ -519,11 +523,11 @@ class QueryService:
         except json.JSONDecodeError:
             pass
         if profiled:
-            findings, profile = find_value_profiled(view.graph, value, None)
+            findings, profile = find_value_profiled(view.frozen, value, None)
             return self._respond(
                 rid, "ok", result=[str(f) for f in findings], profile=profile.as_dict()
             )
-        return self._respond(rid, "ok", result=where_is(view.graph, value))
+        return self._respond(rid, "ok", result=where_is(view.frozen, value))
 
     def _sql_oneshot(
         self, rid: int, op: str, query: str, engine: str, view: SnapshotView
@@ -557,7 +561,7 @@ class QueryService:
                 result = to_obj(
                     unql_sql(
                         parse_query(query),
-                        {"db": view.graph, "DB": view.graph},
+                        {"db": view.frozen, "DB": view.frozen},
                         backend=backend,
                     )
                 )
@@ -663,11 +667,6 @@ class QueryService:
 
     # -- introspection -----------------------------------------------------------
 
-    @property
-    def oem(self):
-        """The OEM view of the current snapshot, built on first Lorel query."""
-        return self.current_view().oem
-
     def _sql_backend_for(self, view: SnapshotView):
         """The SQL engine for ``view``'s snapshot (latest-version cached).
 
@@ -689,19 +688,22 @@ class QueryService:
             self._sql_snapshot_id = view.frozen.snapshot_id
         return backend
 
-    @property
-    def sql_backend(self):
-        """The current snapshot's SQL engine, built on first use."""
-        return self._sql_backend_for(self.current_view())
-
     def stats(self) -> dict[str, object]:
-        """The ``stats`` op payload: admission, sessions, snapshot, metrics."""
-        frozen = self.frozen
+        """The ``stats`` op payload: admission, sessions, snapshot, metrics.
+
+        A read-only diagnostic: it reports the store's live counts and
+        the snapshot some reader already froze (``snapshot_id`` is
+        ``None`` when the newest version has not been read yet) -- it
+        never freezes one itself.
+        """
+        store = self.store
+        view = store.cached_view if store is not None else self._static_view
+        counts = store.graph if store is not None else view.frozen
         payload: dict[str, object] = {
             "graph": {
-                "nodes": frozen.num_nodes,
-                "edges": frozen.num_edges,
-                "snapshot_id": frozen.snapshot_id,
+                "nodes": counts.num_nodes,
+                "edges": counts.num_edges,
+                "snapshot_id": view.frozen.snapshot_id if view is not None else None,
             },
             "governor": self.governor.snapshot(),
             "sessions": self.sessions.snapshot(),

@@ -31,9 +31,9 @@ from ..lorel.parser import parse_lorel
 from ..planner.stats import GraphStatistics
 from ..unql.ast import Binding, Pattern, PatternMember, Query, RegexEdge
 from ..unql.evaluator import evaluate_query
-from ..unql.optimizer import _IndexResolvedEdge
+from ..unql.optimizer import _IndexResolvedEdge, fixed_path_of
 from .compiler import CompiledQuery, compile_rpq
-from .encode import connect, encode_graph, encode_oem, encode_wide
+from .encode import WideCatalog, connect, encode_graph, encode_oem, encode_wide
 from .errors import NotCompilable
 from .lorel_sql import compile_lorel
 
@@ -55,10 +55,12 @@ __all__ = [
 class SqlBackend:
     """The relational engine over one frozen snapshot.
 
-    Construction pays the load once (edge + label + wide tables, all
+    Construction pays the load once (edge + label tables and their
     indexes); queries then compile against the snapshot's vocabulary
-    (plans cached by pattern text) and execute on sqlite.  ``last_sql``
-    and ``counters`` expose what happened for ``describe()``/metrics.
+    (plans cached by pattern text) and execute on sqlite.  The wide
+    tables are loaded on demand, and only with a ``guide``: without the
+    DataGuide no plan can read them.  ``last_sql`` and ``counters``
+    expose what happened for ``describe()``/metrics.
     """
 
     def __init__(
@@ -73,7 +75,7 @@ class SqlBackend:
         self.guide = guide
         self.conn = connect()
         encode_graph(self.conn, fg)
-        self.catalog = encode_wide(self.conn, fg)
+        self._catalog: "WideCatalog | None" = None
         self._plans: dict[str, CompiledQuery] = {}
         self.counters = {
             "compiles": 0,
@@ -82,6 +84,13 @@ class SqlBackend:
             "not_compilable": 0,
         }
         self.last_sql: "str | None" = None
+
+    @property
+    def catalog(self) -> "WideCatalog":
+        """The wide tables' metadata; the first read loads the tables."""
+        if self._catalog is None:
+            self._catalog = encode_wide(self.conn, self.fg)
+        return self._catalog
 
     def compile(self, pattern: "str | PathRegex") -> CompiledQuery:
         """The cached SQL plan for a pattern (raises :class:`NotCompilable`)."""
@@ -96,13 +105,16 @@ class SqlBackend:
         if regex is None:
             regex = parse_path_regex(pattern)
         self.counters["compiles"] += 1
+        # only a fixed path resolved through the DataGuide can take the
+        # wide plan; nothing else is worth loading the wide tables for
+        wide = self.guide is not None and fixed_path_of(regex)
         try:
             plan = compile_rpq(
                 self.fg,
                 regex,
                 self.stats,
                 guide=self.guide,
-                catalog=self.catalog,
+                catalog=self.catalog if wide else None,
             )
         except NotCompilable:
             self.counters["not_compilable"] += 1
@@ -222,9 +234,10 @@ class LorelSqlBackend:
         from ..lorel.optimizer import reorder_from_clauses
         from ..planner.pushdown import oem_indexes_for
 
-        query = reorder_from_clauses(
-            query, stats=oem_indexes_for(self.db).stats
-        )
+        if len(query.from_clauses) > 1:
+            query = reorder_from_clauses(
+                query, stats=oem_indexes_for(self.db).stats
+            )
         if tracer is not None:
             with tracer.span("lorel.sql", clauses=len(query.from_clauses)) as span:
                 envs = self.bindings(query)
@@ -282,7 +295,7 @@ def unql_sql(
         return evaluate_query(query, sources)
     primary = names[0]
     if backend is None:
-        backend = sql_backend_for(freeze(sources[primary]))
+        backend = sql_backend_for(sources[primary])
     new_bindings = []
     for binding in query.bindings:
         if binding.source_is_var or binding.source != primary:

@@ -140,32 +140,27 @@ class RecoveryReport:
 class SnapshotView:
     """An immutable, version-pinned read view of the store.
 
-    ``frozen`` is the CSR snapshot queries traverse; ``graph`` and
-    ``oem`` are materialized lazily for the engines that want the
-    mutable-API shape (UnQL, Lorel) -- both are *copies* pinned to this
-    version, so a concurrent commit can never tear them.
+    ``frozen`` is the CSR snapshot, and the only thing a version
+    publishes: every engine reads it in place.  ``oem`` is that same
+    snapshot under the OEM read protocol (for Lorel), an
+    :class:`~repro.core.convert.OemView` that decodes objects per
+    touched node -- not a copy.  Neither can be torn by a concurrent
+    commit: a commit produces a *new* snapshot.
     """
 
-    __slots__ = ("frozen", "version", "_graph", "_oem")
+    __slots__ = ("frozen", "version", "_oem")
 
     def __init__(self, frozen: FrozenGraph, version: int) -> None:
         self.frozen = frozen
         self.version = version
-        self._graph: Graph | None = None
         self._oem = None
-
-    @property
-    def graph(self) -> Graph:
-        if self._graph is None:
-            self._graph = self.frozen.thaw()
-        return self._graph
 
     @property
     def oem(self):
         if self._oem is None:
-            from ..core.convert import graph_to_oem
+            from ..core.convert import OemView
 
-            self._oem = graph_to_oem(self.graph)
+            self._oem = OemView(self.frozen)
         return self._oem
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -511,6 +506,11 @@ class VersionedGraphStore:
             v = SnapshotView(freeze(self._graph), self._version)
             self._view = v
         return v
+
+    @property
+    def cached_view(self) -> "SnapshotView | None":
+        """The current version's view if a reader already asked for it."""
+        return self._view
 
     def snapshot(self) -> FrozenGraph:
         return self.view().frozen

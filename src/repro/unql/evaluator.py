@@ -21,6 +21,7 @@ from typing import Iterator, Mapping
 
 from ..automata.plan_cache import PlanCache
 from ..automata.product import compile_rpq, rpq_nodes, rpq_nodes_profiled
+from ..core.frozen import freeze
 from ..core.graph import Graph
 from ..core.labels import Label, LabelKind
 from ..obs import QueryProfile
@@ -61,24 +62,6 @@ class UnqlRuntimeError(ValueError):
 #: by the edge's source text.  Profiled evaluation compiles fresh so its
 #: golden-pinned ``dfa_states`` counts are independent of query history.
 _PLAN_CACHE = PlanCache(name="unql_plan_cache")
-
-
-def _frozen_for(graph: Graph, fcache: "dict | None"):
-    """The query-local frozen snapshot of ``graph`` (traversal use only).
-
-    Keyed by object identity and scoped to one evaluation, so a source
-    graph mutated between queries can never serve a stale snapshot.  The
-    graph itself is kept in the entry to pin its id.  Construct building
-    and tree-variable identity still use the original graph.
-    """
-    if fcache is None:
-        return graph
-    entry = fcache.get(id(graph))
-    if entry is None or entry[0] is not graph:
-        frozen = graph.freeze()
-        fcache[id(graph)] = (graph, frozen)
-        return frozen
-    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -174,15 +157,22 @@ def _environments(
     sources: Mapping[str, Graph],
     profile: "QueryProfile | None" = None,
 ) -> Iterator[dict[str, object]]:
-    # unprofiled runs route regex-edge traversal through frozen snapshots
-    # (profiled runs stay on the plain graph so counts match the goldens)
-    fcache: "dict | None" = {} if profile is None else None
+    if profile is None:
+        # unprofiled runs read CSR snapshots throughout: one freeze per
+        # source graph the query names, none for a source that already is
+        # a snapshot (profiled runs stay on the graphs as given)
+        named = {b.source for b in query.bindings if not b.source_is_var}
+        snapshots: dict[int, Graph] = {}
+        for name, graph in sources.items():
+            if name in named and id(graph) not in snapshots:
+                snapshots[id(graph)] = freeze(graph)
+        sources = {n: snapshots.get(id(g), g) for n, g in sources.items()}
     envs: list[dict[str, object]] = [{}]
     for binding in query.bindings:
         envs = [
             extended
             for env in envs
-            for extended in _match_binding(binding, env, sources, profile, fcache)
+            for extended in _match_binding(binding, env, sources, profile)
         ]
         if not envs:
             return
@@ -196,7 +186,6 @@ def _match_binding(
     env: dict[str, object],
     sources: Mapping[str, Graph],
     profile: "QueryProfile | None" = None,
-    fcache: "dict | None" = None,
 ) -> Iterator[dict[str, object]]:
     if binding.source_is_var:
         bound = env.get(binding.source)
@@ -213,7 +202,7 @@ def _match_binding(
                 f"no database named {binding.source!r} was supplied"
             ) from None
         node = graph.root
-    yield from _match_pattern(binding.pattern, graph, node, env, profile, fcache)
+    yield from _match_pattern(binding.pattern, graph, node, env, profile)
 
 
 def _match_pattern(
@@ -222,7 +211,6 @@ def _match_pattern(
     node: int,
     env: dict[str, object],
     profile: "QueryProfile | None" = None,
-    fcache: "dict | None" = None,
 ) -> Iterator[dict[str, object]]:
     """All extensions of ``env`` under which ``pattern`` matches at ``node``."""
     envs = [env]
@@ -242,29 +230,26 @@ def _match_pattern(
                 profile.dfa_states += dfa.num_materialized_states
         # The regex's target set depends only on (graph, node, dfa), not
         # on the environment: evaluate it once for the whole env column
-        # rather than once per environment, over the frozen snapshot.
+        # rather than once per environment (``graph`` is a snapshot here).
         # Root-origin edges additionally route through the planner, which
         # answers from the path index or DataGuide when they cover the
         # pattern and otherwise guide-prunes the kernel traversal.
         shared_targets = None
         if dfa is not None and profile is None:
-            frozen = _frozen_for(graph, fcache)
             if node == graph.root:
                 from ..planner import planner_for
 
-                planner = planner_for(frozen, plan_cache=_PLAN_CACHE)
+                planner = planner_for(graph, plan_cache=_PLAN_CACHE)
                 shared_targets = sorted(planner.rpq(member.edge.text))
             else:
-                shared_targets = sorted(rpq_nodes(frozen, dfa, start=node))
+                shared_targets = sorted(rpq_nodes(graph, dfa, start=node))
         for current in envs:
             if precomputed is not None:
                 if profile is not None:
                     profile.index_hits += 1
                 for target_node in sorted(precomputed):
                     next_envs.extend(
-                        _match_target(
-                            member.target, graph, target_node, current, profile, fcache
-                        )
+                        _match_target(member.target, graph, target_node, current, profile)
                     )
             elif dfa is not None:
                 if shared_targets is not None:
@@ -276,9 +261,7 @@ def _match_pattern(
                     targets_sorted = sorted(targets)
                 for target_node in targets_sorted:
                     next_envs.extend(
-                        _match_target(
-                            member.target, graph, target_node, current, profile, fcache
-                        )
+                        _match_target(member.target, graph, target_node, current, profile)
                     )
             else:  # label variable edge: one step, binding the label
                 var = member.edge.var
@@ -293,9 +276,7 @@ def _match_pattern(
                     extended = dict(current)
                     extended[var] = edge.label
                     next_envs.extend(
-                        _match_target(
-                            member.target, graph, edge.dst, extended, profile, fcache
-                        )
+                        _match_target(member.target, graph, edge.dst, extended, profile)
                     )
         envs = next_envs
         if not envs:
@@ -309,7 +290,6 @@ def _match_target(
     node: int,
     env: dict[str, object],
     profile: "QueryProfile | None" = None,
-    fcache: "dict | None" = None,
 ) -> Iterator[dict[str, object]]:
     if isinstance(target, TreeVar):
         bound = env.get(target.var)
@@ -332,7 +312,7 @@ def _match_target(
             yield env
         return
     if isinstance(target, NestedPattern):
-        yield from _match_pattern(target.pattern, graph, node, env, profile, fcache)
+        yield from _match_pattern(target.pattern, graph, node, env, profile)
         return
     raise UnqlRuntimeError(f"unknown target {target!r}")
 

@@ -1,0 +1,272 @@
+"""The view is the copy: every in-place reader against its materialized twin.
+
+The served path reads one CSR snapshot in place -- Lorel through an
+:class:`~repro.core.convert.OemView`, UnQL and ``find`` on the
+:class:`~repro.core.frozen.FrozenGraph` itself -- where it used to read
+a thawed :class:`~repro.core.graph.Graph` and a converted
+:class:`~repro.core.oem.OemDatabase`.  These properties hold the two
+ways of reading to the same answers on small gnarly graphs (cycles,
+shared nodes, unreachable nodes, base-labeled edges in every position).
+
+``graph_to_oem`` is itself defined as the materialized view now, so the
+section-2 mapping is checked against an independent reference here: the
+recursive conversion the library shipped before, kept as the oracle.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.browse import find_value_profiled, where_is
+from repro.core.builder import from_obj, to_obj
+from repro.core.convert import (
+    DATA_MARKER,
+    LABEL_MARKER,
+    TREE_MARKER,
+    OemView,
+    graph_to_oem,
+)
+from repro.core.frozen import freeze
+from repro.core.graph import Graph, GraphError
+from repro.core.labels import label_of, string
+from repro.core.oem import OemDatabase, OemError
+from repro.datasets import generate_movies
+from repro.lorel import (
+    LorelRuntimeError,
+    evaluate_lorel_profiled,
+    lorel,
+    lorel_rows,
+    parse_lorel,
+)
+from repro.obs.export import to_json
+from repro.unql import evaluate_query_profiled, parse_query, unql
+
+from .strategies import (
+    _CMP_OPS,
+    _LOREL_LITERALS,
+    ATOMS,
+    OEM_LABELS,
+    graphs,
+    lorel_queries,
+    oem_values,
+    unql_queries,
+)
+
+
+def reference_graph_to_oem(graph: Graph, name: str = "DB") -> OemDatabase:
+    """Section 2's graph -> OEM mapping, written out recursively (the oracle)."""
+    db = OemDatabase()
+    memo: dict[int, int] = {}
+
+    def conv(node: int) -> int:
+        if node in memo:
+            return memo[node]
+        edges = graph.edges_from(node)
+        if len(edges) == 1 and edges[0].label.is_base and not graph.out_degree(edges[0].dst):
+            memo[node] = db.new_atomic(edges[0].label.value)  # the scalar {v: {}}
+            return memo[node]
+        oid = memo[node] = db.new_complex()
+        for edge in edges:
+            if edge.label.is_symbol:
+                db.add_child(oid, str(edge.label.value), conv(edge.dst))
+            elif graph.out_degree(edge.dst) == 0:
+                db.add_child(oid, DATA_MARKER, db.new_atomic(edge.label.value))
+            else:
+                wrapper = db.new_complex()
+                db.add_child(wrapper, LABEL_MARKER, db.new_atomic(edge.label.value))
+                db.add_child(wrapper, TREE_MARKER, conv(edge.dst))
+                db.add_child(oid, DATA_MARKER, wrapper)
+        return oid
+
+    db.set_name(name, conv(graph.root))
+    return db
+
+
+def assert_isomorphic(ours: OemDatabase, theirs: OemDatabase) -> None:
+    """Same atoms, same child labels in the same order, same sharing."""
+    assert set(ours.names) == set(theirs.names)
+    pairs = {ours.lookup_name(n): theirs.lookup_name(n) for n in ours.names}
+    stack = list(pairs.items())
+    while stack:
+        a, b = stack.pop()
+        left, right = ours.get(a), theirs.get(b)
+        assert left.atom == right.atom and type(left.atom) is type(right.atom)
+        assert [lab for lab, _ in left.children] == [lab for lab, _ in right.children]
+        for (_, child_a), (_, child_b) in zip(left.children, right.children):
+            if child_a in pairs:
+                assert pairs[child_a] == child_b  # sharing and cycles line up
+            else:
+                pairs[child_a] = child_b
+                stack.append((child_a, child_b))
+    assert len(set(pairs.values())) == len(pairs)  # a bijection ...
+    assert set(pairs) == set(ours.oids())  # ... onto everything the view lists
+    assert len(pairs) == len(ours) == len(theirs)
+
+
+def same_state(g1, g2) -> bool:
+    """Exact (id-level) equality of two graphs, either layout."""
+    adj1 = {n: [(e.label, e.dst) for e in g1.edges_from(n)] for n in g1.nodes()}
+    adj2 = {n: [(e.label, e.dst) for e in g2.edges_from(n)] for n in g2.nodes()}
+    return adj1 == adj2 and g1.root == g2.root
+
+
+@st.composite
+def data_graphs(draw):
+    """The Lorel strategies' record shape as a graph, then bent out of shape.
+
+    The base is ``from_obj`` of what ``oem_databases`` loads (so
+    ``lorel_queries`` and their comparisons find things to bind); on top
+    come up to eight stray edges between arbitrary nodes, a third of
+    them base-labeled -- sharing, cycles, data edges to a leaf among
+    other edges, data edges with a subtree, scalars that stop being
+    scalars, unreachable leftovers.
+    """
+    entries = draw(st.lists(oem_values(2), min_size=1, max_size=4))
+    g = from_obj({"A": entries, "B": draw(oem_values(1))})
+    nodes = sorted(g.nodes())
+    for _ in range(draw(st.integers(0, 8))):
+        src, dst = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        if draw(st.integers(0, 2)):
+            g.add_edge(src, draw(st.sampled_from(OEM_LABELS)), dst)
+        else:
+            atom = draw(st.sampled_from(ATOMS))
+            g.add_edge(src, string(atom) if isinstance(atom, str) else label_of(atom), dst)
+    return g
+
+
+@st.composite
+def pushable_queries(draw):
+    """One fixed-path clause and one ``path op literal`` conjunct on its alias:
+    the shape whose binding the view answers by reverse walks, both ways.
+    Paths are short and start at the record collection, so most bind."""
+    step = st.sampled_from(OEM_LABELS)
+    clause = ".".join(["DB.A", *draw(st.lists(step, max_size=1))])
+    operand = ".".join(["x", *draw(st.lists(step, max_size=2 - clause.count(".")))])
+    sides = [operand, draw(_LOREL_LITERALS)]
+    if draw(st.booleans()):
+        sides.reverse()
+    return f"select x from {clause} x where {sides[0]} {draw(_CMP_OPS)} {sides[1]}"
+
+
+def hand_cases() -> "dict[str, Graph]":
+    """One graph per shape the mapping treats specially."""
+    scalar = from_obj({"A": 7})  # A's target is the scalar node {7: {}}
+    among = from_obj({"A": {"B": 1}})
+    a = next(iter(among.successors(among.root)))
+    among.add_edge(a, string("x"), among.new_node())  # data edge to a leaf, beside B
+    subtree = from_obj({"A": {"B": 1}})
+    a = next(iter(subtree.successors(subtree.root)))
+    subtree.add_edge(subtree.root, 2.5, a)  # data edge whose target has children
+    lone = Graph()
+    lone.set_root(lone.new_node())
+    lone.add_edge(lone.root, True, lone.new_node())  # the root itself is a scalar
+    return {"scalar": scalar, "data-among": among, "data-subtree": subtree, "lone": lone}
+
+
+@pytest.mark.parametrize("name", sorted(hand_cases()))
+def test_hand_cases_map_like_the_reference(name):
+    g = hand_cases()[name]
+    view = OemView(freeze(g))
+    assert_isomorphic(view, reference_graph_to_oem(g))
+    assert_isomorphic(view, graph_to_oem(g))
+    kinds = {
+        "scalar": lambda: view.get(next(view.children(view.lookup_name("DB"), "A"))).atom == 7,
+        "data-among": lambda: any(
+            lab == DATA_MARKER and view.get(c).atom == "x"
+            for o in view.oids()
+            for lab, c in view.get(o).children
+        ),
+        "data-subtree": lambda: any(
+            [lab for lab, _ in view.get(o).children] == [LABEL_MARKER, TREE_MARKER]
+            for o in view.oids()
+        ),
+        "lone": lambda: view.get(view.lookup_name("DB")).atom is True,
+    }
+    assert kinds[name]()
+
+
+@given(data_graphs())
+def test_view_is_isomorphic_to_the_reference_copy(g):
+    view = OemView(freeze(g))
+    assert_isomorphic(view, reference_graph_to_oem(g))
+    copy = graph_to_oem(g)
+    assert_isomorphic(view, copy)
+    # the copy renumbers monotonically: oid order is what Lorel rows sort by
+    assert list(copy.oids()) == sorted(copy.oids())
+    renumbered = dict(zip(view.oids(), copy.oids()))
+    for oid, twin in renumbered.items():
+        assert [renumbered[c] for _, c in view.get(oid).children] == [
+            c for _, c in copy.get(twin).children
+        ]
+
+
+def test_view_is_read_only_and_typed_on_unknown_oids():
+    view = OemView(freeze(from_obj({"A": 1})))
+    with pytest.raises(OemError):
+        view.new_complex()
+    with pytest.raises(OemError):
+        view.add_child(view.lookup_name("DB"), "B", view.lookup_name("DB"))
+    for oid in (-1, 10**6):
+        with pytest.raises(OemError):
+            view.get(oid)
+
+
+@given(data_graphs(), st.one_of(lorel_queries(), pushable_queries()), st.booleans())
+def test_lorel_rows_on_the_view_equal_rows_on_the_copy(g, text, use_indexes):
+    """Order-exact, with pushdown on and off (the view has its own indexes)."""
+    try:
+        expected = lorel_rows(lorel(text, graph_to_oem(g), use_indexes=use_indexes))
+    except LorelRuntimeError as exc:
+        with pytest.raises(LorelRuntimeError, match=str(exc)[:20]):
+            lorel(text, OemView(freeze(g)), use_indexes=use_indexes)
+        return
+    view = OemView(freeze(g))
+    assert lorel_rows(lorel(text, view, use_indexes=use_indexes)) == expected
+    # and pushdown never changes an answer on the view itself
+    assert lorel_rows(lorel(text, view, use_indexes=not use_indexes)) == expected
+
+
+@given(data_graphs(), st.sampled_from(ATOMS))
+def test_where_is_on_the_snapshot(g, value):
+    assert where_is(freeze(g), value) == where_is(g, value)
+
+
+@given(st.one_of(graphs(), data_graphs()), st.data())
+def test_subgraph_of_the_snapshot(g, data):
+    node = data.draw(st.sampled_from(sorted(g.nodes())))
+    assert same_state(freeze(g).subgraph(node), g.subgraph(node))
+    with pytest.raises(GraphError):
+        freeze(g).subgraph(10**6)
+
+
+@given(graphs(), unql_queries())
+def test_unql_on_the_snapshot(g, text):
+    """Same answer graph, id for id -- hence the same ``to_obj`` where it has one."""
+    on_graph, on_snapshot = unql(text, db=g), unql(text, db=freeze(g))
+    assert same_state(on_snapshot, on_graph)
+    try:
+        expected = to_obj(on_graph)
+    except ValueError:  # a cyclic answer has no JSON form
+        return
+    assert to_obj(on_snapshot) == expected
+
+
+def test_profiled_twins_count_the_same_in_place():
+    """``"profile": true`` requests read the snapshot too: no count may move."""
+    g = generate_movies(30, seed=11)
+    fg = freeze(g)
+    for text in (
+        "select t from DB.Entry.Movie.Title t",
+        "select m.Title from DB.Entry.Movie m where m.Year < 1960",
+    ):
+        query = parse_lorel(text)
+        _, in_place = evaluate_lorel_profiled(query, OemView(fg), query_text=text)
+        _, on_copy = evaluate_lorel_profiled(query, graph_to_oem(g), query_text=text)
+        assert to_json(in_place.as_dict()) == to_json(on_copy.as_dict())
+    text = r"select \n where {Entry.Movie.Cast: \n} in db"
+    _, in_place = evaluate_query_profiled(parse_query(text), {"db": fg}, query_text=text)
+    _, on_copy = evaluate_query_profiled(parse_query(text), {"db": g}, query_text=text)
+    assert to_json(in_place.as_dict()) == to_json(on_copy.as_dict())
+    _, in_place = find_value_profiled(fg, "Bogart")
+    _, on_copy = find_value_profiled(g, "Bogart")
+    assert to_json(in_place.as_dict()) == to_json(on_copy.as_dict())

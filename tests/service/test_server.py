@@ -9,6 +9,8 @@ every request gets exactly one typed response (``ok`` / ``partial`` /
 and it never queues unboundedly.
 """
 
+import logging
+
 import pytest
 
 from repro.automata.product import rpq_nodes
@@ -46,7 +48,7 @@ class TestEngines:
         harness = InProcessHarness(svc)
         response = harness.run_one({"id": 1, "op": "rpq", "query": "Entry.Movie.Title"})
         assert response["status"] == "ok"
-        assert response["result"] == sorted(rpq_nodes(svc.graph, "Entry.Movie.Title"))
+        assert response["result"] == sorted(rpq_nodes(svc.frozen, "Entry.Movie.Title"))
         assert response["ops"] > 0 and response["supersteps"] >= 3
 
     def test_lorel(self) -> None:
@@ -123,7 +125,7 @@ class TestDeadlines:
         response = harness.run_one(
             {"id": 1, "op": "rpq", "query": "next*", "deadline": 0.1}
         )
-        exact = rpq_nodes(svc.graph, "next*")
+        exact = rpq_nodes(svc.frozen, "next*")
         assert set(response["result"]) <= exact
 
     def test_deadline_lapsed_in_queue_fails_first_checkpoint(self) -> None:
@@ -337,6 +339,29 @@ class TestWorkerFaults:
         )
         assert harness.run_one({"id": 1, "op": "rpq", "query": "Entry"})["status"] == "error"
         assert harness.run_one({"id": 2, "op": "find", "query": "Title"})["status"] == "ok"
+
+
+    def test_engine_bug_is_typed_internal_error(self, monkeypatch, caplog) -> None:
+        # an exception type the fault boundary never expected: the request
+        # still gets its one typed response, and its slot comes back
+        def broken(*args, **kwargs):
+            raise TypeError("engine bug")
+
+        monkeypatch.setattr("repro.service.server.where_is", broken)
+        metrics = MetricsRegistry()
+        svc = service(metrics=metrics, max_inflight=1, max_queue=0)
+        harness = InProcessHarness(svc)
+        with caplog.at_level(logging.ERROR, logger="repro.service.server"):
+            response = harness.run_one({"id": 1, "op": "find", "query": "Title"})
+        assert response["status"] == "error"
+        assert response["error_type"] == "InternalError"
+        assert response["error"] == "TypeError: engine bug"
+        assert metrics.counter("service_internal_error").value == 1
+        assert metrics.counter("service_error").value == 1
+        assert len([r for r in caplog.records if r.exc_info]) == 1  # one traceback
+        assert svc.governor.snapshot()["inflight"] == 0
+        # the only slot is free again: the next request is admitted, not shed
+        assert harness.run_one({"id": 2, "op": "rpq", "query": "Entry"})["status"] == "ok"
 
 
 # -- the acceptance scenario -------------------------------------------------------

@@ -69,6 +69,32 @@ def test_bad_query_then_connection_still_usable() -> None:
     assert by_id[2]["status"] == "ok"
 
 
+def test_engine_bug_still_gets_a_response_frame(monkeypatch) -> None:
+    # before the fault boundary caught untyped exceptions, this one killed
+    # the connection's driver task and the client waited out its own timeout
+    def broken(*args, **kwargs):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr("repro.service.server.where_is", broken)
+    requests = [{"id": 1, "op": "find", "query": "Title"}, {"id": 2, "op": "ping"}]
+
+    async def scenario() -> "list[dict]":
+        service = QueryService(generate_movies(5, seed=1), metrics=MetricsRegistry())
+        server = AsyncQueryServer(service)
+        await server.start()
+        try:
+            return await asyncio.wait_for(
+                request_over_socket("127.0.0.1", server.bound_port, requests), 10
+            )
+        finally:
+            await server.stop()
+
+    by_id = {r["id"]: r for r in asyncio.run(scenario())}
+    assert by_id[1]["status"] == "error"
+    assert by_id[1]["error_type"] == "InternalError"
+    assert by_id[2]["status"] == "ok"
+
+
 def test_protocol_error_drops_connection_with_typed_frame() -> None:
     async def scenario() -> dict:
         service = QueryService(generate_movies(5, seed=1), metrics=MetricsRegistry())

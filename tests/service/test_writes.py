@@ -7,19 +7,26 @@ torn by -- writers), and a write acknowledged ``ok`` is durable in the
 store directory across a close/reopen.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.automata.product import rpq_nodes
+from repro.browse import where_is
+from repro.core.builder import to_obj
+from repro.core.convert import graph_to_oem
 from repro.core.graph import Graph
+from repro.core.labels import string
 from repro.datasets import generate_movies
+from repro.lorel import lorel, lorel_rows
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import SimulatedClock
 from repro.service import InProcessHarness, QueryService
 from repro.service.errors import ProtocolError
 from repro.service.protocol import validate_request
 from repro.storage import VersionedGraphStore
+from repro.unql import unql
 
 
 def store_service(tmp_path: Path, **kw):
@@ -71,7 +78,7 @@ class TestApply:
             assert after["status"] == "ok"
             assert len(after["result"]) == 1
             assert before["result"] == sorted(
-                rpq_nodes(store.view().graph, "Entry.Movie.Title")
+                rpq_nodes(store.view().frozen, "Entry.Movie.Title")
             )
 
     def test_read_only_service_refuses_typed(self) -> None:
@@ -136,6 +143,34 @@ class TestApply:
             assert stats["store"]["nodes"] == store.graph.num_nodes
 
 
+    def test_stats_reports_without_freezing(self, tmp_path: Path, monkeypatch) -> None:
+        import repro.storage.mvcc as mvcc
+
+        freezes = []
+        real_freeze = mvcc.freeze
+        monkeypatch.setattr(
+            mvcc, "freeze", lambda graph: (freezes.append(1), real_freeze(graph))[1]
+        )
+        store, svc = store_service(tmp_path)
+        with store:
+            harness = InProcessHarness(svc)
+            harness.run_one({"id": 1, "op": "rpq", "query": "Entry"})  # a reader froze v0
+            seen = harness.run_one({"id": 2, "op": "stats"})["result"]["graph"]
+            assert seen["snapshot_id"] == store.view().frozen.snapshot_id
+            harness.run_one(add_movie_request(3, store.graph.root, "Laura"))
+            before = len(freezes)
+            stats = harness.run_one({"id": 4, "op": "stats"})["result"]
+            assert len(freezes) == before  # a diagnostic does no work
+            assert stats["graph"] == {
+                "nodes": store.graph.num_nodes,
+                "edges": store.graph.num_edges,
+                "snapshot_id": None,  # nobody has read version 1 yet
+            }
+            assert stats["store"]["edges"] == store.graph.num_edges
+            assert {"hits", "misses"} <= set(stats["plan_cache"])
+            assert "governor" in stats
+
+
 class TestSnapshotIsolation:
     def test_reader_admitted_before_write_sees_its_snapshot(self, tmp_path: Path) -> None:
         """Readers are never blocked by writers -- and never see them.
@@ -147,7 +182,7 @@ class TestSnapshotIsolation:
         store, svc = store_service(tmp_path)
         with store:
             harness = InProcessHarness(svc)
-            baseline = sorted(rpq_nodes(store.view().graph, "Movie.Title"))
+            baseline = sorted(rpq_nodes(store.view().frozen, "Movie.Title"))
             reader = harness.submit({"id": 1, "op": "rpq", "query": "Movie.Title"})
             assert not reader.done  # admitted, pinned at v0, not yet run
             harness.submit(add_movie_request(2, store.graph.root, "Vertigo"))
@@ -161,23 +196,80 @@ class TestSnapshotIsolation:
             assert len(fresh["result"]) == len(baseline) + 1
 
     def test_every_engine_serves_from_the_pinned_view(self, tmp_path: Path) -> None:
-        store, svc = store_service(tmp_path)
+        """Every in-place reader, on both SQL modes, answers its admission version.
+
+        Readers of all four op classes are admitted at v0; a commit lands
+        before any of them runs; each must answer exactly what the library
+        answers on the v0 graph (the SQL stragglers build their own image
+        of the old snapshot), and the same requests admitted afterwards
+        exactly what it answers on the v1 graph.
+        """
+        rpq = "Entry.Movie.Title"
+        lorel_q = "select m.Title from DB.Entry.Movie m"
+        unql_q = r"select \t where {Entry.Movie.Title: \t} in db"
+        shadow = generate_movies(10, seed=11)  # the store keeps these node ids
+        title = next(
+            e.label.value
+            for node in sorted(rpq_nodes(shadow, rpq))
+            for e in shadow.edges_from(node)
+        )
+
+        def expected() -> dict[str, object]:
+            return {
+                "rpq": sorted(rpq_nodes(shadow, rpq)),
+                "lorel": lorel_rows(lorel(lorel_q, graph_to_oem(shadow))),
+                "unql": to_obj(unql(unql_q, db=shadow)),
+                "find": where_is(shadow, title),
+            }
+
+        queries = {"rpq": rpq, "lorel": lorel_q, "unql": unql_q, "find": json.dumps(title)}
+        requests = [{"op": "find", "query": queries["find"]}] + [
+            {"op": op, "query": queries[op], "engine": engine}
+            for op in ("rpq", "lorel", "unql")
+            for engine in ("native", "auto", "sql")
+        ]
+        store, svc = store_service(tmp_path, max_inflight=len(requests) + 1)
         with store:
+            at_v0 = expected()
             harness = InProcessHarness(svc)
             readers = harness.submit_all(
-                [
-                    {"id": 1, "op": "rpq", "query": "Movie.Title"},
-                    {"id": 2, "op": "lorel", "query": "select m.Title from DB.Movie m"},
-                    {"id": 3, "op": "find", "query": "Title"},
-                ]
+                [{"id": i, **request} for i, request in enumerate(requests)]
             )
-            assert all(not r.done for r in readers)
-            harness.submit(add_movie_request(4, store.graph.root, "Rebecca"))
+            assert all(not r.done for r in readers)  # admitted, pinned, not yet run
+            entry, movie, leaf = (shadow.new_node() for _ in range(3))
+            shadow.add_edge(shadow.root, "Entry", entry)
+            shadow.add_edge(entry, "Movie", movie)
+            shadow.add_edge(movie, "Title", leaf)
+            shadow.add_edge(leaf, string(title), shadow.new_node())
+            writer = InProcessHarness(svc)  # a second session: commits first
+            applied = writer.run_one(
+                {
+                    "id": 1,
+                    "op": "apply",
+                    "mutations": [
+                        *({"kind": "node", "name": n} for n in "emtv"),
+                        {"kind": "edge", "src": shadow.root, "label": "Entry", "dst": "e"},
+                        {"kind": "edge", "src": "e", "label": "Movie", "dst": "m"},
+                        {"kind": "edge", "src": "m", "label": "Title", "dst": "t"},
+                        {"kind": "edge", "src": "t",
+                         "label": {"kind": "string", "value": title}, "dst": "v"},
+                    ],
+                }
+            )
+            assert applied["status"] == "ok" and store.version == 1
+            at_v1 = expected()
+            assert all(at_v0[op] != at_v1[op] for op in at_v0)  # the commit shows everywhere
             harness.run()
-            assert harness.responses[4]["status"] == "ok"
-            # the rpq and lorel readers pinned v0: no "Rebecca" anywhere
-            assert harness.responses[1]["result"] == []
-            assert harness.responses[2]["result"] == []
+            for i, request in enumerate(requests):
+                response = harness.responses[i]
+                assert response["status"] == "ok", (request, response)
+                assert response["result"] == at_v0[request["op"]], request
+                assert (response.get("engine") == "sql") == (
+                    request.get("engine") in ("auto", "sql")
+                ), request
+            for i, request in enumerate(requests, start=100):
+                fresh = harness.run_one({"id": i, **request})
+                assert fresh["result"] == at_v1[request["op"]], request
 
     def test_old_views_survive_many_commits(self, tmp_path: Path) -> None:
         store, svc = store_service(tmp_path)

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.convert import graph_to_oem
 from repro.core.graph import Graph, GraphError
 from repro.core.labels import string, sym
 from repro.datasets import generate_movies
 from repro.index import GraphIndexes
+from repro.lorel import lorel, lorel_rows
 from repro.schema.dataguide import DataGuide
 from repro.storage import AddEdge, AddNode, SetRoot, VersionedGraphStore
 from repro.storage.serializer import STORAGE_METRICS
@@ -107,12 +109,32 @@ class TestSnapshots:
             store.commit([AddNode(store.graph._next_id)])
             assert store.view().version == 1
 
-    def test_view_graph_and_oem_are_copies(self, tmp_path: Path) -> None:
+    def test_view_frozen_and_oem_outlive_commits(self, tmp_path: Path) -> None:
+        # the view publishes the snapshot only; its OEM face decodes
+        # objects lazily, so the ones first touched *after* a commit must
+        # still be version 0's
+        query = "select m.Title from DB.Entry.Movie m"
+        base = generate_movies(8, seed=3)
         with seeded_store(tmp_path) as store:
             view = store.view()
-            assert view.graph is not store.graph
-            assert same_state(view.graph, store.graph)
             assert view.oem is view.oem  # lazy, then cached
+            rows = lorel_rows(lorel(query, view.oem))
+            batch = store.batch()
+            entry, movie, title = (batch.new_node() for _ in range(3))
+            batch.add_edge(store.graph.root, "Entry", entry)
+            batch.add_edge(entry, "Movie", movie)
+            batch.add_edge(movie, "Title", title)
+            batch.add_edge(title, string("Late"), batch.new_node())
+            batch.commit()
+            assert same_state(view.frozen, base)
+            assert lorel_rows(lorel(query, view.oem)) == rows
+            expected = graph_to_oem(base)
+            renumbered = dict(zip(view.oem.oids(), expected.oids()))
+            for oid, twin in renumbered.items():
+                ours, theirs = view.oem.get(oid), expected.get(twin)
+                assert ours.atom == theirs.atom
+                assert [(lab, renumbered[c]) for lab, c in ours.children] == theirs.children
+            assert len(lorel_rows(lorel(query, store.view().oem))) == len(rows) + 1
 
 
 class TestDurability:
