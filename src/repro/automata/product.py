@@ -8,42 +8,51 @@ diverges -- exactly why the paper wants regular expressions rather than
 explicit path search.  :func:`naive_rpq` implements that naive enumeration
 as the baseline for experiment E2.
 
-Two graph layouts are supported transparently.  Over a plain
-:class:`~repro.core.graph.Graph` the product scans every out-edge of each
-configuration -- the reference traversal the golden profiles pin.  Over a
-:class:`~repro.core.frozen.FrozenGraph` the kernel is *label-pruned*: at
-each ``(node, dfa state)`` it asks the automaton which exact labels can
-advance (:meth:`LazyDfa.live_exact_labels`) and scans only the node's
-matching per-label partitions, falling back to a full scan whenever a
+**One stepper.**  The walk is written once, as :class:`RpqStepper`: a
+resumable, level-synchronous traversal of the product that a server can
+stop between supersteps (deadline, budget, cancellation) and that visits
+configurations in the order a FIFO BFS would.
+
+**Two layouts.**  It has two edge-scanning bodies because there are two
+graph layouts.  Over anything that serves ``edges_from`` (a plain
+:class:`~repro.core.graph.Graph`, an :class:`~repro.storage.external.
+ExternalGraph`) it scans every out-edge of each configuration -- the
+reference traversal the golden profiles pin.  Over a
+:class:`~repro.core.frozen.FrozenGraph` it is *label-pruned*: at each
+``(node, dfa state)`` it asks the automaton which exact labels can advance
+(:meth:`LazyDfa.live_exact_labels`) and scans only the node's matching
+per-label partitions, falling back to a full scan whenever a
 wildcard/glob/negation guard makes the live alphabet unbounded.  Skipped
 edges are exactly those a full scan would step into the dead state, so
 results -- and, via :meth:`LazyDfa.ensure_dead_state`, the profiled
 ``dfa_states`` counts -- are identical on both layouts.
 
-:func:`rpq_nodes_many` batches many source nodes into one tagged product
-BFS so the per-query setup (plan resolution, transition cache, live-label
-cache) is paid once per pattern instead of once per source.
+**Drivers.**  Every other entry point runs the stepper to completion and
+reads a different part of its state: :func:`product_bfs` (matches plus
+every explored config, which the ``*_profiled`` twins count *after* the
+walk), :func:`rpq_nodes`, :func:`rpq_nodes_many` (many origins in one
+stepper: plan, transition cache and live-label cache are paid once per
+pattern, not once per source) and :func:`rpq_witnesses` (the parents map,
+recorded under insertion-ordered scans).
 
-The module also exports the small *kernel API* other runtimes build on:
-:func:`product_bfs` (the shared BFS core), :func:`ordered_edge_indices`
-(label-pruned, insertion-ordered edge scans), and :func:`compile_dense` /
-:class:`DensePlan` (a finite DFA materialized over a snapshot's interned
-alphabet, picklable and deterministic, for worker processes that cannot
-share a :class:`LazyDfa`'s visitation-order-dependent state numbering).
-Both the simulated distributed runtime (:mod:`repro.distributed.decompose`)
-and the parallel one (:mod:`repro.distributed.parallel`) consume it.
+Other runtimes build on :func:`ordered_edge_indices` (label-pruned,
+insertion-ordered edge scans; :mod:`repro.distributed.decompose` schedules
+configurations per site rather than per level and loops over it itself)
+and :func:`compile_dense` / :class:`DensePlan` (a finite DFA materialized
+over a snapshot's interned alphabet, picklable and deterministic, for
+:mod:`repro.distributed.parallel`'s worker processes, which cannot share a
+:class:`LazyDfa`'s visitation-order-dependent state numbering).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 from ..core.frozen import FrozenGraph
-from ..core.graph import Edge, Graph
+from ..core.graph import Edge, Graph, GraphError
 from ..obs import QueryProfile
 from ..resilience import (
     BudgetExhausted,
@@ -72,7 +81,6 @@ __all__ = [
     "rpq_nodes_many",
     "rpq_nodes_partial",
     "rpq_nodes_profiled",
-    "rpq_nodes_checkpointed",
     "RpqStepper",
     "rpq_witnesses",
     "rpq_witnesses_profiled",
@@ -159,37 +167,18 @@ def product_bfs(
     origin: int,
     guide_mask: "dict[int, frozenset[int]] | None" = None,
 ) -> tuple[set[int], set[tuple[int, int]]]:
-    """The shared BFS core: matched nodes plus every explored config.
+    """The stepper run to completion: matched nodes plus every explored config.
 
     Returning ``seen`` lets the profiled entry points derive their counts
     *after* the traversal (every seen config is expanded exactly once),
     so the hot loop itself carries no instrumentation.
     """
-    if isinstance(graph, FrozenGraph):
-        return _product_bfs_frozen(graph, dfa, origin, guide_mask)
-    results: set[int] = set()
-    initial = (origin, dfa.start)
-    if dfa.is_accepting(dfa.start):
-        results.add(origin)
-    seen = {initial}
-    queue = deque([initial])
-    while queue:
-        node, state = queue.popleft()
-        for edge in graph.edges_from(node):
-            nxt_state = dfa.step(state, edge.label)
-            if dfa.is_dead(nxt_state):
-                continue
-            config = (edge.dst, nxt_state)
-            if config in seen:
-                continue
-            seen.add(config)
-            if dfa.is_accepting(nxt_state):
-                results.add(edge.dst)
-            queue.append(config)
-    return results, seen
+    stepper = RpqStepper._over(graph, dfa, [origin], guide_mask)
+    stepper.run()
+    return stepper.results, stepper.seen
 
 
-# -- the frozen (label-pruned) kernel -------------------------------------------
+# -- label pruning over the CSR layout -------------------------------------------
 
 
 def _live_label_ids(
@@ -387,85 +376,17 @@ def compile_dense(
     )
 
 
-def _product_bfs_frozen(
-    fg: FrozenGraph,
-    dfa: LazyDfa,
-    origin: int,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
-) -> tuple[set[int], set[tuple[int, int]]]:
-    """Label-pruned product BFS over the CSR layout.
-
-    Transitions are cached per ``(state, label id)`` with ``-1`` as the
-    dead sentinel, so the steady state of the loop is pure int/array
-    work: no Label hashing, no Edge allocation, and -- when the live
-    alphabet is exact -- no touching of edges that cannot advance the
-    automaton.
-    """
-    offsets, targets, label_ids = fg.offsets, fg.targets, fg.label_ids
-    partitions, labels_seq, index = fg.partitions, fg.labels_seq, fg.index
-    step, is_dead, is_accepting = dfa.step, dfa.is_dead, dfa.is_accepting
-    results: set[int] = set()
-    if is_accepting(dfa.start):
-        results.add(origin)
-    initial = (origin, dfa.start)
-    seen = {initial}
-    queue = deque([initial])
-    trans: dict[tuple[int, int], int] = {}
-    live_cache: dict = {}
-    dead_interned = False
-    while queue:
-        node, state = queue.popleft()
-        pos = node if index is None else index[node]
-        begin, end = offsets[pos], offsets[pos + 1]
-        if begin == end:
-            continue
-        live = _live_label_ids(fg, dfa, state, live_cache, guide_mask)
-        if live is None:
-            spans = (range(begin, end),)
-        else:
-            part = partitions[pos]
-            spans = [part[lid] for lid in live if lid in part]
-            if not dead_interned and sum(map(len, spans)) != end - begin:
-                # a full scan would step every skipped edge into the dead
-                # state; intern it so materialized-state counts agree
-                dfa.ensure_dead_state()
-                dead_interned = True
-        for span in spans:
-            for i in span:
-                lid = label_ids[i]
-                key = (state, lid)
-                nxt = trans.get(key)
-                if nxt is None:
-                    stepped = step(state, labels_seq[lid])
-                    nxt = -1 if is_dead(stepped) else stepped
-                    trans[key] = nxt
-                if nxt < 0:
-                    continue
-                dst = targets[i]
-                config = (dst, nxt)
-                if config not in seen:
-                    seen.add(config)
-                    if is_accepting(nxt):
-                        results.add(dst)
-                    queue.append(config)
-    return results, seen
-
-
-# -- profiled twins -------------------------------------------------------------
+# -- the other drivers: profiled, partial, many-source ---------------------------
 
 
 def _fill_product_counts(
     profile: QueryProfile,
     graph: "Graph | FrozenGraph",
-    seen: "set[tuple[int, int]] | dict",
+    seen: set[tuple[int, int]],
     states_before: int,
     dfa: LazyDfa,
 ) -> None:
-    """Derive the product counts of one BFS from its explored configs.
-
-    ``seen`` is any sized collection of ``(node, state)`` configs -- the
-    BFS ``seen`` set or the witness search's ``parents`` map.
-    """
+    """Derive the product counts of one traversal from its explored configs."""
     visited = set(map(itemgetter(0), seen))
     profile.product_pairs += len(seen)
     profile.nodes_visited += len(visited)
@@ -540,9 +461,6 @@ def rpq_nodes_partial(
     return PartialResult(nodes, completeness_of(graph))
 
 
-# -- batched multi-source evaluation --------------------------------------------
-
-
 def rpq_nodes_many(
     graph: "Graph | FrozenGraph",
     pattern: "str | PathRegex | Nfa | LazyDfa",
@@ -550,119 +468,45 @@ def rpq_nodes_many(
     *,
     plan_cache: "PlanCache | None" = None,
 ) -> dict[int, set[int]]:
-    """One tagged product BFS answering the pattern from many sources.
+    """One stepper answering the pattern from many sources.
 
     Returns ``{source: matched nodes}``, equal to running
-    :func:`rpq_nodes` once per source.  Configurations carry an origin
-    tag, ``(source, node, state)``, so sources whose frontiers overlap
-    still get separate answers while sharing a single plan, transition
-    cache, and live-label cache -- the per-query setup cost is paid once
-    per *pattern* instead of once per *source*, which is what makes
-    Lorel's per-binding path conditions cheap.
+    :func:`rpq_nodes` once per source.  Each source's walk keeps its own
+    explored set, so sources whose frontiers overlap still get separate
+    answers while sharing a single plan, transition cache, and live-label
+    cache -- the per-query setup cost is paid once per *pattern* instead
+    of once per *source*, which is what makes per-binding path conditions
+    cheap.
     """
     dfa = compile_rpq(pattern, plan_cache=plan_cache)
     order = list(dict.fromkeys(sources))
-    results: dict[int, set[int]] = {s: set() for s in order}
     if not order:
-        return results
-    if isinstance(graph, FrozenGraph):
-        _rpq_many_frozen(graph, dfa, order, results)
-        return results
-    accept_start = dfa.is_accepting(dfa.start)
-    seen: set[tuple[int, int, int]] = set()
-    queue: deque[tuple[int, int, int]] = deque()
-    for s in order:
-        if accept_start:
-            results[s].add(s)
-        config = (s, s, dfa.start)
-        seen.add(config)
-        queue.append(config)
-    while queue:
-        tag, node, state = queue.popleft()
-        for edge in graph.edges_from(node):
-            nxt_state = dfa.step(state, edge.label)
-            if dfa.is_dead(nxt_state):
-                continue
-            config = (tag, edge.dst, nxt_state)
-            if config in seen:
-                continue
-            seen.add(config)
-            if dfa.is_accepting(nxt_state):
-                results[tag].add(edge.dst)
-            queue.append(config)
-    return results
+        return {}
+    stepper = RpqStepper._over(graph, dfa, order)
+    stepper.run()
+    return {origin: results for origin, results, _, _ in stepper._walks}
 
 
-def _rpq_many_frozen(
-    fg: FrozenGraph, dfa: LazyDfa, order: list[int], results: dict[int, set[int]]
-) -> None:
-    """The frozen-kernel body of :func:`rpq_nodes_many` (fills ``results``)."""
-    offsets, targets, label_ids = fg.offsets, fg.targets, fg.label_ids
-    partitions, labels_seq, index = fg.partitions, fg.labels_seq, fg.index
-    step, is_dead, is_accepting = dfa.step, dfa.is_dead, dfa.is_accepting
-    accept_start = is_accepting(dfa.start)
-    seen: set[tuple[int, int, int]] = set()
-    queue: deque[tuple[int, int, int]] = deque()
-    for s in order:
-        if accept_start:
-            results[s].add(s)
-        config = (s, s, dfa.start)
-        seen.add(config)
-        queue.append(config)
-    trans: dict[tuple[int, int], int] = {}
-    live_cache: dict = {}
-    dead_interned = False
-    while queue:
-        tag, node, state = queue.popleft()
-        pos = node if index is None else index[node]
-        begin, end = offsets[pos], offsets[pos + 1]
-        if begin == end:
-            continue
-        live = _live_label_ids(fg, dfa, state, live_cache)
-        if live is None:
-            spans = (range(begin, end),)
-        else:
-            part = partitions[pos]
-            spans = [part[lid] for lid in live if lid in part]
-            if not dead_interned and sum(map(len, spans)) != end - begin:
-                dfa.ensure_dead_state()
-                dead_interned = True
-        for span in spans:
-            for i in span:
-                lid = label_ids[i]
-                key = (state, lid)
-                nxt = trans.get(key)
-                if nxt is None:
-                    stepped = step(state, labels_seq[lid])
-                    nxt = -1 if is_dead(stepped) else stepped
-                    trans[key] = nxt
-                if nxt < 0:
-                    continue
-                dst = targets[i]
-                config = (tag, dst, nxt)
-                if config not in seen:
-                    seen.add(config)
-                    if is_accepting(nxt):
-                        results[tag].add(dst)
-                    queue.append(config)
-
-
-# -- checkpointed (superstep) evaluation ------------------------------------------
+# -- the one traversal -------------------------------------------------------------
 
 
 class RpqStepper:
     """A resumable, level-synchronous RPQ product traversal.
 
-    The same product BFS as :func:`rpq_nodes`, cut into *supersteps*: one
-    :meth:`step` call expands the whole current frontier (every config at
-    the same BFS depth) and then returns control to the caller.  Between
-    steps a server can checkpoint a deadline or operation budget, honor a
-    cooperative cancellation, or interleave other queries -- without any
-    instrumentation inside the edge loop itself.
+    The product BFS over ``(graph node, dfa state)`` configurations, cut
+    into *supersteps*: one :meth:`step` call expands the whole current
+    frontier (every config at the same BFS depth) and then returns
+    control to the caller.  Between steps a server can checkpoint a
+    deadline or operation budget, honor a cooperative cancellation, or
+    interleave other queries -- without any instrumentation inside the
+    edge loop itself.  A level-synchronous frontier visits configurations
+    in the order a FIFO queue would, so everything order-sensitive
+    (witness tie-breaks, DFA state numbering) is that of a plain BFS.
 
-    Driven to completion the stepper explores exactly the configurations
-    of :func:`rpq_nodes` and :attr:`results` equals its answer (asserted
-    by the kernel tests on both layouts).  Interrupted, :attr:`results`
+    Every other entry point of this module is this class driven to
+    completion, so :attr:`results` equals :func:`rpq_nodes` and
+    :attr:`seen` equals :func:`product_bfs`'s on both layouts (asserted
+    directly by the kernel property tests).  Interrupted, :attr:`results`
     is a sound lower bound: RPQ answers are monotone in the explored
     region, so stopping early can only *hide* matches, never invent them
     -- which is what makes the :class:`~repro.resilience.Completeness`
@@ -678,11 +522,13 @@ class RpqStepper:
         "dfa",
         "origin",
         "results",
+        "seen",
         "supersteps",
         "ops",
-        "_seen",
+        "_walks",
         "_frontier",
-        "_frozen",
+        "_parents",
+        "_guide_mask",
         "_trans",
         "_live_cache",
         "_dead_interned",
@@ -696,18 +542,55 @@ class RpqStepper:
         *,
         plan_cache: "PlanCache | None" = None,
     ) -> None:
+        dfa = compile_rpq(pattern, plan_cache=plan_cache)
+        self._begin(graph, dfa, [graph.root if start is None else start])
+
+    @classmethod
+    def _over(cls, graph, dfa, origins, guide_mask=None, parents=False) -> "RpqStepper":
+        """The drivers' constructor: :meth:`_begin` without a compile."""
+        stepper = cls.__new__(cls)
+        stepper._begin(graph, dfa, origins, guide_mask, parents)
+        return stepper
+
+    def _begin(
+        self,
+        graph: "Graph | FrozenGraph",
+        dfa: LazyDfa,
+        origins: "list[int]",
+        guide_mask: "dict[int, frozenset[int]] | None" = None,
+        parents: bool = False,
+    ) -> None:
+        """Start one walk per origin (distinct, non-empty) over shared caches.
+
+        ``guide_mask`` follows the :func:`rpq_nodes` contract; ``parents``
+        (single origin) records each config's discovering ``(config,
+        edge)`` and makes the CSR body scan in insertion order, so
+        discovery order is layout-independent.
+        """
+        # other read-API graphs (``ExternalGraph``) have no ``has_node``;
+        # their ``edges_from`` reports an unknown origin at the first step
+        if isinstance(graph, (Graph, FrozenGraph)):
+            for origin in origins:
+                if not graph.has_node(origin):
+                    raise GraphError(f"unknown node {origin}")
         self.graph = graph
-        self.dfa = compile_rpq(pattern, plan_cache=plan_cache)
-        self.origin = graph.root if start is None else start
-        self.results: set[int] = set()
-        if self.dfa.is_accepting(self.dfa.start):
-            self.results.add(self.origin)
-        initial = (self.origin, self.dfa.start)
-        self._seen: set[tuple[int, int]] = {initial}
-        self._frontier: list[tuple[int, int]] = [initial]
+        self.dfa = dfa
+        start = dfa.start
+        accept_start = dfa.is_accepting(start)
+        # one group per origin: (origin, matched nodes, explored configs,
+        # configs awaiting expansion).  A group carries its walk's own
+        # sets, so the edge loops are single-source whatever the origin
+        # count; supersteps replace the frontier list, never a group's
+        # sets, so the first frontier stays the index of every answer.
+        self._walks = self._frontier = [
+            (origin, {origin} if accept_start else set(), {(origin, start)}, [(origin, start)])
+            for origin in origins
+        ]
+        self.origin, self.results, self.seen, _ = self._walks[0]
+        self._parents: "dict | None" = {(self.origin, start): None} if parents else None
+        self._guide_mask = guide_mask
         self.supersteps = 0
         self.ops = 0
-        self._frozen = isinstance(graph, FrozenGraph)
         self._trans: dict[tuple[int, int], int] = {}
         self._live_cache: dict = {}
         self._dead_interned = False
@@ -719,89 +602,18 @@ class RpqStepper:
     @property
     def frontier_size(self) -> int:
         """Configs awaiting expansion -- the work dropped if we stop now."""
-        return len(self._frontier)
-
-    @property
-    def seen(self) -> set[tuple[int, int]]:
-        """Every explored config (the profiled-twin accounting surface)."""
-        return self._seen
+        return sum(len(group[3]) for group in self._frontier)
 
     def step(self) -> bool:
         """Expand one superstep; ``True`` while work remains."""
         if not self._frontier:
             return False
-        if self._frozen:
-            self._step_frozen()
+        if isinstance(self.graph, FrozenGraph):
+            self._expand_csr()
         else:
-            self._step_plain()
+            self._expand_edges()
         self.supersteps += 1
         return bool(self._frontier)
-
-    def _step_plain(self) -> None:
-        graph, dfa = self.graph, self.dfa
-        seen, results = self._seen, self.results
-        ops = 0
-        nxt_frontier: list[tuple[int, int]] = []
-        for node, state in self._frontier:
-            for edge in graph.edges_from(node):
-                ops += 1
-                nxt_state = dfa.step(state, edge.label)
-                if dfa.is_dead(nxt_state):
-                    continue
-                config = (edge.dst, nxt_state)
-                if config in seen:
-                    continue
-                seen.add(config)
-                if dfa.is_accepting(nxt_state):
-                    results.add(edge.dst)
-                nxt_frontier.append(config)
-        self.ops += ops
-        self._frontier = nxt_frontier
-
-    def _step_frozen(self) -> None:
-        fg: FrozenGraph = self.graph  # type: ignore[assignment]
-        dfa = self.dfa
-        offsets, targets, label_ids = fg.offsets, fg.targets, fg.label_ids
-        partitions, labels_seq, index = fg.partitions, fg.labels_seq, fg.index
-        step, is_dead, is_accepting = dfa.step, dfa.is_dead, dfa.is_accepting
-        seen, results, trans = self._seen, self.results, self._trans
-        ops = 0
-        nxt_frontier: list[tuple[int, int]] = []
-        for node, state in self._frontier:
-            pos = node if index is None else index[node]
-            begin, end = offsets[pos], offsets[pos + 1]
-            if begin == end:
-                continue
-            live = _live_label_ids(fg, dfa, state, self._live_cache)
-            if live is None:
-                spans = (range(begin, end),)
-            else:
-                part = partitions[pos]
-                spans = [part[lid] for lid in live if lid in part]
-                if not self._dead_interned and sum(map(len, spans)) != end - begin:
-                    dfa.ensure_dead_state()
-                    self._dead_interned = True
-            for span in spans:
-                for i in span:
-                    ops += 1
-                    lid = label_ids[i]
-                    key = (state, lid)
-                    nxt = trans.get(key)
-                    if nxt is None:
-                        stepped = step(state, labels_seq[lid])
-                        nxt = -1 if is_dead(stepped) else stepped
-                        trans[key] = nxt
-                    if nxt < 0:
-                        continue
-                    dst = targets[i]
-                    config = (dst, nxt)
-                    if config not in seen:
-                        seen.add(config)
-                        if is_accepting(nxt):
-                            results.add(dst)
-                        nxt_frontier.append(config)
-        self.ops += ops
-        self._frontier = nxt_frontier
 
     def run(self, control=None) -> set[int]:
         """Drive to completion, checkpointing ``control`` between supersteps.
@@ -810,8 +622,9 @@ class RpqStepper:
         with the superstep's scanned-edge count and expected to raise a
         typed :class:`~repro.resilience.ResilienceError` (deadline,
         budget, cancellation) to interrupt.  The exception propagates
-        with the stepper's state intact -- :func:`rpq_nodes_checkpointed`
-        is the wrapper that converts it into a partial result.
+        with the stepper's state intact, so the caller can still read the
+        lower-bound :attr:`results` and :attr:`frontier_size`
+        (:func:`interrupted_completeness` words the report).
         """
         if control is not None:
             control.checkpoint(0)
@@ -821,6 +634,101 @@ class RpqStepper:
             if control is not None:
                 control.checkpoint(self.ops - before)
         return self.results
+
+    def _expand_edges(self) -> None:
+        """One superstep through the read API (``edges_from``): any graph."""
+        graph, dfa, parents = self.graph, self.dfa, self._parents
+        ops = 0
+        nxt_frontier = []
+        for origin, results, seen, configs in self._frontier:
+            grown: list[tuple[int, int]] = []
+            for config in configs:
+                node, state = config
+                for edge in graph.edges_from(node):
+                    ops += 1
+                    nxt_state = dfa.step(state, edge.label)
+                    if dfa.is_dead(nxt_state):
+                        continue
+                    child = (edge.dst, nxt_state)
+                    if child in seen:
+                        continue
+                    seen.add(child)
+                    if dfa.is_accepting(nxt_state):
+                        results.add(edge.dst)
+                    grown.append(child)
+                    if parents is not None:
+                        parents[child] = (config, edge)
+            if grown:
+                nxt_frontier.append((origin, results, seen, grown))
+        self.ops += ops
+        self._frontier = nxt_frontier
+
+    def _expand_csr(self) -> None:
+        """One label-pruned superstep over the CSR layout.
+
+        Transitions are cached per ``(state, label id)`` with ``-1`` as
+        the dead sentinel, so the steady state of the loop is pure
+        int/array work: no Label hashing, no Edge allocation, and -- when
+        the live alphabet is exact -- no touching of edges that cannot
+        advance the automaton.
+        """
+        fg: FrozenGraph = self.graph  # type: ignore[assignment]
+        dfa = self.dfa
+        offsets, targets, label_ids = fg.offsets, fg.targets, fg.label_ids
+        partitions, labels_seq, index = fg.partitions, fg.labels_seq, fg.index
+        step, is_dead, is_accepting = dfa.step, dfa.is_dead, dfa.is_accepting
+        trans, live_cache = self._trans, self._live_cache
+        mask, parents = self._guide_mask, self._parents
+        ops = 0
+        nxt_frontier = []
+        for origin, results, seen, configs in self._frontier:
+            grown: list[tuple[int, int]] = []
+            for config in configs:
+                node, state = config
+                pos = node if index is None else index[node]
+                begin, end = offsets[pos], offsets[pos + 1]
+                if begin == end:
+                    continue
+                if parents is not None:
+                    spans = (ordered_edge_indices(fg, dfa, state, pos, live_cache, mask),)
+                else:
+                    live = _live_label_ids(fg, dfa, state, live_cache, mask)
+                    if live is None:
+                        spans = (range(begin, end),)
+                    else:
+                        part = partitions[pos]
+                        spans = [part[lid] for lid in live if lid in part]
+                        if not self._dead_interned and sum(map(len, spans)) != end - begin:
+                            # a full scan would step every skipped edge into
+                            # the dead state; intern it so materialized-state
+                            # counts agree
+                            dfa.ensure_dead_state()
+                            self._dead_interned = True
+                for span in spans:
+                    ops += len(span)
+                    for i in span:
+                        lid = label_ids[i]
+                        key = (state, lid)
+                        nxt = trans.get(key)
+                        if nxt is None:
+                            stepped = step(state, labels_seq[lid])
+                            nxt = -1 if is_dead(stepped) else stepped
+                            trans[key] = nxt
+                        if nxt < 0:
+                            continue
+                        dst = targets[i]
+                        child = (dst, nxt)
+                        if child not in seen:
+                            seen.add(child)
+                            if is_accepting(nxt):
+                                results.add(dst)
+                            grown.append(child)
+                            if parents is not None:
+                                parents[child] = (config, Edge(node, labels_seq[lid], dst))
+            if grown:
+                nxt_frontier.append((origin, results, seen, grown))
+        self.ops += ops
+        self._frontier = nxt_frontier
 
 
 #: Interrupt exception -> the ``kind`` recorded in the failure report.
@@ -845,36 +753,6 @@ def interrupted_completeness(exc: Exception, key: str, lost: int) -> Completenes
             FailureRecord(kind=kind, key=key, attempts=1, error=str(exc), lost=lost),
         ),
     )
-
-
-def rpq_nodes_checkpointed(
-    graph: "Graph | FrozenGraph",
-    pattern: "str | PathRegex | Nfa | LazyDfa",
-    start: int | None = None,
-    *,
-    control,
-    plan_cache: "PlanCache | None" = None,
-) -> "PartialResult[set[int]]":
-    """:func:`rpq_nodes` under a deadline/budget/cancellation control.
-
-    Runs the superstep stepper, checkpointing ``control`` at every
-    frontier boundary.  Uninterrupted, the answer and an exact
-    completeness report (merged with the graph's own, for degradable
-    graphs).  Interrupted, the matches found so far as a lower bound,
-    with a :class:`~repro.resilience.FailureRecord` naming the reason
-    (``deadline`` / ``cancelled`` / ``budget``) and the dropped frontier
-    size -- the evaluation never raises for an interrupt.
-    """
-    stepper = RpqStepper(graph, pattern, start, plan_cache=plan_cache)
-    try:
-        stepper.run(control)
-    except tuple(_INTERRUPT_KINDS) as exc:
-        key = getattr(control, "key", "rpq")
-        report = interrupted_completeness(exc, key, stepper.frontier_size)
-        return PartialResult(
-            stepper.results, Completeness.merge(report, completeness_of(graph))
-        )
-    return PartialResult(stepper.results, completeness_of(graph))
 
 
 # -- witnesses -------------------------------------------------------------------
@@ -910,93 +788,28 @@ def _witness_search(
     dfa: LazyDfa,
     origin: int,
     guide_mask: "dict[int, frozenset[int]] | None" = None,
-) -> tuple[dict[int, tuple[Edge, ...]], dict]:
-    """Shared witness BFS: the witness map plus the parents map.
+) -> tuple[dict[int, tuple[Edge, ...]], set[tuple[int, int]]]:
+    """The stepper run with a parents map: the witness map plus ``seen``.
 
-    The parents map doubles as the explored-config set (it holds exactly
-    the configurations a plain product BFS would mark seen), which is
-    what lets the profiled twin account the traversal without running it
-    twice.
+    The parents map is keyed in discovery order, which on both layouts is
+    that of a plain FIFO BFS, so the first accepting config listed for a
+    node is the one whose path is shortest (ties broken by edge insertion
+    order).
     """
-    if isinstance(graph, FrozenGraph):
-        return _witness_search_frozen(graph, dfa, origin, guide_mask)
-    parents: dict[tuple[int, int], tuple[tuple[int, int], Edge] | None] = {
-        (origin, dfa.start): None
-    }
+    stepper = RpqStepper._over(graph, dfa, [origin], guide_mask, parents=True)
+    stepper.run()
+    parents = stepper._parents
     witnesses: dict[int, tuple[Edge, ...]] = {}
-    if dfa.is_accepting(dfa.start):
-        witnesses[origin] = ()
-    queue = deque([(origin, dfa.start)])
-    while queue:
-        config = queue.popleft()
+    for config in parents:
         node, state = config
-        for edge in graph.edges_from(node):
-            nxt_state = dfa.step(state, edge.label)
-            if dfa.is_dead(nxt_state):
-                continue
-            nxt = (edge.dst, nxt_state)
-            if nxt in parents:
-                continue
-            parents[nxt] = (config, edge)
-            if dfa.is_accepting(nxt_state) and edge.dst not in witnesses:
-                witnesses[edge.dst] = _reconstruct(parents, nxt)
-            queue.append(nxt)
-    return witnesses, parents
-
-
-def _witness_search_frozen(
-    fg: FrozenGraph,
-    dfa: LazyDfa,
-    origin: int,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
-) -> tuple[dict[int, tuple[Edge, ...]], dict]:
-    """The label-pruned witness BFS (insertion-order edge scans)."""
-    targets, label_ids = fg.targets, fg.label_ids
-    labels_seq, index = fg.labels_seq, fg.index
-    step, is_dead, is_accepting = dfa.step, dfa.is_dead, dfa.is_accepting
-    parents: dict[tuple[int, int], tuple[tuple[int, int], Edge] | None] = {
-        (origin, dfa.start): None
-    }
-    witnesses: dict[int, tuple[Edge, ...]] = {}
-    if is_accepting(dfa.start):
-        witnesses[origin] = ()
-    queue = deque([(origin, dfa.start)])
-    trans: dict[tuple[int, int], int] = {}
-    live_cache: dict = {}
-    while queue:
-        config = queue.popleft()
-        node, state = config
-        pos = node if index is None else index[node]
-        for i in ordered_edge_indices(fg, dfa, state, pos, live_cache, guide_mask):
-            lid = label_ids[i]
-            key = (state, lid)
-            nxt_state = trans.get(key)
-            if nxt_state is None:
-                stepped = step(state, labels_seq[lid])
-                nxt_state = -1 if is_dead(stepped) else stepped
-                trans[key] = nxt_state
-            if nxt_state < 0:
-                continue
-            dst = targets[i]
-            nxt = (dst, nxt_state)
-            if nxt in parents:
-                continue
-            parents[nxt] = (config, Edge(node, labels_seq[lid], dst))
-            if is_accepting(nxt_state) and dst not in witnesses:
-                witnesses[dst] = _reconstruct(parents, nxt)
-            queue.append(nxt)
-    return witnesses, parents
-
-
-def _reconstruct(parents: dict, config: tuple[int, int]) -> tuple[Edge, ...]:
-    """Spell out the witness path ending at ``config`` from the parents map."""
-    path: list[Edge] = []
-    cursor = config
-    while parents[cursor] is not None:
-        prev, edge = parents[cursor]
-        path.append(edge)
-        cursor = prev
-    return tuple(reversed(path))
+        if node in witnesses or not dfa.is_accepting(state):
+            continue
+        path, cursor = [], config
+        while parents[cursor] is not None:
+            cursor, edge = parents[cursor]
+            path.append(edge)
+        witnesses[node] = tuple(reversed(path))
+    return witnesses, stepper.seen
 
 
 def rpq_witnesses_profiled(
@@ -1010,8 +823,7 @@ def rpq_witnesses_profiled(
 ) -> tuple[dict[int, tuple[Edge, ...]], QueryProfile]:
     """:func:`rpq_witnesses` plus its :class:`~repro.obs.QueryProfile`.
 
-    The witness search explores the same product configurations as
-    :func:`rpq_nodes` -- its ``parents`` map *is* the ``seen`` set -- so
+    The witness search is the same stepper :func:`rpq_nodes` runs, so
     the counts come straight from the single search: no second traversal,
     and the two profiled entry points report identical numbers for the
     same query (a cross-check the tests rely on).  ``guide_mask`` carries
@@ -1019,14 +831,14 @@ def rpq_witnesses_profiled(
     """
     dfa, states_before = _resolve_plan(pattern, plan_cache)
     origin = graph.root if start is None else start
-    witnesses, parents = _witness_search(graph, dfa, origin, guide_mask)
+    witnesses, seen = _witness_search(graph, dfa, origin, guide_mask)
     owns_profile = profile is None
     if profile is None:
         profile = QueryProfile(
             engine="rpq-witnesses",
             query=pattern if isinstance(pattern, str) else "<compiled>",
         )
-    _fill_product_counts(profile, graph, parents, states_before, dfa)
+    _fill_product_counts(profile, graph, seen, states_before, dfa)
     if owns_profile:
         profile.results = len(witnesses)
     return witnesses, profile

@@ -91,69 +91,11 @@ def distributed_rpq(
 
     Returns the matched node set (identical to the centralized
     :func:`repro.automata.product.rpq_nodes` -- tested) and the work
-    statistics of the BSP execution.
-
-    Each site's local expansion runs on the partition's cached frozen
-    snapshot through the label-pruned kernel, scanning edges in
-    insertion order -- so the message schedule, per-round work, and
-    every other statistic are identical to a plain-graph run; only the
-    wall-clock drops.
+    statistics of the BSP execution: :func:`distributed_rpq_resilient`
+    with nothing that can fail.
     """
     dfa = compile_rpq(pattern, plan_cache=plan_cache)
-    fg = dist.frozen()
-    site_of = dist.site_of
-    label_ids, edge_targets = fg.label_ids, fg.targets
-    labels_seq, index = fg.labels_seq, fg.index
-    stats = DistributedStats(messages_per_site=[0] * dist.num_sites)
-    results: set[int] = set()
-    seen: set[tuple[int, int]] = set()
-    trans: dict[tuple[int, int], int] = {}
-    live_cache: dict = {}
-
-    root_site = site_of[fg.root]
-    inboxes: list[list[tuple[int, int]]] = [[] for _ in range(dist.num_sites)]
-    start = (fg.root, dfa.start)
-    inboxes[root_site].append(start)
-    seen.add(start)
-    if dfa.is_accepting(dfa.start):
-        results.add(fg.root)
-
-    while any(inboxes):
-        round_work = [0] * dist.num_sites
-        outboxes: list[list[tuple[int, int]]] = [[] for _ in range(dist.num_sites)]
-        for site in range(dist.num_sites):
-            queue = inboxes[site]
-            # local expansion: this loop is what runs in parallel per site
-            while queue:
-                node, state = queue.pop()
-                round_work[site] += 1
-                pos = node if index is None else index[node]
-                for i in ordered_edge_indices(fg, dfa, state, pos, live_cache):
-                    lid = label_ids[i]
-                    key = (state, lid)
-                    nxt_state = trans.get(key)
-                    if nxt_state is None:
-                        stepped = dfa.step(state, labels_seq[lid])
-                        nxt_state = -1 if dfa.is_dead(stepped) else stepped
-                        trans[key] = nxt_state
-                    if nxt_state < 0:
-                        continue
-                    dst = edge_targets[i]
-                    config = (dst, nxt_state)
-                    if config in seen:
-                        continue
-                    seen.add(config)
-                    if dfa.is_accepting(nxt_state):
-                        results.add(dst)
-                    target_site = site_of[dst]
-                    if target_site == site:
-                        queue.append(config)
-                    else:
-                        outboxes[target_site].append(config)
-                        stats.messages += 1
-                        stats.messages_per_site[target_site] += 1
-        stats.work.append(round_work)
-        inboxes = outboxes
+    results, stats, _ = _bsp(dist, dfa, SiteRuntime(dist))
     return results, stats
 
 
@@ -170,15 +112,12 @@ def distributed_rpq_profiled(
     """
     dfa = compile_rpq(pattern)
     states_before = dfa.num_materialized_states if isinstance(pattern, LazyDfa) else 0
-    results, stats = distributed_rpq(dist, dfa)
+    results, stats, seen = _bsp(dist, dfa, SiteRuntime(dist))
     graph = dist.graph
     profile = QueryProfile(
         engine="distributed-rpq",
         query=pattern if isinstance(pattern, str) else "<compiled>",
     )
-    # re-derive the explored configs the same way the centralized
-    # profiled entry point does (the BSP schedule explores the same set)
-    _, seen = product_bfs(graph, dfa, graph.root)
     visited = {config[0] for config in seen}
     profile.product_pairs = len(seen)
     profile.nodes_visited = len(visited)
@@ -328,7 +267,6 @@ def distributed_rpq_resilient(
     Returns ``(matched nodes, work stats, completeness report)``.
     """
     dfa = compile_rpq(pattern, plan_cache=plan_cache)
-    graph = dist.graph
     runtime = SiteRuntime(
         dist,
         injector=injector,
@@ -338,24 +276,35 @@ def distributed_rpq_resilient(
         clock=clock,
         events=events,
     )
-    stats = DistributedStats(messages_per_site=[0] * dist.num_sites)
-    results: set[int] = set()
-    seen: set[tuple[int, int]] = set()
+    results, stats, _ = _bsp(dist, dfa, runtime)
+    return results, stats, runtime.completeness()
 
-    root_site = dist.site_of[graph.root]
-    inboxes: list[list[tuple[int, int]]] = [[] for _ in range(dist.num_sites)]
-    start = (graph.root, dfa.start)
-    inboxes[root_site].append(start)
-    seen.add(start)
-    if dfa.is_accepting(dfa.start):
-        results.add(graph.root)
 
+def _bsp(
+    dist: DistributedGraph, dfa: LazyDfa, runtime: SiteRuntime
+) -> tuple[set[int], DistributedStats, set[tuple[int, int]]]:
+    """The BSP loop: matched nodes, work statistics, explored configs.
+
+    Each site's local expansion runs on the partition's cached frozen
+    snapshot, label-pruned but scanning edges in insertion order -- so
+    the message schedule, per-round work, and every other statistic are
+    those of a plain-graph run; only the wall-clock drops.
+    """
     fg = dist.frozen()
     site_of = dist.site_of
     label_ids, edge_targets = fg.label_ids, fg.targets
     labels_seq, index = fg.labels_seq, fg.index
+    stats = DistributedStats(messages_per_site=[0] * dist.num_sites)
+    results: set[int] = set()
     trans: dict[tuple[int, int], int] = {}
     live_cache: dict = {}
+
+    start = (fg.root, dfa.start)
+    seen = {start}
+    inboxes: list[list[tuple[int, int]]] = [[] for _ in range(dist.num_sites)]
+    inboxes[site_of[fg.root]].append(start)
+    if dfa.is_accepting(dfa.start):
+        results.add(fg.root)
 
     while any(inboxes):
         round_work = [0] * dist.num_sites
@@ -366,6 +315,7 @@ def distributed_rpq_resilient(
                 continue
             if not runtime.deliver(site, len(queue)):
                 continue  # degraded: this site's queued work is lost, and reported
+            # local expansion: this loop is what runs in parallel per site
             while queue:
                 node, state = queue.pop()
                 round_work[site] += 1
@@ -396,25 +346,10 @@ def distributed_rpq_resilient(
                         stats.messages_per_site[target_site] += 1
         stats.work.append(round_work)
         inboxes = outboxes
-    return results, stats, runtime.completeness()
+    return results, stats, seen
 
 
 def centralized_work(dist: DistributedGraph, pattern: "str | LazyDfa") -> int:
     """Configurations a single-site evaluation expands (the E5 baseline)."""
-    dfa = compile_rpq(pattern)
     graph = dist.graph
-    seen = {(graph.root, dfa.start)}
-    stack = [(graph.root, dfa.start)]
-    expanded = 0
-    while stack:
-        node, state = stack.pop()
-        expanded += 1
-        for edge in graph.edges_from(node):
-            nxt_state = dfa.step(state, edge.label)
-            if dfa.is_dead(nxt_state):
-                continue
-            config = (edge.dst, nxt_state)
-            if config not in seen:
-                seen.add(config)
-                stack.append(config)
-    return expanded
+    return len(product_bfs(graph, compile_rpq(pattern), graph.root)[1])

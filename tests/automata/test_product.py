@@ -1,11 +1,23 @@
 """Tests for RPQ evaluation on graphs (the product construction)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.product import compile_rpq, naive_rpq, rpq_nodes, rpq_witnesses
+from repro.automata.product import (
+    RpqStepper,
+    compile_rpq,
+    naive_rpq,
+    product_bfs,
+    rpq_nodes,
+    rpq_nodes_many,
+    rpq_nodes_partial,
+    rpq_nodes_profiled,
+    rpq_witnesses,
+    rpq_witnesses_profiled,
+)
 from repro.core.builder import from_obj
-from repro.core.graph import Graph
+from repro.core.graph import Graph, GraphError
 from repro.core.labels import string, sym
 
 
@@ -113,6 +125,43 @@ class TestWitnesses:
         g.add_edge(a, "loop", a)
         wit = rpq_witnesses(g, "loop.loop.loop")
         assert len(wit[a]) == 3
+
+
+class TestUnknownOrigin:
+    """A start that is not a node is rejected up front, identically on
+    both layouts.  (A frozen graph used to walk ``offsets[-3]``'s edges
+    for ``start=-3`` and raise a bare ``IndexError`` past the end.)"""
+
+    ENTRY_POINTS = {
+        "rpq_nodes": lambda g, start: rpq_nodes(g, "_*", start=start),
+        "rpq_nodes_profiled": lambda g, start: rpq_nodes_profiled(g, "_*", start=start),
+        "rpq_nodes_partial": lambda g, start: rpq_nodes_partial(g, "_*", start=start),
+        "rpq_nodes_many": lambda g, start: rpq_nodes_many(g, "_*", [g.root, start]),
+        "rpq_witnesses": lambda g, start: rpq_witnesses(g, "_*", start=start),
+        "rpq_witnesses_profiled": lambda g, start: rpq_witnesses_profiled(g, "_*", start=start),
+        "product_bfs": lambda g, start: product_bfs(g, compile_rpq("_*"), start),
+        "RpqStepper": lambda g, start: RpqStepper(g, "_*", start),
+    }
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+    @pytest.mark.parametrize("start", [-3, -1, 10**6])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_every_entry_point_raises_graph_error(self, entry, start, frozen):
+        g = movie_graph()
+        with pytest.raises(GraphError, match=f"unknown node {start}"):
+            self.ENTRY_POINTS[entry](g.freeze() if frozen else g, start)
+
+    def test_sparse_ids_are_checked_against_the_index(self):
+        # ids 0 and 2 only: 1 is inside the id range but is not a node
+        g = Graph()
+        a, b = g.ensure_node(0), g.ensure_node(2)
+        g.set_root(a)
+        g.add_edge(a, "x", b)
+        assert g.freeze().index is not None
+        for graph in (g, g.freeze()):
+            assert rpq_nodes(graph, "x", start=a) == {b}
+            with pytest.raises(GraphError, match="unknown node 1"):
+                rpq_nodes(graph, "x", start=1)
 
 
 class TestNaiveBaseline:
