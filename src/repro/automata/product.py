@@ -10,22 +10,30 @@ as the baseline for experiment E2.
 
 **One stepper.**  The walk is written once, as :class:`RpqStepper`: a
 resumable, level-synchronous traversal of the product that a server can
-stop between supersteps (deadline, budget, cancellation) and that visits
-configurations in the order a FIFO BFS would.
+stop between supersteps (deadline, budget, cancellation); its levels are
+those of a FIFO BFS.
 
 **Two layouts.**  It has two edge-scanning bodies because there are two
 graph layouts.  Over anything that serves ``edges_from`` (a plain
 :class:`~repro.core.graph.Graph`, an :class:`~repro.storage.external.
-ExternalGraph`) it scans every out-edge of each configuration -- the
-reference traversal the golden profiles pin.  Over a
-:class:`~repro.core.frozen.FrozenGraph` it is *label-pruned*: at each
-``(node, dfa state)`` it asks the automaton which exact labels can advance
-(:meth:`LazyDfa.live_exact_labels`) and scans only the node's matching
-per-label partitions, falling back to a full scan whenever a
-wildcard/glob/negation guard makes the live alphabet unbounded.  Skipped
-edges are exactly those a full scan would step into the dead state, so
-results -- and, via :meth:`LazyDfa.ensure_dead_state`, the profiled
-``dfa_states`` counts -- are identical on both layouts.
+ExternalGraph`) it expands ``(node, dfa state)`` configs one by one in
+FIFO order, scanning every out-edge -- the reference traversal the golden
+profiles pin, and the one witness walks run on either layout, because
+their tie-breaks are FIFO discovery order.  Over a
+:class:`~repro.core.frozen.FrozenGraph` it is *label-pruned* and *grouped
+by DFA state*: a walk's frontier and explored set are ``{state: nodes}``,
+so what depends only on the state -- which exact labels can advance it
+(:meth:`LazyDfa.live_exact_labels`), its transition row, the sets its
+successors land in -- is fetched once per state per superstep, and the
+nodes' matching per-label partitions are then scanned with int work only
+(every partition, whenever a wildcard/glob/negation guard makes the live
+alphabet unbounded).  Skipped edges are exactly those a full scan would
+step into the dead state, and a transition is resolved only when a
+frontier node carries its label, so results -- and, via
+:meth:`LazyDfa.ensure_dead_state`, the profiled ``dfa_states`` counts --
+are identical on both layouts.  The order *within* a level differs, so a
+plan first walked on one layout may number its states differently from a
+plan first walked on the other; how many it builds cannot differ.
 
 **Drivers.**  Every other entry point runs the stepper to completion and
 reads a different part of its state: :func:`product_bfs` (matches plus
@@ -49,7 +57,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..core.frozen import FrozenGraph
 from ..core.graph import Edge, Graph, GraphError
@@ -86,10 +94,6 @@ __all__ = [
     "rpq_witnesses_profiled",
     "naive_rpq",
 ]
-
-#: Sentinel distinguishing "not cached yet" from a cached ``None``.
-_UNSET = object()
-
 
 def compile_rpq(
     pattern: "str | PathRegex | Nfa | LazyDfa",
@@ -158,7 +162,7 @@ def rpq_nodes(
     """
     dfa = compile_rpq(pattern, plan_cache=plan_cache)
     origin = graph.root if start is None else start
-    return product_bfs(graph, dfa, origin, guide_mask)[0]
+    return RpqStepper._over(graph, dfa, [origin], guide_mask).run()
 
 
 def product_bfs(
@@ -210,9 +214,8 @@ def _live_label_ids(
     identical to the unmasked scan -- the mask only skips the proving
     work.
     """
-    ids = cache.get(state, _UNSET)
-    if ids is not _UNSET:
-        return ids
+    if state in cache:
+        return cache[state]
     live = dfa.live_exact_labels(state)
     if live is None:
         ids = None
@@ -499,9 +502,9 @@ class RpqStepper:
     control to the caller.  Between steps a server can checkpoint a
     deadline or operation budget, honor a cooperative cancellation, or
     interleave other queries -- without any instrumentation inside the
-    edge loop itself.  A level-synchronous frontier visits configurations
-    in the order a FIFO queue would, so everything order-sensitive
-    (witness tie-breaks, DFA state numbering) is that of a plain BFS.
+    edge loop itself.  Levels are those of a FIFO BFS; within a level the
+    per-config body keeps FIFO order (witness tie-breaks depend on it),
+    the CSR body goes state by state (only DFA state *numbers* can tell).
 
     Every other entry point of this module is this class driven to
     completion, so :attr:`results` equals :func:`rpq_nodes` and
@@ -522,11 +525,11 @@ class RpqStepper:
         "dfa",
         "origin",
         "results",
-        "seen",
         "supersteps",
         "ops",
         "_walks",
         "_frontier",
+        "_by_state",
         "_parents",
         "_guide_mask",
         "_trans",
@@ -564,7 +567,7 @@ class RpqStepper:
 
         ``guide_mask`` follows the :func:`rpq_nodes` contract; ``parents``
         (single origin) records each config's discovering ``(config,
-        edge)`` and makes the CSR body scan in insertion order, so
+        edge)`` and runs the FIFO per-config body on either layout, so
         discovery order is layout-independent.
         """
         # other read-API graphs (``ExternalGraph``) have no ``has_node``;
@@ -577,23 +580,39 @@ class RpqStepper:
         self.dfa = dfa
         start = dfa.start
         accept_start = dfa.is_accepting(start)
+        self._by_state = by_state = isinstance(graph, FrozenGraph) and not parents
         # one group per origin: (origin, matched nodes, explored configs,
-        # configs awaiting expansion).  A group carries its walk's own
-        # sets, so the edge loops are single-source whatever the origin
-        # count; supersteps replace the frontier list, never a group's
-        # sets, so the first frontier stays the index of every answer.
+        # configs awaiting expansion) -- the last two ``{state: nodes}``
+        # for the CSR body, ``(node, state)`` pairs for the FIFO one.  A
+        # group carries its walk's own sets, so the edge loops are
+        # single-source whatever the origin count; supersteps replace the
+        # frontier list, never a group's sets, so the first frontier
+        # stays the index of every answer.
         self._walks = self._frontier = [
-            (origin, {origin} if accept_start else set(), {(origin, start)}, [(origin, start)])
+            (
+                origin,
+                {origin} if accept_start else set(),
+                {start: {origin}} if by_state else {(origin, start)},
+                {start: [origin]} if by_state else [(origin, start)],
+            )
             for origin in origins
         ]
-        self.origin, self.results, self.seen, _ = self._walks[0]
+        self.origin, self.results, _, _ = self._walks[0]
         self._parents: "dict | None" = {(self.origin, start): None} if parents else None
         self._guide_mask = guide_mask
         self.supersteps = 0
         self.ops = 0
-        self._trans: dict[tuple[int, int], int] = {}
+        self._trans: dict[int, dict[int, int]] = {}
         self._live_cache: dict = {}
         self._dead_interned = False
+
+    @property
+    def seen(self) -> set[tuple[int, int]]:
+        """Every ``(node, state)`` config the (first) walk has explored."""
+        seen = self._walks[0][2]
+        if self._by_state:
+            return {(node, state) for state, nodes in seen.items() for node in nodes}
+        return seen
 
     @property
     def done(self) -> bool:
@@ -602,13 +621,15 @@ class RpqStepper:
     @property
     def frontier_size(self) -> int:
         """Configs awaiting expansion -- the work dropped if we stop now."""
+        if self._by_state:
+            return sum(len(nodes) for group in self._frontier for nodes in group[3].values())
         return sum(len(group[3]) for group in self._frontier)
 
     def step(self) -> bool:
         """Expand one superstep; ``True`` while work remains."""
         if not self._frontier:
             return False
-        if isinstance(self.graph, FrozenGraph):
+        if self._by_state:
             self._expand_csr()
         else:
             self._expand_edges()
@@ -636,15 +657,19 @@ class RpqStepper:
         return self.results
 
     def _expand_edges(self) -> None:
-        """One superstep through the read API (``edges_from``): any graph."""
+        """One superstep, config by config in FIFO order: any graph, through
+        ``edges_from`` -- or, a witness walk over the CSR layout, through
+        the pruned insertion-ordered scans of :func:`ordered_edge_indices`."""
         graph, dfa, parents = self.graph, self.dfa, self._parents
+        pruned = isinstance(graph, FrozenGraph)
         ops = 0
         nxt_frontier = []
         for origin, results, seen, configs in self._frontier:
             grown: list[tuple[int, int]] = []
             for config in configs:
                 node, state = config
-                for edge in graph.edges_from(node):
+                edges = self._ordered_edges(node, state) if pruned else graph.edges_from(node)
+                for edge in edges:
                     ops += 1
                     nxt_state = dfa.step(state, edge.label)
                     if dfa.is_dead(nxt_state):
@@ -663,72 +688,109 @@ class RpqStepper:
         self.ops += ops
         self._frontier = nxt_frontier
 
-    def _expand_csr(self) -> None:
-        """One label-pruned superstep over the CSR layout.
+    def _ordered_edges(self, node: int, state: int) -> "Sequence[Edge]":
+        """``node``'s CSR edges worth stepping from ``state``, insertion order."""
+        fg: FrozenGraph = self.graph  # type: ignore[assignment]
+        pos = node if fg.index is None else fg.index[node]
+        span = ordered_edge_indices(fg, self.dfa, state, pos, self._live_cache, self._guide_mask)
+        edges = fg.edges_from(node)
+        if len(span) == len(edges):
+            return edges
+        begin = fg.offsets[pos]
+        return [edges[i - begin] for i in span]
 
-        Transitions are cached per ``(state, label id)`` with ``-1`` as
-        the dead sentinel, so the steady state of the loop is pure
-        int/array work: no Label hashing, no Edge allocation, and -- when
-        the live alphabet is exact -- no touching of edges that cannot
-        advance the automaton.
+    def _expand_csr(self) -> None:
+        """One label-pruned superstep over the CSR layout, state by state.
+
+        Per state and superstep: its live label ids, its row of the
+        transition table (label id -> next state, ``-1`` dead), and per
+        label the target state's explored set and frontier list.  Per
+        edge: ``targets[i]``, an int-set probe, an add, an append.  A row
+        entry is resolved only once a frontier node carries the label and
+        the dead state interned only once a node has an edge outside the
+        live set -- exactly the DFA states a full scan builds.
         """
         fg: FrozenGraph = self.graph  # type: ignore[assignment]
-        dfa = self.dfa
-        offsets, targets, label_ids = fg.offsets, fg.targets, fg.label_ids
-        partitions, labels_seq, index = fg.partitions, fg.labels_seq, fg.index
-        step, is_dead, is_accepting = dfa.step, dfa.is_dead, dfa.is_accepting
-        trans, live_cache = self._trans, self._live_cache
-        mask, parents = self._guide_mask, self._parents
+        targets, partitions, index = fg.targets, fg.partitions, fg.index
+        is_accepting = self.dfa.is_accepting
+        rows = self._trans
         ops = 0
         nxt_frontier = []
-        for origin, results, seen, configs in self._frontier:
-            grown: list[tuple[int, int]] = []
-            for config in configs:
-                node, state = config
-                pos = node if index is None else index[node]
-                begin, end = offsets[pos], offsets[pos + 1]
-                if begin == end:
-                    continue
-                if parents is not None:
-                    spans = (ordered_edge_indices(fg, dfa, state, pos, live_cache, mask),)
+        for origin, results, seen, frontier in self._frontier:
+            grown: dict[int, list[int]] = {}
+            for state, nodes in frontier.items():
+                live = _live_label_ids(fg, self.dfa, state, self._live_cache, self._guide_mask)
+                row = rows.setdefault(state, {})
+                if index is None:
+                    parts = [partitions[node] for node in nodes]
                 else:
-                    live = _live_label_ids(fg, dfa, state, live_cache, mask)
-                    if live is None:
-                        spans = (range(begin, end),)
-                    else:
-                        part = partitions[pos]
-                        spans = [part[lid] for lid in live if lid in part]
-                        if not self._dead_interned and sum(map(len, spans)) != end - begin:
-                            # a full scan would step every skipped edge into
-                            # the dead state; intern it so materialized-state
-                            # counts agree
-                            dfa.ensure_dead_state()
-                            self._dead_interned = True
-                for span in spans:
-                    ops += len(span)
-                    for i in span:
-                        lid = label_ids[i]
-                        key = (state, lid)
-                        nxt = trans.get(key)
-                        if nxt is None:
-                            stepped = step(state, labels_seq[lid])
-                            nxt = -1 if is_dead(stepped) else stepped
-                            trans[key] = nxt
-                        if nxt < 0:
+                    parts = [partitions[index[node]] for node in nodes]
+                if live is None:
+                    current = reached = out = None
+                    for part in parts:
+                        for lid, bucket in part.items():
+                            ops += len(bucket)
+                            nxt = row.get(lid)
+                            if nxt is None:
+                                nxt = self._transition(row, state, lid)
+                            if nxt < 0:
+                                continue
+                            if nxt != current:
+                                current = nxt
+                                reached = seen.setdefault(nxt, set())
+                                out = grown.setdefault(nxt, [])
+                            for i in bucket:
+                                dst = targets[i]
+                                if dst not in reached:
+                                    reached.add(dst)
+                                    out.append(dst)
+                    continue
+                hits = 0
+                for lid in live:
+                    reached = None
+                    for part in parts:
+                        bucket = part.get(lid)
+                        if bucket is None:
                             continue
-                        dst = targets[i]
-                        child = (dst, nxt)
-                        if child not in seen:
-                            seen.add(child)
-                            if is_accepting(nxt):
-                                results.add(dst)
-                            grown.append(child)
-                            if parents is not None:
-                                parents[child] = (config, Edge(node, labels_seq[lid], dst))
-            if grown:
-                nxt_frontier.append((origin, results, seen, grown))
+                        hits += 1
+                        ops += len(bucket)
+                        if reached is None:
+                            nxt = row.get(lid)
+                            if nxt is None:
+                                nxt = self._transition(row, state, lid)
+                            if nxt < 0:
+                                continue
+                            reached = seen.setdefault(nxt, set())
+                            out = grown.setdefault(nxt, [])
+                        for i in bucket:
+                            dst = targets[i]
+                            if dst not in reached:
+                                reached.add(dst)
+                                out.append(dst)
+                if not self._dead_interned and hits != sum(map(len, parts)):
+                    # some node has a label outside the live set: a full
+                    # scan would step that edge into the dead state;
+                    # intern it so materialized-state counts agree
+                    self.dfa.ensure_dead_state()
+                    self._dead_interned = True
+            todo = {}
+            for state, nodes in grown.items():
+                if nodes:
+                    todo[state] = nodes
+                    if is_accepting(state):
+                        results.update(nodes)
+            if todo:
+                nxt_frontier.append((origin, results, seen, todo))
         self.ops += ops
         self._frontier = nxt_frontier
+
+    def _transition(self, row: dict, state: int, lid: int) -> int:
+        """Resolve ``row[lid]``: ``state``'s successor on label id ``lid``."""
+        nxt = self.dfa.step(state, self.graph.labels_seq[lid])
+        if self.dfa.is_dead(nxt):
+            nxt = -1
+        row[lid] = nxt
+        return nxt
 
 
 #: Interrupt exception -> the ``kind`` recorded in the failure report.

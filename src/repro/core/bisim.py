@@ -21,8 +21,6 @@ factor.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .graph import Graph, disjoint_union
 from .labels import Label
 
@@ -129,12 +127,3 @@ def reduce_graph(graph: Graph) -> Graph:
                 added.add(key)
                 out.add_edge(src, edge.label, dst)
     return out
-
-
-def partition_signature(graph: Graph) -> Mapping[int, int]:
-    """Stable per-node block ids for the reachable part of ``graph``.
-
-    Exposed for tools (e.g. the storage layer's clustering heuristics and
-    tests) that want the partition without re-deriving it.
-    """
-    return coarsest_partition(graph, graph.reachable())

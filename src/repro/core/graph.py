@@ -399,12 +399,6 @@ class Graph:
 
     # -- conveniences -----------------------------------------------------------
 
-    def find_edges(self, predicate: Callable[[Edge], bool]) -> Iterator[Edge]:
-        """All reachable edges satisfying ``predicate`` (BFS order)."""
-        for edge in self.bfs_edges():
-            if predicate(edge):
-                yield edge
-
     def degree_histogram(self) -> Mapping[int, int]:
         """out-degree -> how many reachable nodes have it (storage sizing)."""
         hist: dict[int, int] = {}

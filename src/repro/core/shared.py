@@ -45,7 +45,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import count
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .labels import Label
 
@@ -464,22 +464,3 @@ class SharedSnapshot:
         role = "owner" if self.owner else "attached"
         state = "closed" if self.closed else "open"
         return f"<SharedSnapshot {self.name} {role} {state}>"
-
-
-def unlink_segments(names: Iterable[str]) -> list[str]:
-    """Force-unlink segments by name (the leak guard's cleanup path).
-
-    Returns the names that actually existed.  Test infrastructure only:
-    production code owns its snapshots and unlinks through them.
-    """
-    removed = []
-    for name in names:
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=False)
-        except FileNotFoundError:
-            continue
-        shm.unlink()
-        shm.close()
-        removed.append(name)
-        _LIVE_SEGMENTS.discard(name)
-    return removed

@@ -62,12 +62,6 @@ class DistributedGraph:
             self._frozen = self.graph.freeze()
         return self._frozen
 
-    def site_edges(self, site: int) -> list[Edge]:
-        """All edges whose source lives on ``site``."""
-        return [
-            e for n in self.members[site] for e in self.graph.edges_from(n)
-        ]
-
     def cross_edges(self) -> list[Edge]:
         """Edges that leave their source's site (each costs a message)."""
         return [

@@ -340,29 +340,32 @@ def _construct_answer(
     answer_root = answer.new_complex()
     answer.set_name("Answer", answer_root)
     copied: dict[Oid, Oid] = {}
-
-    def copy_into(oid: Oid) -> Oid:
-        if oid in copied:
-            return copied[oid]
-        obj = db.get(oid)
-        if obj.is_atomic:
-            new = answer.new_atomic(obj.atom)
-            copied[oid] = new
-            return new
-        new = answer.new_complex()
-        copied[oid] = new
-        for label, child in obj.children:
-            answer.add_child(new, label, copy_into(child))
-        return new
-
     for env in envs:
         row = answer.new_complex()
         answer.add_child(answer_root, "row", row)
         for item in query.items:
             label = _item_label(item)
             for oid in sorted(runner.path_targets(item.operand, env)):
-                answer.add_child(row, label, copy_into(oid))
+                answer.add_child(row, label, _copy_into(db, answer, copied, oid))
     return answer
+
+
+def _copy_into(db: OemDatabase, answer: OemDatabase, copied: dict[Oid, Oid], oid: Oid) -> Oid:
+    """Copy ``oid``'s object graph from ``db`` into ``answer``, once per oid.
+    (Not a closure: a recursive one is a reference cycle, and this one
+    would pin ``db`` -- a whole snapshot -- until the collector next runs.)"""
+    if oid in copied:
+        return copied[oid]
+    obj = db.get(oid)
+    if obj.is_atomic:
+        new = answer.new_atomic(obj.atom)
+        copied[oid] = new
+        return new
+    new = answer.new_complex()
+    copied[oid] = new
+    for label, child in obj.children:
+        answer.add_child(new, label, _copy_into(db, answer, copied, child))
+    return new
 
 
 def construct_answer(

@@ -12,7 +12,7 @@ semantics, as in the relational algebra the paper compares UnQL against
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = ["Relation", "RelationError"]
 
@@ -108,10 +108,6 @@ class Relation:
     def from_dicts(cls, schema: Iterable[str], dicts: Iterable[Mapping[str, Any]]) -> "Relation":
         schema = tuple(schema)
         return cls(schema, (tuple(d[a] for a in schema) for d in dicts))
-
-    def map_rows(self, fn: Callable[[tuple], tuple]) -> "Relation":
-        """A new relation (same schema) with every row passed through ``fn``."""
-        return Relation(self._schema, (fn(row) for row in self._rows))
 
     def pretty(self, max_rows: int = 20) -> str:
         """A fixed-width text table (benchmarks print these)."""

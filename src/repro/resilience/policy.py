@@ -150,10 +150,6 @@ class CircuitBreaker:
             return "half-open"
         return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
     def allow(self) -> bool:
         """May a call proceed right now?  (Half-open admits one probe.)"""
         state = self.state

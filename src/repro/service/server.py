@@ -270,8 +270,6 @@ class QueryService:
         self._ops_histogram = metrics.histogram("service_query_ops")
         self._sql_answered = metrics.counter("service_sql_answered")
         self._sql_fallback = metrics.counter("service_sql_fallback")
-        self._sql_backend = None
-        self._sql_snapshot_id: "int | None" = None
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -540,9 +538,9 @@ class QueryService:
         ``error`` response -- never a wrong answer).  Successful SQL
         answers carry ``engine: "sql"`` so clients can tell who served.
         """
-        from ..sqlbackend import NotCompilable, lorel_sql_backend_for, unql_sql
+        from ..sqlbackend import NotCompilable, lorel_sql_backend_for, sql_backend_for, unql_sql
 
-        backend = self._sql_backend_for(view)
+        backend = sql_backend_for(view.frozen)
         try:
             if op == "rpq":
                 # auto mirrors the planner policy: sargable plans go to
@@ -666,27 +664,6 @@ class QueryService:
             )
 
     # -- introspection -----------------------------------------------------------
-
-    def _sql_backend_for(self, view: SnapshotView):
-        """The SQL engine for ``view``'s snapshot (latest-version cached).
-
-        One backend is kept, keyed by snapshot id; a write invalidates
-        it implicitly (the new version's snapshot has a new id).  A task
-        pinned to an older version after a write builds an uncached
-        backend -- correctness over reuse for the rare straggler.
-        """
-        from ..sqlbackend import sql_backend_for
-
-        if (
-            self._sql_backend is not None
-            and self._sql_snapshot_id == view.frozen.snapshot_id
-        ):
-            return self._sql_backend
-        backend = sql_backend_for(view.frozen)
-        if self.store is None or view.version == self.store.version:
-            self._sql_backend = backend
-            self._sql_snapshot_id = view.frozen.snapshot_id
-        return backend
 
     def stats(self) -> dict[str, object]:
         """The ``stats`` op payload: admission, sessions, snapshot, metrics.

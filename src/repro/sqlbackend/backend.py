@@ -183,7 +183,9 @@ class LorelSqlBackend:
     """
 
     def __init__(self, db: "OemDatabase", db_name: str = "DB") -> None:
-        self.db = db
+        # weak, as the cache holding this backend is keyed weakly by ``db``:
+        # a strong reference would keep every database ever queried alive
+        self._db_ref = weakref.ref(db)
         self.db_name = db_name
         self._version = db.version
         self.conn = connect()
@@ -191,6 +193,11 @@ class LorelSqlBackend:
         self._plans: dict[str, CompiledQuery] = {}
         self.counters = {"compiles": 0, "plan_hits": 0, "executes": 0}
         self.last_sql: "str | None" = None
+
+    @property
+    def db(self) -> "OemDatabase":
+        """The database this image encodes; whoever queries it holds it."""
+        return self._db_ref()
 
     def is_stale(self) -> bool:
         return self.db.version != self._version

@@ -225,11 +225,6 @@ class ExternalGraph:
         return len(self._pending)
 
     @property
-    def failed_fetches(self) -> int:
-        """External regions whose fetch ultimately failed (partial mode)."""
-        return len(self._failures)
-
-    @property
     def total_retries(self) -> int:
         """Fetcher invocations beyond the first per successful or failed stub."""
         first_attempts = self.fetch_count + sum(

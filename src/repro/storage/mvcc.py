@@ -370,7 +370,12 @@ class VersionedGraphStore:
         elif not self._durable:
             self._acked_seq = seq
         self._ingest(deltas)
-        self._view = None
+        if self._view is not None:
+            # the retired snapshot's derived engines (``_ext``: SQL image,
+            # planner) point back at it; detached, its last reader frees it
+            # by reference count, and a straggler rebuilds what it needs
+            self._view.frozen._ext.clear()
+            self._view = None
         STORAGE_METRICS.counter("mvcc_commits").inc()
         if (
             self._checkpoint_every is not None
@@ -511,9 +516,6 @@ class VersionedGraphStore:
     def cached_view(self) -> "SnapshotView | None":
         """The current version's view if a reader already asked for it."""
         return self._view
-
-    def snapshot(self) -> FrozenGraph:
-        return self.view().frozen
 
     @property
     def indexes(self) -> GraphIndexes:

@@ -20,6 +20,7 @@ pruned traversal onto its full-scan fallback):
   checkpoint accounting, many origins) is pinned here on both layouts.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,8 +245,166 @@ def test_prop_stepper_many_origins_equal_looped(g, pattern):
         singles = [RpqStepper(graph, dfa, origin) for origin in origins]
         for single in singles:
             single.run()
-        assert [(o, r, s) for o, r, s, _ in many._walks] == [
-            (single.origin, single.results, single.seen) for single in singles
-        ]
+        assert rpq_nodes_many(graph, dfa, origins) == {
+            single.origin: single.results for single in singles
+        }
+        # the public face of a many-origin stepper is its first walk
+        assert (many.origin, many.results, many.seen) == (
+            singles[0].origin,
+            singles[0].results,
+            singles[0].seen,
+        )
         assert many.ops == sum(single.ops for single in singles)
         assert many.supersteps == max(single.supersteps for single in singles)
+
+
+# -- the state-grouped CSR walk -----------------------------------------------------
+#
+# The CSR body keeps a walk's configs as ``{dfa state: nodes}`` and visits
+# them state by state, not in FIFO order.  What must not depend on that:
+# the answer, the explored configs, the level structure, how many DFA
+# states get built, and -- witness walks stay FIFO -- every tie-break.
+
+
+def run_to_end(graph, dfa, guide_mask=None):
+    stepper = RpqStepper._over(graph, dfa, [graph.root], guide_mask)
+    stepper.run()
+    return stepper
+
+
+@given(small_graphs(), st.sampled_from(PATTERNS))
+@settings(max_examples=150, deadline=None)
+def test_prop_grouped_walk_equals_the_edges_from_walk(g, pattern):
+    dfa = compile_rpq(pattern)  # one plan: the CSR walk numbers its states first
+    frozen, plain = run_to_end(g.freeze(), dfa), run_to_end(g, dfa)
+    assert frozen.results == plain.results
+    assert frozen.seen == plain.seen
+    assert frozen.supersteps == plain.supersteps
+    # a transition is resolved only when a frontier node carries its
+    # label, the dead state only when an edge is skipped: each layout, on
+    # a plan of its own, builds exactly the states the full scan builds
+    csr_plan, scan_plan = compile_rpq(pattern), compile_rpq(pattern)
+    run_to_end(g.freeze(), csr_plan)
+    run_to_end(g, scan_plan)
+    assert csr_plan.num_materialized_states == scan_plan.num_materialized_states
+
+
+def with_unused_vocabulary(g):
+    """``g`` plus an unreachable chain carrying nine more labels, so that a
+    guide mask can rule out three quarters of the alphabet."""
+    tail = g.new_node()
+    for label in "defghijkl":
+        nxt = g.new_node()
+        g.add_edge(tail, label, nxt)
+        tail = nxt
+    return g
+
+
+def exact_guide_mask(g, fg, dfa):
+    """Per DFA state, the label ids that advance it from a config the
+    root-origin walk explores -- the tightest sound ``guide_mask``."""
+    mask = {}
+    for node, state in product_bfs(g, dfa, g.root)[1]:
+        allowed = mask.setdefault(state, set())
+        for edge in g.edges_from(node):
+            if not dfa.is_dead(dfa.step(state, edge.label)):
+                allowed.add(fg.label_index[edge.label])
+    return {state: frozenset(lids) for state, lids in mask.items()}
+
+
+@given(small_graphs(), st.sampled_from(PATTERNS))
+@settings(max_examples=150, deadline=None)
+def test_prop_grouped_walk_under_a_guide_mask(g, pattern):
+    g = with_unused_vocabulary(g)
+    fg = g.freeze()
+    dfa = compile_rpq(pattern)
+    plain = run_to_end(g, dfa)
+    built = dfa.num_materialized_states
+    masked = run_to_end(fg, dfa, exact_guide_mask(g, fg, dfa))
+    assert masked.results == plain.results
+    assert masked.seen == plain.seen
+    assert masked.supersteps == plain.supersteps
+    assert masked.ops <= run_to_end(fg, dfa).ops  # a mask only ever skips more
+    assert dfa.num_materialized_states == built  # and builds nothing a scan does not
+
+
+def test_guide_mask_bounds_a_wildcard_state():
+    """``!l`` has no finite live alphabet, so its state is scanned in full;
+    a mask ruling out three quarters of the vocabulary turns that into
+    partition probes -- same configs, same DFA states, fewer edges."""
+    g = Graph()
+    root, mid, hit, miss = (g.new_node() for _ in range(4))
+    g.set_root(root)
+    g.add_edge(root, "a", mid)
+    g.add_edge(root, "l", miss)  # steps ``!l`` into the dead state
+    g.add_edge(mid, "b", hit)
+    g = with_unused_vocabulary(g)
+    fg = g.freeze()
+    dfa = compile_rpq("(!l).b")
+    mask = exact_guide_mask(g, fg, dfa)
+    assert mask[dfa.start] == {fg.label_index[g.edges_from(root)[0].label]}
+    unmasked_plan, masked_plan = compile_rpq("(!l).b"), compile_rpq("(!l).b")
+    unmasked = run_to_end(fg, unmasked_plan)
+    # a fresh plan numbers its states as ``dfa`` did: both walked level by level
+    masked = run_to_end(fg, masked_plan, mask)
+    assert masked.results == unmasked.results == {hit}
+    assert masked.seen == unmasked.seen
+    assert (unmasked.ops, masked.ops) == (3, 2)
+    assert masked_plan.num_materialized_states == unmasked_plan.num_materialized_states
+
+
+@given(small_graphs(), st.sampled_from(PATTERNS))
+@settings(max_examples=100, deadline=None)
+def test_prop_interrupt_at_every_checkpoint_then_resume(g, pattern):
+    """Whichever checkpoint interrupts, the frontier it leaves behind is
+    the level a FIFO walk would be at, and resuming loses nothing."""
+    dfa = compile_rpq(pattern)
+    full = run_to_end(g, dfa)
+    for at in range(1, full.supersteps + 2):
+        waiting = []
+        for graph in both_layouts(g):
+            stepper = RpqStepper(graph, dfa)
+            first = RecordingControl(interrupt_at=at)
+            with pytest.raises(BudgetExhausted):
+                stepper.run(first)
+            assert stepper.supersteps == at - 1
+            assert stepper.results <= full.results
+            assert stepper.done == (stepper.frontier_size == 0)
+            waiting.append(stepper.frontier_size)
+            rest = RecordingControl()
+            assert stepper.run(rest) == full.results
+            assert stepper.seen == full.seen
+            assert sum(first.calls) + sum(rest.calls) == stepper.ops
+        # configs awaiting expansion, summed over states: the same level
+        assert waiting[0] == waiting[1]
+
+
+#: alternations whose branches reach the same node through different DFA
+#: states: the witness must be the FIFO-first one on both layouts
+SPLIT_PATTERNS = ["(a.c)|(b.c)", "(a.a)|(b.a)", "(a.(b|c)*)|(b.(b|c)*)", "(a|b).(a|b)"]
+
+
+@given(small_graphs(), st.sampled_from(SPLIT_PATTERNS))
+@settings(max_examples=150, deadline=None)
+def test_prop_witness_ties_break_alike_on_both_layouts(g, pattern):
+    assert rpq_witnesses(g.freeze(), pattern) == rpq_witnesses(g, pattern)
+
+
+def test_witness_through_two_dfa_states_is_the_first_inserted_path():
+    for first, second in ("ab", "ba"):
+        g = Graph()
+        root, left, right, target = (g.new_node() for _ in range(4))
+        g.set_root(root)
+        g.add_edge(root, first, left)
+        g.add_edge(root, second, right)
+        g.add_edge(right, "c", target)
+        g.add_edge(left, "c", target)
+        dfa = compile_rpq("(a.c)|(b.c)")
+        # the two length-2 paths to ``target`` run through different states
+        assert len({s for n, s in product_bfs(g, dfa, root)[1] if n in (left, right)}) == 2
+        for graph in both_layouts(g):
+            path = rpq_witnesses(graph, "(a.c)|(b.c)")[target]
+            assert [(e.src, e.label.value, e.dst) for e in path] == [
+                (root, first, left),
+                (left, "c", target),
+            ]

@@ -7,6 +7,7 @@ torn by -- writers), and a write acknowledged ``ok`` is durable in the
 store directory across a close/reopen.
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from repro.automata.product import rpq_nodes
 from repro.browse import where_is
 from repro.core.builder import to_obj
 from repro.core.convert import graph_to_oem
+from repro.core.frozen import FrozenGraph
 from repro.core.graph import Graph
 from repro.core.labels import string
 from repro.datasets import generate_movies
@@ -270,6 +272,48 @@ class TestSnapshotIsolation:
             for i, request in enumerate(requests, start=100):
                 fresh = harness.run_one({"id": i, **request})
                 assert fresh["result"] == at_v1[request["op"]], request
+
+    def test_superseded_snapshots_are_freed_without_the_cycle_collector(
+        self, tmp_path: Path
+    ) -> None:
+        """A retired version's snapshot dies by reference counting.
+
+        Its derived engines (SQL image, planner) point back at it; if
+        they also hang off it, only the cyclic collector can free it --
+        and a server whose kernel allocates little rarely runs that.
+        """
+        reads = [
+            {"op": "rpq", "query": "Entry.Movie.Title"},
+            {"op": "find", "query": json.dumps("Casablanca")},
+            {"op": "rpq", "query": "Entry.Movie.Title", "engine": "auto"},
+            {"op": "lorel", "query": "select m.Title from DB.Entry.Movie m", "engine": "auto"},
+            {"op": "unql", "query": r"select \t where {Entry.Movie.Title: \t} in db"},
+        ]
+
+        def live_snapshots() -> int:
+            return sum(isinstance(obj, FrozenGraph) for obj in gc.get_objects())
+
+        store, svc = store_service(tmp_path)
+        with store:
+            harness = InProcessHarness(svc)
+            gc.collect()
+            before = live_snapshots()
+            gc.disable()
+            try:
+                rid = 0
+                for commit in range(6):
+                    rid += 1
+                    applied = harness.run_one(
+                        add_movie_request(rid, store.graph.root, f"T{commit}")
+                    )
+                    assert applied["status"] == "ok"
+                    for read in reads:
+                        rid += 1
+                        assert harness.run_one({"id": rid, **read})["status"] == "ok"
+                harness.responses.clear()
+                assert live_snapshots() <= before + 1  # the current version's
+            finally:
+                gc.enable()
 
     def test_old_views_survive_many_commits(self, tmp_path: Path) -> None:
         store, svc = store_service(tmp_path)
