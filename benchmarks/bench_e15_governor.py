@@ -9,9 +9,9 @@ Three questions about the serving layer (docs/SERVICE.md):
   max_queue`` must be shed, served work must stay flat, and the queue
   must never exceed its bound: overload degrades *predictably*;
 * **crash-safe save cost** -- rename-atomic durable saves pay fsyncs;
-  measure the per-save tax against ``durable=False`` and show
-  :class:`~repro.storage.GroupCommit` amortizing N saves' durability
-  into one journal fsync.
+  measure the per-save tax against ``durable=False``.  (Amortizing
+  durability over many small changes is the write-ahead log's job: E18
+  and ``bench_e2e``'s ``write_burst``, ``storage.wal.fsyncs_per_commit``.)
 
 ``BENCH_SMOKE=1`` shrinks the sweep for CI and skips the ratio
 assertions (shared-runner timings are too noisy to gate on).
@@ -29,7 +29,7 @@ from repro.obs.export import write_bench
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import SimulatedClock
 from repro.service import AdmissionGovernor, InProcessHarness, QueryService
-from repro.storage import GraphStore, GroupCommit
+from repro.storage import GraphStore
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 ADMIT_CYCLES = 2_000 if SMOKE else 50_000
@@ -182,7 +182,7 @@ def test_e15_service_overhead(benchmark):
 
 
 def test_e15_crash_safe_save_cost(benchmark, tmp_path):
-    """E15d: durability pricing -- per-save fsync vs none vs group commit."""
+    """E15d: durability pricing -- per-save fsync vs none."""
     graph = generate_movies(ENTRIES, seed=23)
     store = GraphStore(graph)
 
@@ -194,24 +194,13 @@ def test_e15_crash_safe_save_cost(benchmark, tmp_path):
         for i in range(SAVES):
             store.save(tmp_path / f"fast-{i}.graph", durable=False)
 
-    def group_commit_saves():
-        gc = GroupCommit(tmp_path / "batch")
-        for i in range(SAVES):
-            gc.add(graph, f"snap-{i}.graph")
-        gc.flush()
-
     durable_s, _ = timed(durable_saves, repeat=1)
     fast_s, _ = timed(fast_saves, repeat=1)
-    group_s, _ = timed(group_commit_saves, repeat=1)
 
     # count the fsyncs each strategy actually pays
     counts = {}
     real_fsync = os.fsync
-    for name, fn in (
-        ("durable", durable_saves),
-        ("fast", fast_saves),
-        ("group", group_commit_saves),
-    ):
+    for name, fn in (("durable", durable_saves), ("fast", fast_saves)):
         n = 0
 
         def counting_fsync(fd):
@@ -230,7 +219,6 @@ def test_e15_crash_safe_save_cost(benchmark, tmp_path):
         "saves": SAVES,
         "durable_s": durable_s,
         "fast_s": fast_s,
-        "group_commit_s": group_s,
         "fsyncs": counts,
     }
     print_table(
@@ -241,16 +229,12 @@ def test_e15_crash_safe_save_cost(benchmark, tmp_path):
              counts["durable"], f"{durable_s / SAVES * 1e3:.2f}ms"),
             ("atomic, no fsync", f"{fast_s * 1e3:.1f}ms",
              counts["fast"], f"{fast_s / SAVES * 1e3:.2f}ms"),
-            ("group commit (1 journal fsync)", f"{group_s * 1e3:.1f}ms",
-             counts["group"], f"{group_s / SAVES * 1e3:.2f}ms"),
         ],
     )
     # the durability arithmetic is deterministic even when timings are not:
-    # per-save durability costs 2 fsyncs (temp + directory); group commit
-    # pays exactly one for the whole batch
+    # per-save durability costs 2 fsyncs (temp + directory)
     assert counts["durable"] == 2 * SAVES
     assert counts["fast"] == 0
-    assert counts["group"] == 1
 
     write_bench(
         "e15_governor",

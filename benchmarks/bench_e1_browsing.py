@@ -16,10 +16,10 @@ from repro.browse import (
     find_attribute_names,
     find_integers_greater_than,
     find_value,
-    find_value_profiled,
 )
 from repro.datasets import generate_movies
 from repro.index import GraphIndexes
+from repro.obs import QueryProfile
 from repro.obs.export import write_bench
 
 SIZES = [100, 400, 1600]
@@ -68,8 +68,10 @@ def test_e1_browsing_scan_vs_index(benchmark):
                 "hits": len(scan_hits),
             }
         # operation counts next to the timings they explain (scan vs index)
-        _, scan_profile = find_value_profiled(g, "Bogart")
-        _, idx_profile = find_value_profiled(g, "Bogart", indexes=indexes)
+        scan_profile = QueryProfile()
+        find_value(g, "Bogart", profile=scan_profile)
+        idx_profile = QueryProfile()
+        find_value(g, "Bogart", indexes=indexes, profile=idx_profile)
         records[f"{size}/profiles"] = {
             "scan": scan_profile.as_dict(),
             "indexed": idx_profile.as_dict(),

@@ -15,8 +15,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _tables import print_table, timed
 
 from repro.automata.plan_cache import PlanCache
-from repro.automata.product import naive_rpq, rpq_nodes, rpq_nodes_profiled
+from repro.automata.product import naive_rpq, rpq_nodes
 from repro.datasets import generate_movies, generate_web
+from repro.obs import QueryProfile
 from repro.obs.export import write_bench
 from repro.obs.metrics import MetricsRegistry
 
@@ -39,7 +40,8 @@ def test_e2_product_vs_naive(benchmark):
         naive_s, naive_hits = timed(lambda: naive_rpq(g, PATTERN, max_length=bound), repeat=1)
         assert frozen_hits == product_hits
         assert naive_hits <= product_hits  # bounded baseline under-approximates
-        _, profile = rpq_nodes_profiled(g, PATTERN)
+        profile = QueryProfile()
+        rpq_nodes(g, PATTERN, profile=profile)
         records[f"movies{entries}"] = {
             "product_s": product_s,
             "frozen_s": frozen_s,

@@ -1,12 +1,12 @@
-"""Observability overhead: profiled entry points vs. their plain twins.
+"""Observability overhead: each entry point with and without ``profile=``.
 
 The profile contract (docs/OBSERVABILITY.md) promises that instrumented
 evaluation stays within a few percent of the uninstrumented path -- the
 counts are derived from the evaluation's own data structures after the
 fact, not accumulated inside the hot loops.  This benchmark holds the
-line: for each evaluator family, best-of-N wall time of the ``*_profiled``
-entry point must stay within ``OVERHEAD_BUDGET`` of the plain one on a
-representative workload.
+line: for each evaluator family, best-of-N wall time of the entry point
+handed a ``QueryProfile`` must stay within ``OVERHEAD_BUDGET`` of the same
+call without one on a representative workload.
 
 Timing is deliberately defensive: the two variants are timed
 *interleaved* (plain, profiled, plain, ...) so clock-frequency drift
@@ -35,13 +35,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _tables import print_table
 
-from repro.automata.product import rpq_nodes, rpq_nodes_profiled
-from repro.browse import find_value, find_value_profiled
+from repro.automata.product import rpq_nodes
+from repro.browse import find_value
 from repro.core.convert import graph_to_oem
 from repro.datasets import generate_movies, generate_web
-from repro.lorel import evaluate_lorel, evaluate_lorel_profiled, parse_lorel
+from repro.lorel import evaluate_lorel, parse_lorel
+from repro.obs import QueryProfile
 from repro.obs.export import write_bench
-from repro.unql import evaluate_query, evaluate_query_profiled, parse_query
+from repro.unql import evaluate_query, parse_query
 
 #: profiled / plain wall-time ratio ceiling (the 5% budget)
 OVERHEAD_BUDGET = 1.05
@@ -93,27 +94,27 @@ def test_obs_overhead_within_budget(benchmark):
     cases = {
         "rpq": (
             lambda: rpq_nodes(web, RPQ_PATTERN),
-            lambda: rpq_nodes_profiled(web, RPQ_PATTERN)[0],
+            lambda: rpq_nodes(web, RPQ_PATTERN, profile=QueryProfile()),
             True,
         ),
         "rpq-sparse": (
             lambda: rpq_nodes(movies, SPARSE_PATTERN),
-            lambda: rpq_nodes_profiled(movies, SPARSE_PATTERN)[0],
+            lambda: rpq_nodes(movies, SPARSE_PATTERN, profile=QueryProfile()),
             False,  # the documented worst case: reported, not asserted
         ),
         "unql": (
             lambda: evaluate_query(unql_query, {"db": movies}),
-            lambda: evaluate_query_profiled(unql_query, {"db": movies})[0],
+            lambda: evaluate_query(unql_query, {"db": movies}, profile=QueryProfile()),
             True,
         ),
         "lorel": (
             lambda: evaluate_lorel(lorel_query, oem),
-            lambda: evaluate_lorel_profiled(lorel_query, oem)[0],
+            lambda: evaluate_lorel(lorel_query, oem, profile=QueryProfile()),
             True,
         ),
         "browse": (
             lambda: find_value(movies, "Allen"),
-            lambda: find_value_profiled(movies, "Allen")[0],
+            lambda: find_value(movies, "Allen", profile=QueryProfile()),
             True,
         ),
     }
@@ -149,11 +150,11 @@ def test_obs_overhead_within_budget(benchmark):
 
     # the exported record carries the counts that explain the timings
     profiles: dict[str, dict[str, object]] = {}
-    _, rpq_profile = rpq_nodes_profiled(web, RPQ_PATTERN)
+    rpq_profile = QueryProfile()
+    rpq_nodes(web, RPQ_PATTERN, profile=rpq_profile)
     profiles["rpq"] = rpq_profile.as_dict()
-    _, unql_profile = evaluate_query_profiled(
-        unql_query, {"db": movies}, query_text=UNQL_TEXT
-    )
+    unql_profile = QueryProfile(query=UNQL_TEXT)
+    evaluate_query(unql_query, {"db": movies}, profile=unql_profile)
     profiles["unql"] = unql_profile.as_dict()
     write_bench(
         "obs_overhead",
@@ -161,4 +162,4 @@ def test_obs_overhead_within_budget(benchmark):
         Path(__file__).parent / "out",
     )
 
-    benchmark(lambda: rpq_nodes_profiled(web, RPQ_PATTERN))
+    benchmark(lambda: rpq_nodes(web, RPQ_PATTERN, profile=QueryProfile()))

@@ -14,15 +14,17 @@ Every failure here is *scheduled*: the FaultInjector is a pure function
 of its seed, so re-running this script replays the identical outage.
 """
 
-from repro.automata.product import rpq_nodes, rpq_nodes_partial
+from repro.automata.product import rpq_nodes
 from repro.core.builder import from_obj
-from repro.distributed import distributed_rpq_resilient, partition_graph
+from repro.distributed import SiteRuntime, distributed_rpq, partition_graph
 from repro.resilience import (
     CircuitBreaker,
     EventLog,
     FaultInjector,
+    PartialResult,
     RetryPolicy,
     SimulatedClock,
+    completeness_of,
 )
 from repro.storage.external import ExternalGraph
 
@@ -55,7 +57,7 @@ def main() -> None:
         clock=clock,
         events=events,
     )
-    result = rpq_nodes_partial(ext, "Entry.Detail.Movie.Title")
+    result = PartialResult(rpq_nodes(ext, "Entry.Detail.Movie.Title"), completeness_of(ext))
     print(f"   every fetch fails 30% of the time (seed 7)")
     print(f"   titles found: {len(result.value)} of 5, exact: {result.exact}")
     print(f"   fetch attempts: {injector.total_calls} for {ext.fetch_count} pages"
@@ -74,7 +76,7 @@ def main() -> None:
         on_failure="partial",
         clock=clock,
     )
-    result = rpq_nodes_partial(ext, "Entry.Detail.Movie.Title")
+    result = PartialResult(rpq_nodes(ext, "Entry.Detail.Movie.Title"), completeness_of(ext))
     report = result.completeness
     print(f"   page-4's server is gone; the query still answers:")
     print(f"   titles found: {len(result.value)} of 5 (the rest still answer)")
@@ -88,13 +90,14 @@ def main() -> None:
     g = build_catalog()
     dist = partition_graph(g, 4, strategy="hash")
     injector = FaultInjector(seed=0, outages={"site:2"})
-    results, stats, report = distributed_rpq_resilient(
+    runtime = SiteRuntime(
         dist,
-        "Entry.Id",
         injector=injector,
         policy=RetryPolicy(max_attempts=4, base_delay=0.05),
         failure_threshold=3,
     )
+    results, stats = distributed_rpq(dist, "Entry.Id", runtime=runtime)
+    report = runtime.completeness()
     print(f"   4 sites, site 2 permanently down")
     print(f"   matched {len(results)} node(s) in {stats.supersteps} superstep(s)")
     print(f"   {report.describe()}")

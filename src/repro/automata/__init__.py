@@ -22,7 +22,6 @@ from .product import (
     product_bfs,
     rpq_nodes,
     rpq_nodes_many,
-    rpq_nodes_partial,
     rpq_witnesses,
 )
 from .regex import (
@@ -74,7 +73,6 @@ __all__ = [
     "ordered_edge_indices",
     "rpq_nodes",
     "rpq_nodes_many",
-    "rpq_nodes_partial",
     "rpq_witnesses",
     "naive_rpq",
     "PlanCache",

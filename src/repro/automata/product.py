@@ -37,8 +37,8 @@ plan first walked on the other; how many it builds cannot differ.
 
 **Drivers.**  Every other entry point runs the stepper to completion and
 reads a different part of its state: :func:`product_bfs` (matches plus
-every explored config, which the ``*_profiled`` twins count *after* the
-walk), :func:`rpq_nodes`, :func:`rpq_nodes_many` (many origins in one
+every explored config), :func:`rpq_nodes` (which, handed a ``profile``,
+counts those configs *after* the walk), :func:`rpq_nodes_many` (many origins in one
 stepper: plan, transition cache and live-label cache are paid once per
 pattern, not once per source) and :func:`rpq_witnesses` (the parents map,
 recorded under insertion-ordered scans).
@@ -67,9 +67,7 @@ from ..resilience import (
     Completeness,
     DeadlineExceeded,
     FailureRecord,
-    PartialResult,
     QueryCancelled,
-    completeness_of,
 )
 from .dfa import LazyDfa
 from .nfa import Nfa, build_nfa
@@ -87,11 +85,8 @@ __all__ = [
     "ordered_edge_indices",
     "rpq_nodes",
     "rpq_nodes_many",
-    "rpq_nodes_partial",
-    "rpq_nodes_profiled",
     "RpqStepper",
     "rpq_witnesses",
-    "rpq_witnesses_profiled",
     "naive_rpq",
 ]
 
@@ -143,6 +138,7 @@ def rpq_nodes(
     *,
     plan_cache: "PlanCache | None" = None,
     guide_mask: "dict[int, frozenset[int]] | None" = None,
+    profile: "QueryProfile | None" = None,
 ) -> set[int]:
     """All nodes reachable from ``start`` (default: root) by a matching path.
 
@@ -159,10 +155,24 @@ def rpq_nodes(
     snapshot's root and only applies to the frozen kernel; the planner is
     the intended caller (:class:`repro.planner.QueryPlanner` checks both
     conditions), and a mask passed alongside a plain graph is ignored.
+
+    ``profile`` is an accumulator the walk adds its exact counts to,
+    derived from the explored configs once it has finished: distinct
+    nodes entered, out-edges scanned from them, configurations explored,
+    and DFA states materialized by this evaluation (a pre-compiled
+    :class:`LazyDfa` -- passed directly or served as a plan-cache hit --
+    is only charged the states it *newly* builds; a fresh compile all of
+    them, start state included).  The counts are identical whichever
+    graph layout or cache configuration serves the query.
     """
-    dfa = compile_rpq(pattern, plan_cache=plan_cache)
+    dfa, states_before = _resolve_plan(pattern, plan_cache)
     origin = graph.root if start is None else start
-    return RpqStepper._over(graph, dfa, [origin], guide_mask).run()
+    stepper = RpqStepper._over(graph, dfa, [origin], guide_mask)
+    results = stepper.run()
+    if profile is not None:
+        profile.stamp("rpq", _text_of(pattern))
+        _add_product_counts(profile, graph, stepper.seen, states_before, dfa, len(results))
+    return results
 
 
 def product_bfs(
@@ -173,9 +183,9 @@ def product_bfs(
 ) -> tuple[set[int], set[tuple[int, int]]]:
     """The stepper run to completion: matched nodes plus every explored config.
 
-    Returning ``seen`` lets the profiled entry points derive their counts
-    *after* the traversal (every seen config is expanded exactly once),
-    so the hot loop itself carries no instrumentation.
+    ``seen`` is what a profile's counts are derived from *after* a
+    traversal (every seen config is expanded exactly once), so the hot
+    loop itself carries no instrumentation.
     """
     stepper = RpqStepper._over(graph, dfa, [origin], guide_mask)
     stepper.run()
@@ -379,89 +389,29 @@ def compile_dense(
     )
 
 
-# -- the other drivers: profiled, partial, many-source ---------------------------
+# -- the other drivers: profile accounting, many-source ---------------------------
 
 
-def _fill_product_counts(
+def _text_of(pattern: "str | PathRegex | Nfa | LazyDfa") -> str:
+    """What a profile records as ``query`` for ``pattern``."""
+    return pattern if isinstance(pattern, str) else "<compiled>"
+
+
+def _add_product_counts(
     profile: QueryProfile,
     graph: "Graph | FrozenGraph",
     seen: set[tuple[int, int]],
     states_before: int,
     dfa: LazyDfa,
+    answers: int,
 ) -> None:
-    """Derive the product counts of one traversal from its explored configs."""
+    """Add one finished traversal to ``profile``, from its explored configs."""
     visited = set(map(itemgetter(0), seen))
     profile.product_pairs += len(seen)
     profile.nodes_visited += len(visited)
     profile.edges_expanded += graph.total_out_degree(visited)
     profile.dfa_states += dfa.num_materialized_states - states_before
-
-
-def rpq_nodes_profiled(
-    graph: "Graph | FrozenGraph",
-    pattern: "str | PathRegex | Nfa | LazyDfa",
-    start: int | None = None,
-    *,
-    profile: "QueryProfile | None" = None,
-    tracer=None,
-    plan_cache: "PlanCache | None" = None,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
-) -> tuple[set[int], QueryProfile]:
-    """:func:`rpq_nodes` plus a :class:`~repro.obs.QueryProfile`.
-
-    Counts are exact and deterministic: distinct nodes entered by the
-    product, out-edges scanned from them, configurations explored, and
-    DFA states materialized by this evaluation (for a pre-compiled
-    :class:`LazyDfa` -- passed directly or served as a plan-cache hit --
-    only *newly* built states count; a fresh compile counts all of them,
-    including the start state).  Pass ``profile`` to accumulate across
-    calls (the UnQL/Lorel evaluators do); pass a ``tracer`` to record the
-    evaluation as a span.  The counts are identical whichever graph
-    layout or cache configuration serves the query.
-    """
-    dfa, states_before = _resolve_plan(pattern, plan_cache)
-    origin = graph.root if start is None else start
-    owns_profile = profile is None
-    if profile is None:
-        profile = QueryProfile(
-            engine="rpq", query=pattern if isinstance(pattern, str) else "<compiled>"
-        )
-    if tracer is not None:
-        with tracer.span("rpq", query=profile.query) as span:
-            results, seen = product_bfs(graph, dfa, origin, guide_mask)
-            _fill_product_counts(profile, graph, seen, states_before, dfa)
-            span.annotate(results=len(results), product_pairs=len(seen))
-    else:
-        results, seen = product_bfs(graph, dfa, origin, guide_mask)
-        _fill_product_counts(profile, graph, seen, states_before, dfa)
-    if owns_profile:
-        # when accumulating into a caller's profile (UnQL/Lorel), the
-        # caller owns the results count; a sub-query's matches are not
-        # the query's answers
-        profile.results = len(results)
-    return results, profile
-
-
-def rpq_nodes_partial(
-    graph: "Graph | FrozenGraph",
-    pattern: "str | PathRegex | Nfa | LazyDfa",
-    start: int | None = None,
-    *,
-    plan_cache: "PlanCache | None" = None,
-) -> "PartialResult[set[int]]":
-    """:func:`rpq_nodes` with the partial-result contract made explicit.
-
-    Over a plain graph this is :func:`rpq_nodes` plus an always-exact
-    report.  Over a degradable graph (an :class:`~repro.storage.external.
-    ExternalGraph` in partial mode), failed regions contribute no edges,
-    the product simply never enters them, and the attached
-    :class:`~repro.resilience.Completeness` report says whether the node
-    set is exact or a lower bound.  RPQ answers are monotone in the
-    visible graph, so a lost region can only hide matches, never forge
-    them.
-    """
-    nodes = rpq_nodes(graph, pattern, start, plan_cache=plan_cache)
-    return PartialResult(nodes, completeness_of(graph))
+    profile.results += answers
 
 
 def rpq_nodes_many(
@@ -827,6 +777,7 @@ def rpq_witnesses(
     *,
     plan_cache: "PlanCache | None" = None,
     guide_mask: "dict[int, frozenset[int]] | None" = None,
+    profile: "QueryProfile | None" = None,
 ) -> dict[int, tuple[Edge, ...]]:
     """A shortest witness path for every node matched by the pattern.
 
@@ -839,25 +790,17 @@ def rpq_witnesses(
 
     ``guide_mask`` follows the :func:`rpq_nodes` contract: sound only for
     root-origin traversals of the frozen snapshot it was computed for.
-    """
-    dfa = compile_rpq(pattern, plan_cache=plan_cache)
-    origin = graph.root if start is None else start
-    return _witness_search(graph, dfa, origin, guide_mask)[0]
-
-
-def _witness_search(
-    graph: "Graph | FrozenGraph",
-    dfa: LazyDfa,
-    origin: int,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
-) -> tuple[dict[int, tuple[Edge, ...]], set[tuple[int, int]]]:
-    """The stepper run with a parents map: the witness map plus ``seen``.
+    ``profile`` does too: the witness walk is the stepper
+    :func:`rpq_nodes` runs, so the two report identical counts for the
+    same query (a cross-check the tests rely on).
 
     The parents map is keyed in discovery order, which on both layouts is
     that of a plain FIFO BFS, so the first accepting config listed for a
     node is the one whose path is shortest (ties broken by edge insertion
     order).
     """
+    dfa, states_before = _resolve_plan(pattern, plan_cache)
+    origin = graph.root if start is None else start
     stepper = RpqStepper._over(graph, dfa, [origin], guide_mask, parents=True)
     stepper.run()
     parents = stepper._parents
@@ -871,39 +814,12 @@ def _witness_search(
             cursor, edge = parents[cursor]
             path.append(edge)
         witnesses[node] = tuple(reversed(path))
-    return witnesses, stepper.seen
-
-
-def rpq_witnesses_profiled(
-    graph: "Graph | FrozenGraph",
-    pattern: "str | PathRegex | Nfa | LazyDfa",
-    start: int | None = None,
-    *,
-    profile: "QueryProfile | None" = None,
-    plan_cache: "PlanCache | None" = None,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
-) -> tuple[dict[int, tuple[Edge, ...]], QueryProfile]:
-    """:func:`rpq_witnesses` plus its :class:`~repro.obs.QueryProfile`.
-
-    The witness search is the same stepper :func:`rpq_nodes` runs, so
-    the counts come straight from the single search: no second traversal,
-    and the two profiled entry points report identical numbers for the
-    same query (a cross-check the tests rely on).  ``guide_mask`` carries
-    the same root-origin contract as in :func:`rpq_nodes`.
-    """
-    dfa, states_before = _resolve_plan(pattern, plan_cache)
-    origin = graph.root if start is None else start
-    witnesses, seen = _witness_search(graph, dfa, origin, guide_mask)
-    owns_profile = profile is None
-    if profile is None:
-        profile = QueryProfile(
-            engine="rpq-witnesses",
-            query=pattern if isinstance(pattern, str) else "<compiled>",
+    if profile is not None:
+        profile.stamp("rpq-witnesses", _text_of(pattern))
+        _add_product_counts(
+            profile, graph, stepper.seen, states_before, dfa, len(witnesses)
         )
-    _fill_product_counts(profile, graph, seen, states_before, dfa)
-    if owns_profile:
-        profile.results = len(witnesses)
-    return witnesses, profile
+    return witnesses
 
 
 # -- the naive baseline ----------------------------------------------------------

@@ -3,27 +3,15 @@
 from .search import (
     Finding,
     find_attribute_names,
-    find_attribute_names_partial,
-    find_attribute_names_profiled,
     find_integers_greater_than,
-    find_integers_greater_than_partial,
-    find_integers_greater_than_profiled,
     find_value,
-    find_value_partial,
-    find_value_profiled,
     where_is,
 )
 
 __all__ = [
     "Finding",
     "find_value",
-    "find_value_partial",
-    "find_value_profiled",
     "find_integers_greater_than",
-    "find_integers_greater_than_partial",
-    "find_integers_greater_than_profiled",
     "find_attribute_names",
-    "find_attribute_names_partial",
-    "find_attribute_names_profiled",
     "where_is",
 ]

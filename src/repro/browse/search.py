@@ -10,19 +10,26 @@ object-oriented query languages":
   ``"act"``?
 
 Each query has a *scan* implementation (single pass over the reachable
-graph -- always available) and an *indexed* implementation driven by
-:class:`~repro.index.GraphIndexes`; experiment E1 measures the gap.  All
-three return :class:`Finding` records that include a shortest label path
-from the root, because "where is it" is only answered by a path the user
-can follow.
+graph -- always available; over a :class:`~repro.core.frozen.FrozenGraph`
+a probe of the interned label space) and an *indexed* implementation
+driven by :class:`~repro.index.GraphIndexes`; experiment E1 measures the
+gap.  All three return :class:`Finding` records that include a shortest
+label path from the root, because "where is it" is only answered by a
+path the user can follow.
+
+Handed a ``profile`` (:class:`~repro.obs.QueryProfile`), a query adds
+what the route that answered it did: an indexed lookup the index
+hit/miss delta it caused, a scan the nodes it covered and their
+out-edges -- on a snapshot ``len(reachable)`` and
+``total_out_degree(reachable)``, the numbers an edge-by-edge scan
+produces, without materializing an edge to count them.
 
 Browsing is a *scan*, so over an :class:`~repro.storage.external.
 ExternalGraph` it materializes every external region it walks into.  When
 the wrapper runs in partial mode, regions whose fetch ultimately failed
-contribute no edges, the scan proceeds over the rest, and the
-``*_partial`` variants attach the graph's :class:`~repro.resilience.
-Completeness` report so callers can tell an exact answer from a lower
-bound.
+contribute no edges and the scan proceeds over the rest; pair the answer
+with :func:`~repro.resilience.completeness_of` the graph to tell an exact
+answer from a lower bound.
 """
 
 from __future__ import annotations
@@ -35,19 +42,12 @@ from ..core.graph import Edge, Graph
 from ..core.labels import Label, string
 from ..index import GraphIndexes
 from ..obs import QueryProfile
-from ..resilience import PartialResult, completeness_of
 
 __all__ = [
     "Finding",
     "find_value",
-    "find_value_partial",
-    "find_value_profiled",
     "find_integers_greater_than",
-    "find_integers_greater_than_partial",
-    "find_integers_greater_than_profiled",
     "find_attribute_names",
-    "find_attribute_names_partial",
-    "find_attribute_names_profiled",
     "where_is",
 ]
 
@@ -114,25 +114,55 @@ def _frozen_path(fg: FrozenGraph, node: int) -> tuple[Label, ...]:
     return tuple(reversed(labels))
 
 
-def _frozen_label_scan(fg: FrozenGraph, keep) -> list[Edge]:
-    """Scan a frozen graph by *distinct label*, then by edge.
+def _scan(
+    graph: Graph, keep, profile: "QueryProfile | None", exact: "Label | None" = None
+) -> list[Edge]:
+    """The reachable edges whose label passes ``keep`` -- the index-free route.
 
-    The predicate runs once per interned label instead of once per edge
-    -- the win is largest for ``fnmatch``-style predicates on datasets
-    whose label vocabulary is much smaller than their edge count.
-    Matching edges come out in CSR (per-node insertion) order, filtered
-    to the root-reachable region exactly like the plain scan.
+    Over a frozen graph the predicate runs once per *distinct label*
+    instead of once per edge -- the win is largest for ``fnmatch``-style
+    predicates on datasets whose label vocabulary is much smaller than
+    their edge count -- and an ``exact`` label is answered by the interned
+    label space directly.  Matching edges come out in CSR (per-node
+    insertion) order, filtered to the root-reachable region exactly like
+    the plain scan, so what a profile is charged is the same on both
+    layouts: every reachable node and all of its out-edges.
     """
-    keep_lids = {lid for lid, lab in enumerate(fg.labels_seq) if keep(lab)}
-    if not keep_lids:
-        return []
-    reach = fg.reachable()
-    srcs, targets, labels_seq = fg.srcs, fg.targets, fg.labels_seq
-    return [
-        Edge(srcs[i], labels_seq[lid], targets[i])
-        for i, lid in enumerate(fg.label_ids)
-        if lid in keep_lids and srcs[i] in reach
-    ]
+    if isinstance(graph, FrozenGraph):
+        reach = _bfs_tree(graph)
+        if exact is not None:
+            edges = [e for e in graph.edges_with_label(exact) if e.src in reach]
+        else:
+            labels_seq, srcs, targets = graph.labels_seq, graph.srcs, graph.targets
+            keep_lids = {lid for lid, lab in enumerate(labels_seq) if keep(lab)}
+            edges = []
+            if keep_lids:
+                edges = [
+                    Edge(srcs[i], labels_seq[lid], targets[i])
+                    for i, lid in enumerate(graph.label_ids)
+                    if lid in keep_lids and srcs[i] in reach
+                ]
+        if profile is not None:
+            profile.nodes_visited += len(reach)
+            profile.edges_expanded += graph.total_out_degree(reach)
+        return edges
+    scanned = [graph.edges_from(n) for n in graph.reachable()]
+    if profile is not None:
+        profile.nodes_visited += len(scanned)
+        profile.edges_expanded += sum(map(len, scanned))
+    return [e for out in scanned for e in out if keep(e.label)]
+
+
+def _indexed(indexes: GraphIndexes, run, profile: "QueryProfile | None") -> list[Edge]:
+    """Run an index-backed lookup; a profile gets the hit/miss delta it caused."""
+    if profile is None:
+        return run()
+    hits_before = indexes.total_hits
+    misses_before = indexes.total_misses
+    edges = run()
+    profile.index_hits += indexes.total_hits - hits_before
+    profile.index_misses += indexes.total_misses - misses_before
+    return edges
 
 
 def _attach_paths(graph: Graph, edges: list[Edge]) -> list[Finding]:
@@ -146,8 +176,23 @@ def _attach_paths(graph: Graph, edges: list[Edge]) -> list[Finding]:
     return findings
 
 
+def _findings(
+    graph: Graph, edges: list[Edge], profile: "QueryProfile | None", name: str, arg
+) -> list[Finding]:
+    """Locate ``edges``; a profile is named ``name(arg)`` and gets the count."""
+    findings = _attach_paths(graph, edges)
+    if profile is not None:
+        profile.stamp("browse", f"{name}({arg!r})")
+        profile.results += len(findings)
+    return findings
+
+
 def find_value(
-    graph: Graph, value: "str | int | float | bool", indexes: GraphIndexes | None = None
+    graph: Graph,
+    value: "str | int | float | bool",
+    indexes: GraphIndexes | None = None,
+    *,
+    profile: "QueryProfile | None" = None,
 ) -> list[Finding]:
     """Where in the database is this value?  (First browsing query.)
 
@@ -158,23 +203,18 @@ def find_value(
 
     target = string(value) if isinstance(value, str) else label_of(value)
     if indexes is not None:
-        edges = list(indexes.value.find_exact(target))
-    elif isinstance(graph, FrozenGraph):
-        # the interned label space answers an exact-value probe directly
-        tree = _bfs_tree(graph)
-        edges = [e for e in graph.edges_with_label(target) if e.src in tree]
+        edges = _indexed(indexes, lambda: list(indexes.value.find_exact(target)), profile)
     else:
-        edges = [
-            e
-            for n in graph.reachable()
-            for e in graph.edges_from(n)
-            if e.label == target
-        ]
-    return _attach_paths(graph, edges)
+        edges = _scan(graph, target.__eq__, profile, exact=target)
+    return _findings(graph, edges, profile, "find_value", value)
 
 
 def find_integers_greater_than(
-    graph: Graph, bound: int, indexes: GraphIndexes | None = None
+    graph: Graph,
+    bound: int,
+    indexes: GraphIndexes | None = None,
+    *,
+    profile: "QueryProfile | None" = None,
 ) -> list[Finding]:
     """Are there integers in the database greater than ``bound``?
 
@@ -182,25 +222,22 @@ def find_integers_greater_than(
     reals are a different kind in the tagged union.
     """
     if indexes is not None:
-        edges = [
-            e for e in indexes.value.numbers_greater_than(bound) if e.label.is_int
-        ]
-    elif isinstance(graph, FrozenGraph):
-        edges = _frozen_label_scan(
-            graph, lambda lab: lab.is_int and lab.value > bound
+        edges = _indexed(
+            indexes,
+            lambda: [e for e in indexes.value.numbers_greater_than(bound) if e.label.is_int],
+            profile,
         )
     else:
-        edges = [
-            e
-            for n in graph.reachable()
-            for e in graph.edges_from(n)
-            if e.label.is_int and e.label.value > bound
-        ]
-    return _attach_paths(graph, edges)
+        edges = _scan(graph, lambda lab: lab.is_int and lab.value > bound, profile)
+    return _findings(graph, edges, profile, "ints_greater_than", bound)
 
 
 def find_attribute_names(
-    graph: Graph, pattern: str, indexes: GraphIndexes | None = None
+    graph: Graph,
+    pattern: str,
+    indexes: GraphIndexes | None = None,
+    *,
+    profile: "QueryProfile | None" = None,
 ) -> list[Finding]:
     """What objects have an attribute name matching ``pattern``?
 
@@ -210,21 +247,22 @@ def find_attribute_names(
     """
     glob = pattern.replace("%", "*")
     if indexes is not None:
-        labels = indexes.label.symbols_matching(pattern)
-        edges = [e for lab in labels for e in indexes.label.edges_with_label(lab)]
-    elif isinstance(graph, FrozenGraph):
-        edges = _frozen_label_scan(
-            graph,
-            lambda lab: lab.is_symbol and fnmatch.fnmatchcase(str(lab.value), glob),
+        edges = _indexed(
+            indexes,
+            lambda: [
+                e
+                for lab in indexes.label.symbols_matching(pattern)
+                for e in indexes.label.edges_with_label(lab)
+            ],
+            profile,
         )
     else:
-        edges = [
-            e
-            for n in graph.reachable()
-            for e in graph.edges_from(n)
-            if e.label.is_symbol and fnmatch.fnmatchcase(str(e.label.value), glob)
-        ]
-    return _attach_paths(graph, edges)
+        edges = _scan(
+            graph,
+            lambda lab: lab.is_symbol and fnmatch.fnmatchcase(str(lab.value), glob),
+            profile,
+        )
+    return _findings(graph, edges, profile, "attribute_names", pattern)
 
 
 def where_is(
@@ -238,138 +276,3 @@ def where_is(
     browse delegation passes its own :class:`~repro.index.GraphIndexes`).
     """
     return [str(f) for f in find_value(graph, value, indexes)]
-
-
-# -- partial-result variants (the resilience contract) -------------------------
-
-
-def _scan_profiled(graph: Graph, keep, profile: QueryProfile) -> list[Edge]:
-    """One accounted pass over the reachable graph.
-
-    The loop mirrors the plain scans' comprehension, with two integer
-    adds per *node* (not per edge) so the instrumented scan stays inside
-    the overhead budget of ``benchmarks/bench_obs_overhead.py``.
-    """
-    nodes = 0
-    scanned = 0
-    edges: list[Edge] = []
-    append = edges.append
-    edges_from = graph.edges_from
-    for n in graph.reachable():
-        nodes += 1
-        out = edges_from(n)
-        scanned += len(out)
-        for e in out:
-            if keep(e.label):
-                append(e)
-    profile.nodes_visited += nodes
-    profile.edges_expanded += scanned
-    return edges
-
-
-def _indexed_profiled(indexes: GraphIndexes, run, profile: QueryProfile) -> list[Edge]:
-    """Run an index-backed lookup, capturing the hit/miss delta it caused."""
-    hits_before = indexes.total_hits
-    misses_before = indexes.total_misses
-    edges = run()
-    profile.index_hits += indexes.total_hits - hits_before
-    profile.index_misses += indexes.total_misses - misses_before
-    return edges
-
-
-def find_value_profiled(
-    graph: Graph, value: "str | int | float | bool", indexes: GraphIndexes | None = None
-) -> tuple[list[Finding], QueryProfile]:
-    """:func:`find_value` plus a :class:`~repro.obs.QueryProfile`.
-
-    The scan path reports nodes visited and edges scanned; the indexed
-    path reports the index hit/miss delta the lookup caused instead.
-    """
-    from ..core.labels import label_of
-
-    target = string(value) if isinstance(value, str) else label_of(value)
-    profile = QueryProfile(engine="browse", query=f"find_value({value!r})")
-    if indexes is not None:
-        edges = _indexed_profiled(
-            indexes, lambda: list(indexes.value.find_exact(target)), profile
-        )
-    else:
-        edges = _scan_profiled(graph, target.__eq__, profile)
-    findings = _attach_paths(graph, edges)
-    profile.results = len(findings)
-    return findings, profile
-
-
-def find_integers_greater_than_profiled(
-    graph: Graph, bound: int, indexes: GraphIndexes | None = None
-) -> tuple[list[Finding], QueryProfile]:
-    """:func:`find_integers_greater_than` plus its query profile."""
-    profile = QueryProfile(engine="browse", query=f"ints_greater_than({bound})")
-    if indexes is not None:
-        edges = _indexed_profiled(
-            indexes,
-            lambda: [
-                e for e in indexes.value.numbers_greater_than(bound) if e.label.is_int
-            ],
-            profile,
-        )
-    else:
-        edges = _scan_profiled(
-            graph, lambda lab: lab.is_int and lab.value > bound, profile
-        )
-    findings = _attach_paths(graph, edges)
-    profile.results = len(findings)
-    return findings, profile
-
-
-def find_attribute_names_profiled(
-    graph: Graph, pattern: str, indexes: GraphIndexes | None = None
-) -> tuple[list[Finding], QueryProfile]:
-    """:func:`find_attribute_names` plus its query profile."""
-    glob = pattern.replace("%", "*")
-    profile = QueryProfile(engine="browse", query=f"attribute_names({pattern!r})")
-    if indexes is not None:
-
-        def run() -> list[Edge]:
-            labels = indexes.label.symbols_matching(pattern)
-            return [e for lab in labels for e in indexes.label.edges_with_label(lab)]
-
-        edges = _indexed_profiled(indexes, run, profile)
-    else:
-        edges = _scan_profiled(
-            graph,
-            lambda lab: lab.is_symbol and fnmatch.fnmatchcase(str(lab.value), glob),
-            profile,
-        )
-    findings = _attach_paths(graph, edges)
-    profile.results = len(findings)
-    return findings, profile
-
-
-def find_value_partial(
-    graph: Graph, value: "str | int | float | bool", indexes: GraphIndexes | None = None
-) -> "PartialResult[list[Finding]]":
-    """:func:`find_value` plus the graph's completeness report.
-
-    Over a degradable graph the findings are a sound lower bound: lost
-    regions can only hide hits.
-    """
-    return PartialResult(find_value(graph, value, indexes), completeness_of(graph))
-
-
-def find_integers_greater_than_partial(
-    graph: Graph, bound: int, indexes: GraphIndexes | None = None
-) -> "PartialResult[list[Finding]]":
-    """:func:`find_integers_greater_than` plus the completeness report."""
-    return PartialResult(
-        find_integers_greater_than(graph, bound, indexes), completeness_of(graph)
-    )
-
-
-def find_attribute_names_partial(
-    graph: Graph, pattern: str, indexes: GraphIndexes | None = None
-) -> "PartialResult[list[Finding]]":
-    """:func:`find_attribute_names` plus the completeness report."""
-    return PartialResult(
-        find_attribute_names(graph, pattern, indexes), completeness_of(graph)
-    )

@@ -210,31 +210,34 @@ def _cmd_profile(args) -> int:
     from the path index / DataGuide / guide-masked kernel, lorel pushes
     where-predicates into the value groups, and find probes the value
     index -- the profile then carries the planner's extras counters and
-    index hit/miss accounting.  (``unql --planner`` is a no-op: profiled
-    UnQL keeps the golden-pinned direct path; unprofiled UnQL already
-    plans.)  ``--json`` emits via :mod:`repro.obs.export` for scripting.
+    index hit/miss accounting.  (``unql --planner`` is a no-op: a
+    profiled UnQL run walks the kernel with fresh plans, so its counts do
+    not depend on query history; an unprofiled one already plans.)
+    ``--json`` emits via :mod:`repro.obs.export` for scripting.
     """
     from .automata.plan_cache import DEFAULT_PLAN_CACHE, PLAN_METRICS
-    from .browse import find_value_profiled
+    from .browse import find_value
     from .core.convert import graph_to_oem
-    from .lorel import evaluate_lorel_profiled, parse_lorel
+    from .lorel import evaluate_lorel, parse_lorel
+    from .obs import QueryProfile
     from .obs.export import metrics_to_dict, to_json
-    from .unql import evaluate_query_profiled, parse_query
+    from .unql import unql
 
     g = load_database(args.file)
+    profile = QueryProfile()
     index_accounting: "dict[str, dict[str, int]] | None" = None
     if args.engine == "rpq":
         if args.planner:
             from .planner import planner_for
 
             planner = planner_for(g, plan_cache=DEFAULT_PLAN_CACHE)
-            results, profile = planner.rpq_profiled(args.query)
+            results = planner.rpq(args.query, profile=profile)
             index_accounting = planner.indexes.accounting()
         else:
-            from .automata.product import rpq_nodes_profiled
+            from .automata.product import rpq_nodes
 
-            results, profile = rpq_nodes_profiled(
-                g, args.query, plan_cache=DEFAULT_PLAN_CACHE
+            results = rpq_nodes(
+                g, args.query, plan_cache=DEFAULT_PLAN_CACHE, profile=profile
             )
         preview = f"{len(results)} node(s)"
     elif args.engine == "lorel":
@@ -244,17 +247,16 @@ def _cmd_profile(args) -> int:
             from .planner import oem_indexes_for
 
             indexes = oem_indexes_for(db)
-        result, profile = evaluate_lorel_profiled(
-            parse_lorel(args.query), db, query_text=args.query, indexes=indexes
+        profile.query = args.query  # evaluate_lorel sees the AST, not the text
+        result = evaluate_lorel(
+            parse_lorel(args.query), db, indexes=indexes, profile=profile
         )
         if indexes is not None:
             index_accounting = {"oem_value_groups": indexes.accounting()}
         answer = result.get(result.lookup_name("Answer"))
         preview = f"answer with {len(answer.children)} member(s)"
     elif args.engine == "unql":
-        result, profile = evaluate_query_profiled(
-            parse_query(args.query), {"db": g, "DB": g}, query_text=args.query
-        )
+        result = unql(args.query, profile=profile, db=g, DB=g)
         preview = f"result graph: {result.num_nodes} node(s), {result.num_edges} edge(s)"
     else:  # find
         value: object = args.query
@@ -267,7 +269,7 @@ def _cmd_profile(args) -> int:
             from .index import GraphIndexes
 
             indexes = GraphIndexes(g)
-        findings, profile = find_value_profiled(g, value, indexes)
+        findings = find_value(g, value, indexes, profile=profile)
         if indexes is not None:
             index_accounting = indexes.accounting()
         preview = f"{len(findings)} finding(s)"
@@ -298,7 +300,7 @@ def _cmd_chaos(args) -> int:
     Exit code 0 for an exact answer, 3 for a partial one -- scripts can
     tell a degraded run from a clean one.
     """
-    from .distributed import distributed_rpq_resilient, partition_graph
+    from .distributed import SiteRuntime, distributed_rpq, partition_graph
     from .resilience import FaultInjector, RetryPolicy
 
     graph = load_database(args.file)
@@ -308,13 +310,11 @@ def _cmd_chaos(args) -> int:
         seed=args.seed, fail_rate=args.fail_rate, outages=outages
     )
     policy = RetryPolicy(max_attempts=args.retries, base_delay=0.01)
-    results, stats, report = distributed_rpq_resilient(
-        dist,
-        args.pattern,
-        injector=injector,
-        policy=policy,
-        failure_threshold=args.threshold,
+    runtime = SiteRuntime(
+        dist, injector=injector, policy=policy, failure_threshold=args.threshold
     )
+    results, stats = distributed_rpq(dist, args.pattern, runtime=runtime)
+    report = runtime.completeness()
     print(f"sites: {args.sites} ({args.strategy}), pattern: {args.pattern}")
     print(
         f"matched {len(results)} node(s) in {stats.supersteps} superstep(s), "

@@ -12,8 +12,6 @@ from .decompose import (
     SiteRuntime,
     centralized_work,
     distributed_rpq,
-    distributed_rpq_profiled,
-    distributed_rpq_resilient,
 )
 from .parallel import (
     PARALLEL_METRICS,
@@ -30,7 +28,7 @@ from .partition import (
     build_partition,
 )
 from .sites import DistributedGraph, partition_graph
-from .srec_decompose import SrecStats, distributed_srec, distributed_srec_resilient
+from .srec_decompose import SrecStats, distributed_srec
 
 __all__ = [
     "DistributedGraph",
@@ -40,10 +38,7 @@ __all__ = [
     "PARTITION_STRATEGIES",
     "build_partition",
     "distributed_rpq",
-    "distributed_rpq_profiled",
-    "distributed_rpq_resilient",
     "distributed_srec",
-    "distributed_srec_resilient",
     "centralized_work",
     "DistributedStats",
     "SrecStats",

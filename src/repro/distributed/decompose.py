@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..automata.dfa import LazyDfa
-from ..automata.product import compile_rpq, ordered_edge_indices, product_bfs
+from ..automata.product import (
+    _add_product_counts,
+    _resolve_plan,
+    _text_of,
+    compile_rpq,
+    ordered_edge_indices,
+    product_bfs,
+)
 from ..obs import QueryProfile
 from ..resilience import (
     CircuitBreaker,
@@ -45,8 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DistributedStats",
     "distributed_rpq",
-    "distributed_rpq_profiled",
-    "distributed_rpq_resilient",
     "centralized_work",
     "SiteRuntime",
 ]
@@ -86,49 +91,48 @@ def distributed_rpq(
     pattern: "str | LazyDfa",
     *,
     plan_cache: "PlanCache | None" = None,
+    runtime: "SiteRuntime | None" = None,
+    profile: "QueryProfile | None" = None,
 ) -> tuple[set[int], DistributedStats]:
     """Evaluate a regular path query by site-parallel decomposition.
 
     Returns the matched node set (identical to the centralized
     :func:`repro.automata.product.rpq_nodes` -- tested) and the work
-    statistics of the BSP execution: :func:`distributed_rpq_resilient`
-    with nothing that can fail.
-    """
-    dfa = compile_rpq(pattern, plan_cache=plan_cache)
-    results, stats, _ = _bsp(dist, dfa, SiteRuntime(dist))
-    return results, stats
+    statistics of the BSP execution.
 
+    ``runtime`` makes the run survive site failures: each superstep's
+    inbox delivery to a site is one guarded call through that site's
+    :class:`SiteRuntime` breaker.  When a delivery ultimately fails, its
+    configurations are dropped and reported -- ``runtime.completeness()``
+    is the report -- instead of crashing the query; because RPQ answers
+    are monotone in the visible graph, the returned node set is a sound
+    lower bound, and with sites permanently down it equals the
+    centralized answer over ``dist.without_sites(dead)`` (tested).  A
+    matched node is recorded by the *sender* (the site that holds the
+    edge into it) -- the edge's existence is local knowledge -- so
+    targets of cross edges into a dead site still appear in the answer;
+    only traversal *beyond* the dead site is lost.  Without one, nothing
+    can fail.
 
-def distributed_rpq_profiled(
-    dist: DistributedGraph, pattern: "str | LazyDfa"
-) -> tuple[set[int], DistributedStats, QueryProfile]:
-    """:func:`distributed_rpq` plus a :class:`~repro.obs.QueryProfile`.
-
-    The profile carries the BSP observables -- supersteps (rounds) and
-    total cross-site messages, with per-site received-message counts in
+    ``profile`` gets the BSP observables -- supersteps (rounds) and total
+    cross-site messages, with per-site received-message counts in
     ``extras`` -- next to the same traversal counts the centralized
-    profiled RPQ reports, so the decomposition's "total work matches
-    centralized" claim becomes a per-query assertion.
+    :func:`~repro.automata.product.rpq_nodes` reports, so the
+    decomposition's "total work matches centralized" claim becomes a
+    per-query assertion.
     """
-    dfa = compile_rpq(pattern)
-    states_before = dfa.num_materialized_states if isinstance(pattern, LazyDfa) else 0
-    results, stats, seen = _bsp(dist, dfa, SiteRuntime(dist))
-    graph = dist.graph
-    profile = QueryProfile(
-        engine="distributed-rpq",
-        query=pattern if isinstance(pattern, str) else "<compiled>",
-    )
-    visited = {config[0] for config in seen}
-    profile.product_pairs = len(seen)
-    profile.nodes_visited = len(visited)
-    profile.edges_expanded = graph.total_out_degree(visited)
-    profile.dfa_states = dfa.num_materialized_states - states_before
-    profile.results = len(results)
-    profile.supersteps = stats.supersteps
-    profile.messages = stats.messages
-    for site, count in enumerate(stats.messages_per_site):
-        profile.extras[f"messages_to_site_{site}"] = count
-    return results, stats, profile
+    dfa, states_before = _resolve_plan(pattern, plan_cache)
+    if runtime is None:
+        runtime = SiteRuntime(dist)
+    results, stats, seen = _bsp(dist, dfa, runtime)
+    if profile is not None:
+        profile.stamp("distributed-rpq", _text_of(pattern))
+        _add_product_counts(profile, dist.graph, seen, states_before, dfa, len(results))
+        profile.supersteps += stats.supersteps
+        profile.messages += stats.messages
+        for site, count in enumerate(stats.messages_per_site):
+            profile.count(f"messages_to_site_{site}", count)
+    return results, stats
 
 
 class SiteRuntime:
@@ -235,49 +239,6 @@ class SiteRuntime:
             retries=self.retries,
             succeeded=self.deliveries,
         )
-
-
-def distributed_rpq_resilient(
-    dist: DistributedGraph,
-    pattern: "str | LazyDfa",
-    *,
-    injector: "FaultInjector | None" = None,
-    policy: "RetryPolicy | None" = None,
-    failure_threshold: int = 3,
-    cooldown: float = 60.0,
-    clock: "Clock | None" = None,
-    events: "EventLog | None" = None,
-    plan_cache: "PlanCache | None" = None,
-) -> tuple[set[int], DistributedStats, Completeness]:
-    """:func:`distributed_rpq` that survives site failures.
-
-    Identical BSP schedule, but each superstep's inbox delivery to a
-    site is one guarded call through that site's :class:`SiteRuntime`
-    breaker.  When a delivery ultimately fails, its configurations are
-    dropped and reported instead of crashing the query; because RPQ
-    answers are monotone in the visible graph, the returned node set is
-    a sound lower bound, and with sites permanently down it equals the
-    centralized answer over ``dist.without_sites(dead)`` (tested).
-
-    A matched node is recorded by the *sender* (the site that holds the
-    edge into it) -- the edge's existence is local knowledge -- so
-    targets of cross edges into a dead site still appear in the answer;
-    only traversal *beyond* the dead site is lost.
-
-    Returns ``(matched nodes, work stats, completeness report)``.
-    """
-    dfa = compile_rpq(pattern, plan_cache=plan_cache)
-    runtime = SiteRuntime(
-        dist,
-        injector=injector,
-        policy=policy,
-        failure_threshold=failure_threshold,
-        cooldown=cooldown,
-        clock=clock,
-        events=events,
-    )
-    results, stats, _ = _bsp(dist, dfa, runtime)
-    return results, stats, runtime.completeness()
 
 
 def _bsp(

@@ -56,7 +56,7 @@ from ..automata.product import (
 )
 from ..core.frozen import FrozenGraph
 from ..obs.metrics import MetricsRegistry
-from ..resilience import Completeness, PartialResult, completeness_of
+from ..resilience import Completeness, completeness_of
 from .decompose import SiteRuntime
 from .partition import Partition, build_partition
 
@@ -131,9 +131,6 @@ class ParallelResult:
     nodes: frozenset[int]
     stats: ParallelStats
     completeness: Completeness
-
-    def as_partial(self) -> "PartialResult[frozenset[int]]":
-        return PartialResult(self.nodes, self.completeness)
 
 
 class SiteWorker:

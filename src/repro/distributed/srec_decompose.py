@@ -19,12 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from typing import TYPE_CHECKING
+
 from ..core.graph import Graph
-from ..resilience import Completeness
 from ..unql.sstruct import REC_MARKER, RecursionBody, SubtreeView
 from .sites import DistributedGraph
 
-__all__ = ["SrecStats", "distributed_srec", "distributed_srec_resilient"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .decompose import SiteRuntime
+
+__all__ = ["SrecStats", "distributed_srec"]
 
 
 @dataclass
@@ -50,11 +54,27 @@ class SrecStats:
         return self.total_work / self.parallel_work
 
 
-def _srec_over_sites(
-    dist: DistributedGraph, body: RecursionBody, runtime=None
-) -> tuple[Graph, SrecStats, "Completeness"]:
-    """The shared schedule; ``runtime`` (a :class:`~repro.distributed.
-    decompose.SiteRuntime`) guards each site's template phase when given."""
+def distributed_srec(
+    dist: DistributedGraph, body: RecursionBody, *, runtime: "SiteRuntime | None" = None
+) -> tuple[Graph, SrecStats]:
+    """Evaluate ``srec(body)`` with per-site parallel template phases.
+
+    Phase 1 (parallel, no communication): every site instantiates the
+    template for each of its local edges, producing output fragments that
+    refer to the shared ``out(node)`` skeleton.
+    Phase 2 (sequential): epsilon elimination over the union of all
+    fragments -- the only step that sees data from more than one site.
+
+    ``runtime`` (a :class:`~repro.distributed.decompose.SiteRuntime`)
+    makes the run survive site failures: each site's (otherwise
+    communication-free) template phase starts with one guarded dispatch
+    through its circuit breaker; a site that ultimately cannot be reached
+    contributes no fragments -- its nodes remain as edgeless leaves in
+    the output skeleton -- and the loss is in ``runtime.completeness()``.
+    For edge-local bodies (the decomposition assumption of [35]) the
+    degraded output is bisimilar to centralized ``srec`` over
+    ``dist.without_sites(dead)``.
+    """
     graph = dist.graph
     stats = SrecStats()
     out = Graph()
@@ -97,58 +117,4 @@ def _srec_over_sites(
 
     glued = _eliminate_epsilon(out, eps)
     stats.glue_edges = glued.num_edges
-    report = runtime.completeness() if runtime is not None else Completeness()
-    return glued, stats, report
-
-
-def distributed_srec(
-    dist: DistributedGraph, body: RecursionBody
-) -> tuple[Graph, SrecStats]:
-    """Evaluate ``srec(body)`` with per-site parallel template phases.
-
-    Phase 1 (parallel, no communication): every site instantiates the
-    template for each of its local edges, producing output fragments that
-    refer to the shared ``out(node)`` skeleton.
-    Phase 2 (sequential): epsilon elimination over the union of all
-    fragments -- the only step that sees data from more than one site.
-    """
-    glued, stats, _ = _srec_over_sites(dist, body)
     return glued, stats
-
-
-def distributed_srec_resilient(
-    dist: DistributedGraph,
-    body: RecursionBody,
-    *,
-    injector=None,
-    policy=None,
-    failure_threshold: int = 3,
-    cooldown: float = 60.0,
-    clock=None,
-    events=None,
-) -> tuple[Graph, SrecStats, Completeness]:
-    """:func:`distributed_srec` that survives site failures.
-
-    Each site's (otherwise communication-free) template phase starts
-    with one guarded dispatch through a per-site circuit breaker; a site
-    that ultimately cannot be reached contributes no fragments -- its
-    nodes remain as edgeless leaves in the output skeleton -- and the
-    loss is reported in the :class:`~repro.resilience.Completeness`
-    report.  For edge-local bodies (the decomposition assumption of
-    [35]) the degraded output is bisimilar to centralized ``srec`` over
-    ``dist.without_sites(dead)``.
-
-    Returns ``(output graph, work stats, completeness report)``.
-    """
-    from .decompose import SiteRuntime
-
-    runtime = SiteRuntime(
-        dist,
-        injector=injector,
-        policy=policy,
-        failure_threshold=failure_threshold,
-        cooldown=cooldown,
-        clock=clock,
-        events=events,
-    )
-    return _srec_over_sites(dist, body, runtime)

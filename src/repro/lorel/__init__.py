@@ -21,9 +21,7 @@ from .evaluator import (
     LorelRuntimeError,
     construct_answer,
     evaluate_lorel,
-    evaluate_lorel_profiled,
     lorel_bindings,
-    lorel_bindings_profiled,
 )
 from .optimizer import clause_cost, reorder_from_clauses
 from .parser import LorelSyntaxError, parse_lorel
@@ -33,9 +31,7 @@ __all__ = [
     "lorel_rows",
     "parse_lorel",
     "evaluate_lorel",
-    "evaluate_lorel_profiled",
     "lorel_bindings",
-    "lorel_bindings_profiled",
     "construct_answer",
     "reorder_from_clauses",
     "clause_cost",

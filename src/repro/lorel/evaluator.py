@@ -40,9 +40,7 @@ from .ast import (
 
 __all__ = [
     "evaluate_lorel",
-    "evaluate_lorel_profiled",
     "lorel_bindings",
-    "lorel_bindings_profiled",
     "construct_answer",
     "LorelRuntimeError",
 ]
@@ -52,9 +50,9 @@ class LorelRuntimeError(ValueError):
     """Raised on evaluation errors (unknown aliases, bad bases...)."""
 
 
-#: Compiled path plans shared across unprofiled Lorel queries.  Profiled
-#: evaluation compiles fresh per runner so its ``dfa_states`` accounting
-#: (pinned by the golden-profile suite) is independent of query history.
+#: Compiled path plans shared across Lorel queries.  A profiled
+#: evaluation compiles fresh per runner instead (:meth:`_Runner.dfa_of`)
+#: so its ``dfa_states`` count is independent of query history.
 _PLAN_CACHE = PlanCache(name="lorel_plan_cache")
 
 
@@ -119,8 +117,9 @@ class _Runner:
         self.db_name = db_name
         self.profile = profile
         self._dfas: dict[str, LazyDfa] = {}
-        # (path text, start oid) -> targets; unprofiled only, so profiled
-        # runs traverse afresh and report history-independent counts
+        # (path text, start oid) -> targets.  A profiled run keeps no
+        # memo: it traverses per binding, so its counts are the per-
+        # binding work and do not depend on the order clauses batch in
         self._memo: "dict[tuple[str, Oid], set[Oid]] | None" = (
             {} if profile is None else None
         )
@@ -137,6 +136,13 @@ class _Runner:
             self._dfas[text] = dfa
         return dfa
 
+    def count_answers(self, envs: int) -> None:
+        """Close the profile, if any: one answer row per surviving environment."""
+        if self.profile is not None:
+            self.profile.stamp("lorel")
+            self.profile.bindings_produced += envs
+            self.profile.results += envs
+
     def start_of(self, base: str, env: dict[str, Oid]) -> Oid:
         if base in env:
             return env[base]
@@ -148,15 +154,13 @@ class _Runner:
         start = self.start_of(operand.base, env)
         if operand.path is None:
             return {start}
-        if self.profile is not None:
-            dfa = self.dfa_of(operand.path, operand.path_text)
-            return _oem_rpq_many(self.db, [start], dfa, self.profile)[start]
-        assert self._memo is not None
         key = (operand.path_text, start)
-        cached = self._memo.get(key)
+        cached = self._memo.get(key) if self._memo is not None else None
         if cached is None:
             dfa = self.dfa_of(operand.path, operand.path_text)
-            cached = self._memo[key] = _oem_rpq_many(self.db, [start], dfa)[start]
+            cached = _oem_rpq_many(self.db, [start], dfa, self.profile)[start]
+            if self._memo is not None:
+                self._memo[key] = cached
         return cached
 
     def prefetch(self, operand: PathOperand, starts: list[Oid]) -> None:
@@ -253,9 +257,7 @@ def _bindings_with_runner(
         operand = PathOperand(clause.base, clause.path, clause.path_text)
         allowed = candidates.get(clause.alias)
         if allowed is not None and runner.profile is not None:
-            runner.profile.extras["index_seeded"] = (
-                runner.profile.extras.get("index_seeded", 0) + 1
-            )
+            runner.profile.count("index_seeded")
         # When the clause path is a fixed symbol chain, a seeded clause
         # skips the forward traversal entirely: a candidate binds iff the
         # reverse walk from it over the chain reaches the clause's start,
@@ -271,7 +273,7 @@ def _bindings_with_runner(
             fixed = fixed_symbol_path(clause.path)
             if fixed is not None:
                 reached = indexes.reaching(allowed, fixed)
-        if runner.profile is None and reached is None:
+        if reached is None:
             # batch all environments' starts through one tagged traversal
             runner.prefetch(
                 operand, [runner.start_of(clause.base, env) for env in envs]
@@ -299,37 +301,28 @@ def _bindings_with_runner(
 
 
 def lorel_bindings(
-    query: LorelQuery, db: OemDatabase, db_name: str = "DB", *, indexes=None
+    query: LorelQuery,
+    db: OemDatabase,
+    db_name: str = "DB",
+    *,
+    indexes=None,
+    profile: "QueryProfile | None" = None,
 ) -> list[dict[str, Oid]]:
     """The alias environments the from/where clauses produce.
 
     ``indexes`` (a :class:`repro.planner.pushdown.OemIndexes`) enables
     predicate pushdown; answers are identical with or without it.
-    """
-    return _bindings_with_runner(query, _Runner(db, db_name), indexes)
 
-
-def lorel_bindings_profiled(
-    query: LorelQuery,
-    db: OemDatabase,
-    db_name: str = "DB",
-    *,
-    query_text: str = "",
-    indexes=None,
-) -> tuple[list[dict[str, Oid]], QueryProfile]:
-    """:func:`lorel_bindings` plus a :class:`~repro.obs.QueryProfile`.
-
-    Counts cover every OEM product traversal the from/where clauses ran
+    ``profile`` accumulates every OEM product traversal the clauses ran
     (objects visited, child edges scanned, configurations explored, DFA
     states materialized) and the environments produced.  With
     ``indexes``, pushdown-seeded clauses add an ``index_seeded`` extra
     (the golden suite passes no indexes, so its profiles are untouched).
     """
-    profile = QueryProfile(engine="lorel", query=query_text)
-    envs = _bindings_with_runner(query, _Runner(db, db_name, profile), indexes)
-    profile.bindings_produced = len(envs)
-    profile.results = len(envs)
-    return envs, profile
+    runner = _Runner(db, db_name, profile)
+    envs = _bindings_with_runner(query, runner, indexes)
+    runner.count_answers(len(envs))
+    return envs
 
 
 def _construct_answer(
@@ -385,52 +378,29 @@ def construct_answer(
 
 
 def evaluate_lorel(
-    query: LorelQuery, db: OemDatabase, db_name: str = "DB", *, indexes=None
+    query: LorelQuery,
+    db: OemDatabase,
+    db_name: str = "DB",
+    *,
+    indexes=None,
+    profile: "QueryProfile | None" = None,
 ) -> OemDatabase:
     """Run a parsed query; the result is an OEM database named ``Answer``.
 
     ``indexes`` (a :class:`repro.planner.pushdown.OemIndexes`) enables
     where-clause pushdown; the answer database is identical either way.
-    """
-    runner = _Runner(db, db_name)
-    envs = _bindings_with_runner(query, runner, indexes)
-    return _construct_answer(query, db, runner, envs)
 
-
-def evaluate_lorel_profiled(
-    query: LorelQuery,
-    db: OemDatabase,
-    db_name: str = "DB",
-    *,
-    query_text: str = "",
-    tracer=None,
-    indexes=None,
-) -> tuple[OemDatabase, QueryProfile]:
-    """:func:`evaluate_lorel` plus a :class:`~repro.obs.QueryProfile`.
-
-    One profile covers both phases: the from/where binding traversals
+    One ``profile`` covers both phases: the from/where binding traversals
     and the select items' path evaluations during answer construction.
-    ``bindings_produced`` is the surviving environment count,
-    ``results`` the number of answer rows; both are deterministic for a
-    fixed query and database (the golden-profile suite asserts so).
+    ``bindings_produced`` grows by the surviving environments,
+    ``results`` by the answer rows; both are deterministic for a fixed
+    query and database (the golden-profile suite asserts so).
     """
-    profile = QueryProfile(engine="lorel", query=query_text)
     runner = _Runner(db, db_name, profile)
-
-    def run() -> OemDatabase:
-        envs = _bindings_with_runner(query, runner, indexes)
-        profile.bindings_produced = len(envs)
-        answer = _construct_answer(query, db, runner, envs)
-        profile.results = len(envs)
-        return answer
-
-    if tracer is not None:
-        with tracer.span("lorel", query=query_text) as span:
-            answer = run()
-            span.annotate(rows=profile.results)
-    else:
-        answer = run()
-    return answer, profile
+    envs = _bindings_with_runner(query, runner, indexes)
+    answer = _construct_answer(query, db, runner, envs)
+    runner.count_answers(len(envs))
+    return answer
 
 
 def _item_label(item: SelectItem) -> str:

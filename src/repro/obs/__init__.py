@@ -9,9 +9,9 @@ zero-dependency and deterministic under an injected clock:
 * :class:`Tracer` / :class:`Span` -- nested timed spans forming a tree
   per query, with the resilience :class:`~repro.resilience.events.
   EventLog` feeding the same stream via :meth:`Tracer.event_log`;
-* :class:`QueryProfile` -- the exact-operation-count contract returned
-  by every ``*_profiled`` evaluator entry point, pinned by the
-  golden-profile regression suite in ``tests/obs``.
+* :class:`QueryProfile` -- the exact-operation-count accumulator every
+  evaluator entry point fills when handed one as ``profile=``, pinned
+  by the golden-profile regression suite in ``tests/obs``.
 
 See docs/OBSERVABILITY.md for the model and how to add instrumentation.
 """

@@ -10,11 +10,22 @@ datasets, so an algorithmic regression (say, a change that doubles the
 configurations the product construction explores) fails a test even when
 the benchmark timings stay inside their noise band.
 
-Every ``*_profiled`` entry point across the evaluators returns one of
-these next to its normal answer.  The counts are defined so they can be
-derived from the evaluation's own data structures after the fact, which
-keeps the instrumented path within a few percent of the plain one
-(``benchmarks/bench_obs_overhead.py`` holds the line).
+A profile is an **accumulator**: the caller constructs one and passes it
+as ``profile=`` to the same entry point that answers the query
+(``rpq_nodes``, ``evaluate_query``, ``evaluate_lorel``, ``find_value``,
+``QueryPlanner.rpq``, ``distributed_rpq``, ...), which returns what it
+always returns and *adds* the run's counts to the profile.  Handing one
+profile to two calls therefore sums them, which is how the UnQL and Lorel
+evaluators account their sub-queries.  Identity is first-writer-wins
+(:meth:`QueryProfile.stamp`): the outermost entry point names ``engine``
+and ``query`` before it delegates, and a caller that only holds the text
+(the AST-level entry points never see it) pre-fills ``query`` itself.
+``results`` counts the answers of the call the profile was handed to --
+an evaluator that runs sub-queries discards what they added to it.  The
+counts are defined so they can be derived from the evaluation's own data
+structures after the fact, which keeps a profiled call within a few
+percent of the plain one (``benchmarks/bench_obs_overhead.py`` holds the
+line).
 """
 
 from __future__ import annotations
@@ -92,13 +103,22 @@ class QueryProfile:
     complete: bool = True
     extras: dict[str, int] = field(default_factory=dict)
 
+    def stamp(self, engine: str, query: str = "") -> None:
+        """Name the evaluation, unless an outer caller already has."""
+        self.engine = self.engine or engine
+        self.query = self.query or query
+
+    def count(self, extra: str, n: int = 1) -> None:
+        """Add ``n`` to the engine-specific count ``extras[extra]``."""
+        self.extras[extra] = self.extras.get(extra, 0) + n
+
     def merge(self, other: "QueryProfile") -> "QueryProfile":
         """Fold another profile's counts into this one (sub-operations)."""
         for name in _COUNT_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.complete = self.complete and other.complete
         for key, value in other.extras.items():
-            self.extras[key] = self.extras.get(key, 0) + value
+            self.count(key, value)
         return self
 
     def as_dict(self) -> dict[str, object]:

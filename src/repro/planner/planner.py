@@ -34,13 +34,7 @@ from typing import TYPE_CHECKING
 
 from ..automata.dfa import LazyDfa
 from ..automata.plan_cache import PlanCache
-from ..automata.product import (
-    compile_rpq,
-    rpq_nodes,
-    rpq_nodes_profiled,
-    rpq_witnesses,
-    rpq_witnesses_profiled,
-)
+from ..automata.product import _text_of, compile_rpq, rpq_nodes, rpq_witnesses
 from ..automata.regex import PathRegex, parse_path_regex
 from ..core.frozen import FrozenGraph, freeze
 from ..index import GraphIndexes
@@ -229,14 +223,13 @@ class QueryPlanner:
                     stack.append(config)
         return {q: frozenset(ids) for q, ids in mask.items()}
 
-    @staticmethod
-    def _mask_pruned_partitions(
-        mask: "dict[int, frozenset[int]] | None", num_labels: int
-    ) -> int:
-        """Static pruning strength: (state, label) classes the mask rules out."""
-        if mask is None:
-            return 0
-        return sum(num_labels - len(allowed) for allowed in mask.values())
+    def _note_mask(
+        self, profile: QueryProfile, mask: "dict[int, frozenset[int]] | None"
+    ) -> None:
+        """Record ``mask``'s static pruning strength: (state, label) classes ruled out."""
+        num_labels = len(self._fg.labels_seq)
+        pruned = sum(num_labels - len(allowed) for allowed in (mask or {}).values())
+        profile.count("guide_pruned_partitions", pruned)
 
     # -- the routed entry points ------------------------------------------------
 
@@ -246,6 +239,7 @@ class QueryPlanner:
         start: "int | None" = None,
         *,
         strategy: str = "auto",
+        profile: "QueryProfile | None" = None,
     ) -> set[int]:
         """All nodes a matching path reaches, via the cheapest safe strategy.
 
@@ -256,44 +250,77 @@ class QueryPlanner:
         ``kernel`` when no guide exists); non-root ``start`` always
         takes the kernel -- the index, the guide and the SQL backend
         only know root-origin paths.
+
+        ``profile`` accumulates what the route that answered did, and
+        names it in ``extras``: ``index_answered`` / ``guide_answered`` /
+        ``sql_answered`` mark the strategy that short-circuited,
+        ``guide_pruned_partitions`` is the mask's static pruning strength
+        on the masked-kernel route.  The golden-profile suite never
+        routes through the planner, so these extras appear only in
+        planner-issued profiles.
         """
         if strategy not in _STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r} (one of {_STRATEGIES})")
+        if profile is None:
+            return self._route(pattern, start, strategy, None)
+        profile.stamp("planner-rpq", _text_of(pattern))
+        base = profile.results
+        answers = self._route(pattern, start, strategy, profile)
+        profile.results = base + len(answers)
+        return answers
+
+    def _route(
+        self, pattern, start: "int | None", strategy: str, profile: "QueryProfile | None"
+    ) -> set[int]:
+        """:meth:`rpq`'s routing; ``profile`` gets everything but ``results``."""
         fg = self._fg
         origin = fg.root if start is None else start
         root_origin = origin == fg.root
         if not root_origin or strategy == "kernel":
-            return rpq_nodes(fg, self.plan_for(pattern), start=origin)
+            return rpq_nodes(fg, self.plan_for(pattern), start=origin, profile=profile)
         if strategy in ("auto", "index"):
             hit = self._index_lookup(pattern)
             if hit is not None:
+                if profile is not None:
+                    profile.index_hits += 1
+                    profile.count("index_answered")
                 return set(hit)
             if strategy == "index":
                 raise ValueError("pattern is not index-coverable")
         if strategy == "sql":
-            return self._sql_route(pattern, forced=True)
+            return self._sql_route(pattern, forced=True, profile=profile)
         dfa = self.plan_for(pattern)
         if strategy in ("auto", "guide"):
             guide = self.guide
             if guide is not None:
-                answers, _seen = guide_product(guide, dfa)
+                states_before = dfa.num_materialized_states
+                answers, seen = guide_product(guide, dfa)
+                if profile is not None:
+                    profile.product_pairs += len(seen)
+                    profile.nodes_visited += len({g for g, _ in seen})
+                    profile.dfa_states += dfa.num_materialized_states - states_before
+                    profile.count("guide_answered")
                 return set(answers)
             if strategy == "guide":
                 raise ValueError("no DataGuide available (over budget)")
         if strategy == "auto" and self._sql is not None:
-            answers = self._sql_route(pattern, forced=False)
+            answers = self._sql_route(pattern, forced=False, profile=profile)
             if answers is not None:
                 return answers
         mask = self.mask_for(pattern, dfa)
-        return rpq_nodes(fg, dfa, start=origin, guide_mask=mask)
+        if profile is not None:
+            self._note_mask(profile, mask)
+        return rpq_nodes(fg, dfa, start=origin, guide_mask=mask, profile=profile)
 
-    def _sql_route(self, pattern, *, forced: bool) -> "set[int] | None":
+    def _sql_route(
+        self, pattern, *, forced: bool, profile: "QueryProfile | None"
+    ) -> "set[int] | None":
         """The SQL answer when routed there, ``None`` to fall through.
 
         ``forced`` (strategy ``"sql"``) attaches a backend on demand and
         raises on uncompilable patterns, mirroring the other forced
         strategies; ``auto`` consults :meth:`SqlBackend.favors` and
-        falls back silently.
+        falls back silently.  A ``profile`` is told when SQL answered.
         """
         from ..sqlbackend.errors import NotCompilable
 
@@ -309,7 +336,10 @@ class QueryPlanner:
             return None
         try:
             if forced or backend.favors(regex):
-                return backend.rpq_nodes(regex)
+                answers = backend.rpq_nodes(regex)
+                if profile is not None:
+                    profile.count("sql_answered")
+                return answers
         except NotCompilable as exc:
             if forced:
                 raise ValueError(f"pattern is not SQL-compilable ({exc})") from exc
@@ -328,87 +358,28 @@ class QueryPlanner:
         return self._indexes.path.lookup(fixed)
 
     def witnesses(
-        self, pattern: "str | PathRegex | LazyDfa", start: "int | None" = None
+        self,
+        pattern: "str | PathRegex | LazyDfa",
+        start: "int | None" = None,
+        *,
+        profile: "QueryProfile | None" = None,
     ) -> "dict[int, tuple[Edge, ...]]":
         """Shortest witness paths, via the guide-masked kernel.
 
         Witnesses need real edges, so the guide cannot answer directly;
         the mask still skips every partition it proves dead.  Results
         (including tie-breaking) are identical to the unmasked search.
+        ``profile`` gets the walk's counts and the mask strength in
+        ``extras``.
         """
         fg = self._fg
         origin = fg.root if start is None else start
         dfa = self.plan_for(pattern)
         mask = self.mask_for(pattern, dfa) if origin == fg.root else None
-        return rpq_witnesses(fg, dfa, start=origin, guide_mask=mask)
-
-    # -- profiled twins ---------------------------------------------------------
-
-    def rpq_profiled(
-        self, pattern: "str | PathRegex | LazyDfa", start: "int | None" = None
-    ) -> tuple[set[int], QueryProfile]:
-        """:meth:`rpq` plus a profile with planner counters in ``extras``.
-
-        ``index_answered`` / ``guide_answered`` mark which strategy
-        short-circuited; ``guide_pruned_partitions`` is the mask's
-        static pruning strength on the kernel route.  The golden-profile
-        suite never routes through the planner, so these extras appear
-        only in planner-issued profiles.
-        """
-        fg = self._fg
-        origin = fg.root if start is None else start
-        query_text = pattern if isinstance(pattern, str) else "<compiled>"
-        if origin == fg.root:
-            hit = self._index_lookup(pattern)
-            if hit is not None:
-                profile = QueryProfile(engine="planner-rpq", query=query_text)
-                profile.index_hits += 1
-                profile.results = len(hit)
-                profile.extras["index_answered"] = 1
-                return set(hit), profile
-            dfa = self.plan_for(pattern)
-            guide = self.guide
-            if guide is not None:
-                profile = QueryProfile(engine="planner-rpq", query=query_text)
-                states_before = dfa.num_materialized_states
-                answers, seen = guide_product(guide, dfa)
-                profile.product_pairs += len(seen)
-                profile.nodes_visited += len({g for g, _ in seen})
-                profile.dfa_states += dfa.num_materialized_states - states_before
-                profile.results = len(answers)
-                profile.extras["guide_answered"] = 1
-                return set(answers), profile
-            mask = self.mask_for(pattern, dfa)
-            results, profile = rpq_nodes_profiled(
-                fg, dfa, start=origin, guide_mask=mask
-            )
-            profile.engine, profile.query = "planner-rpq", query_text
-            profile.extras["guide_pruned_partitions"] = self._mask_pruned_partitions(
-                mask, len(fg.labels_seq)
-            )
-            return results, profile
-        results, profile = rpq_nodes_profiled(fg, self.plan_for(pattern), start=origin)
-        profile.engine, profile.query = "planner-rpq", query_text
-        return results, profile
-
-    def witnesses_profiled(
-        self, pattern: "str | PathRegex | LazyDfa", start: "int | None" = None
-    ) -> "tuple[dict[int, tuple[Edge, ...]], QueryProfile]":
-        """:meth:`witnesses` plus its profile (mask strength in extras)."""
-        fg = self._fg
-        origin = fg.root if start is None else start
-        dfa = self.plan_for(pattern)
-        mask = self.mask_for(pattern, dfa) if origin == fg.root else None
-        witnesses, profile = rpq_witnesses_profiled(
-            fg, dfa, start=origin, guide_mask=mask
-        )
-        profile.engine = "planner-rpq-witnesses"
-        if isinstance(pattern, str):
-            profile.query = pattern
-        profile.extras["guide_pruned_partitions"] = self._mask_pruned_partitions(
-            mask, len(fg.labels_seq)
-        )
-        return witnesses, profile
+        if profile is not None:
+            profile.stamp("planner-rpq-witnesses", _text_of(pattern))
+            self._note_mask(profile, mask)
+        return rpq_witnesses(fg, dfa, start=origin, guide_mask=mask, profile=profile)
 
     # -- browsing delegation ----------------------------------------------------
 

@@ -16,8 +16,8 @@ of the data and *report* what is missing.  The contract here is:
   wrong tuples.  Lost data can only *hide* results, not invent them.
 
 Anything that traverses lazily (:class:`~repro.storage.external.
-ExternalGraph`) or remotely (:func:`~repro.distributed.decompose.
-distributed_rpq_resilient`) exposes a ``completeness()`` method;
+ExternalGraph`) or remotely (:class:`~repro.distributed.decompose.
+SiteRuntime`) exposes a ``completeness()`` method;
 :func:`completeness_of` reads it off any graph-like object, defaulting to
 "exact" for plain in-memory graphs.
 """

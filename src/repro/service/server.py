@@ -40,17 +40,13 @@ import logging
 from typing import TYPE_CHECKING, Iterator
 
 from ..automata.plan_cache import PlanCache
-from ..automata.product import (
-    RpqStepper,
-    interrupted_completeness,
-    rpq_nodes,
-    rpq_nodes_profiled,
-)
-from ..browse import find_value_profiled, where_is
+from ..automata.product import RpqStepper, interrupted_completeness, rpq_nodes
+from ..browse import find_value, where_is
 from ..core.builder import to_obj
 from ..core.frozen import FrozenGraph, freeze
 from ..core.graph import Graph
-from ..lorel import evaluate_lorel_profiled, lorel, lorel_rows, parse_lorel
+from ..lorel import evaluate_lorel, lorel, lorel_rows, parse_lorel
+from ..obs import QueryProfile
 from ..obs.export import metrics_to_dict
 from ..resilience import (
     BudgetExhausted,
@@ -64,7 +60,7 @@ from ..resilience import (
 )
 from ..resilience.clock import Clock, WallClock
 from ..storage.mvcc import SnapshotView
-from ..unql import evaluate_query_profiled, parse_query, unql
+from ..unql import parse_query, unql
 from .errors import Overloaded, ProtocolError
 from .governor import SERVICE_METRICS, AdmissionGovernor, Ticket
 from .protocol import FrameDecoder, encode_frame, validate_request
@@ -121,6 +117,14 @@ def label_from_wire(value) -> "Label | str | int | float | bool":
     if isinstance(value, (bool, int, float)):
         return label_of(value)
     raise ValueError(f"cannot interpret {value!r} as an edge label")
+
+
+def _find_value_of(query: str) -> object:
+    """A ``find`` request's search value: ``query`` as JSON, else the text."""
+    try:
+        return json.loads(query)
+    except json.JSONDecodeError:
+        return query
 
 
 def completeness_to_dict(report: Completeness) -> dict[str, object]:
@@ -462,70 +466,59 @@ class QueryService:
     def _run_oneshot(
         self, rid: int, op: str, request: dict, view: SnapshotView
     ) -> dict:
-        """The non-checkpointed engines (and profiled twins), one call each.
+        """The non-checkpointed engines, one call each.
 
-        Profiled queries use the library's default profiled entry points
-        with no plan cache so their operation counts are byte-identical
-        to a direct library call -- the golden-parity contract the obs
-        suite pins.  One-shot work is not interruptible mid-engine; the
-        deadline was checked at the entry checkpoint and the answer,
-        once computed, is returned even if it finished late (dropping
-        finished work helps no one).  Every engine reads ``view`` -- the
-        snapshot pinned at submission -- never the live graph.
+        A ``"profile": true`` request hands the library entry point a
+        :class:`~repro.obs.QueryProfile` and runs it with no plan cache,
+        on the native engine -- so its operation counts are
+        byte-identical to a direct library call, the golden-parity
+        contract the obs suite pins; the
+        response says ``"engine": "native"`` so a client that asked for
+        another engine can tell which one its profile describes.
+        One-shot work is not interruptible mid-engine; the deadline was
+        checked at the entry checkpoint and the answer, once computed, is
+        returned even if it finished late (dropping finished work helps
+        no one).  Every engine reads ``view`` -- the snapshot pinned at
+        submission -- never the live graph.
         """
         query = request.get("query", "")
-        profiled = bool(request.get("profile"))
-        # profiled twins always run native: their operation counts are the
-        # golden-parity contract, and the SQL engine has no QueryProfile
-        engine = "native" if profiled else str(request.get("engine", "native"))
+        if request.get("profile"):
+            return self._profiled_oneshot(rid, op, query, view)
+        engine = str(request.get("engine", "native"))
         if engine in ("sql", "auto") and op in ("rpq", "lorel", "unql"):
             response = self._sql_oneshot(rid, op, query, engine, view)
             if response is not None:
                 return response
         if op == "rpq":
-            if profiled:
-                results, profile = rpq_nodes_profiled(view.frozen, query)
-                return self._respond(
-                    rid, "ok", result=sorted(results), profile=profile.as_dict()
-                )
             # an auto rpq that fell back from SQL (plain native rpq
             # streams through the stepper and never reaches here)
             results = rpq_nodes(view.frozen, query, plan_cache=self.plan_cache)
             return self._respond(rid, "ok", result=sorted(results))
         if op == "lorel":
-            if profiled:
-                answer, profile = evaluate_lorel_profiled(
-                    parse_lorel(query), view.oem, query_text=query
-                )
-                return self._respond(
-                    rid, "ok", result=lorel_rows(answer), profile=profile.as_dict()
-                )
             return self._respond(rid, "ok", result=lorel_rows(lorel(query, view.oem)))
         if op == "unql":
-            if profiled:
-                result, profile = evaluate_query_profiled(
-                    parse_query(query),
-                    {"db": view.frozen, "DB": view.frozen},
-                    query_text=query,
-                )
-                return self._respond(
-                    rid, "ok", result=to_obj(result), profile=profile.as_dict()
-                )
             return self._respond(
                 rid, "ok", result=to_obj(unql(query, db=view.frozen))
             )
-        # find: the section-1.3 "where is it" browse query
-        value: object = query
-        try:
-            value = json.loads(query)
-        except json.JSONDecodeError:
-            pass
-        if profiled:
-            findings, profile = find_value_profiled(view.frozen, value, None)
-            return self._respond(
-                rid, "ok", result=[str(f) for f in findings], profile=profile.as_dict()
-            )
-        return self._respond(rid, "ok", result=where_is(view.frozen, value))
+        return self._respond(rid, "ok", result=where_is(view.frozen, _find_value_of(query)))
+
+    def _profiled_oneshot(self, rid: int, op: str, query: str, view: SnapshotView) -> dict:
+        """One query op with its operation counts (see :meth:`_run_oneshot`)."""
+        profile = QueryProfile()
+        result: object
+        if op == "rpq":
+            result = sorted(rpq_nodes(view.frozen, query, profile=profile))
+        elif op == "lorel":
+            profile.query = query  # evaluate_lorel sees the AST, not the text
+            result = lorel_rows(evaluate_lorel(parse_lorel(query), view.oem, profile=profile))
+        elif op == "unql":
+            result = to_obj(unql(query, profile=profile, db=view.frozen, DB=view.frozen))
+        else:
+            findings = find_value(view.frozen, _find_value_of(query), profile=profile)
+            result = [str(f) for f in findings]
+        return self._respond(
+            rid, "ok", result=result, profile=profile.as_dict(), engine="native"
+        )
 
     def _sql_oneshot(
         self, rid: int, op: str, query: str, engine: str, view: SnapshotView

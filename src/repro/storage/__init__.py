@@ -10,7 +10,6 @@ from .mvcc import (
 from .serializer import STORAGE_METRICS, SerializationError, dumps, loads
 from .store import (
     GraphStore,
-    GroupCommit,
     PageCache,
     atomic_write_bytes,
     traversal_page_faults,
@@ -32,7 +31,6 @@ __all__ = [
     "PageCache",
     "traversal_page_faults",
     "atomic_write_bytes",
-    "GroupCommit",
     "ExternalGraph",
     "EXTERNAL_MARKER",
     "AddNode",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import random
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,6 @@ __all__ = [
     "PageCache",
     "traversal_page_faults",
     "atomic_write_bytes",
-    "GroupCommit",
 ]
 
 
@@ -149,8 +147,9 @@ class GraphStore:
         kill-mid-save tests drive every interruption point).
 
         ``durable=False`` skips the fsyncs (atomicity without the disk
-        round-trip); to amortize durability across many saves, batch
-        them through :class:`GroupCommit` instead.
+        round-trip); to amortize durability across many small changes,
+        log deltas through :class:`~repro.storage.wal.WriteAheadLog`
+        instead.
         """
         atomic_write_bytes(path, dumps(self._graph), fsync=durable)
 
@@ -223,186 +222,6 @@ def atomic_write_bytes(path: "str | Path", data: bytes, *, fsync: bool = True) -
     if fsync:
         _fsync_dir(path.parent)
     STORAGE_METRICS.counter("atomic_saves").inc()
-
-
-class GroupCommit:
-    """Batch many saves behind one journal fsync (group commit).
-
-    The naive durable path costs two fsyncs per save (temp file +
-    directory); saving a checkpoint stream that way is the ~53x
-    overhead the storage bench measures.  Group commit amortizes it:
-
-    1. ``add(graph, path)`` buffers serialized payloads in memory;
-    2. ``flush()`` writes every buffered record -- path, length, CRC32,
-       payload -- into one journal file in the commit directory and
-       fsyncs *that file once*; this is the durability point;
-    3. each target is then written with plain rename atomicity (no
-       per-file fsync) and the journal is removed.
-
-    A crash before the journal fsync leaves every target in its old
-    state (the journal parses as torn and is discarded).  A crash after
-    it is repaired by :meth:`recover`, which replays the journal's
-    records -- each of which carries its own CRC, so a torn tail can
-    never be replayed as data.  Either way, no target path is ever
-    visible in a half-written state.
-
-    Journal format (all integers big-endian)::
-
-        magic "SSDJ"
-        4 bytes  record count
-        repeated records:
-            4 bytes  CRC32 over the rest of the record
-            4 bytes  name length, then the UTF-8 name
-            8 bytes  payload length, then the payload
-
-    Three defenses layered against a journal that merely *looks* intact
-    (the fuzz suite drives each): the record CRC covers the name and
-    both length fields, not just the payload, so no field can rot
-    independently; the count header rejects a journal truncated at a
-    record boundary (which frames as a valid shorter batch); and
-    :meth:`recover` decodes every payload with :func:`~repro.storage.
-    serializer.loads` before touching any target, so a CRC-valid but
-    semantically truncated record can never be replayed into a target
-    file.
-    """
-
-    #: Journal magic: distinct from SSD1 so a journal is never loadable
-    #: as a graph (and vice versa).
-    MAGIC = b"SSDJ"
-
-    def __init__(self, directory: "str | Path") -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._pending: list[tuple[str, bytes]] = []
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / ".commit-journal"
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    def add(self, graph: Graph, name: "str | Path") -> None:
-        """Buffer one save of ``graph`` to ``name`` (relative to the
-        commit directory; absolute paths outside it are rejected --
-        the journal must stay adjacent to what it protects)."""
-        target = (self.directory / name).resolve()
-        if self.directory.resolve() not in target.parents:
-            raise ValueError(f"{name!r} escapes the commit directory")
-        self._pending.append((str(target.relative_to(self.directory.resolve())),
-                              dumps(graph)))
-
-    def flush(self) -> int:
-        """Commit every buffered save with a single fsync; returns count."""
-        if not self._pending:
-            return 0
-        journal = bytearray(self.MAGIC)
-        journal += len(self._pending).to_bytes(4, "big")
-        for name, payload in self._pending:
-            encoded = name.encode("utf-8")
-            body = (
-                len(encoded).to_bytes(4, "big")
-                + encoded
-                + len(payload).to_bytes(8, "big")
-                + payload
-            )
-            journal += zlib.crc32(body).to_bytes(4, "big")
-            journal += body
-        with open(self.journal_path, "wb") as fh:
-            fh.write(journal)
-            fh.flush()
-            os.fsync(fh.fileno())  # THE durability point: one fsync per batch
-            STORAGE_METRICS.counter("fsyncs").inc()
-        for name, payload in self._pending:
-            atomic_write_bytes(self.directory / name, payload, fsync=False)
-        os.unlink(self.journal_path)
-        count = len(self._pending)
-        self._pending.clear()
-        STORAGE_METRICS.counter("group_commits").inc()
-        STORAGE_METRICS.counter("group_commit_records").inc(count)
-        return count
-
-    @classmethod
-    def recover(cls, directory: "str | Path") -> int:
-        """Repair after a crash: replay a committed journal, if present.
-
-        Returns how many records were re-applied.  A missing journal
-        means the last flush finished (or never reached its durability
-        point with partial targets -- impossible, targets are written
-        only after the journal).  A torn or corrupt journal is from a
-        crash *before* the fsync returned: the batch was never durable,
-        every target still holds its old state, and the journal is
-        simply discarded.
-        """
-        directory = Path(directory)
-        journal_path = directory / ".commit-journal"
-        try:
-            raw = journal_path.read_bytes()
-        except FileNotFoundError:
-            return 0
-        records = cls._parse_journal(raw)
-        if records is None:  # torn journal: pre-durability crash
-            os.unlink(journal_path)
-            return 0
-        for _, payload in records:
-            # semantic validation before any target is touched: a
-            # CRC-valid record whose payload does not decode as a graph
-            # is corruption, and replaying *any* of the batch would
-            # tear atomicity
-            try:
-                loads(payload)
-            except SerializationError:
-                os.unlink(journal_path)
-                return 0
-        for name, payload in records:
-            atomic_write_bytes(directory / name, payload, fsync=False)
-        _fsync_dir(directory)
-        os.unlink(journal_path)
-        STORAGE_METRICS.counter("group_commit_recoveries").inc()
-        return len(records)
-
-    @staticmethod
-    def _parse_journal(raw: bytes) -> "list[tuple[str, bytes]] | None":
-        """Decode a journal, or ``None`` for anything short of perfect.
-
-        "Perfect" is byte-exact: right magic, a count header matched by
-        exactly that many CRC-clean records, and not one trailing byte.
-        Truncation at *any* offset -- including a record boundary, which
-        the per-record CRCs alone cannot see -- fails the count or the
-        trailing-bytes check and discards the journal.
-        """
-        if raw[:4] != GroupCommit.MAGIC or len(raw) < 8:
-            return None
-        count = int.from_bytes(raw[4:8], "big")
-        records: list[tuple[str, bytes]] = []
-        pos = 8
-        for _ in range(count):
-            if pos + 8 > len(raw):
-                return None
-            crc = int.from_bytes(raw[pos : pos + 4], "big")
-            name_len = int.from_bytes(raw[pos + 4 : pos + 8], "big")
-            body_start = pos + 4
-            pos += 8
-            if name_len > 4096 or pos + name_len + 8 > len(raw):
-                return None
-            try:
-                name = raw[pos : pos + name_len].decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            pos += name_len
-            payload_len = int.from_bytes(raw[pos : pos + 8], "big")
-            pos += 8
-            if pos + payload_len > len(raw):
-                return None
-            payload = raw[pos : pos + payload_len]
-            pos += payload_len
-            if zlib.crc32(raw[body_start:pos]) != crc:
-                return None
-            records.append((name, payload))
-        if pos != len(raw):  # trailing bytes: not the journal we wrote
-            return None
-        return records
 
 
 class PageCache:

@@ -4,9 +4,8 @@ The paper's data is "irregular **and changing**"; this module is the
 changing half.  Instead of re-serializing the whole graph per mutation
 (the ~53x naive-durability overhead the storage bench measured), a
 writer appends *deltas* -- ``AddNode``, ``AddEdge``, ``SetRoot`` -- to a
-:class:`WriteAheadLog` and fsyncs once per *group* of commits, exactly
-the amortization :class:`~repro.storage.store.GroupCommit` established
-for whole-graph saves, applied at delta granularity.
+:class:`WriteAheadLog` and fsyncs once per *group* of commits: group
+commit at delta granularity.
 
 Format (all integers big-endian or LEB128 varints)::
 

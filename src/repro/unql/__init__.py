@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from ..core.graph import Graph
 from ..index import GraphIndexes
+from ..obs import QueryProfile
 from .ast import Query
-from .evaluator import UnqlRuntimeError, evaluate_query, evaluate_query_profiled
+from .evaluator import UnqlRuntimeError, evaluate_query
 from .optimizer import evaluate_with_indexes, fixed_path_of, query_is_prunable
 from .parser import UnqlSyntaxError, parse_query
 from .restructure import (
@@ -46,7 +47,6 @@ __all__ = [
     "unql",
     "parse_query",
     "evaluate_query",
-    "evaluate_query_profiled",
     "evaluate_with_indexes",
     "Query",
     "UnqlSyntaxError",
@@ -76,14 +76,19 @@ __all__ = [
 
 
 def unql(
-    text: str, indexes: GraphIndexes | None = None, **sources: Graph
+    text: str,
+    indexes: GraphIndexes | None = None,
+    profile: QueryProfile | None = None,
+    **sources: Graph,
 ) -> Graph:
     r"""Parse and evaluate a UnQL query.
 
     ``sources`` supplies the databases the query's ``in <name>`` clauses
     refer to (usually just ``db=...``).  Pass ``indexes`` (built over the
     graph the query's bindings read) to enable the section-4
-    optimizations; results are identical either way.
+    optimizations; results are identical either way.  ``profile`` is
+    named after ``text`` and accumulates the evaluation's counts
+    (:func:`~repro.unql.evaluator.evaluate_query`).
 
     >>> from repro import tree
     >>> db = tree({"Movie": {"Title": "Casablanca"}})
@@ -92,6 +97,8 @@ def unql(
     ['Casablanca']
     """
     query = parse_query(text)
+    if profile is not None:
+        profile.stamp("unql", text)
     if indexes is not None:
-        return evaluate_with_indexes(query, sources, indexes)
-    return evaluate_query(query, sources)
+        return evaluate_with_indexes(query, sources, indexes, profile=profile)
+    return evaluate_query(query, sources, profile=profile)

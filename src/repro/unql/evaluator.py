@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from ..automata.plan_cache import PlanCache
-from ..automata.product import compile_rpq, rpq_nodes, rpq_nodes_profiled
+from ..automata.product import compile_rpq, rpq_nodes
 from ..core.frozen import freeze
 from ..core.graph import Graph
 from ..core.labels import Label, LabelKind
@@ -47,7 +47,6 @@ from .ast import (
 
 __all__ = [
     "evaluate_query",
-    "evaluate_query_profiled",
     "query_bindings",
     "UnqlRuntimeError",
     "Bindings",
@@ -58,9 +57,10 @@ class UnqlRuntimeError(ValueError):
     """Raised on evaluation errors (unknown variables/sources...)."""
 
 
-#: Compiled regex-edge plans shared across unprofiled UnQL queries, keyed
-#: by the edge's source text.  Profiled evaluation compiles fresh so its
-#: golden-pinned ``dfa_states`` counts are independent of query history.
+#: Compiled regex-edge plans shared across UnQL queries, keyed by the
+#: edge's source text.  A profiled evaluation compiles fresh instead
+#: (:func:`_regex_targets`), so its ``dfa_states`` count is independent
+#: of query history.
 _PLAN_CACHE = PlanCache(name="unql_plan_cache")
 
 
@@ -74,16 +74,32 @@ class _TreeBinding:
 Bindings = Mapping[str, "_TreeBinding | Label"]
 
 
-def evaluate_query(query: Query, sources: Mapping[str, Graph]) -> Graph:
+def evaluate_query(
+    query: Query,
+    sources: Mapping[str, Graph],
+    *,
+    profile: "QueryProfile | None" = None,
+) -> Graph:
     """Run a parsed query against named database graphs.
 
     ``sources`` maps the names used in ``in <name>`` clauses (typically
     just ``db``) to graphs.  Returns the result graph (the union of all
     instantiated constructs).
+
+    ``profile`` accumulates over every pattern-matching sub-operation:
+    the RPQ products run for regex edges, the one-step scans for
+    label-variable edges, and the binding environments that survive the
+    conditions; ``results`` grows by the construct pieces grafted under
+    the answer root.  Counts are deterministic for a fixed query and
+    database (asserted by the golden-profile suite).
     """
+    base = 0
+    if profile is not None:
+        profile.stamp("unql")
+        base = profile.results
     result = Graph.empty()
     root = result.root
-    for env in _environments(query, sources):
+    for env in _environments(query, sources, profile):
         piece = _build_construct(query.construct, env)
         # accumulate in place: grafting each piece under the shared root
         # keeps evaluation linear in the number of bindings (a repeated
@@ -91,46 +107,10 @@ def evaluate_query(query: Query, sources: Mapping[str, Graph]) -> Graph:
         mapping = result._absorb(piece)
         for edge in piece.edges_from(piece.root):
             result.add_edge(root, edge.label, mapping[edge.dst])
+    if profile is not None:
+        # the sub-queries' matches are not this query's answers
+        profile.results = base + result.out_degree(root)
     return result
-
-
-def evaluate_query_profiled(
-    query: Query,
-    sources: Mapping[str, Graph],
-    *,
-    query_text: str = "",
-    tracer=None,
-) -> tuple[Graph, QueryProfile]:
-    """:func:`evaluate_query` plus a :class:`~repro.obs.QueryProfile`.
-
-    Counts accumulate over every pattern-matching sub-operation: the RPQ
-    products run for regex edges, the one-step scans for label-variable
-    edges, and the binding environments that survive the conditions.
-    ``results`` is the number of construct pieces grafted under the
-    answer root.  Counts are deterministic for a fixed query and
-    database (asserted by the golden-profile suite).
-    """
-    profile = QueryProfile(engine="unql", query=query_text)
-
-    def run() -> Graph:
-        result = Graph.empty()
-        root = result.root
-        for env in _environments(query, sources, profile=profile):
-            profile.bindings_produced += 1
-            piece = _build_construct(query.construct, env)
-            mapping = result._absorb(piece)
-            for edge in piece.edges_from(piece.root):
-                result.add_edge(root, edge.label, mapping[edge.dst])
-                profile.results += 1
-        return result
-
-    if tracer is not None:
-        with tracer.span("unql", query=query_text) as span:
-            result = run()
-            span.annotate(bindings=profile.bindings_produced, results=profile.results)
-    else:
-        result = run()
-    return result, profile
 
 
 def query_bindings(
@@ -156,17 +136,15 @@ def _environments(
     query: Query,
     sources: Mapping[str, Graph],
     profile: "QueryProfile | None" = None,
-) -> Iterator[dict[str, object]]:
-    if profile is None:
-        # unprofiled runs read CSR snapshots throughout: one freeze per
-        # source graph the query names, none for a source that already is
-        # a snapshot (profiled runs stay on the graphs as given)
-        named = {b.source for b in query.bindings if not b.source_is_var}
-        snapshots: dict[int, Graph] = {}
-        for name, graph in sources.items():
-            if name in named and id(graph) not in snapshots:
-                snapshots[id(graph)] = freeze(graph)
-        sources = {n: snapshots.get(id(g), g) for n, g in sources.items()}
+) -> list[dict[str, object]]:
+    # every run reads CSR snapshots throughout: one freeze per source
+    # graph the query names, none for a source that already is a snapshot
+    named = {b.source for b in query.bindings if not b.source_is_var}
+    snapshots: dict[int, Graph] = {}
+    for name, graph in sources.items():
+        if name in named and id(graph) not in snapshots:
+            snapshots[id(graph)] = freeze(graph)
+    sources = {n: snapshots.get(id(g), g) for n, g in sources.items()}
     envs: list[dict[str, object]] = [{}]
     for binding in query.bindings:
         envs = [
@@ -175,10 +153,11 @@ def _environments(
             for extended in _match_binding(binding, env, sources, profile)
         ]
         if not envs:
-            return
-    for env in envs:
-        if all(_check_condition(c, env) for c in query.conditions):
-            yield env
+            return []
+    envs = [env for env in envs if all(_check_condition(c, env) for c in query.conditions)]
+    if profile is not None:
+        profile.bindings_produced += len(envs)
+    return envs
 
 
 def _match_binding(
@@ -219,47 +198,20 @@ def _match_pattern(
         # An optimizer-annotated edge carries its target set precomputed
         # from the path index (see repro.unql.optimizer).
         precomputed = getattr(member.edge, "targets", None)
-        dfa = None
-        if precomputed is None and isinstance(member.edge, RegexEdge):
-            if profile is None:
-                edge = member.edge
-                dfa = _PLAN_CACHE.get(edge.text, lambda: compile_rpq(edge.regex))
-            else:
-                dfa = compile_rpq(member.edge.regex)
-                # a fresh compile: its start state is work this query did
-                profile.dfa_states += dfa.num_materialized_states
-        # The regex's target set depends only on (graph, node, dfa), not
-        # on the environment: evaluate it once for the whole env column
-        # rather than once per environment (``graph`` is a snapshot here).
-        # Root-origin edges additionally route through the planner, which
-        # answers from the path index or DataGuide when they cover the
-        # pattern and otherwise guide-prunes the kernel traversal.
-        shared_targets = None
-        if dfa is not None and profile is None:
-            if node == graph.root:
-                from ..planner import planner_for
-
-                planner = planner_for(graph, plan_cache=_PLAN_CACHE)
-                shared_targets = sorted(planner.rpq(member.edge.text))
-            else:
-                shared_targets = sorted(rpq_nodes(graph, dfa, start=node))
+        if precomputed is not None:
+            if profile is not None:
+                profile.index_hits += len(envs)
+            targets = sorted(precomputed)
+        elif isinstance(member.edge, RegexEdge):
+            # The regex's target set depends only on (graph, node, plan),
+            # not on the environment: evaluate it once for the whole env
+            # column rather than once per environment.
+            targets = sorted(_regex_targets(member.edge, graph, node, profile))
+        else:
+            targets = None
         for current in envs:
-            if precomputed is not None:
-                if profile is not None:
-                    profile.index_hits += 1
-                for target_node in sorted(precomputed):
-                    next_envs.extend(
-                        _match_target(member.target, graph, target_node, current, profile)
-                    )
-            elif dfa is not None:
-                if shared_targets is not None:
-                    targets_sorted = shared_targets
-                else:
-                    targets, _ = rpq_nodes_profiled(
-                        graph, dfa, start=node, profile=profile
-                    )
-                    targets_sorted = sorted(targets)
-                for target_node in targets_sorted:
+            if targets is not None:
+                for target_node in targets:
                     next_envs.extend(
                         _match_target(member.target, graph, target_node, current, profile)
                     )
@@ -282,6 +234,29 @@ def _match_pattern(
         if not envs:
             return
     yield from envs
+
+
+def _regex_targets(
+    edge: RegexEdge, graph: Graph, node: int, profile: "QueryProfile | None"
+) -> set[int]:
+    """The nodes ``edge``'s path regex reaches from ``node``.
+
+    The plan is interned by the edge's text, and a root-origin edge
+    routes through the planner, which answers from the path index or
+    DataGuide when they cover the pattern and otherwise guide-prunes the
+    kernel traversal.  A profiled run does neither: it compiles a fresh
+    plan and walks the kernel with it, so what it counts does not depend
+    on the plans and planner structures earlier queries left behind.
+    """
+    if profile is not None:
+        return rpq_nodes(graph, edge.regex, start=node, profile=profile)
+    dfa = _PLAN_CACHE.get(edge.text, lambda: compile_rpq(edge.regex))
+    if node != graph.root:
+        return rpq_nodes(graph, dfa, start=node)
+    from ..planner import planner_for
+
+    # the planner finds the plan just interned under the edge's text
+    return planner_for(graph, plan_cache=_PLAN_CACHE).rpq(edge.text)
 
 
 def _match_target(

@@ -26,6 +26,7 @@ from ..automata.regex import AtomRE, ConcatRE, PathRegex
 from ..core.graph import Graph
 from ..core.labels import Label
 from ..index import GraphIndexes
+from ..obs import QueryProfile
 from .ast import Binding, NestedPattern, Pattern, PatternMember, Query, RegexEdge
 from .evaluator import evaluate_query
 
@@ -86,19 +87,25 @@ def _member_index_targets(
 
 
 def evaluate_with_indexes(
-    query: Query, sources: Mapping[str, Graph], indexes: GraphIndexes
+    query: Query,
+    sources: Mapping[str, Graph],
+    indexes: GraphIndexes,
+    *,
+    profile: "QueryProfile | None" = None,
 ) -> Graph:
     """Evaluate a query with both optimizations enabled.
 
     ``indexes`` must be built over the graph bound to the *first* source
     name used by the query's root-level bindings (the common single-``db``
     case; multi-source queries fall back to plain evaluation for the other
-    sources).
+    sources).  ``profile`` follows :func:`~repro.unql.evaluator.
+    evaluate_query`; an index-resolved pattern member shows as
+    ``index_hits`` instead of a traversal, a pruned query as no work.
     """
     if query_is_prunable(query, indexes):
         return Graph.empty()
     rewritten = _rewrite_fixed_paths(query, indexes)
-    return evaluate_query(rewritten, sources)
+    return evaluate_query(rewritten, sources, profile=profile)
 
 
 def _rewrite_fixed_paths(query: Query, indexes: GraphIndexes) -> Query:

@@ -31,11 +31,10 @@ from repro.automata.product import (
     product_bfs,
     rpq_nodes,
     rpq_nodes_many,
-    rpq_nodes_profiled,
     rpq_witnesses,
-    rpq_witnesses_profiled,
 )
 from repro.core.graph import Graph
+from repro.obs import QueryProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import BudgetExhausted
 
@@ -86,12 +85,16 @@ def test_prop_freeze_preserves_profiled_counts(g, pattern):
     """The pruned kernel may skip edges only when a full scan would have
     stepped them into the dead state -- so every operation count the
     profile reports must match the dict-of-lists traversal exactly."""
-    dict_nodes, dict_profile = rpq_nodes_profiled(g, pattern)
-    frozen_nodes, frozen_profile = rpq_nodes_profiled(g.freeze(), pattern)
+    dict_profile = QueryProfile()
+    dict_nodes = rpq_nodes(g, pattern, profile=dict_profile)
+    frozen_profile = QueryProfile()
+    frozen_nodes = rpq_nodes(g.freeze(), pattern, profile=frozen_profile)
     assert frozen_nodes == dict_nodes
     assert frozen_profile.as_dict() == dict_profile.as_dict()
-    dict_wit, dict_wprof = rpq_witnesses_profiled(g, pattern)
-    frozen_wit, frozen_wprof = rpq_witnesses_profiled(g.freeze(), pattern)
+    dict_wprof = QueryProfile()
+    dict_wit = rpq_witnesses(g, pattern, profile=dict_wprof)
+    frozen_wprof = QueryProfile()
+    frozen_wit = rpq_witnesses(g.freeze(), pattern, profile=frozen_wprof)
     assert frozen_wit == dict_wit
     assert frozen_wprof.as_dict() == dict_wprof.as_dict()
 

@@ -5,9 +5,10 @@ import pytest
 from repro.automata.dfa import LazyDfa
 from repro.automata.nfa import build_nfa
 from repro.automata.plan_cache import DEFAULT_PLAN_CACHE, PlanCache, cached_compile
-from repro.automata.product import rpq_nodes, rpq_nodes_profiled
+from repro.automata.product import rpq_nodes
 from repro.automata.regex import parse_path_regex
 from repro.core.builder import from_obj
+from repro.obs import QueryProfile
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -129,12 +130,14 @@ class TestProfiledAccounting:
         so the second identical profiled run reports dfa_states == 0."""
         g = movie_graph()
         cache = PlanCache(registry=MetricsRegistry())
-        cold_nodes, cold_profile = rpq_nodes_profiled(
-            g, "Entry.Movie.Title", plan_cache=cache
+        cold_profile = QueryProfile()
+        cold_nodes = rpq_nodes(
+            g, "Entry.Movie.Title", plan_cache=cache, profile=cold_profile
         )
         assert cold_profile.as_dict()["dfa_states"] > 0
-        hot_nodes, hot_profile = rpq_nodes_profiled(
-            g, "Entry.Movie.Title", plan_cache=cache
+        hot_profile = QueryProfile()
+        hot_nodes = rpq_nodes(
+            g, "Entry.Movie.Title", plan_cache=cache, profile=hot_profile
         )
         assert hot_nodes == cold_nodes
         assert hot_profile.as_dict()["dfa_states"] == 0
@@ -146,8 +149,10 @@ class TestProfiledAccounting:
 
     def test_uncached_profiled_runs_report_identically(self):
         g = movie_graph()
-        _, first = rpq_nodes_profiled(g, "Entry.Movie.Title")
-        _, second = rpq_nodes_profiled(g, "Entry.Movie.Title")
+        first = QueryProfile()
+        rpq_nodes(g, "Entry.Movie.Title", profile=first)
+        second = QueryProfile()
+        rpq_nodes(g, "Entry.Movie.Title", profile=second)
         assert first.as_dict() == second.as_dict()
 
 

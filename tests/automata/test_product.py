@@ -11,14 +11,13 @@ from repro.automata.product import (
     product_bfs,
     rpq_nodes,
     rpq_nodes_many,
-    rpq_nodes_partial,
-    rpq_nodes_profiled,
     rpq_witnesses,
-    rpq_witnesses_profiled,
 )
 from repro.core.builder import from_obj
 from repro.core.graph import Graph, GraphError
 from repro.core.labels import string, sym
+from repro.obs import QueryProfile
+from repro.resilience import PartialResult, completeness_of
 
 
 def movie_graph() -> Graph:
@@ -134,11 +133,17 @@ class TestUnknownOrigin:
 
     ENTRY_POINTS = {
         "rpq_nodes": lambda g, start: rpq_nodes(g, "_*", start=start),
-        "rpq_nodes_profiled": lambda g, start: rpq_nodes_profiled(g, "_*", start=start),
-        "rpq_nodes_partial": lambda g, start: rpq_nodes_partial(g, "_*", start=start),
+        "rpq_nodes_profiled": lambda g, start: rpq_nodes(
+            g, "_*", start=start, profile=QueryProfile()
+        ),
+        "rpq_nodes_partial": lambda g, start: PartialResult(
+            rpq_nodes(g, "_*", start=start), completeness_of(g)
+        ),
         "rpq_nodes_many": lambda g, start: rpq_nodes_many(g, "_*", [g.root, start]),
         "rpq_witnesses": lambda g, start: rpq_witnesses(g, "_*", start=start),
-        "rpq_witnesses_profiled": lambda g, start: rpq_witnesses_profiled(g, "_*", start=start),
+        "rpq_witnesses_profiled": lambda g, start: rpq_witnesses(
+            g, "_*", start=start, profile=QueryProfile()
+        ),
         "product_bfs": lambda g, start: product_bfs(g, compile_rpq("_*"), start),
         "RpqStepper": lambda g, start: RpqStepper(g, "_*", start),
     }

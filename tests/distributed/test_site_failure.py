@@ -16,10 +16,9 @@ from repro.core.graph import Graph
 from repro.core.labels import sym
 from repro.datasets import generate_web
 from repro.distributed import (
+    SiteRuntime,
     distributed_rpq,
-    distributed_rpq_resilient,
     distributed_srec,
-    distributed_srec_resilient,
     partition_graph,
 )
 from repro.resilience import FaultInjector, RetryPolicy
@@ -45,16 +44,14 @@ def web_graph(n: int = 40) -> Graph:
 
 def run_with_dead_sites(dist, pattern, dead, threshold=3):
     injector = FaultInjector(seed=0, outages={f"site:{s}" for s in dead})
-    return (
-        distributed_rpq_resilient(
-            dist,
-            pattern,
-            injector=injector,
-            policy=RetryPolicy(max_attempts=5, base_delay=0.01),
-            failure_threshold=threshold,
-        ),
-        injector,
+    runtime = SiteRuntime(
+        dist,
+        injector=injector,
+        policy=RetryPolicy(max_attempts=5, base_delay=0.01),
+        failure_threshold=threshold,
     )
+    results, stats = distributed_rpq(dist, pattern, runtime=runtime)
+    return (results, stats, runtime.completeness()), injector
 
 
 class TestKillEachSite:
@@ -116,12 +113,11 @@ class TestSrecSiteFailure:
         web = generate_web(60, seed=77)
         dist = partition_graph(web, NUM_SITES, strategy="hash")
         injector = FaultInjector(seed=0, outages={f"site:{dead_site}"})
-        out, _, report = distributed_srec_resilient(
-            dist,
-            upper,
-            injector=injector,
-            policy=RetryPolicy(max_attempts=4, base_delay=0.01),
+        runtime = SiteRuntime(
+            dist, injector=injector, policy=RetryPolicy(max_attempts=4, base_delay=0.01)
         )
+        out, _ = distributed_srec(dist, upper, runtime=runtime)
+        report = runtime.completeness()
         assert report.failed_keys() == {f"site:{dead_site}"}
         assert bisimilar(out, srec(dist.without_sites({dead_site}), upper))
 
@@ -129,13 +125,14 @@ class TestSrecSiteFailure:
         web = generate_web(60, seed=78)
         dist = partition_graph(web, NUM_SITES, strategy="hash")
         injector = FaultInjector(seed=5, fail_rate=0.3)
-        out, stats, report = distributed_srec_resilient(
+        runtime = SiteRuntime(
             dist,
-            upper,
             injector=injector,
             policy=RetryPolicy(max_attempts=8, base_delay=0.01),
             failure_threshold=10,
         )
+        out, stats = distributed_srec(dist, upper, runtime=runtime)
+        report = runtime.completeness()
         assert report.complete
         assert report.retries > 0
         centralized, _ = distributed_srec(dist, upper)

@@ -1,7 +1,7 @@
 """Golden-profile regression suite: exact operation counts, pinned.
 
-Each case runs one profiled query over one bundled dataset and compares
-the complete :class:`~repro.obs.QueryProfile` dict against
+Each case hands one query over one bundled dataset a fresh
+:class:`~repro.obs.QueryProfile` and compares its complete dict against
 ``golden_profiles.json``.  The counts are algorithmic observables
 (product configurations, DFA states, index hits), so a change that
 silently alters how much work an evaluator does -- even one that keeps
@@ -23,17 +23,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.automata.product import rpq_nodes_profiled
+from repro.automata.product import rpq_nodes
 from repro.browse import (
-    find_attribute_names_profiled,
-    find_integers_greater_than_profiled,
-    find_value_profiled,
+    find_attribute_names,
+    find_integers_greater_than,
+    find_value,
 )
 from repro.core.convert import graph_to_oem
 from repro.datasets import figure1, generate_acedb, generate_movies, generate_web
-from repro.distributed import distributed_rpq_profiled, partition_graph
-from repro.lorel import evaluate_lorel_profiled, parse_lorel
-from repro.unql import evaluate_query_profiled, parse_query
+from repro.distributed import distributed_rpq, partition_graph
+from repro.lorel import evaluate_lorel, parse_lorel
+from repro.obs import QueryProfile
+from repro.unql import evaluate_query, parse_query
 
 GOLDEN_PATH = Path(__file__).parent / "golden_profiles.json"
 
@@ -47,7 +48,8 @@ DATASETS = {
 
 def _rpq(pattern):
     def run(graph):
-        _, profile = rpq_nodes_profiled(graph, pattern)
+        profile = QueryProfile()
+        rpq_nodes(graph, pattern, profile=profile)
         return profile
 
     return run
@@ -55,9 +57,8 @@ def _rpq(pattern):
 
 def _unql(text):
     def run(graph):
-        _, profile = evaluate_query_profiled(
-            parse_query(text), {"db": graph, "DB": graph}, query_text=text
-        )
+        profile = QueryProfile(query=text)
+        evaluate_query(parse_query(text), {"db": graph, "DB": graph}, profile=profile)
         return profile
 
     return run
@@ -65,8 +66,8 @@ def _unql(text):
 
 def _lorel(text):
     def run(graph):
-        db = graph_to_oem(graph)
-        _, profile = evaluate_lorel_profiled(parse_lorel(text), db, query_text=text)
+        profile = QueryProfile(query=text)
+        evaluate_lorel(parse_lorel(text), graph_to_oem(graph), profile=profile)
         return profile
 
     return run
@@ -74,7 +75,8 @@ def _lorel(text):
 
 def _find_value(value):
     def run(graph):
-        _, profile = find_value_profiled(graph, value)
+        profile = QueryProfile()
+        find_value(graph, value, profile=profile)
         return profile
 
     return run
@@ -82,7 +84,8 @@ def _find_value(value):
 
 def _find_ints(bound):
     def run(graph):
-        _, profile = find_integers_greater_than_profiled(graph, bound)
+        profile = QueryProfile()
+        find_integers_greater_than(graph, bound, profile=profile)
         return profile
 
     return run
@@ -90,7 +93,8 @@ def _find_ints(bound):
 
 def _find_attrs(pattern):
     def run(graph):
-        _, profile = find_attribute_names_profiled(graph, pattern)
+        profile = QueryProfile()
+        find_attribute_names(graph, pattern, profile=profile)
         return profile
 
     return run
@@ -99,7 +103,8 @@ def _find_attrs(pattern):
 def _distributed(pattern, sites=3):
     def run(graph):
         dist = partition_graph(graph, sites, strategy="bfs")
-        _, _, profile = distributed_rpq_profiled(dist, pattern)
+        profile = QueryProfile()
+        distributed_rpq(dist, pattern, profile=profile)
         return profile
 
     return run

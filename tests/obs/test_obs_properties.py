@@ -14,9 +14,9 @@ Three laws the satellite spec pins down:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.product import rpq_nodes_profiled
+from repro.automata.product import rpq_nodes
 from repro.core.graph import Graph
-from repro.obs import Histogram, Tracer
+from repro.obs import Histogram, QueryProfile, Tracer
 from repro.resilience import SimulatedClock
 
 # -- histogram: sum(counts) == total ------------------------------------------
@@ -122,8 +122,10 @@ PATTERNS = ["a", "a.b", "(a|b)*", "a*.c", "_*.b"]
 @settings(deadline=None)
 @given(graph=small_graphs(), pattern=st.sampled_from(PATTERNS))
 def test_rpq_profile_is_deterministic_across_runs(graph, pattern):
-    results1, profile1 = rpq_nodes_profiled(graph, pattern)
-    results2, profile2 = rpq_nodes_profiled(graph, pattern)
+    profile1 = QueryProfile()
+    results1 = rpq_nodes(graph, pattern, profile=profile1)
+    profile2 = QueryProfile()
+    results2 = rpq_nodes(graph, pattern, profile=profile2)
     assert results1 == results2
     assert profile1.as_dict() == profile2.as_dict()
     # and internally consistent: products visit at least the distinct nodes

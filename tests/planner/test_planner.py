@@ -13,6 +13,7 @@ from repro.automata.product import rpq_nodes, rpq_witnesses
 from repro.browse import find_value, where_is
 from repro.core.builder import from_obj
 from repro.core.frozen import freeze
+from repro.obs import QueryProfile
 from repro.planner import QueryPlanner, planner_for
 
 MOVIES = {
@@ -118,17 +119,20 @@ def test_planner_for_memoizes_per_snapshot():
 
 
 def test_profiled_extras_mark_the_answering_route(planner):
-    results, profile = planner.rpq_profiled("Entry.Movie.Title")
+    profile = QueryProfile()
+    results = planner.rpq("Entry.Movie.Title", profile=profile)
     assert results == rpq_nodes(planner.graph, "Entry.Movie.Title")
     assert profile.extras == {"index_answered": 1}
     assert profile.engine == "planner-rpq"
     assert profile.results == len(results)
 
-    results, profile = planner.rpq_profiled("Entry.#.Title")
+    profile = QueryProfile()
+    results = planner.rpq("Entry.#.Title", profile=profile)
     assert results == rpq_nodes(planner.graph, "Entry.#.Title")
     assert profile.extras == {"guide_answered": 1}
 
-    witnesses, profile = planner.witnesses_profiled("Entry.#.Title")
+    profile = QueryProfile()
+    witnesses = planner.witnesses("Entry.#.Title", profile=profile)
     assert witnesses == rpq_witnesses(planner.graph, "Entry.#.Title")
     assert profile.engine == "planner-rpq-witnesses"
     assert profile.extras["guide_pruned_partitions"] > 0
@@ -136,9 +140,10 @@ def test_profiled_extras_mark_the_answering_route(planner):
 
 def test_profiled_kernel_route_reports_mask_strength():
     p = QueryPlanner(from_obj(MOVIES))
-    # no guide -> kernel route inside rpq_profiled reports zero pruning
+    # no guide -> the masked-kernel route reports zero pruning
     p._guide_failed = True
-    results, profile = p.rpq_profiled("Entry.#.Title")
+    profile = QueryProfile()
+    results = p.rpq("Entry.#.Title", profile=profile)
     assert results == rpq_nodes(p.graph, "Entry.#.Title")
     assert profile.extras == {"guide_pruned_partitions": 0}
 

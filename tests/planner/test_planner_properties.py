@@ -15,6 +15,7 @@ from repro.automata.product import rpq_nodes, rpq_witnesses
 from repro.core.graph import Graph
 from repro.core.oem import OemDatabase
 from repro.lorel import lorel, lorel_rows
+from repro.obs import QueryProfile
 from repro.planner import QueryPlanner
 
 #: Guard shapes including the unbounded live sets (``#``, ``_``, ``!a``,
@@ -73,10 +74,11 @@ def test_prop_masked_witnesses_equal_unmasked(g, pattern):
 def test_prop_profiled_routes_equal_direct_kernel(g, pattern):
     planner = QueryPlanner(g)
     expected = rpq_nodes(planner.graph, pattern)
-    results, profile = planner.rpq_profiled(pattern)
+    profile = QueryProfile()
+    results = planner.rpq(pattern, profile=profile)
     assert results == expected
     assert profile.results == len(expected)
-    witnesses, _ = planner.witnesses_profiled(pattern)
+    witnesses = planner.witnesses(pattern, profile=QueryProfile())
     assert witnesses == rpq_witnesses(planner.graph, pattern)
 
 

@@ -14,21 +14,23 @@ replays the same failure schedule:
 
 import pytest
 
-from repro.automata.product import rpq_nodes, rpq_nodes_partial
+from repro.automata.product import rpq_nodes
 from repro.browse import (
-    find_attribute_names_partial,
-    find_integers_greater_than_partial,
-    find_value_partial,
+    find_attribute_names,
+    find_integers_greater_than,
+    find_value,
 )
 from repro.core.builder import from_obj
 from repro.core.graph import Graph
-from repro.distributed import distributed_rpq, distributed_rpq_resilient, partition_graph
+from repro.distributed import SiteRuntime, distributed_rpq, partition_graph
 from repro.resilience import (
     CircuitBreaker,
     EventLog,
     FaultInjector,
+    PartialResult,
     RetryPolicy,
     SimulatedClock,
+    completeness_of,
 )
 from repro.storage.external import ExternalGraph
 
@@ -85,12 +87,17 @@ def calm_external():
     return ExternalGraph(build_base(), fetch_page)
 
 
+def answered(query, ext, *args):
+    """``query``'s answer over ``ext``, paired with the graph's completeness."""
+    return PartialResult(query(ext, *args), completeness_of(ext))
+
+
 class TestTransientFailures:
     """30% injected failure per fetch: retries make every answer exact."""
 
     def test_e2_rpq_exact_under_noise(self):
         ext, injector, _ = chaotic_external()
-        result = rpq_nodes_partial(ext, "Entry.Detail.Movie.Title")
+        result = answered(rpq_nodes, ext, "Entry.Detail.Movie.Title")
         assert result.exact
         assert result.completeness.complete
         # node allocation is deterministic, so the answer sets are equal
@@ -102,23 +109,23 @@ class TestTransientFailures:
 
     def test_e1_find_value_exact_under_noise(self):
         ext, _, _ = chaotic_external()
-        result = find_value_partial(ext, "T3")
+        result = answered(find_value, ext, "T3")
         assert result.exact
         assert [str(f) for f in result.value] == [
-            str(f) for f in find_value_partial(calm_external(), "T3").value
+            str(f) for f in answered(find_value, calm_external(), "T3").value
         ]
 
     def test_e1_integers_exact_under_noise(self):
         ext, _, _ = chaotic_external()
-        result = find_integers_greater_than_partial(ext, 1902)
+        result = answered(find_integers_greater_than, ext, 1902)
         assert result.exact
-        calm = find_integers_greater_than_partial(calm_external(), 1902)
+        calm = answered(find_integers_greater_than, calm_external(), 1902)
         assert [str(f) for f in result.value] == [str(f) for f in calm.value]
         assert len(result.value) == 3  # years 1903..1905
 
     def test_e1_attribute_names_exact_under_noise(self):
         ext, _, _ = chaotic_external()
-        result = find_attribute_names_partial(ext, "Tit%")
+        result = answered(find_attribute_names, ext, "Tit%")
         assert result.exact
         assert len(result.value) == NUM_REGIONS
 
@@ -126,7 +133,7 @@ class TestTransientFailures:
     def test_exactness_across_seeds(self, seed):
         """No lucky seed: several schedules, all absorbed by retries."""
         ext, _, _ = chaotic_external(seed=seed)
-        result = rpq_nodes_partial(ext, "Entry.Detail.Movie.Year")
+        result = answered(rpq_nodes, ext, "Entry.Detail.Movie.Year")
         assert result.exact
         assert len(result.value) == NUM_REGIONS
 
@@ -134,13 +141,11 @@ class TestTransientFailures:
         g = build_base()  # any plain graph works for the distributed engine
         dist = partition_graph(g, 4)
         injector = FaultInjector(seed=11, fail_rate=0.3)
-        results, _, report = distributed_rpq_resilient(
-            dist,
-            "Entry.Id",
-            injector=injector,
-            policy=RetryPolicy(max_attempts=6, base_delay=0.01),
+        runtime = SiteRuntime(
+            dist, injector=injector, policy=RetryPolicy(max_attempts=6, base_delay=0.01)
         )
-        assert report.complete
+        results, _ = distributed_rpq(dist, "Entry.Id", runtime=runtime)
+        assert runtime.completeness().complete
         baseline, _ = distributed_rpq(dist, "Entry.Id")
         assert results == baseline
 
@@ -150,7 +155,7 @@ class TestPermanentOutage:
 
     def test_partial_answer_names_the_lost_region(self):
         ext, _, _ = chaotic_external(fail_rate=0.0, outages={"page-2"})
-        result = rpq_nodes_partial(ext, "Entry.Detail.Movie.Title")
+        result = answered(rpq_nodes, ext, "Entry.Detail.Movie.Title")
         report = result.completeness
         assert not result.exact
         assert report.is_lower_bound
@@ -197,7 +202,7 @@ class TestPermanentOutage:
     def test_noise_plus_outage_compose(self):
         """30% noise on live regions, one region dead: exactly one loss."""
         ext, _, _ = chaotic_external(seed=13, fail_rate=0.3, outages={"page-4"})
-        result = rpq_nodes_partial(ext, "Entry.Detail.Movie.Title")
+        result = answered(rpq_nodes, ext, "Entry.Detail.Movie.Title")
         assert result.completeness.failed_keys() == {"page-4"}
         assert len(result.value) == NUM_REGIONS - 1
 
@@ -221,13 +226,14 @@ class TestDistributedOutage:
         dist = partition_graph(g, 4)
         threshold = 3
         injector = FaultInjector(seed=0, outages={"site:1"})
-        results, _, report = distributed_rpq_resilient(
+        runtime = SiteRuntime(
             dist,
-            "Entry.Id.#",
             injector=injector,
             policy=RetryPolicy(max_attempts=10, base_delay=0.01),
             failure_threshold=threshold,
         )
+        results, _ = distributed_rpq(dist, "Entry.Id.#", runtime=runtime)
+        report = runtime.completeness()
         assert not report.complete
         assert report.failed_keys() == {"site:1"}
         assert injector.calls("site:1") == threshold

@@ -11,15 +11,16 @@ why the server's profiled paths bypass its plan cache.
 
 import pytest
 
-from repro.automata.product import rpq_nodes_profiled
-from repro.browse import find_value_profiled
+from repro.automata.product import rpq_nodes
+from repro.browse import find_value
 from repro.core.convert import graph_to_oem
 from repro.core.frozen import freeze
 from repro.datasets import generate_movies
-from repro.lorel import evaluate_lorel_profiled, parse_lorel
+from repro.lorel import evaluate_lorel, parse_lorel
+from repro.obs import QueryProfile
 from repro.obs.export import to_json
 from repro.service import InProcessHarness, QueryService
-from repro.unql import evaluate_query_profiled, parse_query
+from repro.unql import evaluate_query, parse_query
 
 
 @pytest.fixture()
@@ -44,7 +45,8 @@ def test_rpq_profile_parity(graph, harness) -> None:
         {"id": 1, "op": "rpq", "query": query, "profile": True}
     )
     assert response["status"] == "ok"
-    results, profile = rpq_nodes_profiled(freeze(graph), query)
+    profile = QueryProfile()
+    results = rpq_nodes(freeze(graph), query, profile=profile)
     assert response["result"] == sorted(results)
     assert_byte_identical(response["profile"], profile.as_dict())
 
@@ -58,7 +60,8 @@ def test_rpq_profile_parity_unaffected_by_warm_plan_cache(graph, harness) -> Non
     response = harness.run_one(
         {"id": 10, "op": "rpq", "query": query, "profile": True}
     )
-    _, profile = rpq_nodes_profiled(freeze(graph), query)
+    profile = QueryProfile()
+    rpq_nodes(freeze(graph), query, profile=profile)
     assert_byte_identical(response["profile"], profile.as_dict())
 
 
@@ -68,9 +71,8 @@ def test_lorel_profile_parity(graph, harness) -> None:
         {"id": 1, "op": "lorel", "query": query, "profile": True}
     )
     assert response["status"] == "ok"
-    _, profile = evaluate_lorel_profiled(
-        parse_lorel(query), graph_to_oem(graph), query_text=query
-    )
+    profile = QueryProfile(query=query)
+    evaluate_lorel(parse_lorel(query), graph_to_oem(graph), profile=profile)
     assert_byte_identical(response["profile"], profile.as_dict())
 
 
@@ -80,9 +82,8 @@ def test_unql_profile_parity(graph, harness) -> None:
         {"id": 1, "op": "unql", "query": query, "profile": True}
     )
     assert response["status"] == "ok"
-    _, profile = evaluate_query_profiled(
-        parse_query(query), {"db": graph, "DB": graph}, query_text=query
-    )
+    profile = QueryProfile(query=query)
+    evaluate_query(parse_query(query), {"db": graph, "DB": graph}, profile=profile)
     assert_byte_identical(response["profile"], profile.as_dict())
 
 
@@ -91,7 +92,8 @@ def test_find_profile_parity(graph, harness) -> None:
         {"id": 1, "op": "find", "query": "Title", "profile": True}
     )
     assert response["status"] == "ok"
-    _, profile = find_value_profiled(graph, "Title", None)
+    profile = QueryProfile()
+    find_value(graph, "Title", None, profile=profile)
     assert_byte_identical(response["profile"], profile.as_dict())
 
 

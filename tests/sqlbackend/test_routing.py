@@ -12,16 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.automata.product import rpq_nodes_profiled
+from repro.automata.product import rpq_nodes
 from repro.core.convert import graph_to_oem
 from repro.core.frozen import freeze
 from repro.datasets import figure1, generate_movies, generate_web
-from repro.lorel import evaluate_lorel_profiled, parse_lorel
+from repro.lorel import evaluate_lorel, parse_lorel
+from repro.obs import QueryProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.planner import planner_for
 from repro.service.server import QueryService
 from repro.sqlbackend import lorel_sql_backend_for, sql_backend_for
-from repro.unql import evaluate_query_profiled, parse_query
+from repro.unql import evaluate_query, parse_query
 
 
 class TestPlannerRoute:
@@ -63,7 +64,8 @@ class TestGoldenProfileParity:
     def test_rpq_profile_unmoved(self):
         g = figure1()
         self._attach_everything(g)
-        _, profile = rpq_nodes_profiled(g, "Entry.Movie.Title")
+        profile = QueryProfile()
+        rpq_nodes(g, "Entry.Movie.Title", profile=profile)
         assert profile.as_dict() == GOLDEN["figure1/rpq-title"]
 
     def test_lorel_profile_unmoved(self):
@@ -71,24 +73,23 @@ class TestGoldenProfileParity:
         self._attach_everything(g)
         db = graph_to_oem(g)
         query = "select t from DB.Entry.Movie.Title t"
-        _, profile = evaluate_lorel_profiled(
-            parse_lorel(query), db, query_text=query
-        )
+        profile = QueryProfile(query=query)
+        evaluate_lorel(parse_lorel(query), db, profile=profile)
         assert profile.as_dict() == GOLDEN["figure1/lorel-title"]
 
     def test_unql_profile_unmoved(self):
         g = generate_movies(30, seed=11)
         self._attach_everything(g)
         text = r"select \n where {Entry.Movie.Cast: \n} in db"
-        _, profile = evaluate_query_profiled(
-            parse_query(text), {"db": g, "DB": g}, query_text=text
-        )
+        profile = QueryProfile(query=text)
+        evaluate_query(parse_query(text), {"db": g, "DB": g}, profile=profile)
         assert profile.as_dict() == GOLDEN["movies30/unql-cast"]
 
     def test_closure_profile_unmoved(self):
         g = generate_web(40, seed=7)
         self._attach_everything(g)
-        _, profile = rpq_nodes_profiled(g, "link*.keyword")
+        profile = QueryProfile()
+        rpq_nodes(g, "link*.keyword", profile=profile)
         assert profile.as_dict() == GOLDEN["web40/rpq-keywords"]
 
 
@@ -145,7 +146,9 @@ class TestServiceEngine:
             {"id": 1, "op": "rpq", "query": "link.title", "profile": True,
              "engine": "sql"}
         )
-        assert out["status"] == "ok" and "profile" in out and "engine" not in out
+        assert out["status"] == "ok" and "profile" in out
+        # the profile describes the native engine, and the response says so
+        assert out["engine"] == "native"
 
     def test_sql_counter_in_stats(self, service):
         svc, run = service

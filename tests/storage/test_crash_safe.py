@@ -9,9 +9,6 @@ Two attack layers:
 * a real ``SIGKILL`` -- a child process saves in a tight loop and is
   killed mid-flight; whatever file the corpse leaves behind must either
   load cleanly or not exist under the target name.
-
-Plus the group-commit contract: one fsync per batch, torn journals are
-discarded (old state everywhere), complete journals replay exactly.
 """
 
 import os
@@ -26,9 +23,7 @@ import pytest
 from repro.core.bisim import bisimilar
 from repro.datasets import generate_movies
 from repro.storage import (
-    STORAGE_METRICS,
     GraphStore,
-    GroupCommit,
     SerializationError,
     atomic_write_bytes,
     dumps,
@@ -200,109 +195,6 @@ def test_sigkill_mid_save_never_leaves_torn_target(tmp_path: Path) -> None:
     for leftover in tmp_path.iterdir():
         if leftover != target:
             assert leftover.name.startswith(".victim.graph.tmp.")
-
-
-# -- group commit ------------------------------------------------------------------
-
-
-def test_group_commit_applies_batch(tmp_path: Path) -> None:
-    graphs = [sample(seed=s) for s in range(4)]
-    gc = GroupCommit(tmp_path / "commits")
-    for i, g in enumerate(graphs):
-        gc.add(g, f"snap-{i}.graph")
-    assert gc.pending == 4
-    assert gc.flush() == 4
-    assert gc.pending == 0
-    assert not gc.journal_path.exists()
-    for i, g in enumerate(graphs):
-        assert bisimilar(GraphStore.load(tmp_path / "commits" / f"snap-{i}.graph").graph, g)
-
-
-def test_group_commit_one_fsync_per_batch(tmp_path: Path, monkeypatch) -> None:
-    """The whole point: N durable saves cost 1 fsync, not 2N."""
-    fsyncs = []
-    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd))
-    gc = GroupCommit(tmp_path / "commits")
-    for i in range(8):
-        gc.add(sample(seed=i), f"snap-{i}.graph")
-    gc.flush()
-    assert len(fsyncs) == 1
-
-
-def test_group_commit_torn_journal_is_discarded(tmp_path: Path) -> None:
-    """A crash *before* the journal fsync: nothing was durable, old state wins."""
-    directory = tmp_path / "commits"
-    old = sample(seed=5)
-    gc = GroupCommit(directory)
-    gc.add(old, "a.graph")
-    gc.flush()
-    before = (directory / "a.graph").read_bytes()
-
-    # Simulate the torn journal the crashed flush would leave behind.
-    good = GroupCommit.MAGIC + b"\x00\x00\x00\x07a.graph"
-    for torn in (b"", b"SS", b"XXXX", good, good + b"\x00" * 5):
-        gc.journal_path.write_bytes(torn)
-        assert GroupCommit.recover(directory) == 0
-        assert not gc.journal_path.exists()
-        assert (directory / "a.graph").read_bytes() == before
-
-
-def test_group_commit_corrupt_crc_is_discarded(tmp_path: Path) -> None:
-    directory = tmp_path / "commits"
-    directory.mkdir()
-    payload = dumps(sample(seed=6))
-    journal = bytearray(GroupCommit.MAGIC)
-    name = b"a.graph"
-    journal += len(name).to_bytes(4, "big") + name
-    journal += len(payload).to_bytes(8, "big")
-    journal += (0xDEADBEEF).to_bytes(4, "big")  # wrong CRC
-    journal += payload
-    (directory / ".commit-journal").write_bytes(bytes(journal))
-    assert GroupCommit.recover(directory) == 0
-    assert not (directory / "a.graph").exists()
-
-
-def test_group_commit_recovery_replays_complete_journal(tmp_path: Path, monkeypatch) -> None:
-    """A crash *after* the journal fsync but before the targets land."""
-    directory = tmp_path / "commits"
-    graphs = {f"snap-{i}.graph": sample(seed=10 + i) for i in range(3)}
-    gc = GroupCommit(directory)
-    for name, g in graphs.items():
-        gc.add(g, name)
-
-    # Crash the apply phase: the journal is durable, no target was written.
-    real_replace = os.replace
-    monkeypatch.setattr(os, "replace", lambda s, d: (_ for _ in ()).throw(TornWrite("died")))
-    with pytest.raises(TornWrite):
-        gc.flush()
-    monkeypatch.setattr(os, "replace", real_replace)
-
-    assert gc.journal_path.exists()
-    assert GroupCommit.recover(directory) == 3
-    assert not gc.journal_path.exists()
-    for name, g in graphs.items():
-        assert bisimilar(GraphStore.load(directory / name).graph, g)
-    # Recovery is idempotent once the journal is gone.
-    assert GroupCommit.recover(directory) == 0
-
-
-def test_group_commit_rejects_escaping_names(tmp_path: Path) -> None:
-    gc = GroupCommit(tmp_path / "commits")
-    with pytest.raises(ValueError):
-        gc.add(sample(), "../outside.graph")
-    with pytest.raises(ValueError):
-        gc.add(sample(), "/etc/evil.graph")
-
-
-def test_group_commit_metrics(tmp_path: Path) -> None:
-    commits = STORAGE_METRICS.counter("group_commits").value
-    records = STORAGE_METRICS.counter("group_commit_records").value
-    gc = GroupCommit(tmp_path / "commits")
-    gc.add(sample(), "a.graph")
-    gc.add(sample(), "b.graph")
-    gc.flush()
-    assert STORAGE_METRICS.counter("group_commits").value == commits + 1
-    assert STORAGE_METRICS.counter("group_commit_records").value == records + 2
 
 
 def test_atomic_write_bytes_plain(tmp_path: Path) -> None:
