@@ -254,12 +254,14 @@ def ordered_edge_indices(
 ):
     """The edge indices of the node at ``pos`` worth scanning from ``state``.
 
-    Pruned to the state's live label partitions, but always yielded in
-    *edge insertion order* -- the order a plain-graph scan uses -- so
-    order-sensitive consumers (witness tie-breaking, the distributed BSP
-    message schedule) behave identically on both layouts.  Skipping any
-    edge interns the dead state, keeping profiled state counts aligned
-    with the full scan that would have stepped into it.
+    Pruned to the state's live labels (the partition sizes say how many
+    edges that keeps), but always yielded in *edge insertion order* --
+    the order a plain-graph scan uses -- so order-sensitive consumers
+    (witness tie-breaking, the distributed BSP message schedule) behave
+    identically on both layouts: a partial keep filters the node's
+    ``offsets`` slice by label id.  Skipping any edge interns the dead
+    state, keeping profiled state counts aligned with the full scan that
+    would have stepped into it.
     """
     offsets = fg.offsets
     begin, end = offsets[pos], offsets[pos + 1]
@@ -269,19 +271,14 @@ def ordered_edge_indices(
     if live is None:
         return range(begin, end)
     part = fg.partitions[pos]
-    buckets = [part[lid] for lid in live if lid in part]
-    if sum(map(len, buckets)) == end - begin:
+    kept = sum(len(part[lid]) for lid in live if lid in part)
+    if kept == end - begin:
         return range(begin, end)
     dfa.ensure_dead_state()
-    if not buckets:
+    if not kept:
         return ()
-    if len(buckets) == 1:
-        return buckets[0]
-    merged: list[int] = []
-    for bucket in buckets:
-        merged.extend(bucket)
-    merged.sort()
-    return merged
+    label_ids = fg.label_ids
+    return [i for i in range(begin, end) if label_ids[i] in live]
 
 
 # -- dense plans (the picklable worker kernel) ----------------------------------
@@ -655,13 +652,14 @@ class RpqStepper:
         Per state and superstep: its live label ids, its row of the
         transition table (label id -> next state, ``-1`` dead), and per
         label the target state's explored set and frontier list.  Per
-        edge: ``targets[i]``, an int-set probe, an add, an append.  A row
-        entry is resolved only once a frontier node carries the label and
-        the dead state interned only once a node has an edge outside the
-        live set -- exactly the DFA states a full scan builds.
+        edge: a target read straight from the bucket, an int-set probe,
+        an add, an append.  A row entry is resolved only once a frontier
+        node carries the label and the dead state interned only once a
+        node has an edge outside the live set -- exactly the DFA states
+        a full scan builds.
         """
         fg: FrozenGraph = self.graph  # type: ignore[assignment]
-        targets, partitions, index = fg.targets, fg.partitions, fg.index
+        partitions, index = fg.partitions, fg.index
         is_accepting = self.dfa.is_accepting
         rows = self._trans
         ops = 0
@@ -689,8 +687,7 @@ class RpqStepper:
                                 current = nxt
                                 reached = seen.setdefault(nxt, set())
                                 out = grown.setdefault(nxt, [])
-                            for i in bucket:
-                                dst = targets[i]
+                            for dst in bucket:
                                 if dst not in reached:
                                     reached.add(dst)
                                     out.append(dst)
@@ -712,8 +709,7 @@ class RpqStepper:
                                 continue
                             reached = seen.setdefault(nxt, set())
                             out = grown.setdefault(nxt, [])
-                        for i in bucket:
-                            dst = targets[i]
+                        for dst in bucket:
                             if dst not in reached:
                                 reached.add(dst)
                                 out.append(dst)

@@ -16,15 +16,26 @@ snapshot of the reachable-or-not *whole* node set of a graph:
   ``targets``, ``label_ids``) in edge insertion order, so a node's
   out-edges are one contiguous slice with no per-call allocation;
 * each node additionally carries a *per-label partition*: label id ->
-  the node's edge indices with that label, which is what lets the RPQ
+  the node's edge targets with that label, which is what lets the RPQ
   product kernel (:mod:`repro.automata.product`) scan only the edges
-  whose label can advance the automaton.
+  whose label can advance the automaton.  The buckets hold node ids, not
+  edge slots, so a node's partition does not depend on where its edges
+  sit in the flat arrays.
 
 The read API mirrors :class:`Graph` (``edges_from`` / ``successors`` /
 ``total_out_degree`` / ``reachable`` ...), so every read-only evaluator
 accepts either form; queries return the same node ids the source graph
 used.  There is no write API -- freeze once, query many times.  See
 docs/PERFORMANCE.md for when freezing pays off.
+
+One builder (:func:`_build`) serves a cold freeze, an edge stream, and
+:meth:`FrozenGraph.derive` -- a previous snapshot plus the nodes and
+edges committed since.  New nodes append and label ids are interned
+append-only, so the base's positions and ids stay valid; a node that
+gained no edge shares its partition dict with the base, which is never
+mutated.  A derived snapshot equals a cold freeze of the same graph up
+to a renaming of label ids (none when new labels first occur on new
+nodes).
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import count
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, GraphError
 from .labels import Label, sym
@@ -60,8 +71,8 @@ class FrozenGraph:
       node id, interned label id, and source node id of edge ``i``;
     * ``labels_seq`` -- label id -> :class:`Label`;
     * ``label_index`` -- :class:`Label` -> label id;
-    * ``partitions[p]`` -- label id -> ``array`` of edge indices of the
-      node at position ``p`` (insertion order within each label);
+    * ``partitions[p]`` -- label id -> ``array`` of the targets of the
+      node at position ``p``'s edges with that label (insertion order);
     * ``index`` -- node id -> position, or ``None`` when node ids are
       already dense (``id == position``).
     """
@@ -86,57 +97,8 @@ class FrozenGraph:
     )
 
     def __init__(self, graph: Graph) -> None:
-        node_ids = list(graph.nodes())
-        n = len(node_ids)
-        dense = node_ids == list(range(n))
-        index: dict[int, int] | None = (
-            None if dense else {node: pos for pos, node in enumerate(node_ids)}
-        )
-        offsets = array("q", [0])
-        srcs = array("q")
-        targets = array("q")
-        label_ids = array("q")
-        labels_seq: list[Label] = []
-        label_index: dict[Label, int] = {}
-        partitions: list[dict[int, array]] = []
-        edge_i = 0
-        for node in node_ids:
-            part: dict[int, array] = {}
-            for edge in graph.edges_from(node):
-                lid = label_index.get(edge.label)
-                if lid is None:
-                    lid = label_index[edge.label] = len(labels_seq)
-                    labels_seq.append(edge.label)
-                srcs.append(edge.src)
-                targets.append(edge.dst)
-                label_ids.append(lid)
-                bucket = part.get(lid)
-                if bucket is None:
-                    bucket = part[lid] = array("q")
-                bucket.append(edge_i)
-                edge_i += 1
-            partitions.append(part)
-            offsets.append(edge_i)
-        self.node_ids = node_ids
-        self.index = index
-        self.offsets = offsets
-        self.srcs = srcs
-        self.targets = targets
-        self.label_ids = label_ids
-        self.labels_seq = labels_seq
-        self.label_index = label_index
-        self.partitions = partitions
-        self._root = graph._root if graph.has_root else None
-        self.snapshot_id = next(_SNAPSHOT_IDS)
-        self.source_version = graph.version
-        self._edge_cache: dict[int, tuple[Edge, ...]] = {}
-        self._by_label: list[array] | None = None
-        self._reachable_from_root: set[int] | None = None
-        #: scratch space for per-snapshot derived structures (the query
-        #: planner's summary/statistics live here); FrozenGraph has
-        #: ``__slots__`` without ``__weakref__``, so extensions attach
-        #: through this dict instead of weak side tables.
-        self._ext: dict[str, object] = {}
+        blocks = ((node, graph.edges_from(node)) for node in graph.nodes())
+        _build(self, None, blocks, graph._root if graph.has_root else None, graph.version)
 
     # -- positions ------------------------------------------------------------
 
@@ -152,15 +114,8 @@ class FrozenGraph:
 
     # -- the Graph read API ----------------------------------------------------
 
-    @property
-    def root(self) -> int:
-        if self._root is None:
-            raise GraphError("graph has no root")
-        return self._root
-
-    @property
-    def has_root(self) -> bool:
-        return self._root is not None
+    root = Graph.root
+    has_root = Graph.has_root
 
     @property
     def version(self) -> int:
@@ -235,10 +190,7 @@ class FrozenGraph:
         lid = self.label_index.get(label)
         if lid is None:
             return
-        bucket = self.partitions[pos].get(lid)
-        if bucket is not None:
-            for i in bucket:
-                yield targets[i]
+        yield from self.partitions[pos].get(lid, ())
 
     def labels_from(self, node: int) -> set[Label]:
         """The set of distinct labels on edges out of ``node``."""
@@ -281,18 +233,8 @@ class FrozenGraph:
                     queue.append(dst)
         return seen
 
-    def bfs_edges(self, start: int | None = None) -> Iterator[Edge]:
-        """Edges in BFS discovery order from ``start`` (default: root)."""
-        origin = self.root if start is None else start
-        seen = {origin}
-        queue = deque([origin])
-        while queue:
-            node = queue.popleft()
-            for edge in self.edges_from(node):
-                yield edge
-                if edge.dst not in seen:
-                    seen.add(edge.dst)
-                    queue.append(edge.dst)
+    #: edges in BFS discovery order, through ``edges_from`` as on :class:`Graph`
+    bfs_edges = Graph.bfs_edges
 
     # -- label-partition lookups (the browse fast path) -------------------------
 
@@ -350,64 +292,50 @@ class FrozenGraph:
             raise ValueError("need at least one node")
         if root is not None and not 0 <= root < num_nodes:
             raise GraphError(f"root {root} outside the dense node range")
-        offsets = array("q", [0])
-        srcs = array("q")
-        targets = array("q")
-        label_ids = array("q")
-        labels_seq: list[Label] = []
-        label_index: dict[Label, int] = {}
-        partitions: list[dict[int, array]] = []
-        cursor = 0  # the node whose edge block is open
-        edge_i = 0
-        part: dict[int, array] = {}
-        for src, label, dst in edges:
-            if src < cursor:
-                raise GraphError(
-                    f"edge stream not grouped by source: {src} after {cursor}"
-                )
-            if not 0 <= src < num_nodes or not 0 <= dst < num_nodes:
-                raise GraphError(f"edge ({src}, {dst}) outside the dense node range")
-            while cursor < src:  # close empty blocks up to src
-                partitions.append(part)
-                part = {}
-                offsets.append(edge_i)
-                cursor += 1
-            if isinstance(label, str):
-                label = sym(label)
-            lid = label_index.get(label)
-            if lid is None:
-                lid = label_index[label] = len(labels_seq)
-                labels_seq.append(label)
-            srcs.append(src)
-            targets.append(dst)
-            label_ids.append(lid)
-            bucket = part.get(lid)
-            if bucket is None:
-                bucket = part[lid] = array("q")
-            bucket.append(edge_i)
-            edge_i += 1
-        while cursor < num_nodes:
-            partitions.append(part)
-            part = {}
-            offsets.append(edge_i)
-            cursor += 1
+
+        def blocks() -> "Iterator[tuple[int, list[Edge]]]":
+            cursor, block = 0, []  # the node whose edge block is open
+            for src, label, dst in edges:
+                if src < cursor:
+                    raise GraphError(f"edge stream not grouped by source: {src} after {cursor}")
+                if not 0 <= src < num_nodes or not 0 <= dst < num_nodes:
+                    raise GraphError(f"edge ({src}, {dst}) outside the dense node range")
+                while cursor < src:  # close blocks up to src
+                    yield cursor, block
+                    cursor, block = cursor + 1, []
+                block.append(Edge(src, sym(label) if isinstance(label, str) else label, dst))
+            for node in range(cursor, num_nodes):
+                yield node, block
+                block = []
+
         fg = object.__new__(cls)
-        fg.node_ids = range(num_nodes)  # dense: O(1) memory, list-like reads
-        fg.index = None
-        fg.offsets = offsets
-        fg.srcs = srcs
-        fg.targets = targets
-        fg.label_ids = label_ids
-        fg.labels_seq = labels_seq
-        fg.label_index = label_index
-        fg.partitions = partitions
-        fg._root = root
-        fg.snapshot_id = next(_SNAPSHOT_IDS)
-        fg.source_version = 0
-        fg._edge_cache = {}
-        fg._by_label = None
-        fg._reachable_from_root = None
-        fg._ext = {}
+        _build(fg, None, blocks(), root, 0)
+        return fg
+
+    def derive(
+        self,
+        nodes: "Sequence[int]",
+        edges: "Iterable[Edge]",
+        root: "int | None",
+        version: int,
+    ) -> "FrozenGraph":
+        """The next version: this snapshot plus ``nodes`` and ``edges``.
+
+        ``nodes`` are fresh ids in allocation order; ``edges`` anything
+        with ``src`` / ``label`` / ``dst`` (an :class:`Edge`, a WAL
+        ``AddEdge``) in commit order.  ``self`` is not touched (module
+        docstring).  For snapshots built here, not shared attachments.
+        """
+        by_src: dict[int, list] = {}
+        for edge in edges:
+            by_src.setdefault(edge.src, []).append(edge)
+        fresh = set(nodes)
+        if len(fresh) != len(nodes) or any(map(self.has_node, fresh)):
+            raise GraphError("derived nodes must be fresh ids, each given once")
+        grown = sorted((self._pos(src), src) for src in by_src.keys() - fresh)
+        blocks = [(src, by_src[src]) for _, src in grown]
+        fg = object.__new__(FrozenGraph)
+        _build(fg, self, blocks + [(n, by_src.get(n, ())) for n in nodes], root, version)
         return fg
 
     # -- shared-memory snapshots ------------------------------------------------
@@ -466,6 +394,87 @@ class FrozenGraph:
             f"<FrozenGraph root={root} nodes={self.num_nodes} "
             f"edges={self.num_edges} labels={len(self.labels_seq)}>"
         )
+
+
+def _build(
+    fg: FrozenGraph, base: "FrozenGraph | None", blocks, root: "int | None", version: int
+) -> None:
+    """Fill ``fg``'s slots with ``base`` (or nothing) plus ``blocks``.
+
+    ``blocks`` yields ``(node, out-edges)``: first the base nodes that
+    gained edges, by ascending position, then the new nodes in order.
+    One loop stages the new edges; the base's vectors are then spliced
+    around them (each gained run ends its node's block) and its offsets
+    shifted past them.
+    """
+    staged = srcs, targets, label_ids = array("q"), array("q"), array("q")
+    ends = array("q", [0])  # the staged block ends of new nodes
+    fresh: list[int] = []
+    grown: list[tuple[int, int]] = []  # (base position, staged end of its run)
+    labels_seq = list(base.labels_seq) if base is not None else []
+    label_index = dict(base.label_index) if base is not None else {}
+    partitions = list(base.partitions) if base is not None else []
+    for node, edges in blocks:
+        pos = base._pos(node) if base is not None and base.has_node(node) else None
+        part = {} if pos is None else dict(partitions[pos])
+        shared = () if pos is None else set(part)  # the base's buckets: copy on write
+        for edge in edges:
+            label, dst = edge.label, edge.dst
+            lid = label_index.get(label)
+            if lid is None:
+                lid = label_index[label] = len(labels_seq)
+                labels_seq.append(label)
+            srcs.append(node)
+            targets.append(dst)
+            label_ids.append(lid)
+            bucket = part.get(lid)
+            if bucket is None:
+                bucket = part[lid] = array("q")
+            elif lid in shared:
+                shared.discard(lid)
+                bucket = part[lid] = bucket[:]
+            bucket.append(dst)
+        if pos is None:
+            fresh.append(node)
+            partitions.append(part)
+            ends.append(len(targets))
+        else:
+            partitions[pos] = part
+            grown.append((pos, len(targets)))
+    offsets, n0 = ends, 0
+    if base is not None:
+        cuts = [(base.offsets[pos + 1], stop) for pos, stop in grown]
+        olds = base.srcs, base.targets, base.label_ids
+        srcs, targets, label_ids = (_splice(old, new, cuts) for old, new in zip(olds, staged))
+        # a base node's block end moves by the staged runs before it
+        n0, stops = base.num_nodes, [0, *(stop for _, stop in grown)]
+        bounds = [0, *(pos + 1 for pos, _ in grown), n0 + 1]
+        offsets = array("q")
+        for k, stop in enumerate(stops):
+            run = base.offsets[bounds[k] : bounds[k + 1]]
+            offsets += array("q", [off + stop for off in run]) if stop else run
+        offsets += array("q", [end + base.num_edges for end in ends[1:]])
+    if (base is None or base.index is None) and fresh == list(range(n0, n0 + len(fresh))):
+        fg.node_ids, fg.index = range(n0 + len(fresh)), None  # dense: O(1) memory
+    else:
+        fg.node_ids = [*(base.node_ids if base is not None else ()), *fresh]
+        fg.index = {node: pos for pos, node in enumerate(fg.node_ids)}
+    fg.offsets, fg.srcs, fg.targets, fg.label_ids = offsets, srcs, targets, label_ids
+    fg.labels_seq, fg.label_index, fg.partitions = labels_seq, label_index, partitions
+    fg._root, fg.source_version, fg.snapshot_id = root, version, next(_SNAPSHOT_IDS)
+    fg._edge_cache, fg._by_label, fg._reachable_from_root = {}, None, None
+    fg._ext = {}  # per-snapshot derived structures (SQL image, planner...)
+
+
+def _splice(old: array, new: array, cuts: "list[tuple[int, int]]") -> array:
+    """``old`` with the runs ``new[..stop]`` inserted at their ``cut``s and
+    the rest of ``new`` appended, by C-level slicing."""
+    out, at, start = array("q"), 0, 0
+    for cut, stop in cuts:
+        out += old[at:cut]
+        out += new[start:stop]
+        at, start = cut, stop
+    return out + old[at:] + new[start:]
 
 
 def freeze(graph: "Graph | FrozenGraph") -> FrozenGraph:

@@ -15,7 +15,7 @@ aligned by construction), described by a small picklable
 :class:`SharedGraphDescriptor` carrying the ``(offset, length)`` of each
 field plus the interned label table, root, and version.  The per-node
 partition dicts are flattened into four parallel vectors (node bucket
-bounds, bucket label ids, bucket starts, flat edge indices) so they
+bounds, bucket label ids, bucket starts, flat bucket targets) so they
 share the segment too; an attached graph rebuilds each node's dict
 lazily, on first touch, as memoryview slices of the shared table.
 
@@ -95,7 +95,7 @@ def flatten_partitions(
 
     Returns ``(pb_off, plid, pstart, pidx)``: node position ``p`` owns
     buckets ``pb_off[p]:pb_off[p+1]``; bucket ``j`` carries label id
-    ``plid[j]`` and edge indices ``pidx[pstart[j]:pstart[j+1]]``.  Bucket
+    ``plid[j]`` and targets ``pidx[pstart[j]:pstart[j+1]]``.  Bucket
     order follows each node's dict insertion order (first edge with the
     label), so the flattening is deterministic and round-trips exactly.
     """
@@ -271,7 +271,7 @@ class _LazyPartitions:
     """List-of-dicts view of the flattened partition table.
 
     Indexing by node position materializes (and memoizes) that node's
-    ``{label id: edge-index bucket}`` dict, each bucket a memoryview
+    ``{label id: target bucket}`` dict, each bucket a memoryview
     slice of the shared ``pidx`` vector -- so generic kernel code that
     expects ``FrozenGraph.partitions`` works unchanged over an attached
     snapshot, while untouched nodes cost nothing.  The hot parallel
@@ -376,39 +376,23 @@ class SharedSnapshot:
         return self._graph
 
     def _build_graph(self) -> "FrozenGraph":
-        from .frozen import FrozenGraph, _SNAPSHOT_IDS
+        from .frozen import FrozenGraph, _build
 
         if self._shm is None:
             raise SharedSnapshotError("snapshot is closed")
         d = self.descriptor
         fg = object.__new__(FrozenGraph)
-        if d.dense:
-            fg.node_ids = range(d.num_nodes)
-            fg.index = None
+        _build(fg, None, (), d.root, d.source_version)  # then the segment's vectors
+        if not d.dense:
+            fg.node_ids = list(self.field("node_ids"))
+            fg.index = {node: pos for pos, node in enumerate(fg.node_ids)}
         else:
-            node_ids = list(self.field("node_ids"))
-            fg.node_ids = node_ids
-            fg.index = {node: pos for pos, node in enumerate(node_ids)}
-        fg.offsets = self.field("offsets")
-        fg.srcs = self.field("srcs")
-        fg.targets = self.field("targets")
-        fg.label_ids = self.field("label_ids")
+            fg.node_ids = range(d.num_nodes)
+        fg.offsets, fg.srcs, fg.targets, fg.label_ids = map(self.field, _CORE_FIELDS[:4])
         fg.labels_seq = list(d.labels)
         fg.label_index = {label: lid for lid, label in enumerate(d.labels)}
-        fg.partitions = _LazyPartitions(
-            self.field("pb_off"),
-            self.field("plid"),
-            self.field("pstart"),
-            self.field("pidx"),
-            self._register,
-        )
-        fg._root = d.root
-        fg.snapshot_id = next(_SNAPSHOT_IDS)
-        fg.source_version = d.source_version
-        fg._edge_cache = {}
-        fg._by_label = None
-        fg._reachable_from_root = None
-        fg._ext = {"shared": self}
+        fg.partitions = _LazyPartitions(*map(self.field, _CORE_FIELDS[4:]), self._register)
+        fg._ext["shared"] = self
         return fg
 
     # -- lifecycle -------------------------------------------------------------

@@ -14,6 +14,7 @@ Syntax::
 
 from __future__ import annotations
 
+from ..core.scan import TextCursor
 from .ast import Atom, Comparison, Const, Program, Rule, Term, Var
 
 __all__ = ["parse_program", "DatalogSyntaxError"]
@@ -26,11 +27,7 @@ class DatalogSyntaxError(ValueError):
 _OPS = ("!=", "<=", ">=", "=", "<", ">")
 
 
-class _P:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
+class _P(TextCursor):
     def err(self, message: str) -> DatalogSyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
         return DatalogSyntaxError(f"{message} (line {line})")
@@ -46,16 +43,6 @@ class _P:
             else:
                 return
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, token: str) -> None:
-        self.skip_ws()
-        if self.text[self.pos : self.pos + len(token)] != token:
-            raise self.err(f"expected {token!r}")
-        self.pos += len(token)
-
     def try_eat(self, token: str) -> bool:
         self.skip_ws()
         if self.text[self.pos : self.pos + len(token)] == token:
@@ -63,34 +50,10 @@ class _P:
             return True
         return False
 
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise self.err("expected an identifier")
-        return self.text[start : self.pos]
-
     def term(self) -> Term:
         ch = self.peek()
         if ch in "\"'":
-            quote = ch
-            self.pos += 1
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    raise self.err("unterminated string")
-                c = self.text[self.pos]
-                self.pos += 1
-                if c == quote:
-                    return Const("".join(out))
-                if c == "\\" and self.pos < len(self.text):
-                    c = self.text[self.pos]
-                    self.pos += 1
-                out.append(c)
+            return Const(self.quoted())
         if ch.isdigit() or ch == "-":
             start = self.pos
             if ch == "-":

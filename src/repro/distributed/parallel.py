@@ -179,7 +179,6 @@ class SiteWorker:
         budget contract of :class:`~repro.automata.product.RpqStepper`.
         """
         fg, plan = self.fg, self.plan
-        targets = fg.targets
         index = fg.index
         pb_off, plid, pstart, pidx = self.parts
         trans, accepting = plan.trans, plan.accepting
@@ -208,41 +207,22 @@ class SiteWorker:
                 accept = accepting[nxt]
                 span0, span1 = pstart[j], pstart[j + 1]
                 ops += span1 - span0
-                if dense:  # positions ARE node ids: the hot bench path
-                    for i in range(span0, span1):
-                        dst = targets[pidx[i]]
-                        dst_enc = dst * num_states + nxt
-                        if dst_enc in seen:
-                            continue
-                        seen.add(dst_enc)
-                        if accept:
-                            matched.append(dst)
-                        dst_site = site_of[dst]
-                        if dst_site == site:
-                            stack.append(dst_enc)
-                        else:
-                            box = outbox.get(dst_site)
-                            if box is None:
-                                box = outbox[dst_site] = array("q")
-                            box.append(dst_enc)
-                else:
-                    for i in range(span0, span1):
-                        dst = targets[pidx[i]]
-                        dst_pos = index[dst]
-                        dst_enc = dst_pos * num_states + nxt
-                        if dst_enc in seen:
-                            continue
-                        seen.add(dst_enc)
-                        if accept:
-                            matched.append(dst)
-                        dst_site = site_of[dst_pos]
-                        if dst_site == site:
-                            stack.append(dst_enc)
-                        else:
-                            box = outbox.get(dst_site)
-                            if box is None:
-                                box = outbox[dst_site] = array("q")
-                            box.append(dst_enc)
+                for dst in pidx[span0:span1]:
+                    dst_pos = dst if dense else index[dst]  # dense: ids ARE positions
+                    dst_enc = dst_pos * num_states + nxt
+                    if dst_enc in seen:
+                        continue
+                    seen.add(dst_enc)
+                    if accept:
+                        matched.append(dst)
+                    dst_site = site_of[dst_pos]
+                    if dst_site == site:
+                        stack.append(dst_enc)
+                    else:
+                        box = outbox.get(dst_site)
+                        if box is None:
+                            box = outbox[dst_site] = array("q")
+                        box.append(dst_enc)
         return matched, outbox, ops
 
     def reset(self) -> None:

@@ -59,6 +59,7 @@ from ..resilience import (
     ResilienceError,
 )
 from ..resilience.clock import Clock, WallClock
+from ..storage import STORAGE_METRICS
 from ..storage.mvcc import SnapshotView
 from ..unql import parse_query, unql
 from .errors import Overloaded, ProtocolError
@@ -659,7 +660,8 @@ class QueryService:
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> dict[str, object]:
-        """The ``stats`` op payload: admission, sessions, snapshot, metrics.
+        """The ``stats`` op payload: admission, sessions, snapshot, metrics
+        (storage's too: views frozen vs derived, SQL images built vs carried).
 
         A read-only diagnostic: it reports the store's live counts and
         the snapshot some reader already froze (``snapshot_id`` is
@@ -680,6 +682,7 @@ class QueryService:
             "plan_cache": self.plan_cache.stats(),
             "breakers": {op: b.state for op, b in sorted(self._breakers.items())},
             "metrics": metrics_to_dict(self.metrics),
+            "storage": metrics_to_dict(STORAGE_METRICS),
         }
         if self.store is not None:
             payload["store"] = self.store.stats()

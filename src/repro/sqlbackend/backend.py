@@ -21,7 +21,7 @@ any compiled plan agrees with the kernel, the policy only picks speed.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..automata.regex import PathRegex, parse_path_regex
 from ..core.frozen import freeze
@@ -29,6 +29,7 @@ from ..lorel.ast import LorelQuery
 from ..lorel.evaluator import construct_answer
 from ..lorel.parser import parse_lorel
 from ..planner.stats import GraphStatistics
+from ..storage.serializer import STORAGE_METRICS
 from ..unql.ast import Binding, Pattern, PatternMember, Query, RegexEdge
 from ..unql.evaluator import evaluate_query
 from ..unql.optimizer import _IndexResolvedEdge, fixed_path_of
@@ -38,8 +39,10 @@ from .errors import NotCompilable
 from .lorel_sql import compile_lorel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import sqlite3
+
     from ..core.frozen import FrozenGraph
-    from ..core.graph import Graph
+    from ..core.graph import Edge, Graph
     from ..core.oem import OemDatabase, Oid
 
 __all__ = [
@@ -51,16 +54,25 @@ __all__ = [
     "unql_sql",
 ]
 
+_IMAGES_BUILT = STORAGE_METRICS.counter("sql_image_built")
+_IMAGES_CARRIED = STORAGE_METRICS.counter("sql_image_carried")
+
 
 class SqlBackend:
     """The relational engine over one frozen snapshot.
 
     Construction pays the load once (edge + label tables and their
-    indexes); queries then compile against the snapshot's vocabulary
-    (plans cached by pattern text) and execute on sqlite.  The wide
-    tables are loaded on demand, and only with a ``guide``: without the
-    DataGuide no plan can read them.  ``last_sql`` and ``counters``
-    expose what happened for ``describe()``/metrics.
+    indexes) unless handed ``conn``, an image of ``fg`` already loaded;
+    queries then compile against the snapshot's vocabulary (plans cached
+    by pattern text) and execute on sqlite.  The wide tables are loaded
+    on demand, and only with a ``guide``: without the DataGuide no plan
+    can read them.  ``last_sql`` and ``counters`` expose what happened
+    for ``describe()``/metrics.
+
+    There is one image per version *lineage*, carried and never shared
+    back: :meth:`advance` moves version *n*'s connection to *n+1*, and
+    the backend it came from detaches -- used again, it reloads its own
+    snapshot, so it never answers with a later version's rows.
     """
 
     def __init__(
@@ -69,12 +81,12 @@ class SqlBackend:
         *,
         stats: "GraphStatistics | None" = None,
         guide=None,
+        conn: "sqlite3.Connection | None" = None,
     ) -> None:
         self.fg = fg
         self.stats = stats if stats is not None else GraphStatistics.from_frozen(fg)
         self.guide = guide
-        self.conn = connect()
-        encode_graph(self.conn, fg)
+        self._conn = conn if conn is not None else self._load()
         self._catalog: "WideCatalog | None" = None
         self._plans: dict[str, CompiledQuery] = {}
         self.counters = {
@@ -84,6 +96,33 @@ class SqlBackend:
             "not_compilable": 0,
         }
         self.last_sql: "str | None" = None
+
+    def _load(self) -> "sqlite3.Connection":
+        conn = connect()
+        encode_graph(conn, self.fg)
+        _IMAGES_BUILT.inc()
+        return conn
+
+    @property
+    def conn(self) -> "sqlite3.Connection":
+        """The sqlite image of :attr:`fg` (reloaded once detached)."""
+        if self._conn is None:
+            self._conn = self._load()
+        return self._conn
+
+    def advance(self, fg: "FrozenGraph", edges: "Sequence[Edge]") -> "SqlBackend | None":
+        """This image carried to ``fg`` (:attr:`fg` plus ``edges``): new rows,
+        additive statistics, no plans or wide tables; ``self`` detaches.
+        ``None`` over a DataGuide, which describes one snapshot only."""
+        conn, catalog = self._conn, self._catalog
+        self._conn, self._catalog, self._plans = None, None, {}
+        if conn is None or self.guide is not None:
+            return None
+        if catalog is not None:
+            conn.executescript("DROP TABLE wide_member; DROP TABLE wide_attr;")
+        encode_graph(conn, fg, edges, known_labels=len(self.fg.labels_seq))
+        _IMAGES_CARRIED.inc()
+        return SqlBackend(fg, stats=self.stats.plus(fg.num_nodes, edges), conn=conn)
 
     @property
     def catalog(self) -> "WideCatalog":

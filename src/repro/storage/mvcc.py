@@ -18,9 +18,13 @@ adds a write path underneath them:
   rebuild-on-stale;
 * **checkpoints** periodically fold the log into one crash-safe
   full-state file (rename-atomic via ``atomic_write_bytes``), bounding
-  recovery time; ``freeze()``-for-readers is thereby always "last
-  checkpoint + the in-memory delta chain", merged once per version and
-  cached.
+  recovery time;
+* **publication** costs what the commits changed: only the first view
+  is a ``freeze()``.  A commit retires the current snapshot as the
+  *derivation base*; the next view is its
+  :meth:`~repro.core.frozen.FrozenGraph.derive` plus the deltas since
+  (version *n* is never mutated), and the base's ``_ext`` residents that
+  can ``advance`` (the SQL image) are carried over.
 
 Version ids *are* commit sequence numbers: version ``n`` is the state
 after commit ``n``, version ``0`` the checkpointed (or empty) base.
@@ -75,6 +79,9 @@ CHECKPOINT_MAGIC = b"SSDC"
 
 CHECKPOINT_NAME = "checkpoint.ssdc"
 WAL_NAME = "wal.ssdw"
+
+_VIEWS_FROZEN = STORAGE_METRICS.counter("mvcc_views_frozen")
+_VIEWS_DERIVED = STORAGE_METRICS.counter("mvcc_views_derived")
 
 
 # -- checkpoint codec ---------------------------------------------------------
@@ -283,6 +290,10 @@ class VersionedGraphStore:
         self._indexes: GraphIndexes | None = None
         self._guide: DataGuide | None = None
         self._view: SnapshotView | None = None
+        # the next view's derivation base and the deltas since (recorded
+        # only while there is a base; a checkpoint fold drops both)
+        self._base: FrozenGraph | None = None
+        self._since: list[Delta] = []
 
     # -- paths ----------------------------------------------------------------
 
@@ -371,11 +382,10 @@ class VersionedGraphStore:
             self._acked_seq = seq
         self._ingest(deltas)
         if self._view is not None:
-            # the retired snapshot's derived engines (``_ext``: SQL image,
-            # planner) point back at it; detached, its last reader frees it
-            # by reference count, and a straggler rebuilds what it needs
-            self._view.frozen._ext.clear()
+            self._base, self._since = self._view.frozen, []
             self._view = None
+        if self._base is not None:
+            self._since += deltas
         STORAGE_METRICS.counter("mvcc_commits").inc()
         if (
             self._checkpoint_every is not None
@@ -392,11 +402,15 @@ class VersionedGraphStore:
 
     def _validate(self, deltas: "Iterable[Delta]") -> None:
         # a delta that cannot apply must never reach the log: recovery
-        # applies records unconditionally
+        # applies records unconditionally.  Node ids must be fresh: two
+        # batches opened at one version allocate the same ones
         adj = self._graph._adj
+        next_id = self._graph._next_id
         pending: set[int] = set()
         for delta in deltas:
             if isinstance(delta, AddNode):
+                if delta.node < next_id or delta.node in adj or delta.node in pending:
+                    raise GraphError(f"node {delta.node} is not a fresh id (next is {next_id})")
                 pending.add(delta.node)
             elif isinstance(delta, AddEdge):
                 if delta.src not in adj and delta.src not in pending:
@@ -479,6 +493,7 @@ class VersionedGraphStore:
         self._checkpoint_seq = self._version
         self._acked_seq = self._version
         self._wal.truncate(durable=self._durable)
+        self._drop_base()
         STORAGE_METRICS.counter("checkpoints").inc()
 
     # -- the read path ---------------------------------------------------------
@@ -501,16 +516,38 @@ class VersionedGraphStore:
     def view(self) -> SnapshotView:
         """The current version's pinned read view (cached per version).
 
-        Freezing merges the checkpoint-plus-delta-chain state once; every
-        reader at this version shares the result.  Older views stay
-        valid for as long as their holders keep them -- commits never
-        mutate a handed-out snapshot.
+        Derived from the base plus the commits since it when there is
+        one, frozen from the live graph otherwise; every reader at this
+        version shares the result.  Older views stay valid for as long as
+        their holders keep them -- neither path mutates a snapshot.
         """
         v = self._view
         if v is None:
-            v = SnapshotView(freeze(self._graph), self._version)
-            self._view = v
+            base, deltas = self._base, self._since
+            if base is None:
+                _VIEWS_FROZEN.inc()
+                fg = freeze(self._graph)
+            else:
+                _VIEWS_DERIVED.inc()
+                edges = [d for d in deltas if type(d) is AddEdge]
+                nodes = [d.node for d in deltas if type(d) is AddNode]
+                fg = base.derive(nodes, edges, self._graph._root, self._graph.version)
+                # residents that can advance take the delta (the SQL image)
+                for key, resident in base._ext.items():
+                    carried = getattr(resident, "advance", lambda *_: None)(fg, edges)
+                    if carried is not None:
+                        fg._ext[key] = carried
+                self._drop_base()
+            v = self._view = SnapshotView(fg, self._version)
         return v
+
+    def _drop_base(self) -> None:
+        """Forget the derivation base.  Its derived engines (``_ext``: SQL
+        image, planner) point back at it; detached, its last reader frees
+        it by reference count, and a straggler rebuilds what it needs."""
+        if self._base is not None:
+            self._base._ext.clear()
+            self._base, self._since = None, []
 
     @property
     def cached_view(self) -> "SnapshotView | None":

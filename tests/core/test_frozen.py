@@ -150,8 +150,15 @@ class TestLabelPartitions:
     def test_partitions_cover_all_edges(self):
         g = cyclic_graph()
         fg = g.freeze()
-        covered = sorted(i for part in fg.partitions for b in part.values() for i in b)
-        assert covered == list(range(fg.num_edges))
+        for pos, node in enumerate(fg.node_ids):
+            # each bucket holds the node's targets under one label, in order
+            covered = {
+                fg.labels_seq[lid]: list(bucket) for lid, bucket in fg.partitions[pos].items()
+            }
+            assert covered == {
+                label: list(g.successors(node, label)) for label in g.labels_from(node)
+            }
+        assert sum(len(b) for part in fg.partitions for b in part.values()) == fg.num_edges
 
 
 class TestFreezeThaw:

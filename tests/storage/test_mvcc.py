@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.automata import rpq_nodes
 from repro.core.convert import graph_to_oem
 from repro.core.graph import Graph, GraphError
 from repro.core.labels import string, sym
@@ -79,6 +80,43 @@ class TestBatches:
                 store.commit([AddEdge(10_000, sym("x"), 0)])
             assert store.version == 0
             assert store.stats()["wal_bytes"] == before
+
+    def test_concurrent_batches_cannot_alias_node_ids(self, tmp_path: Path) -> None:
+        # two batches opened at one version both allocate node 1; the
+        # second commit must be refused, not graft its edges onto the
+        # first batch's node (which would make A.C match)
+        g = Graph()
+        g.set_root(g.new_node())
+        directory = tmp_path / "store"
+        with VersionedGraphStore.create(directory, g, durable=False) as store:
+            b1, b2 = store.batch(), store.batch()
+            n1, n2 = b1.new_node(), b2.new_node()
+            assert n1 == n2 == 1
+            b1.add_edge(0, "A", n1)
+            b2.add_edge(0, "B", n2)
+            b2.add_edge(n2, "C", n2)
+            assert b1.commit() == 1
+            wal_bytes = store.stats()["wal_bytes"]
+            with pytest.raises(GraphError):
+                b2.commit()
+            assert store.version == 1
+            assert store.stats()["wal_bytes"] == wal_bytes
+            assert rpq_nodes(store.view().frozen, "A.C") == set()
+        with VersionedGraphStore(directory, durable=False) as reopened:
+            assert reopened.version == 1
+            assert [(e.label, e.dst) for e in reopened.graph.edges_from(0)] == [(sym("A"), 1)]
+            assert list(reopened.graph.edges_from(1)) == []
+
+    def test_node_ids_must_be_fresh(self, tmp_path: Path) -> None:
+        with seeded_store(tmp_path) as store:
+            next_id = store.graph._next_id
+            for node in (store.graph.root, next_id - 1):
+                with pytest.raises(GraphError):
+                    store.commit([AddNode(node)])
+            with pytest.raises(GraphError):
+                store.commit([AddNode(next_id), AddNode(next_id)])
+            assert store.version == 0
+            assert store.commit([AddNode(next_id + 5)]) == 1  # a gap is fine
 
     def test_nothing_visible_before_commit(self, tmp_path: Path) -> None:
         with seeded_store(tmp_path) as store:
