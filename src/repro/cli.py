@@ -166,19 +166,16 @@ def _cmd_stats(args) -> int:
     for edge in g.edges():
         by_kind[edge.label.kind.value] = by_kind.get(edge.label.kind.value, 0) + 1
     planner = planner_for(g)
-    registries = {
-        "storage": metrics_to_dict(STORAGE_METRICS),
-        "plan_cache": metrics_to_dict(PLAN_METRICS),
-        "service": metrics_to_dict(SERVICE_METRICS),
-        "parallel": metrics_to_dict(PARALLEL_METRICS),
-    }
     if args.json:
         payload = {
             "nodes": g.num_nodes,
             "edges": g.num_edges,
             "cyclic": g.has_cycle(),
             "labels": {k.value: by_kind[k.value] for k in LabelKind if k.value in by_kind},
-            **registries,
+            "storage": metrics_to_dict(STORAGE_METRICS),
+            "plan_cache": metrics_to_dict(PLAN_METRICS),
+            "service": metrics_to_dict(SERVICE_METRICS),
+            "parallel": metrics_to_dict(PARALLEL_METRICS),
             "planner": planner.describe(),
             "indexes": planner.indexes.accounting(),
         }
@@ -190,9 +187,14 @@ def _cmd_stats(args) -> int:
     for kind in LabelKind:
         if kind.value in by_kind:
             print(f"labels[{kind.value}]: {by_kind[kind.value]}")
-    for section in ("storage", "plan_cache", "service", "parallel"):
-        for name, value in registries[section].items():
-            print(f"{section}[{name}]: {value}")
+    for name, value in metrics_to_dict(STORAGE_METRICS).items():
+        print(f"storage[{name}]: {value}")
+    for name, value in metrics_to_dict(PLAN_METRICS).items():
+        print(f"plan_cache[{name}]: {value}")
+    for name, value in metrics_to_dict(SERVICE_METRICS).items():
+        print(f"service[{name}]: {value}")
+    for name, value in metrics_to_dict(PARALLEL_METRICS).items():
+        print(f"parallel[{name}]: {value}")
     described = planner.describe()
     print(f"planner[guide_available]: {described['guide_available']}")
     for name, value in sorted(described["statistics"].items()):  # type: ignore[union-attr]

@@ -28,7 +28,7 @@ accepts either form; queries return the same node ids the source graph
 used.  There is no write API -- freeze once, query many times.  See
 docs/PERFORMANCE.md for when freezing pays off.
 
-One builder (:func:`_build`) serves a cold freeze, an edge stream, and
+One builder (:func:`_build`) serves a cold freeze and
 :meth:`FrozenGraph.derive` -- a previous snapshot plus the nodes and
 edges committed since.  New nodes append and label ids are interned
 append-only, so the base's positions and ids stay valid; a node that
@@ -43,7 +43,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import count
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, GraphError
 from .labels import Label, sym
@@ -97,8 +97,8 @@ class FrozenGraph:
     )
 
     def __init__(self, graph: Graph) -> None:
-        blocks = ((node, graph.edges_from(node)) for node in graph.nodes())
-        _build(self, None, blocks, graph._root if graph.has_root else None, graph.version)
+        root = graph._root if graph.has_root else None
+        _build(self, None, (), list(graph.nodes()), graph.edges_from, root, graph.version)
 
     # -- positions ------------------------------------------------------------
 
@@ -114,8 +114,15 @@ class FrozenGraph:
 
     # -- the Graph read API ----------------------------------------------------
 
-    root = Graph.root
-    has_root = Graph.has_root
+    @property
+    def root(self) -> int:
+        if self._root is None:
+            raise GraphError("graph has no root")
+        return self._root
+
+    @property
+    def has_root(self) -> bool:
+        return self._root is not None
 
     @property
     def version(self) -> int:
@@ -233,8 +240,18 @@ class FrozenGraph:
                     queue.append(dst)
         return seen
 
-    #: edges in BFS discovery order, through ``edges_from`` as on :class:`Graph`
-    bfs_edges = Graph.bfs_edges
+    def bfs_edges(self, start: int | None = None) -> Iterator[Edge]:
+        """Edges in BFS discovery order from ``start`` (default: root)."""
+        origin = self.root if start is None else start
+        seen = {origin}
+        queue = deque([origin])
+        while queue:
+            node = queue.popleft()
+            for edge in self.edges_from(node):
+                yield edge
+                if edge.dst not in seen:
+                    seen.add(edge.dst)
+                    queue.append(edge.dst)
 
     # -- label-partition lookups (the browse fast path) -------------------------
 
@@ -287,29 +304,73 @@ class FrozenGraph:
         constant-memory ingestion path for generated graphs too large to
         stage as a dict-of-``Edge``-lists :class:`Graph` first -- nothing
         beyond the CSR vectors themselves is ever materialized.
+
+        The loop is its own, not :func:`_build`'s: that one reads
+        ``Edge`` attributes, and an ``Edge`` per streamed triple made a
+        533 000-edge crawl build a quarter slower.
         """
         if num_nodes < 1:
             raise ValueError("need at least one node")
         if root is not None and not 0 <= root < num_nodes:
             raise GraphError(f"root {root} outside the dense node range")
-
-        def blocks() -> "Iterator[tuple[int, list[Edge]]]":
-            cursor, block = 0, []  # the node whose edge block is open
-            for src, label, dst in edges:
-                if src < cursor:
-                    raise GraphError(f"edge stream not grouped by source: {src} after {cursor}")
-                if not 0 <= src < num_nodes or not 0 <= dst < num_nodes:
-                    raise GraphError(f"edge ({src}, {dst}) outside the dense node range")
-                while cursor < src:  # close blocks up to src
-                    yield cursor, block
-                    cursor, block = cursor + 1, []
-                block.append(Edge(src, sym(label) if isinstance(label, str) else label, dst))
-            for node in range(cursor, num_nodes):
-                yield node, block
-                block = []
-
+        offsets = array("q", [0])
+        srcs = array("q")
+        targets = array("q")
+        label_ids = array("q")
+        labels_seq: list[Label] = []
+        label_index: dict[Label, int] = {}
+        partitions: list[dict[int, array]] = []
+        cursor = 0  # the node whose edge block is open
+        edge_i = 0
+        part: dict[int, array] = {}
+        for src, label, dst in edges:
+            if src < cursor:
+                raise GraphError(
+                    f"edge stream not grouped by source: {src} after {cursor}"
+                )
+            if not 0 <= src < num_nodes or not 0 <= dst < num_nodes:
+                raise GraphError(f"edge ({src}, {dst}) outside the dense node range")
+            while cursor < src:  # close empty blocks up to src
+                partitions.append(part)
+                part = {}
+                offsets.append(edge_i)
+                cursor += 1
+            if isinstance(label, str):
+                label = sym(label)
+            lid = label_index.get(label)
+            if lid is None:
+                lid = label_index[label] = len(labels_seq)
+                labels_seq.append(label)
+            srcs.append(src)
+            targets.append(dst)
+            label_ids.append(lid)
+            bucket = part.get(lid)
+            if bucket is None:
+                bucket = part[lid] = array("q")
+            bucket.append(dst)
+            edge_i += 1
+        while cursor < num_nodes:
+            partitions.append(part)
+            part = {}
+            offsets.append(edge_i)
+            cursor += 1
         fg = object.__new__(cls)
-        _build(fg, None, blocks(), root, 0)
+        fg.node_ids = range(num_nodes)  # dense: O(1) memory, list-like reads
+        fg.index = None
+        fg.offsets = offsets
+        fg.srcs = srcs
+        fg.targets = targets
+        fg.label_ids = label_ids
+        fg.labels_seq = labels_seq
+        fg.label_index = label_index
+        fg.partitions = partitions
+        fg._root = root
+        fg.snapshot_id = next(_SNAPSHOT_IDS)
+        fg.source_version = 0
+        fg._edge_cache = {}
+        fg._by_label = None
+        fg._reachable_from_root = None
+        fg._ext = {}
         return fg
 
     def derive(
@@ -326,16 +387,16 @@ class FrozenGraph:
         ``AddEdge``) in commit order.  ``self`` is not touched (module
         docstring).  For snapshots built here, not shared attachments.
         """
-        by_src: dict[int, list] = {}
-        for edge in edges:
-            by_src.setdefault(edge.src, []).append(edge)
         fresh = set(nodes)
         if len(fresh) != len(nodes) or any(map(self.has_node, fresh)):
             raise GraphError("derived nodes must be fresh ids, each given once")
+        by_src: dict[int, list] = {node: [] for node in nodes}
+        for edge in edges:
+            by_src.setdefault(edge.src, []).append(edge)
         grown = sorted((self._pos(src), src) for src in by_src.keys() - fresh)
-        blocks = [(src, by_src[src]) for _, src in grown]
+        staged = [src for _, src in grown] + list(nodes)
         fg = object.__new__(FrozenGraph)
-        _build(fg, self, blocks + [(n, by_src.get(n, ())) for n in nodes], root, version)
+        _build(fg, self, [pos for pos, _ in grown], staged, by_src.__getitem__, root, version)
         return fg
 
     # -- shared-memory snapshots ------------------------------------------------
@@ -397,28 +458,31 @@ class FrozenGraph:
 
 
 def _build(
-    fg: FrozenGraph, base: "FrozenGraph | None", blocks, root: "int | None", version: int
+    fg: FrozenGraph,
+    base: "FrozenGraph | None",
+    grown: "Sequence[int]",
+    nodes: "list[int]",
+    edges_of: "Callable[[int], Iterable[Edge]]",
+    root: "int | None",
+    version: int,
 ) -> None:
-    """Fill ``fg``'s slots with ``base`` (or nothing) plus ``blocks``.
+    """Fill ``fg``'s slots with ``base`` (or nothing) plus ``nodes``.
 
-    ``blocks`` yields ``(node, out-edges)``: first the base nodes that
-    gained edges, by ascending position, then the new nodes in order.
-    One loop stages the new edges; the base's vectors are then spliced
-    around them (each gained run ends its node's block) and its offsets
-    shifted past them.
+    ``nodes`` are first the base nodes at the ascending positions
+    ``grown``, then the new nodes in order; ``edges_of(node)`` gives each
+    one's new out-edges.  One loop stages every node's block as if the
+    node were new.  A gained run is then spliced into the base's vectors
+    at the end of its node's block, appended to copies of that node's
+    base buckets, and the base offsets past it shift by its length.
     """
     staged = srcs, targets, label_ids = array("q"), array("q"), array("q")
-    ends = array("q", [0])  # the staged block ends of new nodes
-    fresh: list[int] = []
-    grown: list[tuple[int, int]] = []  # (base position, staged end of its run)
+    parts: list[dict[int, array]] = []
+    ends = array("q", [0])  # staged block ends
     labels_seq = list(base.labels_seq) if base is not None else []
     label_index = dict(base.label_index) if base is not None else {}
-    partitions = list(base.partitions) if base is not None else []
-    for node, edges in blocks:
-        pos = base._pos(node) if base is not None and base.has_node(node) else None
-        part = {} if pos is None else dict(partitions[pos])
-        shared = () if pos is None else set(part)  # the base's buckets: copy on write
-        for edge in edges:
+    for node in nodes:
+        part: dict[int, array] = {}
+        for edge in edges_of(node):
             label, dst = edge.label, edge.dst
             lid = label_index.get(label)
             if lid is None:
@@ -430,40 +494,55 @@ def _build(
             bucket = part.get(lid)
             if bucket is None:
                 bucket = part[lid] = array("q")
-            elif lid in shared:
-                shared.discard(lid)
-                bucket = part[lid] = bucket[:]
             bucket.append(dst)
-        if pos is None:
-            fresh.append(node)
-            partitions.append(part)
-            ends.append(len(targets))
-        else:
-            partitions[pos] = part
-            grown.append((pos, len(targets)))
-    offsets, n0 = ends, 0
-    if base is not None:
-        cuts = [(base.offsets[pos + 1], stop) for pos, stop in grown]
+        parts.append(part)
+        ends.append(len(targets))
+    if base is None:
+        n0, fresh, offsets, partitions = 0, nodes, ends, parts
+    else:
+        k, n0 = len(grown), base.num_nodes
+        fresh = nodes[k:]
+        cuts = [(base.offsets[pos + 1], ends[j + 1]) for j, pos in enumerate(grown)]
         olds = base.srcs, base.targets, base.label_ids
         srcs, targets, label_ids = (_splice(old, new, cuts) for old, new in zip(olds, staged))
         # a base node's block end moves by the staged runs before it
-        n0, stops = base.num_nodes, [0, *(stop for _, stop in grown)]
-        bounds = [0, *(pos + 1 for pos, _ in grown), n0 + 1]
+        bounds = [0, *(pos + 1 for pos in grown), n0 + 1]
         offsets = array("q")
-        for k, stop in enumerate(stops):
-            run = base.offsets[bounds[k] : bounds[k + 1]]
-            offsets += array("q", [off + stop for off in run]) if stop else run
-        offsets += array("q", [end + base.num_edges for end in ends[1:]])
+        for j in range(k + 1):
+            run, shift = base.offsets[bounds[j] : bounds[j + 1]], ends[j]
+            offsets += array("q", [off + shift for off in run]) if shift else run
+        offsets += array("q", [end + base.num_edges for end in ends[k + 1 :]])
+        # copy on write: the base's dicts and buckets are never touched
+        partitions = list(base.partitions)
+        for pos, part in zip(grown, parts):
+            merged = partitions[pos] = dict(partitions[pos])
+            for lid, bucket in part.items():
+                merged[lid] = merged[lid] + bucket if lid in merged else bucket
+        partitions += parts[k:]
     if (base is None or base.index is None) and fresh == list(range(n0, n0 + len(fresh))):
-        fg.node_ids, fg.index = range(n0 + len(fresh)), None  # dense: O(1) memory
+        fg.node_ids = range(n0 + len(fresh))  # dense: O(1) memory, list-like reads
+        fg.index = None
     else:
         fg.node_ids = [*(base.node_ids if base is not None else ()), *fresh]
         fg.index = {node: pos for pos, node in enumerate(fg.node_ids)}
-    fg.offsets, fg.srcs, fg.targets, fg.label_ids = offsets, srcs, targets, label_ids
-    fg.labels_seq, fg.label_index, fg.partitions = labels_seq, label_index, partitions
-    fg._root, fg.source_version, fg.snapshot_id = root, version, next(_SNAPSHOT_IDS)
-    fg._edge_cache, fg._by_label, fg._reachable_from_root = {}, None, None
-    fg._ext = {}  # per-snapshot derived structures (SQL image, planner...)
+    fg.offsets = offsets
+    fg.srcs = srcs
+    fg.targets = targets
+    fg.label_ids = label_ids
+    fg.labels_seq = labels_seq
+    fg.label_index = label_index
+    fg.partitions = partitions
+    fg._root = root
+    fg.snapshot_id = next(_SNAPSHOT_IDS)
+    fg.source_version = version
+    fg._edge_cache = {}
+    fg._by_label = None
+    fg._reachable_from_root = None
+    #: scratch space for per-snapshot derived structures (the query
+    #: planner's summary/statistics live here); FrozenGraph has
+    #: ``__slots__`` without ``__weakref__``, so extensions attach
+    #: through this dict instead of weak side tables.
+    fg._ext = {}
 
 
 def _splice(old: array, new: array, cuts: "list[tuple[int, int]]") -> array:

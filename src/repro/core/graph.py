@@ -224,15 +224,14 @@ class Graph:
         """Edges in BFS discovery order from ``start`` (default: root).
 
         Every edge whose source is reachable is yielded exactly once,
-        including back/cross edges into already-visited nodes.  Written
-        against the read API, so a frozen snapshot shares it.
+        including back/cross edges into already-visited nodes.
         """
         origin = self.root if start is None else start
         seen = {origin}
         queue = deque([origin])
         while queue:
             node = queue.popleft()
-            for edge in self.edges_from(node):
+            for edge in self._adj[node]:
                 yield edge
                 if edge.dst not in seen:
                     seen.add(edge.dst)

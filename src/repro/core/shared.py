@@ -376,23 +376,39 @@ class SharedSnapshot:
         return self._graph
 
     def _build_graph(self) -> "FrozenGraph":
-        from .frozen import FrozenGraph, _build
+        from .frozen import FrozenGraph, _SNAPSHOT_IDS
 
         if self._shm is None:
             raise SharedSnapshotError("snapshot is closed")
         d = self.descriptor
         fg = object.__new__(FrozenGraph)
-        _build(fg, None, (), d.root, d.source_version)  # then the segment's vectors
-        if not d.dense:
-            fg.node_ids = list(self.field("node_ids"))
-            fg.index = {node: pos for pos, node in enumerate(fg.node_ids)}
-        else:
+        if d.dense:
             fg.node_ids = range(d.num_nodes)
-        fg.offsets, fg.srcs, fg.targets, fg.label_ids = map(self.field, _CORE_FIELDS[:4])
+            fg.index = None
+        else:
+            node_ids = list(self.field("node_ids"))
+            fg.node_ids = node_ids
+            fg.index = {node: pos for pos, node in enumerate(node_ids)}
+        fg.offsets = self.field("offsets")
+        fg.srcs = self.field("srcs")
+        fg.targets = self.field("targets")
+        fg.label_ids = self.field("label_ids")
         fg.labels_seq = list(d.labels)
         fg.label_index = {label: lid for lid, label in enumerate(d.labels)}
-        fg.partitions = _LazyPartitions(*map(self.field, _CORE_FIELDS[4:]), self._register)
-        fg._ext["shared"] = self
+        fg.partitions = _LazyPartitions(
+            self.field("pb_off"),
+            self.field("plid"),
+            self.field("pstart"),
+            self.field("pidx"),
+            self._register,
+        )
+        fg._root = d.root
+        fg.snapshot_id = next(_SNAPSHOT_IDS)
+        fg.source_version = d.source_version
+        fg._edge_cache = {}
+        fg._by_label = None
+        fg._reachable_from_root = None
+        fg._ext = {"shared": self}
         return fg
 
     # -- lifecycle -------------------------------------------------------------

@@ -14,7 +14,6 @@ Syntax::
 
 from __future__ import annotations
 
-from ..core.scan import TextCursor
 from .ast import Atom, Comparison, Const, Program, Rule, Term, Var
 
 __all__ = ["parse_program", "DatalogSyntaxError"]
@@ -27,7 +26,11 @@ class DatalogSyntaxError(ValueError):
 _OPS = ("!=", "<=", ">=", "=", "<", ">")
 
 
-class _P(TextCursor):
+class _P:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
     def err(self, message: str) -> DatalogSyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
         return DatalogSyntaxError(f"{message} (line {line})")
@@ -43,6 +46,16 @@ class _P(TextCursor):
             else:
                 return
 
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def eat(self, token: str) -> None:
+        self.skip_ws()
+        if self.text[self.pos : self.pos + len(token)] != token:
+            raise self.err(f"expected {token!r}")
+        self.pos += len(token)
+
     def try_eat(self, token: str) -> bool:
         self.skip_ws()
         if self.text[self.pos : self.pos + len(token)] == token:
@@ -50,10 +63,34 @@ class _P(TextCursor):
             return True
         return False
 
+    def ident(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        if start == self.pos:
+            raise self.err("expected an identifier")
+        return self.text[start : self.pos]
+
     def term(self) -> Term:
         ch = self.peek()
         if ch in "\"'":
-            return Const(self.quoted())
+            quote = ch
+            self.pos += 1
+            out = []
+            while True:
+                if self.pos >= len(self.text):
+                    raise self.err("unterminated string")
+                c = self.text[self.pos]
+                self.pos += 1
+                if c == quote:
+                    return Const("".join(out))
+                if c == "\\" and self.pos < len(self.text):
+                    c = self.text[self.pos]
+                    self.pos += 1
+                out.append(c)
         if ch.isdigit() or ch == "-":
             start = self.pos
             if ch == "-":

@@ -60,10 +60,10 @@ def lorel(
     when the database mutates) push selective where-conjuncts down into
     the binding stage, and the snapshot's
     :class:`~repro.planner.GraphStatistics` switch the reordering to the
-    frequency-driven cost model.  Answers are identical under every
-    flag combination -- tested.
+    frequency-driven cost model.  Answers, row order included, are
+    identical under every flag combination -- tested.
     """
-    query = parse_lorel(text)
+    query = plan = parse_lorel(text)
     indexes = None
     if use_indexes:
         from ..planner.pushdown import oem_indexes_for
@@ -73,8 +73,8 @@ def lorel(
         # one clause has one order: the statistics are only collected
         # when there is a choice for them to make
         several = indexes is not None and len(query.from_clauses) > 1
-        query = reorder_from_clauses(query, stats=indexes.stats if several else None)
-    return evaluate_lorel(query, db, db_name, indexes=indexes)
+        plan = reorder_from_clauses(query, stats=indexes.stats if several else None)
+    return evaluate_lorel(plan, db, db_name, indexes=indexes, written=query)
 
 
 def lorel_rows(answer: OemDatabase) -> list[dict[str, list[object]]]:

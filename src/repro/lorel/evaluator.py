@@ -42,6 +42,7 @@ __all__ = [
     "evaluate_lorel",
     "lorel_bindings",
     "construct_answer",
+    "in_written_order",
     "LorelRuntimeError",
 ]
 
@@ -377,6 +378,23 @@ def construct_answer(
     return _construct_answer(query, db, _Runner(db, db_name), envs)
 
 
+def in_written_order(
+    envs: "list[dict[str, Oid]]", written: LorelQuery
+) -> "list[dict[str, Oid]]":
+    """``envs``, bound by any dependency-safe reordering of ``written``'s
+    from clauses, in the order ``written`` itself binds them.
+
+    Each clause binds its targets in oid order, so a nested loop emits
+    environments sorted by their alias tuple in clause order: sorting by
+    the tuple in written order is the written nested loop, whichever
+    order ran.  A shadowed alias has no tuple; those rows stay as bound.
+    """
+    aliases = [clause.alias for clause in written.from_clauses]
+    if len(aliases) < 2 or len(set(aliases)) < len(aliases):
+        return envs
+    return sorted(envs, key=lambda env: [env[alias] for alias in aliases])
+
+
 def evaluate_lorel(
     query: LorelQuery,
     db: OemDatabase,
@@ -384,11 +402,16 @@ def evaluate_lorel(
     *,
     indexes=None,
     profile: "QueryProfile | None" = None,
+    written: "LorelQuery | None" = None,
 ) -> OemDatabase:
     """Run a parsed query; the result is an OEM database named ``Answer``.
 
     ``indexes`` (a :class:`repro.planner.pushdown.OemIndexes`) enables
     where-clause pushdown; the answer database is identical either way.
+    When ``query`` is a reordering of ``written``
+    (:func:`~repro.lorel.reorder_from_clauses`), the rows come out in
+    ``written``'s order (:func:`in_written_order`), so no cost model
+    shows in the answer.
 
     One ``profile`` covers both phases: the from/where binding traversals
     and the select items' path evaluations during answer construction.
@@ -398,6 +421,8 @@ def evaluate_lorel(
     """
     runner = _Runner(db, db_name, profile)
     envs = _bindings_with_runner(query, runner, indexes)
+    if written is not None:
+        envs = in_written_order(envs, written)
     answer = _construct_answer(query, db, runner, envs)
     runner.count_answers(len(envs))
     return answer

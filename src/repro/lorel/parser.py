@@ -28,7 +28,6 @@ a path is delimited by the first top-level whitespace.
 from __future__ import annotations
 
 from ..automata.regex import parse_path_regex
-from ..core.scan import TextCursor
 from .ast import (
     BoolOp,
     Compare,
@@ -53,8 +52,64 @@ _OPS = ("!=", "<=", ">=", "=", "<", ">")
 _KEYWORDS = {"select", "from", "where", "and", "or", "not", "as", "like", "exists", "true", "false"}
 
 
-class _P(TextCursor):
-    error = LorelSyntaxError
+class _P:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def err(self, message: str) -> LorelSyntaxError:
+        return LorelSyntaxError(f"{message} at position {self.pos} in {self.text!r}")
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def at_word(self, word: str) -> bool:
+        self.skip_ws()
+        end = self.pos + len(word)
+        if self.text[self.pos : end].lower() != word:
+            return False
+        return end >= len(self.text) or not (
+            self.text[end].isalnum() or self.text[end] == "_"
+        )
+
+    def eat_word(self, word: str) -> None:
+        if not self.at_word(word):
+            raise self.err(f"expected keyword {word!r}")
+        self.pos += len(word)
+
+    def ident(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        if start == self.pos:
+            raise self.err("expected an identifier")
+        return self.text[start : self.pos]
+
+    def quoted(self) -> str:
+        quote = self.peek()
+        if quote not in "\"'":
+            raise self.err("expected a quoted string")
+        self.pos += 1
+        out = []
+        while True:
+            if self.pos >= len(self.text):
+                raise self.err("unterminated string")
+            ch = self.text[self.pos]
+            self.pos += 1
+            if ch == quote:
+                return "".join(out)
+            if ch == "\\" and self.pos < len(self.text):
+                ch = self.text[self.pos]
+                self.pos += 1
+            out.append(ch)
 
     # -- path references ----------------------------------------------------------
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from ..automata.regex import PathRegex, parse_path_regex
 from ..core.frozen import freeze
 from ..lorel.ast import LorelQuery
-from ..lorel.evaluator import construct_answer
+from ..lorel.evaluator import construct_answer, in_written_order
 from ..lorel.parser import parse_lorel
 from ..planner.stats import GraphStatistics
 from ..storage.serializer import STORAGE_METRICS
@@ -270,27 +270,28 @@ class LorelSqlBackend:
         """Full query: SQL bindings + the shared native construction.
 
         Mirrors :func:`repro.lorel.lorel` exactly: the same
-        statistics-driven from-clause reordering runs first, so the
-        answer *rows come out in the same order* as the native default
-        path -- without it, a reordered native enumeration (outer/inner
-        clause swap) and the as-written ``ORDER BY`` disagree on
-        multi-clause queries even when the binding set is identical
-        (found by the differential harness).
+        statistics-driven from-clause reordering runs first, and the rows
+        are put back in the written clause order, so they come out in the
+        same order as the native path -- without that, a reordered
+        enumeration (outer/inner clause swap) and another ``ORDER BY``
+        disagree on multi-clause queries even when the binding set is
+        identical (found by the differential harness).
         """
         from ..lorel.optimizer import reorder_from_clauses
         from ..planner.pushdown import oem_indexes_for
 
+        plan = query
         if len(query.from_clauses) > 1:
-            query = reorder_from_clauses(
+            plan = reorder_from_clauses(
                 query, stats=oem_indexes_for(self.db).stats
             )
         if tracer is not None:
-            with tracer.span("lorel.sql", clauses=len(query.from_clauses)) as span:
-                envs = self.bindings(query)
+            with tracer.span("lorel.sql", clauses=len(plan.from_clauses)) as span:
+                envs = self.bindings(plan)
                 span.annotate(bindings=len(envs))
         else:
-            envs = self.bindings(query)
-        return construct_answer(query, self.db, envs, self.db_name)
+            envs = self.bindings(plan)
+        return construct_answer(query, self.db, in_written_order(envs, query), self.db_name)
 
 
 _LOREL_BACKENDS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -382,7 +382,15 @@ class VersionedGraphStore:
             self._acked_seq = seq
         self._ingest(deltas)
         if self._view is not None:
-            self._base, self._since = self._view.frozen, []
+            # the retired snapshot's derived engines (``_ext``: planner,
+            # find tree) point back at it; detached, its last reader frees
+            # it by reference count, and a straggler rebuilds what it
+            # needs.  What can ``advance`` (the SQL image) waits for the
+            # next view
+            base = self._view.frozen
+            for key in [k for k, r in base._ext.items() if not hasattr(r, "advance")]:
+                del base._ext[key]
+            self._base, self._since = base, []
             self._view = None
         if self._base is not None:
             self._since += deltas
@@ -542,9 +550,9 @@ class VersionedGraphStore:
         return v
 
     def _drop_base(self) -> None:
-        """Forget the derivation base.  Its derived engines (``_ext``: SQL
-        image, planner) point back at it; detached, its last reader frees
-        it by reference count, and a straggler rebuilds what it needs."""
+        """Forget the derivation base.  What is left in its ``_ext`` (the
+        SQL image, anything a straggler rebuilt) points back at it;
+        detached, its last reader frees it by reference count."""
         if self._base is not None:
             self._base._ext.clear()
             self._base, self._since = None, []

@@ -15,6 +15,7 @@ from repro.core.oem import OemDatabase
 from repro.lorel import lorel, lorel_rows, parse_lorel, reorder_from_clauses
 from repro.lorel.optimizer import clause_cost
 from repro.planner import GraphStatistics
+from repro.sqlbackend import lorel_sql
 
 DATA = {
     "Entry": [
@@ -115,6 +116,23 @@ def test_stats_reorder_puts_rare_clause_first_and_keeps_answers():
     assert sorted(
         map(repr, lorel_rows(lorel(text, db, use_indexes=True)))
     ) == sorted(map(repr, lorel_rows(lorel(text, db, use_indexes=False, optimize=False))))
+
+
+def test_reordered_rows_come_out_in_written_order():
+    """Statistics flip the clauses (TVShow 2 < Movie 3); the rows keep the
+    written nested-loop order on both engines, under every flag."""
+    data = {"Entry": [*DATA["Entry"], {"TVShow": {"Title": "Fargo"}}]}
+    db = OemDatabase.from_obj(data)
+    text = "select t.Title, s.Title from DB.Entry.Movie t, DB.Entry.TVShow s"
+    reordered = reorder_from_clauses(parse_lorel(text), stats=GraphStatistics.from_oem(db))
+    assert [c.alias for c in reordered.from_clauses] == ["s", "t"]
+    written = lorel_rows(lorel(text, db, use_indexes=False, optimize=False))
+    assert [row["Title"][0] for row in written] == [
+        "Casablanca", "Casablanca", "Heat", "Heat", "Ran", "Ran"
+    ]
+    for use_indexes in (True, False):
+        assert lorel_rows(lorel(text, db, use_indexes=use_indexes)) == written
+    assert lorel_rows(lorel_sql(text, db)) == written
 
 
 def test_as_dict_reports_extents_only_when_given():

@@ -7,7 +7,8 @@ retires, and carries that snapshot's SQL image forward.  The contract:
 * **equivalence** -- a derived view answers every read API call and
   every engine exactly as a cold ``freeze`` of the live graph does
   (labels compared as :class:`Label`\\ s: derived label ids may be a
-  renaming of the cold ones);
+  renaming of the cold ones), on dense stores and on stores whose ids
+  have gaps (the indexed layout, entered by a base or by a commit);
 * **copy-on-write** -- a view pinned before later derivations dumps and
   answers byte-identically afterwards;
 * **SQL isolation** -- a backend held from an old version never serves
@@ -33,9 +34,10 @@ from repro.core.graph import Graph
 from repro.core.labels import integer, string, sym
 from repro.lorel import lorel, lorel_rows
 from repro.obs import QueryProfile
+from repro.planner import planner_for
 from repro.service.server import QueryService
 from repro.sqlbackend import NotCompilable, SqlBackend, sql_backend_for
-from repro.storage import STORAGE_METRICS, VersionedGraphStore
+from repro.storage import STORAGE_METRICS, AddEdge, AddNode, SetRoot, VersionedGraphStore
 from repro.unql import unql
 
 #: base labels draw from the first four; commits may also intern the rest
@@ -55,10 +57,17 @@ UNQL = (r"select \t where {a: \t} in db", r"select {r: \t} where {a.c: \t} in db
 VALUES = ("x", "y", 1, 2)
 
 
+#: ids a writer skips before its next node: mostly none, so most stores
+#: stay dense; a skip makes a store (and every snapshot after) indexed
+SKIPS = st.sampled_from((0, 0, 0, 0, 2))
+
+
 @st.composite
 def bases(draw) -> Graph:
     g = Graph()
-    nodes = [g.new_node() for _ in range(draw(st.integers(1, 6)))]
+    nodes: list[int] = []
+    for _ in range(draw(st.integers(1, 6))):
+        nodes.append(g.ensure_node(g._next_id + draw(SKIPS)))
     g.set_root(nodes[0])
     for _ in range(draw(st.integers(0, 10))):
         g.add_edge(
@@ -70,8 +79,8 @@ def bases(draw) -> Graph:
 
 
 #: one commit: ``(new nodes, [(src ref, label, dst ref)], reroot ref | None,
-#: read after it, fold after it)``; a ref indexes (old nodes + this
-#: commit's new ones) modulo their count
+#: read after it, fold after it, ids skipped first)``; a ref indexes (old
+#: nodes + this commit's new ones) modulo their count
 COMMITS = st.lists(
     st.tuples(
         st.integers(0, 3),
@@ -82,6 +91,7 @@ COMMITS = st.lists(
         st.one_of(st.none(), st.integers(0, 50)),
         st.booleans(),
         st.booleans(),
+        SKIPS,
     ),
     min_size=1,
     max_size=6,
@@ -89,14 +99,16 @@ COMMITS = st.lists(
 
 
 def apply_commit(store: VersionedGraphStore, commit) -> None:
-    fresh, edges, reroot, _, _ = commit
-    batch = store.batch()
-    nodes = [*store.graph.nodes(), *(batch.new_node() for _ in range(fresh))]
+    fresh, edges, reroot, _, _, skip = commit
+    first = store.graph._next_id + skip
+    new = list(range(first, first + fresh))
+    nodes = [*store.graph.nodes(), *new]
+    deltas: list = [AddNode(node) for node in new]
     for src, label, dst in edges:
-        batch.add_edge(nodes[src % len(nodes)], label, nodes[dst % len(nodes)])
+        deltas.append(AddEdge(nodes[src % len(nodes)], label, nodes[dst % len(nodes)]))
     if reroot is not None:
-        batch.set_root(nodes[reroot % len(nodes)])
-    batch.commit()
+        deltas.append(SetRoot(nodes[reroot % len(nodes)]))
+    store.commit(deltas)
 
 
 def _canon(value):
@@ -241,6 +253,21 @@ def test_a_retired_backend_never_serves_a_later_version(tmp_path: Path) -> None:
         # the image moved on with v1; b0 reloads v0's own rows
         assert b0.rpq_nodes("Movie._") == answer0
         assert b1.rpq_nodes("Movie._") == rpq_nodes(v1.frozen, "Movie._")
+
+
+def test_a_commit_keeps_only_the_image_it_can_carry(tmp_path: Path) -> None:
+    """The retired snapshot's planner and find tree go at the commit; its
+    SQL image waits for the next view, which carries it away."""
+    with movie_store(tmp_path / "s") as store:
+        v0 = store.view().frozen
+        sql_backend_for(v0)
+        planner_for(v0)
+        where_is(v0, "Vertigo")
+        assert set(v0._ext) == {"sqlbackend", "planner", "bfs_tree"}
+        add_movie(store, "Psycho")
+        assert set(v0._ext) == {"sqlbackend"}
+        assert "sqlbackend" in store.view().frozen._ext
+        assert v0._ext == {}
 
 
 def test_views_and_images_are_derived_and_carried(tmp_path: Path) -> None:
