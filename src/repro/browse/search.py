@@ -10,19 +10,40 @@ object-oriented query languages":
   ``"act"``?
 
 Each query has a *scan* implementation (single pass over the reachable
-graph -- always available; over a :class:`~repro.core.frozen.FrozenGraph`
-a probe of the interned label space) and an *indexed* implementation
-driven by :class:`~repro.index.GraphIndexes`; experiment E1 measures the
-gap.  All three return :class:`Finding` records that include a shortest
-label path from the root, because "where is it" is only answered by a
-path the user can follow.
+graph -- always available), an *indexed* implementation driven by
+:class:`~repro.index.GraphIndexes` (experiment E1 measures the gap), and
+over a :class:`~repro.core.frozen.FrozenGraph` a *probe* of the
+snapshot's :class:`~repro.index.probes.ProbeIndex`: the matching labels
+come from the interned label table (an exact lookup, a bisect of the
+value table, a filter of the distinct symbols) and their edges from the
+per-label edge lists.  All three return :class:`Finding` records that
+include a shortest label path from the root, because "where is it" is
+only answered by a path the user can follow.
+
+**Which shortest path.**  The plain layout spells the path of forward
+BFS first discovery: the root's edges in insertion order, then each
+discovered node's in turn.  A snapshot spells it without walking the
+graph: for each hit's source, a reverse BFS over the probe index's
+in-edges marks every node's distance to the source until it reaches the
+root, and the path then steps forward from the root along the lowest
+slot (position in the node's block, i.e. insertion order) whose target
+is one level closer.  That is the lexicographically least slot sequence
+among the shortest paths -- and so is first discovery.  By induction on
+the level: forward BFS dequeues level ``d - 1`` in the order of its
+nodes' least sequences; a node at level ``d`` is discovered from the
+first dequeued predecessor, along that predecessor's lowest slot to it,
+so its tree path is the least predecessor sequence plus the least slot,
+which is its own least sequence -- and level ``d`` is enqueued in that
+order.  The two layouts therefore return the same path strings.  The
+reverse walk also proves the source reachable; one that never meets the
+root is not reported, as the scan never sees it.
 
 Handed a ``profile`` (:class:`~repro.obs.QueryProfile`), a query adds
 what the route that answered it did: an indexed lookup the index
 hit/miss delta it caused, a scan the nodes it covered and their
 out-edges -- on a snapshot ``len(reachable)`` and
 ``total_out_degree(reachable)``, the numbers an edge-by-edge scan
-produces, without materializing an edge to count them.
+produces; only a profiled probe reads the snapshot's reachable set.
 
 Browsing is a *scan*, so over an :class:`~repro.storage.external.
 ExternalGraph` it materializes every external region it walks into.  When
@@ -36,11 +57,13 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from ..core.frozen import FrozenGraph
-from ..core.graph import Edge, Graph
+from ..core.graph import Edge, Graph, GraphError
 from ..core.labels import Label, string
 from ..index import GraphIndexes
+from ..index.probes import ProbeIndex, probes_for
 from ..obs import QueryProfile
 
 __all__ = [
@@ -81,76 +104,35 @@ def _shortest_paths_to_nodes(graph: Graph, targets: set[int]) -> dict[int, tuple
     return paths
 
 
-def _bfs_tree(fg: FrozenGraph) -> dict[int, int]:
-    """Reachable node -> the edge that first reaches it in a BFS (root: -1).
-
-    Walked once per snapshot over the CSR arrays and kept in its
-    extension slot: following the entries back to the root spells the
-    same shortest label path :func:`_shortest_paths_to_nodes` would build
-    (same level order, same first discovery), for just the nodes asked.
-    """
-    tree = fg._ext.get("bfs_tree")
-    if tree is None:
-        offsets, targets, index = fg.offsets, fg.targets, fg.index
-        tree = fg._ext["bfs_tree"] = {fg.root: -1}
-        queue = [fg.root]
-        for node in queue:  # grows while iterated: first in, first out
-            pos = node if index is None else index[node]
-            for i in range(offsets[pos], offsets[pos + 1]):
-                if targets[i] not in tree:
-                    tree[targets[i]] = i
-                    queue.append(targets[i])
-    return tree
-
-
-def _frozen_path(fg: FrozenGraph, node: int) -> tuple[Label, ...]:
-    """The shortest label path from the root to ``node`` (empty if unreachable)."""
-    tree = _bfs_tree(fg)
-    labels: list[Label] = []
-    edge = tree.get(node, -1)
-    while edge >= 0:
-        labels.append(fg.labels_seq[fg.label_ids[edge]])
-        edge = tree[fg.srcs[edge]]
-    return tuple(reversed(labels))
-
-
-def _scan(
-    graph: Graph, keep, profile: "QueryProfile | None", exact: "Label | None" = None
-) -> list[Edge]:
-    """The reachable edges whose label passes ``keep`` -- the index-free route.
-
-    Over a frozen graph the predicate runs once per *distinct label*
-    instead of once per edge -- the win is largest for ``fnmatch``-style
-    predicates on datasets whose label vocabulary is much smaller than
-    their edge count -- and an ``exact`` label is answered by the interned
-    label space directly.  Matching edges come out in CSR (per-node
-    insertion) order, filtered to the root-reachable region exactly like
-    the plain scan, so what a profile is charged is the same on both
-    layouts: every reachable node and all of its out-edges.
-    """
-    if isinstance(graph, FrozenGraph):
-        reach = _bfs_tree(graph)
-        if exact is not None:
-            edges = [e for e in graph.edges_with_label(exact) if e.src in reach]
-        else:
-            labels_seq, srcs, targets = graph.labels_seq, graph.srcs, graph.targets
-            keep_lids = {lid for lid, lab in enumerate(labels_seq) if keep(lab)}
-            edges = []
-            if keep_lids:
-                edges = [
-                    Edge(srcs[i], labels_seq[lid], targets[i])
-                    for i, lid in enumerate(graph.label_ids)
-                    if lid in keep_lids and srcs[i] in reach
-                ]
-        if profile is not None:
-            profile.nodes_visited += len(reach)
-            profile.edges_expanded += graph.total_out_degree(reach)
-        return edges
+def _scan(graph: Graph, keep, profile: "QueryProfile | None") -> list[Edge]:
+    """The reachable edges whose label passes ``keep`` -- the index-free route."""
     scanned = [graph.edges_from(n) for n in graph.reachable()]
     if profile is not None:
         profile.nodes_visited += len(scanned)
         profile.edges_expanded += sum(map(len, scanned))
     return [e for out in scanned for e in out if keep(e.label)]
+
+
+def _probe(fg: FrozenGraph, lids: Iterable[int], profile: "QueryProfile | None") -> list[Finding]:
+    """The reachable edges carrying label ids ``lids``, found and located
+    through the probe index -- the snapshot route (module docstring)."""
+    if not fg.has_root:
+        raise GraphError("graph has no root")
+    probes = probes_for(fg)
+    srcs, targets, label_ids, labels_seq = fg.srcs, fg.targets, fg.label_ids, fg.labels_seq
+    # in insertion order, as the scan meets them
+    hits = sorted(i for lid in lids for i in probes.label_edges(lid))
+    paths = probes.root_paths({srcs[i] for i in hits})
+    findings = [
+        Finding(Edge(srcs[i], labels_seq[label_ids[i]], targets[i]), paths[srcs[i]])
+        for i in hits
+        if paths[srcs[i]] is not None
+    ]
+    if profile is not None:
+        reach = fg.reachable()
+        profile.nodes_visited += len(reach)
+        profile.edges_expanded += fg.total_out_degree(reach)
+    return findings
 
 
 def _indexed(indexes: GraphIndexes, run, profile: "QueryProfile | None") -> list[Edge]:
@@ -168,19 +150,35 @@ def _indexed(indexes: GraphIndexes, run, profile: "QueryProfile | None") -> list
 def _attach_paths(graph: Graph, edges: list[Edge]) -> list[Finding]:
     sources = {e.src for e in edges}
     if isinstance(graph, FrozenGraph):
-        paths = {src: _frozen_path(graph, src) for src in sources}
+        paths = probes_for(graph).root_paths(sources)
     else:
         paths = _shortest_paths_to_nodes(graph, sources)
-    findings = [Finding(e, paths.get(e.src, ())) for e in edges]
-    findings.sort(key=lambda f: (len(f.path), f.edge.src, f.edge.dst))
-    return findings
+    return [Finding(e, paths.get(e.src) or ()) for e in edges]
+
+
+def _locate(
+    graph: Graph,
+    indexes: "GraphIndexes | None",
+    profile: "QueryProfile | None",
+    indexed: Callable[[], list[Edge]],
+    keep: Callable[[Label], bool],
+    lids: Callable[[FrozenGraph, ProbeIndex], Iterable[int]],
+) -> list[Finding]:
+    """One browsing query by the route its inputs allow: the index
+    lookup ``indexed``, the snapshot probe of the label ids ``lids``, or
+    the scan keeping the labels that pass ``keep``."""
+    if indexes is not None:
+        return _attach_paths(graph, _indexed(indexes, indexed, profile))
+    if isinstance(graph, FrozenGraph):
+        return _probe(graph, lids(graph, probes_for(graph)), profile)
+    return _attach_paths(graph, _scan(graph, keep, profile))
 
 
 def _findings(
-    graph: Graph, edges: list[Edge], profile: "QueryProfile | None", name: str, arg
+    findings: list[Finding], profile: "QueryProfile | None", name: str, arg
 ) -> list[Finding]:
-    """Locate ``edges``; a profile is named ``name(arg)`` and gets the count."""
-    findings = _attach_paths(graph, edges)
+    """Order the findings; a profile is named ``name(arg)`` and gets the count."""
+    findings.sort(key=lambda f: (len(f.path), f.edge.src, f.edge.dst))
     if profile is not None:
         profile.stamp("browse", f"{name}({arg!r})")
         profile.results += len(findings)
@@ -202,11 +200,15 @@ def find_value(
     from ..core.labels import label_of
 
     target = string(value) if isinstance(value, str) else label_of(value)
-    if indexes is not None:
-        edges = _indexed(indexes, lambda: list(indexes.value.find_exact(target)), profile)
-    else:
-        edges = _scan(graph, target.__eq__, profile, exact=target)
-    return _findings(graph, edges, profile, "find_value", value)
+    findings = _locate(
+        graph,
+        indexes,
+        profile,
+        lambda: list(indexes.value.find_exact(target)),
+        target.__eq__,
+        lambda fg, _: [fg.label_index[target]] if target in fg.label_index else [],
+    )
+    return _findings(findings, profile, "find_value", value)
 
 
 def find_integers_greater_than(
@@ -221,15 +223,17 @@ def find_integers_greater_than(
     (The paper's example bound is 2^16.)  Only *int* labels are reported;
     reals are a different kind in the tagged union.
     """
-    if indexes is not None:
-        edges = _indexed(
-            indexes,
-            lambda: [e for e in indexes.value.numbers_greater_than(bound) if e.label.is_int],
-            profile,
-        )
-    else:
-        edges = _scan(graph, lambda lab: lab.is_int and lab.value > bound, profile)
-    return _findings(graph, edges, profile, "ints_greater_than", bound)
+    findings = _locate(
+        graph,
+        indexes,
+        profile,
+        lambda: [e for e in indexes.value.numbers_greater_than(bound) if e.label.is_int],
+        lambda lab: lab.is_int and lab.value > bound,
+        lambda fg, probes: [
+            lid for lid in probes.values.numbers.where(">", bound) if fg.labels_seq[lid].is_int
+        ],
+    )
+    return _findings(findings, profile, "ints_greater_than", bound)
 
 
 def find_attribute_names(
@@ -246,23 +250,23 @@ def find_attribute_names(
     source; its path locates it).
     """
     glob = pattern.replace("%", "*")
-    if indexes is not None:
-        edges = _indexed(
-            indexes,
-            lambda: [
-                e
-                for lab in indexes.label.symbols_matching(pattern)
-                for e in indexes.label.edges_with_label(lab)
-            ],
-            profile,
-        )
-    else:
-        edges = _scan(
-            graph,
-            lambda lab: lab.is_symbol and fnmatch.fnmatchcase(str(lab.value), glob),
-            profile,
-        )
-    return _findings(graph, edges, profile, "attribute_names", pattern)
+    findings = _locate(
+        graph,
+        indexes,
+        profile,
+        lambda: [
+            e
+            for lab in indexes.label.symbols_matching(pattern)
+            for e in indexes.label.edges_with_label(lab)
+        ],
+        lambda lab: lab.is_symbol and fnmatch.fnmatchcase(str(lab.value), glob),
+        lambda fg, probes: [
+            lid
+            for lid in probes.values.symbols
+            if fnmatch.fnmatchcase(str(fg.labels_seq[lid].value), glob)
+        ],
+    )
+    return _findings(findings, profile, "attribute_names", pattern)
 
 
 def where_is(

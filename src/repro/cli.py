@@ -156,6 +156,7 @@ def _cmd_stats(args) -> int:
     from .distributed import PARALLEL_METRICS
     from .obs.export import metrics_to_dict, to_json
     from .service.governor import SERVICE_METRICS
+    from .index import probes  # noqa: F401 -- registers the probe_index_* counters
     from .sqlbackend import backend  # noqa: F401 -- registers the sql_image_* counters
     from .storage import STORAGE_METRICS
 

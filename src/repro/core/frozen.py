@@ -51,12 +51,18 @@ from .labels import Label, sym
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shared import SharedGraphDescriptor, SharedSnapshot
 
-__all__ = ["FrozenGraph", "freeze"]
+__all__ = ["FrozenGraph", "PER_VERSION_RESIDENTS", "freeze"]
 
 #: Process-wide snapshot id allocator: every FrozenGraph gets a distinct
 #: id, so caches keyed by ``snapshot_id`` can never confuse two snapshots
 #: (even of the same source graph at different versions).
 _SNAPSHOT_IDS = count(1)
+
+#: The ``_ext`` residents that live and die with one version: a commit
+#: drops them from the snapshot it retires.  Every other resident has an
+#: ``advance(fg, edges)`` that carries it to the next version (the SQL
+#: image, the probe index); a test holds the two kinds exhaustive.
+PER_VERSION_RESIDENTS = ("planner", "shared")
 
 
 class FrozenGraph:
@@ -91,7 +97,6 @@ class FrozenGraph:
         "source_version",
         "_root",
         "_edge_cache",
-        "_by_label",
         "_reachable_from_root",
         "_ext",
     )
@@ -253,37 +258,18 @@ class FrozenGraph:
                     seen.add(edge.dst)
                     queue.append(edge.dst)
 
-    # -- label-partition lookups (the browse fast path) -------------------------
-
     def edges_with_label(self, label: Label) -> tuple[Edge, ...]:
-        """Every edge carrying exactly ``label``, in insertion order.
+        """Every edge carrying exactly ``label``, in insertion order: that
+        label's edge list in the snapshot's probe index
+        (:mod:`repro.index.probes`)."""
+        from ..index.probes import probes_for
 
-        An exact-label lookup is a walk over that label's edge list
-        (:meth:`label_edge_ids`), which is what turns the section-1.3
-        browsing scans into point lookups over a frozen graph (no
-        :class:`~repro.index.GraphIndexes` needed).
-        """
         lid = self.label_index.get(label)
         if lid is None:
             return ()
         srcs, targets = self.srcs, self.targets
-        return tuple(Edge(srcs[i], label, targets[i]) for i in self.label_edge_ids(lid))
-
-    def label_edge_ids(self, lid: int) -> array:
-        """The indices of the edges carrying label id ``lid``, ascending.
-
-        The per-label edge lists of the whole snapshot are built in one
-        pass over ``label_ids`` on first use and kept: they are the
-        reverse-lookup structure of the value probes (``find``, Lorel's
-        where-clause pushdown), sized by the edge count, not by how many
-        labels were asked for.
-        """
-        by_label = self._by_label
-        if by_label is None:
-            by_label = self._by_label = [array("q") for _ in self.labels_seq]
-            for i, lid_i in enumerate(self.label_ids):
-                by_label[lid_i].append(i)
-        return by_label[lid]
+        edges = sorted(probes_for(self).label_edges(lid))
+        return tuple(Edge(srcs[i], label, targets[i]) for i in edges)
 
     # -- construction without a Graph ------------------------------------------
 
@@ -368,7 +354,6 @@ class FrozenGraph:
         fg.snapshot_id = next(_SNAPSHOT_IDS)
         fg.source_version = 0
         fg._edge_cache = {}
-        fg._by_label = None
         fg._reachable_from_root = None
         fg._ext = {}
         return fg
@@ -536,12 +521,10 @@ def _build(
     fg.snapshot_id = next(_SNAPSHOT_IDS)
     fg.source_version = version
     fg._edge_cache = {}
-    fg._by_label = None
     fg._reachable_from_root = None
-    #: scratch space for per-snapshot derived structures (the query
-    #: planner's summary/statistics live here); FrozenGraph has
-    #: ``__slots__`` without ``__weakref__``, so extensions attach
-    #: through this dict instead of weak side tables.
+    #: the snapshot's residents: derived structures keyed by name (see
+    #: PER_VERSION_RESIDENTS); FrozenGraph has ``__slots__`` without
+    #: ``__weakref__``, so they attach here instead of in weak side tables
     fg._ext = {}
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "real",
     "boolean",
     "label_of",
+    "parse_number",
     "AtomValue",
 ]
 
@@ -203,3 +204,16 @@ def label_of(value: "AtomValue | Label") -> Label:
     if isinstance(value, str):
         return string(value)
     raise TypeError(f"cannot make a label from {type(value).__name__}: {value!r}")
+
+
+def parse_number(text: str) -> "int | float | None":
+    """The number a string denotes under Lorel's string <-> number
+    coercion (``int`` first, then ``float``; ``" 7 "``, ``"1_000"``,
+    ``"inf"`` and ``"nan"`` all parse), or ``None``."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            return None

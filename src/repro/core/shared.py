@@ -406,7 +406,6 @@ class SharedSnapshot:
         fg.snapshot_id = next(_SNAPSHOT_IDS)
         fg.source_version = d.source_version
         fg._edge_cache = {}
-        fg._by_label = None
         fg._reachable_from_root = None
         fg._ext = {"shared": self}
         return fg

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import fnmatch
 
+from ..core.labels import parse_number
+
 __all__ = ["coerce_pair", "compare_values", "like_value"]
 
 
@@ -34,22 +36,12 @@ def coerce_pair(left: object, right: object) -> "tuple[object, object] | None":
         return left, right
     # string <-> number coercion
     if isinstance(left, str) and isinstance(right, (int, float)):
-        parsed = _parse_number(left)
+        parsed = parse_number(left)
         return (parsed, right) if parsed is not None else None
     if isinstance(right, str) and isinstance(left, (int, float)):
-        parsed = _parse_number(right)
+        parsed = parse_number(right)
         return (left, parsed) if parsed is not None else None
     return None
-
-
-def _parse_number(text: str) -> "int | float | None":
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return None
 
 
 def compare_values(left: object, op: str, right: object) -> bool:

@@ -11,8 +11,9 @@ from those atoms yields exactly the alias bindings that can survive.
 one pass over the database: the distinct-value groups of the atomic
 objects (one coercing comparison per distinct value, not per object) and
 the reverse parent map (over an :class:`~repro.core.convert.OemView`
-both are already in the snapshot: its interned label table and per-label
-edge lists).  :func:`pushdown_candidates` decomposes a where
+both come from the snapshot's probe index, which a commit carries: a
+sorted value table, per-label edge lists and a reverse adjacency).
+:func:`pushdown_candidates` decomposes a where
 predicate into AND-conjuncts, recognizes the pushable shape --
 ``alias.fixed.symbol.path  op  literal`` (either orientation) and
 ``... like pattern`` -- and intersects the candidate sets per alias.
@@ -24,7 +25,10 @@ set-equality against the post-filtering evaluator).
 Comparisons are evaluated with :func:`repro.lorel.coerce.compare_values`
 in the conjunct's original operand orientation, so Lorel's asymmetric
 coercion rules (string/number coercion, bool strictness) are preserved
-bit-for-bit.
+bit-for-bit.  On a snapshot, ``= < <= > >=`` against a number or string
+literal is a bisect of the value table instead, which
+``tests/index/test_probes.py`` holds equal to that per-value test in both
+orientations; ``!=``, bool literals and ``like`` stay per-value tests.
 
 Staleness: the indexes record :attr:`~repro.core.oem.OemDatabase.version`
 at build time; :func:`oem_indexes_for` keeps one cached instance per
@@ -36,11 +40,12 @@ on any version mismatch.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..core.convert import DATA_MARKER, LABEL_MARKER, TREE_MARKER, OemView
 from ..core.labels import sym
 from ..core.oem import OemDatabase, Oid
+from ..index.probes import FLIPPED, probes_for
 from ..lorel.ast import (
     BoolOp,
     Compare,
@@ -139,6 +144,15 @@ class OemIndexes:
                 out.update(oids)
         return out
 
+    def atoms_comparing(self, op: str, literal: object, literal_first: bool = False) -> set[Oid]:
+        """Atomic oids whose value ``v`` satisfies ``v op literal``
+        (``literal op v`` when ``literal_first``) under Lorel coercion."""
+        from ..lorel.coerce import compare_values
+
+        if literal_first:
+            return self.atoms_where(lambda v: compare_values(literal, op, v))
+        return self.atoms_where(lambda v: compare_values(v, op, literal))
+
     def _edges_into(
         self, children: "dict[Oid, set[Oid]]", label: str
     ) -> Iterator[tuple[Oid, Oid]]:
@@ -177,21 +191,34 @@ class OemIndexes:
 
 
 class _SnapshotIndexes(OemIndexes):
-    """The same probes over an :class:`OemView`, with nothing to build: the
-    snapshot's interned label table holds each distinct value once, and its
-    per-label edge lists are the reverse edges by label."""
+    """The same probes over an :class:`OemView`, from the snapshot's probe
+    index (:mod:`repro.index.probes`): its value table holds each distinct
+    value once, sorted, so a comparison is a bisect; its per-label edge
+    lists lead from a value to the atoms holding it, and its reverse
+    adjacency from a child to its parents."""
 
     def _index(self, view: OemView) -> None:
         self._objects = view._objects
 
+    def _atoms(self, lids: "Iterable[int]") -> set[Oid]:
+        objects = self._objects
+        probes = probes_for(objects.fg)
+        return {objects.atom_oid(edge) for lid in lids for edge in probes.label_edges(lid)}
+
     def atoms_where(self, test: Callable[[object], bool]) -> set[Oid]:
-        objects, fg = self._objects, self._objects.fg
-        return {
-            objects.atom_oid(edge)
-            for lid, label in enumerate(fg.labels_seq)
+        objects = self._objects
+        return self._atoms(
+            lid
+            for lid, label in enumerate(objects.fg.labels_seq)
             if objects.symbols[lid] is None and test(label.value)
-            for edge in fg.label_edge_ids(lid)
-        }
+        )
+
+    def atoms_comparing(self, op: str, literal: object, literal_first: bool = False) -> set[Oid]:
+        values = probes_for(self._objects.fg).values
+        lids = values.compare(FLIPPED.get(op, op) if literal_first else op, literal)
+        if lids is None:  # != and bool literals stay a per-label test
+            return super().atoms_comparing(op, literal, literal_first)
+        return self._atoms(lids)
 
     def _edges_into(
         self, children: "dict[Oid, set[Oid]]", label: str
@@ -199,10 +226,15 @@ class _SnapshotIndexes(OemIndexes):
         fg = self._objects.fg
         lid = fg.label_index.get(sym(label))
         if lid is not None:
-            srcs, targets = fg.srcs, fg.targets
-            for edge in fg.label_edge_ids(lid):
-                if targets[edge] in children:
-                    yield targets[edge], srcs[edge]
+            probes = probes_for(fg)
+            srcs, label_ids = fg.srcs, fg.label_ids
+            for child in children:
+                # a synthetic oid (an atom off a non-scalar edge) is no
+                # node and has no symbol parent
+                if fg.has_node(child):
+                    for edge in probes.edges_into(child):
+                        if label_ids[edge] == lid:
+                            yield child, srcs[edge]
 
 
 #: One cached OemIndexes per database; values hold only a weakref back to
@@ -247,30 +279,30 @@ def _candidate_entry(
     clause as a residual filter regardless (or/not/multi-alias conjuncts
     are never pushed, and redundancy is free compared to wrong).
     """
-    from ..lorel.coerce import compare_values, like_value
+    from ..lorel.coerce import like_value
 
     operand: "PathOperand | None" = None
-    test: "Callable[[object], bool] | None" = None
+    atoms: "Callable[[], set[Oid]] | None" = None
     if isinstance(conjunct, Compare):
         left, op, right = conjunct.left, conjunct.op, conjunct.right
         if isinstance(left, PathOperand) and isinstance(right, LiteralOperand):
             operand = left
-            test = lambda v: compare_values(v, op, right.value)  # noqa: E731
+            atoms = lambda: indexes.atoms_comparing(op, right.value)  # noqa: E731
         elif isinstance(left, LiteralOperand) and isinstance(right, PathOperand):
             operand = right
-            test = lambda v: compare_values(left.value, op, v)  # noqa: E731
+            atoms = lambda: indexes.atoms_comparing(op, left.value, True)  # noqa: E731
     elif isinstance(conjunct, LikePredicate) and isinstance(
         conjunct.operand, PathOperand
     ):
         operand = conjunct.operand
         pattern = conjunct.pattern
-        test = lambda v: like_value(v, pattern)  # noqa: E731
-    if operand is None or test is None or operand.base == db_name:
+        atoms = lambda: indexes.atoms_where(lambda v: like_value(v, pattern))  # noqa: E731
+    if operand is None or atoms is None or operand.base == db_name:
         return None
     path = fixed_symbol_path(operand.path)
     if path is None:
         return None
-    return operand.base, indexes.sources_via(indexes.atoms_where(test), path)
+    return operand.base, indexes.sources_via(atoms(), path)
 
 
 def pushdown_candidates(

@@ -143,18 +143,25 @@ def chain_steps(regex: PathRegex) -> "list[list[LabelPredicate]] | None":
 
 
 def resolve_step(
-    preds: "list[LabelPredicate]", labels_seq
+    preds: "list[LabelPredicate]", fg: "FrozenGraph"
 ) -> "list[int] | None":
-    """The lids a step's predicates match, resolved over the vocabulary.
+    """The lids a step's predicates match in ``fg``'s vocabulary, ascending.
 
-    ``None`` means unconstrained (every label matches -- no SQL filter
-    needed); an oversized constrained set raises :class:`NotCompilable`.
+    An exact predicate is one ``label_index`` lookup; only wildcard, glob
+    and type predicates scan the labels, so a chain of exact steps
+    compiles in time independent of the vocabulary.  ``None`` means
+    unconstrained (every label matches -- no SQL filter needed); an
+    oversized constrained set raises :class:`NotCompilable`.
     """
-    matched = [
-        lid
-        for lid, label in enumerate(labels_seq)
-        if any(p.matches(label) for p in preds)
-    ]
+    labels_seq = fg.labels_seq
+    scanned = [p for p in preds if not p.is_exact]
+    found = {fg.label_index.get(p.exact_label) for p in preds if p.is_exact}
+    found.discard(None)
+    if scanned:
+        found.update(
+            lid for lid, label in enumerate(labels_seq) if any(p.matches(label) for p in scanned)
+        )
+    matched = sorted(found)
     if len(matched) == len(labels_seq) and matched:
         return None
     if len(matched) > MAX_IN_LIST:
@@ -392,6 +399,6 @@ def compile_rpq(
         return compiled
     steps = chain_steps(regex)
     if steps is not None:
-        lid_steps = [resolve_step(preds, fg.labels_seq) for preds in steps]
+        lid_steps = [resolve_step(preds, fg) for preds in steps]
         return compile_chain(lid_steps, fg.root, stats, fg.labels_seq)
     return compile_automaton(regex, fg.root, fg.labels_seq)

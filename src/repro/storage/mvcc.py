@@ -24,7 +24,7 @@ adds a write path underneath them:
   *derivation base*; the next view is its
   :meth:`~repro.core.frozen.FrozenGraph.derive` plus the deltas since
   (version *n* is never mutated), and the base's ``_ext`` residents that
-  can ``advance`` (the SQL image) are carried over.
+  can ``advance`` (the SQL image, the probe index) are carried over.
 
 Version ids *are* commit sequence numbers: version ``n`` is the state
 after commit ``n``, version ``0`` the checkpointed (or empty) base.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..core.frozen import FrozenGraph, freeze
+from ..core.frozen import PER_VERSION_RESIDENTS, FrozenGraph, freeze
 from ..core.graph import Edge, Graph, GraphError
 from ..core.labels import Label, label_of, sym
 from ..index import GraphIndexes
@@ -382,14 +382,13 @@ class VersionedGraphStore:
             self._acked_seq = seq
         self._ingest(deltas)
         if self._view is not None:
-            # the retired snapshot's derived engines (``_ext``: planner,
-            # find tree) point back at it; detached, its last reader frees
-            # it by reference count, and a straggler rebuilds what it
-            # needs.  What can ``advance`` (the SQL image) waits for the
-            # next view
+            # the retired snapshot's per-version residents (the planner)
+            # point back at it; detached, its last reader frees it by
+            # reference count, and a straggler rebuilds what it needs.
+            # The rest (SQL image, probe index) wait for the next view
             base = self._view.frozen
-            for key in [k for k, r in base._ext.items() if not hasattr(r, "advance")]:
-                del base._ext[key]
+            for key in PER_VERSION_RESIDENTS:
+                base._ext.pop(key, None)
             self._base, self._since = base, []
             self._view = None
         if self._base is not None:
@@ -540,11 +539,13 @@ class VersionedGraphStore:
                 edges = [d for d in deltas if type(d) is AddEdge]
                 nodes = [d.node for d in deltas if type(d) is AddNode]
                 fg = base.derive(nodes, edges, self._graph._root, self._graph.version)
-                # residents that can advance take the delta (the SQL image)
+                # the residents that advance take the delta (a straggler
+                # may have rebuilt a per-version one on the base since)
                 for key, resident in base._ext.items():
-                    carried = getattr(resident, "advance", lambda *_: None)(fg, edges)
-                    if carried is not None:
-                        fg._ext[key] = carried
+                    if key not in PER_VERSION_RESIDENTS:
+                        carried = resident.advance(fg, edges)
+                        if carried is not None:
+                            fg._ext[key] = carried
                 self._drop_base()
             v = self._view = SnapshotView(fg, self._version)
         return v

@@ -4,7 +4,7 @@ import pytest
 
 from repro.automata.product import rpq_nodes
 from repro.browse import find_value
-from repro.core.labels import real, string, sym
+from repro.core.labels import real, sym
 from repro.datasets import (
     acedb_schema,
     figure1,

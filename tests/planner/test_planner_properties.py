@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.product import rpq_nodes, rpq_witnesses
+from repro.core.convert import OemView, oem_to_graph
+from repro.core.frozen import freeze
 from repro.core.graph import Graph
 from repro.core.oem import OemDatabase
 from repro.lorel import lorel, lorel_rows
@@ -119,3 +121,28 @@ def test_prop_index_seeded_lorel_equals_postfiltered(db, template, bound):
         map(repr, lorel_rows(lorel(text, db, use_indexes=False, optimize=False)))
     )
     assert seeded == plain == unoptimized
+
+
+#: every operator, the literal on either side, number and string literals
+SNAPSHOT_TEMPLATES = [
+    f"select m.Title from DB.Entry.Movie m where {left} {op} {right}"
+    for op in ("=", "!=", "<", "<=", ">", ">=")
+    for left, right in (
+        ("m.Year", "{bound}"),
+        ("{bound}", "m.Year"),
+        ("m.Title", "'Heat'"),
+        ("'Heat'", "m.Title"),
+        ("m.Year", "'{bound}'"),
+    )
+]
+
+
+@given(movie_dbs(), st.sampled_from(SNAPSHOT_TEMPLATES), st.integers(1930, 2000))
+@settings(max_examples=150, deadline=None)
+def test_prop_snapshot_pushdown_equals_postfiltered(db, template, bound):
+    """On a snapshot the pushdown bisects the probe index's value table;
+    it must still bind exactly what post-filtering binds."""
+    view = OemView(freeze(oem_to_graph(db)))
+    text = template.format(bound=bound)
+    seeded = lorel_rows(lorel(text, view, use_indexes=True))
+    assert seeded == lorel_rows(lorel(text, view, use_indexes=False))

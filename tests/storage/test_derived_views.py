@@ -13,6 +13,8 @@ retires, and carries that snapshot's SQL image forward.  The contract:
   answers byte-identically afterwards;
 * **SQL isolation** -- a backend held from an old version never serves
   a later version's rows after its image was carried;
+* **probe index** -- the carried reverse adjacency, per-label edge lists
+  and value table hold what a cold build of the same graph holds;
 * **kernel** -- over the target-bucket layout, the grouped CSR walk
   still equals the ``edges_from`` walk, witnesses included.
 """
@@ -32,6 +34,7 @@ from repro.core.convert import OemView
 from repro.core.frozen import freeze
 from repro.core.graph import Graph
 from repro.core.labels import integer, string, sym
+from repro.index.probes import ProbeIndex, probes_for
 from repro.lorel import lorel, lorel_rows
 from repro.obs import QueryProfile
 from repro.planner import planner_for
@@ -200,6 +203,41 @@ def test_derived_views_equal_cold_freeze(base, commits, patterns):
             assert sql_answers(held, patterns) == pinned_sql
 
 
+def probe_sets(probes: ProbeIndex) -> dict:
+    """A probe index's content in the snapshot's terms: edge indices,
+    node ids and labels (label ids may be renamed), as sets."""
+    fg, values = probes.fg, probes.values
+    labels = fg.labels_seq
+    return {
+        "by_label": {labels[lid]: set(probes.label_edges(lid)) for lid in range(len(labels))},
+        "into": {node: set(probes.edges_into(node)) for node in fg.nodes()},
+        "values": {
+            (space, key, labels[lid])
+            for space in ("numbers", "numeric", "strings")
+            for key, lid in zip(getattr(values, space).keys, getattr(values, space).lids)
+        },
+        "symbols": {labels[lid] for lid in values.symbols},
+        "root_paths": probes.root_paths(fg.nodes()) if fg.has_root else None,
+    }
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bases(), COMMITS)
+def test_carried_probe_index_equals_a_cold_build(base, commits):
+    """Each view's probe index -- carried from the last read unless a
+    fold came between -- holds what one built cold on the same graph does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with VersionedGraphStore.create(Path(tmp) / "s", base, durable=False) as store:
+            probes_for(store.view().frozen).values
+            for commit in commits:
+                apply_commit(store, commit)
+                if commit[4]:
+                    store.checkpoint()
+                if commit[3]:
+                    probes = probes_for(store.view().frozen)
+                    assert probe_sets(probes) == probe_sets(ProbeIndex(freeze(store.graph)))
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(bases(), COMMITS, PATTERNS)
 def test_csr_walk_equals_edges_from_walk(base, commits, pattern):
@@ -256,40 +294,53 @@ def test_a_retired_backend_never_serves_a_later_version(tmp_path: Path) -> None:
 
 
 def test_a_commit_keeps_only_the_image_it_can_carry(tmp_path: Path) -> None:
-    """The retired snapshot's planner and find tree go at the commit; its
-    SQL image waits for the next view, which carries it away."""
+    """The retired snapshot's planner goes at the commit; its SQL image
+    and probe index wait for the next view, which carries them away."""
     with movie_store(tmp_path / "s") as store:
         v0 = store.view().frozen
         sql_backend_for(v0)
         planner_for(v0)
         where_is(v0, "Vertigo")
-        assert set(v0._ext) == {"sqlbackend", "planner", "bfs_tree"}
+        assert set(v0._ext) == {"sqlbackend", "planner", "probes"}
         add_movie(store, "Psycho")
-        assert set(v0._ext) == {"sqlbackend"}
-        assert "sqlbackend" in store.view().frozen._ext
+        assert set(v0._ext) == {"sqlbackend", "probes"}
+        assert {"sqlbackend", "probes"} <= set(store.view().frozen._ext)
         assert v0._ext == {}
 
 
+COUNTERS = (
+    "mvcc_views_frozen",
+    "mvcc_views_derived",
+    "sql_image_built",
+    "sql_image_carried",
+    "probe_index_built",
+    "probe_index_carried",
+)
+
+
 def test_views_and_images_are_derived_and_carried(tmp_path: Path) -> None:
-    """Open, read, then 4 x (commit + read): one freeze and one image
-    load, then four derivations and four carries -- and both wire
-    ``stats`` and ``stats --json`` report the counters."""
-    names = ("mvcc_views_frozen", "mvcc_views_derived", "sql_image_built", "sql_image_carried")
-    before = {name: STORAGE_METRICS.counter(name).value for name in names}
+    """Open, read, then 4 x (commit + read): one freeze, one image load
+    and one probe index build, then four derivations and four carries of
+    each -- and both wire ``stats`` and ``stats --json`` report the
+    counters."""
+    before = {name: STORAGE_METRICS.counter(name).value for name in COUNTERS}
     with movie_store(tmp_path / "s") as store:
         service = QueryService(store=store)
         for k in range(5):
             if k:
                 add_movie(store, f"New {k}")
             sql_backend_for(service.current_view().frozen).rpq_nodes("Movie._")
-        delta = {name: STORAGE_METRICS.counter(name).value - before[name] for name in names}
+            assert where_is(service.current_view().frozen, "Casablanca") == ["`Movie`.'Casablanca'"]
+        delta = {name: STORAGE_METRICS.counter(name).value - before[name] for name in COUNTERS}
         assert delta == {
             "mvcc_views_frozen": 1,
             "mvcc_views_derived": 4,
             "sql_image_built": 1,
             "sql_image_carried": 4,
+            "probe_index_built": 1,
+            "probe_index_carried": 4,
         }
-        assert set(names) <= set(service.stats()["storage"])
+        assert set(COUNTERS) <= set(service.stats()["storage"])
 
 
 def test_stats_json_reports_view_and_image_counters(tmp_path: Path, capsys) -> None:
@@ -297,5 +348,5 @@ def test_stats_json_reports_view_and_image_counters(tmp_path: Path, capsys) -> N
     db.write_text(json.dumps({"Movie": [{"Title": "Casablanca"}]}))
     assert cli_main(["stats", str(db), "--json"]) == 0
     storage = json.loads(capsys.readouterr().out)["storage"]
-    for name in ("mvcc_views_frozen", "mvcc_views_derived", "sql_image_built", "sql_image_carried"):
+    for name in COUNTERS:
         assert name in storage

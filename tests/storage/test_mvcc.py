@@ -18,7 +18,7 @@ from repro.datasets import generate_movies
 from repro.index import GraphIndexes
 from repro.lorel import lorel, lorel_rows
 from repro.schema.dataguide import DataGuide
-from repro.storage import AddEdge, AddNode, SetRoot, VersionedGraphStore
+from repro.storage import AddEdge, AddNode, VersionedGraphStore
 from repro.storage.serializer import STORAGE_METRICS
 
 
