@@ -40,6 +40,8 @@ class LazyDfa:
         self._table: dict[tuple[int, tuple[bool, ...]], int] = {}
         self._vector_cache: dict[Label, tuple[bool, ...]] = {}
         self._live_labels: dict[int, "frozenset[Label] | None"] = {}
+        self._final: "frozenset[Label] | None | object" = _UNCOMPUTED
+        self._repeats: "bool | None" = None
         self.start = self._intern(nfa.initial())
 
     # -- state management -------------------------------------------------------
@@ -108,6 +110,37 @@ class LazyDfa:
             live = frozenset(labels)
         self._live_labels[state] = live
         return live
+
+    def final_labels(self) -> "frozenset[Label] | None":
+        """The labels on the NFA transitions into an accepting closure --
+        what the last edge of every accepted non-empty path carries -- or
+        ``None`` if one of those guards is not exact.  Memoized."""
+        if self._final is _UNCOMPUTED:
+            nfa, labels = self._nfa, set()
+            for moves in nfa.transitions:
+                for predicate, target in moves:
+                    if nfa.is_accepting(nfa.eps_closure([target])):
+                        if not predicate.is_exact:
+                            self._final = None
+                            return None
+                        labels.add(predicate.exact_label)
+            self._final = frozenset(labels)
+        return self._final  # type: ignore[return-value]
+
+    @property
+    def wildcard_repeats(self) -> bool:
+        """Whether a non-exact guard loops back to itself by epsilon moves
+        (``_*``, ``#``, ``(!a)*``): a walk that scans every edge below it,
+        level by level.  Memoized; an exact-only plan is decided from its
+        guards alone."""
+        if self._repeats is None:
+            nfa = self._nfa
+            self._repeats = not all(p.kind == "exact" for p in self._predicates) and any(
+                not predicate.is_exact and src in nfa.eps_closure([target])
+                for src, moves in enumerate(nfa.transitions)
+                for predicate, target in moves
+            )
+        return self._repeats
 
     def ensure_dead_state(self) -> int:
         """Intern (and return) the dead state explicitly.

@@ -35,6 +35,16 @@ are identical on both layouts.  The order *within* a level differs, so a
 plan first walked on one layout may number its states differently from a
 plan first walked on the other; how many it builds cannot differ.
 
+**Co-reachable pruning.**  A repeating wildcard (``_*."Bogart"``)
+defeats label pruning.  When every accepted path ends on an exact label
+(:meth:`LazyDfa.final_labels`), such a walk expands only the nodes with
+a path to an edge carrying one (:func:`coreachable`, found by the first
+superstep from the carried probe index).  Both bodies record every
+config they discover but queue it only if its node is in that region
+(an origin is always queued): an accepted path runs inside the region
+up to its last edge, so results are unchanged, and both layouts still
+agree on ``seen``, ``supersteps`` and the profile counts.
+
 **Drivers.**  Every other entry point runs the stepper to completion and
 reads a different part of its state: :func:`product_bfs` (matches plus
 every explored config), :func:`rpq_nodes` (which, handed a ``profile``,
@@ -71,9 +81,11 @@ from ..resilience import (
 )
 from .dfa import LazyDfa
 from .nfa import Nfa, build_nfa
+from .plan_cache import PLAN_METRICS
 from .regex import PathRegex, parse_path_regex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.labels import Label
     from .plan_cache import PlanCache
 
 __all__ = [
@@ -89,6 +101,10 @@ __all__ = [
     "rpq_witnesses",
     "naive_rpq",
 ]
+
+_COREACH_WALKS = PLAN_METRICS.counter("coreach_walks")
+_COREACH_NODES = PLAN_METRICS.counter("coreach_nodes")
+
 
 def compile_rpq(
     pattern: "str | PathRegex | Nfa | LazyDfa",
@@ -158,7 +174,7 @@ def rpq_nodes(
 
     ``profile`` is an accumulator the walk adds its exact counts to,
     derived from the explored configs once it has finished: distinct
-    nodes entered, out-edges scanned from them, configurations explored,
+    nodes entered, their out-degrees summed, configurations explored,
     and DFA states materialized by this evaluation (a pre-compiled
     :class:`LazyDfa` -- passed directly or served as a plan-cache hit --
     is only charged the states it *newly* builds; a fresh compile all of
@@ -184,8 +200,9 @@ def product_bfs(
     """The stepper run to completion: matched nodes plus every explored config.
 
     ``seen`` is what a profile's counts are derived from *after* a
-    traversal (every seen config is expanded exactly once), so the hot
-    loop itself carries no instrumentation.
+    traversal (every seen config is expanded at most once: exactly once
+    unless the walk is pruned to a co-reachable region), so the hot loop
+    itself carries no instrumentation.
     """
     stepper = RpqStepper._over(graph, dfa, [origin], guide_mask)
     stepper.run()
@@ -279,6 +296,43 @@ def ordered_edge_indices(
         return ()
     label_ids = fg.label_ids
     return [i for i in range(begin, end) if label_ids[i] in live]
+
+
+# -- co-reachability: the region a wildcard walk expands --------------------------
+
+
+def coreach_labels(graph, dfa: LazyDfa) -> "frozenset[Label] | None":
+    """The final labels whose co-reachable region a walk of ``dfa`` over
+    ``graph`` expands, or ``None``: unless a wildcard repeats, label
+    pruning suffices, and an ``ExternalGraph`` has no in-edges."""
+    if not isinstance(graph, (Graph, FrozenGraph)) or not dfa.wildcard_repeats:
+        return None
+    return dfa.final_labels()
+
+
+def coreachable(graph: "Graph | FrozenGraph", labels: "frozenset[Label]") -> "tuple[set[int], int]":
+    """The nodes with a path to an edge labeled in ``labels`` (its source
+    included), and the in-edges read to find them: from the snapshot's
+    carried probe index, or a reverse map built in one pass over a
+    ``Graph``'s edges."""
+    from ..index.probes import probes_for, reverse_closure
+
+    if isinstance(graph, FrozenGraph):
+        label_index = graph.label_index
+        region, reads = probes_for(graph).reaching(
+            label_index[label] for label in labels if label in label_index
+        )
+    else:
+        into: dict[int, list[int]] = {}
+        region = set()
+        for edge in graph.edges():
+            into.setdefault(edge.dst, []).append(edge.src)
+            if edge.label in labels:
+                region.add(edge.src)
+        reads = reverse_closure(region, lambda node: into.get(node, ()))
+    _COREACH_WALKS.inc()
+    _COREACH_NODES.inc(len(region))
+    return region, reads
 
 
 # -- dense plans (the picklable worker kernel) ----------------------------------
@@ -464,7 +518,10 @@ class RpqStepper:
 
     ``ops`` counts edges scanned *on the serving layout*: the frozen
     kernel's label pruning skips edges a plain scan would touch, so a
-    budget is a bound on actual work done, not on the logical graph.
+    budget is a bound on actual work done, not on the logical graph.  A
+    walk pruned to a co-reachable region adds, in its first superstep,
+    the in-edges read to find the region -- once per origin, so a
+    many-origin stepper costs what its walks would cost one by one.
     """
 
     __slots__ = (
@@ -482,6 +539,8 @@ class RpqStepper:
         "_trans",
         "_live_cache",
         "_dead_interned",
+        "_final",
+        "_coreach",
     )
 
     def __init__(
@@ -515,7 +574,10 @@ class RpqStepper:
         ``guide_mask`` follows the :func:`rpq_nodes` contract; ``parents``
         (single origin) records each config's discovering ``(config,
         edge)`` and runs the FIFO per-config body on either layout, so
-        discovery order is layout-independent.
+        discovery order is layout-independent.  Whether the walk is
+        pruned to a co-reachable region is decided here
+        (:func:`coreach_labels`); the region itself is found by the first
+        :meth:`step`.
         """
         # other read-API graphs (``ExternalGraph``) have no ``has_node``;
         # their ``edges_from`` reports an unknown origin at the first step
@@ -552,6 +614,8 @@ class RpqStepper:
         self._trans: dict[int, dict[int, int]] = {}
         self._live_cache: dict = {}
         self._dead_interned = False
+        self._final = coreach_labels(graph, dfa)
+        self._coreach: "set[int] | None" = None
 
     @property
     def seen(self) -> set[tuple[int, int]]:
@@ -576,6 +640,12 @@ class RpqStepper:
         """Expand one superstep; ``True`` while work remains."""
         if not self._frontier:
             return False
+        if self._final is not None:
+            # the first superstep finds the region; every walk is charged
+            # the in-edges read, as if it had found the region alone
+            self._coreach, reads = coreachable(self.graph, self._final)
+            self._final = None
+            self.ops += reads * len(self._frontier)
         if self._by_state:
             self._expand_csr()
         else:
@@ -607,7 +677,7 @@ class RpqStepper:
         """One superstep, config by config in FIFO order: any graph, through
         ``edges_from`` -- or, a witness walk over the CSR layout, through
         the pruned insertion-ordered scans of :func:`ordered_edge_indices`."""
-        graph, dfa, parents = self.graph, self.dfa, self._parents
+        graph, dfa, parents, coreach = self.graph, self.dfa, self._parents, self._coreach
         pruned = isinstance(graph, FrozenGraph)
         ops = 0
         nxt_frontier = []
@@ -627,9 +697,10 @@ class RpqStepper:
                     seen.add(child)
                     if dfa.is_accepting(nxt_state):
                         results.add(edge.dst)
-                    grown.append(child)
                     if parents is not None:
                         parents[child] = (config, edge)
+                    if coreach is None or edge.dst in coreach:
+                        grown.append(child)
             if grown:
                 nxt_frontier.append((origin, results, seen, grown))
         self.ops += ops
@@ -659,7 +730,7 @@ class RpqStepper:
         a full scan builds.
         """
         fg: FrozenGraph = self.graph  # type: ignore[assignment]
-        partitions, index = fg.partitions, fg.index
+        partitions, index, coreach = fg.partitions, fg.index, self._coreach
         is_accepting = self.dfa.is_accepting
         rows = self._trans
         ops = 0
@@ -721,10 +792,12 @@ class RpqStepper:
                     self._dead_interned = True
             todo = {}
             for state, nodes in grown.items():
+                if nodes and is_accepting(state):
+                    results.update(nodes)
+                if coreach is not None:
+                    nodes = [node for node in nodes if node in coreach]
                 if nodes:
                     todo[state] = nodes
-                    if is_accepting(state):
-                        results.update(nodes)
             if todo:
                 nxt_frontier.append((origin, results, seen, todo))
         self.ops += ops

@@ -27,9 +27,11 @@ from ..automata.product import (
     _add_product_counts,
     _resolve_plan,
     _text_of,
+    RpqStepper,
     compile_rpq,
+    coreach_labels,
+    coreachable,
     ordered_edge_indices,
-    product_bfs,
 )
 from ..obs import QueryProfile
 from ..resilience import (
@@ -249,9 +251,13 @@ def _bsp(
     Each site's local expansion runs on the partition's cached frozen
     snapshot, label-pruned but scanning edges in insertion order -- so
     the message schedule, per-round work, and every other statistic are
-    those of a plain-graph run; only the wall-clock drops.
+    those of a plain-graph run; only the wall-clock drops.  A config is
+    queued only inside the pattern's co-reachable region, the rule the
+    centralized stepper applies, so both expand the same configs.
     """
     fg = dist.frozen()
+    labels = coreach_labels(fg, dfa)
+    region = None if labels is None else coreachable(fg, labels)[0]
     site_of = dist.site_of
     label_ids, edge_targets = fg.label_ids, fg.targets
     labels_seq, index = fg.labels_seq, fg.index
@@ -298,6 +304,8 @@ def _bsp(
                     seen.add(config)
                     if dfa.is_accepting(nxt_state):
                         results.add(dst)
+                    if region is not None and dst not in region:
+                        continue
                     target_site = site_of[dst]
                     if target_site == site:
                         queue.append(config)
@@ -311,6 +319,11 @@ def _bsp(
 
 
 def centralized_work(dist: DistributedGraph, pattern: "str | LazyDfa") -> int:
-    """Configurations a single-site evaluation expands (the E5 baseline)."""
-    graph = dist.graph
-    return len(product_bfs(graph, compile_rpq(pattern), graph.root)[1])
+    """Configurations a single-site evaluation expands (the E5 baseline):
+    the stepper's frontiers summed over its supersteps."""
+    stepper = RpqStepper(dist.graph, compile_rpq(pattern))
+    work = 0
+    while not stepper.done:
+        work += stepper.frontier_size
+        stepper.step()
+    return work

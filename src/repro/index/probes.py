@@ -15,6 +15,12 @@ that make these lookups:
 * a **value table** (:class:`ValueTable`) -- the interned base labels in
   sorted keyspaces, so ``= < <= > >=`` is a bisect.
 
+The first two also answer the product walk's pruning question, "which
+nodes can still reach an edge with this label?" (:meth:`ProbeIndex.
+reaching`): the label lists give the sources and the reverse adjacency
+their ancestors, so a wildcard RPQ such as ``_*."Bogart"`` expands only
+that region (:mod:`repro.automata.product`).
+
 An edge is recorded as one int: its source's position and its slot
 (its position in the source's block).  A
 :meth:`~repro.core.frozen.FrozenGraph.derive` splice moves global edge
@@ -34,7 +40,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.labels import Label, LabelKind, parse_number
 from ..storage.serializer import STORAGE_METRICS
@@ -43,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.frozen import FrozenGraph
     from ..core.graph import Edge
 
-__all__ = ["FLIPPED", "ProbeIndex", "ValueTable", "probes_for"]
+__all__ = ["FLIPPED", "ProbeIndex", "ValueTable", "probes_for", "reverse_closure"]
 
 _BUILT = STORAGE_METRICS.counter("probe_index_built")
 _CARRIED = STORAGE_METRICS.counter("probe_index_carried")
@@ -226,6 +232,18 @@ class ProbeIndex:
         """The indices of ``node``'s in-edges (any order)."""
         return self._edge_ids(self._parts()[0][self.fg._pos(node)])
 
+    def reaching(self, lids: "Iterable[int]") -> "tuple[set[int], int]":
+        """The nodes with a path to an edge carrying one of ``lids`` (its
+        source included), and the in-edges read to find them: the size of
+        the region, not of the graph, since both structures are carried."""
+        into, by_label, _ = self._parts()
+        region = {entry >> _SHIFT for lid in lids for entry in by_label[lid]}
+        reads = reverse_closure(region, into.__getitem__, _SHIFT)
+        if self.fg.index is not None:
+            node_ids = self.fg.node_ids
+            region = {node_ids[pos] for pos in region}
+        return region, reads
+
     def root_paths(self, nodes: "Iterable[int]") -> "dict[int, tuple[Label, ...] | None]":
         """Node -> the least shortest label path from the root to it, or
         ``None`` when the root does not reach it.
@@ -312,6 +330,24 @@ def _build(fg: "FrozenGraph") -> "tuple[_Grouped, _Grouped, ValueTable]":
         _Grouped(entries, fg.label_ids, len(fg.labels_seq)),
         ValueTable(fg.labels_seq),
     )
+
+
+def reverse_closure(
+    region: "set[int]", into: "Callable[[int], Sequence[int]]", shift: int = 0
+) -> int:
+    """Grow ``region`` by every node with a path into it.  ``into(x)``
+    lists ``x``'s in-edges, each an int whose source is ``entry >>
+    shift``.  Returns how many in-edges were read."""
+    stack, reads = list(region), 0
+    while stack:
+        entries = into(stack.pop())
+        reads += len(entries)
+        for entry in entries:
+            src = entry >> shift
+            if src not in region:
+                region.add(src)
+                stack.append(src)
+    return reads
 
 
 def probes_for(fg: "FrozenGraph") -> ProbeIndex:

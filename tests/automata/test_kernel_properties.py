@@ -17,7 +17,11 @@ pruned traversal onto its full-scan fallback):
 * the stepper itself: every entry point above is a driver of
   :class:`~repro.automata.product.RpqStepper`, and the server steps it
   directly -- so its own contract (complete run, early stop and resume,
-  checkpoint accounting, many origins) is pinned here on both layouts.
+  checkpoint accounting, many origins) is pinned here on both layouts;
+* the co-reachable prune: a repeated-wildcard walk expands only nodes
+  that can still reach a final label, and answers exactly what
+  ``naive_rpq`` does -- on both layouts and on a derived snapshot with
+  gaps in its ids, whose probe index was carried across the commit.
 """
 
 import pytest
@@ -28,19 +32,25 @@ from repro.automata.plan_cache import PlanCache
 from repro.automata.product import (
     RpqStepper,
     compile_rpq,
+    naive_rpq,
     product_bfs,
     rpq_nodes,
     rpq_nodes_many,
     rpq_witnesses,
 )
+from repro.core.frozen import freeze
 from repro.core.graph import Graph
+from repro.core.labels import string, sym
+from repro.index.probes import probes_for
 from repro.obs import QueryProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import BudgetExhausted
 
 #: Every guard shape the pruned product kernel must handle: exact labels
-#: (prunable), alternation/closure mixes, and the non-exact guards
-#: (``#``, ``_``, ``!a``) that force the full-scan fallback.
+#: (prunable), alternation/closure mixes, the non-exact guards (``#``,
+#: ``_``, ``!a``) that force the full-scan fallback, and the repeated
+#: wildcards ending on exact labels whose walks are pruned to the
+#: co-reachable region (``d`` labels no edge: only the empty path is left).
 PATTERNS = [
     "a",
     "a.b",
@@ -52,6 +62,11 @@ PATTERNS = [
     "!a",
     "(a.b)+",
     "a.(!b)*.a",
+    "_*.a",
+    "(!a)*.b",
+    "#.(a|b)",
+    "(_*.a)?",
+    "_*.d",
 ]
 
 
@@ -305,9 +320,14 @@ def with_unused_vocabulary(g):
 
 def exact_guide_mask(g, fg, dfa):
     """Per DFA state, the label ids that advance it from a config the
-    root-origin walk explores -- the tightest sound ``guide_mask``."""
+    root-origin walk expands -- the tightest sound ``guide_mask``.  (A
+    pruned walk also records configs outside its region it never expands;
+    stepping their edges here would build states the walk never did.)"""
+    region = reference_region(g, dfa)
     mask = {}
     for node, state in product_bfs(g, dfa, g.root)[1]:
+        if region is not None and node not in region and (node, state) != (g.root, dfa.start):
+            continue
         allowed = mask.setdefault(state, set())
         for edge in g.edges_from(node):
             if not dfa.is_dead(dfa.step(state, edge.label)):
@@ -411,3 +431,157 @@ def test_witness_through_two_dfa_states_is_the_first_inserted_path():
                 (root, first, left),
                 (left, "c", target),
             ]
+
+
+# -- the co-reachable prune -----------------------------------------------------------
+#
+# A plan whose non-exact guard repeats and whose accepted paths end on exact
+# labels expands only the nodes with a path to an edge carrying one of
+# them; every reached config is still recorded.  The two references below
+# share no code with the kernel: a fixpoint for the region, a FIFO product
+# BFS over ``edges_from`` for the walk.
+
+
+def reference_region(g, dfa):
+    """The nodes the pruned walk may expand, or ``None`` for all of them."""
+    labels = dfa.final_labels()
+    if labels is None or not dfa.wildcard_repeats:
+        return None
+    region = {e.src for e in g.edges() if e.label in labels}
+    while True:
+        grown = region | {e.src for e in g.edges() if e.dst in region}
+        if grown == region:
+            return region
+        region = grown
+
+
+def reference_walk(g, dfa, origin, region=None):
+    """Explored configs, node -> shortest accepted path length, and levels
+    expanded, of a product BFS that expands the origin and then only
+    configs whose node is in ``region`` (every config for ``None``)."""
+    seen = {(origin, dfa.start)}
+    answers = {origin: 0} if dfa.is_accepting(dfa.start) else {}
+    level, depth = [(origin, dfa.start)], 0
+    while level:
+        depth, nxt = depth + 1, []
+        for node, state in level:
+            for edge in g.edges_from(node):
+                child = (edge.dst, dfa.step(state, edge.label))
+                if dfa.is_dead(child[1]) or child in seen:
+                    continue
+                seen.add(child)
+                if dfa.is_accepting(child[1]):
+                    answers.setdefault(edge.dst, depth)
+                if region is None or edge.dst in region:
+                    nxt.append(child)
+        level = nxt
+    return seen, answers, depth
+
+
+def test_final_labels_and_when_a_walk_is_pruned():
+    cases = {
+        '_*."Bogart"': (True, {string("Bogart")}),
+        "Entry.Movie.(!Movie)*.Title": (True, {sym("Title")}),
+        "(_*.a)?": (True, {sym("a")}),
+        "(!l).b": (False, {sym("b")}),  # the wildcard cannot repeat: a bounded walk
+        "Entry._.References._.Title": (False, {sym("Title")}),
+        "a.(b|c)*": (False, {sym("a"), sym("b"), sym("c")}),
+        "_*": (True, None),  # ends on a wildcard: nothing to prune to
+    }
+    for pattern, (repeats, final) in cases.items():
+        dfa = compile_rpq(pattern)
+        assert dfa.wildcard_repeats is repeats, pattern
+        assert dfa.final_labels() == final, pattern
+
+
+@given(small_graphs(), st.sampled_from(PATTERNS))
+@settings(max_examples=150, deadline=None)
+def test_prop_pruned_seen_is_the_walk_restricted_to_the_region(g, pattern):
+    dfa = compile_rpq(pattern)  # shared: the CSR walk numbers its states first
+    seen, answers, depth = reference_walk(g, dfa, g.root, reference_region(g, dfa))
+    for graph in both_layouts(g):
+        stepper = run_to_end(graph, dfa)
+        assert stepper.seen == seen
+        assert stepper.results == set(answers)
+        assert stepper.supersteps == depth
+
+
+@st.composite
+def gapped_graphs(draw):
+    """Small rooted graphs with gaps in their node ids, and a cut: the
+    snapshot is derived from a cold freeze of the first ``cut`` nodes and
+    edges, the way a commit derives the next version."""
+    g = Graph()
+    skips = st.sampled_from((0, 0, 2))
+    nodes = [g.ensure_node(g._next_id + draw(skips)) for _ in range(draw(st.integers(2, 6)))]
+    g.set_root(draw(st.sampled_from(nodes)))
+    for _ in range(draw(st.integers(1, 10))):
+        g.add_edge(
+            draw(st.sampled_from(nodes)),
+            draw(st.sampled_from("abc")),
+            draw(st.sampled_from(nodes)),
+        )
+    return g, draw(st.integers(1, len(nodes))), draw(st.integers(0, 10))
+
+
+def derived_snapshot(g, keep, cut):
+    """``g`` as the derivation of a base holding its first ``keep`` nodes and
+    the first ``cut`` of the edges among them, with the base's probe index
+    carried over; plus the graph in the derivation's edge order."""
+    nodes = list(g.nodes())
+    base, ordered = Graph(), Graph()
+    for node in nodes:
+        ordered.ensure_node(node)
+    for node in nodes[:keep]:
+        base.ensure_node(node)
+    inside = [e for e in g.edges() if base.has_node(e.src) and base.has_node(e.dst)]
+    for edge in inside[:cut]:
+        base.add_edge(edge.src, edge.label, edge.dst)
+    if base.has_node(g.root):
+        base.set_root(g.root)
+    tail = [e for e in g.edges() if e not in inside[:cut]]
+    for edge in inside[:cut] + tail:
+        ordered.add_edge(edge.src, edge.label, edge.dst)
+    ordered.set_root(g.root)
+    fg = freeze(base)
+    probes = probes_for(fg)
+    probes.values  # built before the commit, so the derived version carries it
+    derived = fg.derive(nodes[keep:], tail, g.root, 1)
+    derived._ext["probes"] = probes.advance(derived, tail)
+    assert derived._ext["probes"] is not None
+    return derived, ordered
+
+
+#: the naive baseline enumerates every path up to the bound: keep it cheap
+NAIVE_BOUND = 10
+
+
+@given(gapped_graphs(), st.sampled_from(PATTERNS))
+@settings(max_examples=100, deadline=None)
+def test_prop_pruned_walks_answer_what_naive_enumeration_does(gc, pattern):
+    g, keep, cut = gc
+    derived, ordered = derived_snapshot(g, keep, cut)
+    assert derived.index is not None or list(g.nodes()) == list(range(g.num_nodes))
+    dfa = compile_rpq(pattern)
+    layouts = (g, freeze(g), derived)
+    expected = {}
+    for origin in g.nodes():
+        _, answers, _ = reference_walk(g, dfa, origin)  # unpruned
+        bound = max(answers.values(), default=0)
+        if bound <= NAIVE_BOUND:
+            assert naive_rpq(g, pattern, bound, start=origin) == set(answers)
+        expected[origin] = set(answers)
+    for graph in layouts:
+        assert rpq_nodes(graph, pattern) == expected[g.root]
+        assert rpq_nodes_many(graph, pattern, list(g.nodes())) == expected
+    _, answers, _ = reference_walk(g, dfa, g.root)
+    for graph in layouts:
+        witnesses = rpq_witnesses(graph, pattern)
+        assert set(witnesses) == set(answers)
+        for node, path in witnesses.items():
+            assert len(path) == answers[node]  # a shortest accepted path
+            assert dfa.matches([edge.label for edge in path])
+            assert [edge.src for edge in path[1:]] == [edge.dst for edge in path[:-1]]
+            assert not path or (path[0].src, path[-1].dst) == (g.root, node)
+    # ties break by edge order, which the derivation keeps per source
+    assert rpq_witnesses(derived, pattern) == rpq_witnesses(ordered, pattern)

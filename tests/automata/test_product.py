@@ -16,6 +16,7 @@ from repro.automata.product import (
 from repro.core.builder import from_obj
 from repro.core.graph import Graph, GraphError
 from repro.core.labels import string, sym
+from repro.datasets import generate_movies
 from repro.obs import QueryProfile
 from repro.resilience import PartialResult, completeness_of
 
@@ -167,6 +168,20 @@ class TestUnknownOrigin:
             assert rpq_nodes(graph, "x", start=a) == {b}
             with pytest.raises(GraphError, match="unknown node 1"):
                 rpq_nodes(graph, "x", start=1)
+
+
+def test_the_scan_template_expands_only_what_can_reach_bogart():
+    """``_*."Bogart"`` (the served ``rpq_scan`` template) walks the nodes
+    with a path to a ``"Bogart"`` edge.  Recorded when the prune landed:
+    933 edges read, closure included, in 5 supersteps, where the full
+    scan read all 3 745 edges in 6."""
+    g = generate_movies(300, seed=7)
+    expected = naive_rpq(g, '_*."Bogart"', max_length=8)
+    assert len(expected) == 45
+    for graph in (g, g.freeze()):
+        stepper = RpqStepper(graph, '_*."Bogart"')
+        assert stepper.run() == expected
+        assert (stepper.ops, stepper.supersteps) == (933, 5)
 
 
 class TestNaiveBaseline:

@@ -79,6 +79,21 @@ class TestDistributedRpq:
         _, stats = distributed_rpq(dist, "link*")
         assert stats.total_work == centralized_work(dist, "link*")
 
+    @pytest.mark.parametrize("sites", [1, 2])
+    def test_a_pruned_walk_is_pruned_at_every_site(self, sites):
+        # ``#.a`` expands only nodes that can reach an ``a`` edge: the
+        # root; x and y are reached and recorded, never expanded
+        g = Graph()
+        root, x, y, z = (g.new_node() for _ in range(4))
+        g.set_root(root)
+        g.add_edge(root, "b", x)
+        g.add_edge(x, "b", y)
+        g.add_edge(root, "a", z)
+        dist = partition_graph(g, sites)
+        result, stats = distributed_rpq(dist, "#.a")
+        assert result == rpq_nodes(g, "#.a") == {z}
+        assert stats.total_work == centralized_work(dist, "#.a") == 1
+
     def test_makespan_at_most_total(self):
         dist = partition_graph(web_graph(), 4)
         _, stats = distributed_rpq(dist, "(link|xref)*")

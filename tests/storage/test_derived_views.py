@@ -26,7 +26,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.automata import rpq_nodes
+from repro.automata import PLAN_METRICS, rpq_nodes
 from repro.automata.product import rpq_witnesses
 from repro.browse import where_is
 from repro.cli import main as cli_main
@@ -341,6 +341,23 @@ def test_views_and_images_are_derived_and_carried(tmp_path: Path) -> None:
             "probe_index_carried": 4,
         }
         assert set(COUNTERS) <= set(service.stats()["storage"])
+
+
+def test_a_wildcard_walk_reads_the_carried_probe_index(tmp_path: Path) -> None:
+    """``_*."Vertigo"`` is pruned to the nodes that reach a ``"Vertigo"``
+    edge, found from the probe index: built once, then carried by every
+    commit, never rebuilt for the walk."""
+    before = {name: STORAGE_METRICS.counter(name).value for name in COUNTERS}
+    walks = PLAN_METRICS.counter("coreach_walks").value
+    with movie_store(tmp_path / "s") as store:
+        for k in range(5):
+            if k:
+                add_movie(store, f"New {k}")
+            fg = store.view().frozen
+            assert rpq_nodes(fg, '_*."Vertigo"') == rpq_nodes(store.graph, '_*."Vertigo"')
+        delta = {name: STORAGE_METRICS.counter(name).value - before[name] for name in COUNTERS}
+        assert (delta["probe_index_built"], delta["probe_index_carried"]) == (1, 4)
+        assert PLAN_METRICS.counter("coreach_walks").value - walks == 10  # 5 snapshots, 5 graphs
 
 
 def test_stats_json_reports_view_and_image_counters(tmp_path: Path, capsys) -> None:

@@ -110,6 +110,16 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert "parallel" in payload
 
+    def test_stats_json_counts_coreach_walks(self, json_db, capsys):
+        assert main(["stats", json_db, "--json"]) == 0
+        before = json.loads(capsys.readouterr().out)["plan_cache"]
+        assert main(["profile", json_db, '_*."Casablanca"']) == 0
+        capsys.readouterr()
+        assert main(["stats", json_db, "--json"]) == 0
+        after = json.loads(capsys.readouterr().out)["plan_cache"]
+        assert after["coreach_walks"] == before["coreach_walks"] + 1
+        assert after["coreach_nodes"] > before["coreach_nodes"]
+
     def test_distributed(self, json_db, capsys):
         code = main(
             ["distributed", json_db, "Entry.Movie.Title", "--workers", "2", "--inline"]
