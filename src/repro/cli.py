@@ -478,15 +478,15 @@ def _cmd_recover(args) -> int:
     """
     store = _open_store(args.dir)
     try:
-        report = store.recovery
+        report, stats = store.recovery, store.stats()
         payload = {
             "version": report.commit_seq,
             "checkpoint_seq": report.checkpoint_seq,
             "replayed_records": report.replayed_records,
             "discarded_bytes": report.discarded_bytes,
             "discarded_records": report.discarded_records,
-            "nodes": store.graph.num_nodes,
-            "edges": store.graph.num_edges,
+            "nodes": stats["nodes"],
+            "edges": stats["edges"],
         }
         if args.checkpoint:
             store.checkpoint()
@@ -504,7 +504,7 @@ def _cmd_mutate(args) -> int:
     ``{"kind": "node"|"edge"|"root", ...}`` objects; see docs/SERVICE.md)
     -- the CLI and the server share one write dialect.
     """
-    from .service.server import label_from_wire
+    from .service.server import stage_mutations
 
     raw = (
         sys.stdin.read()
@@ -517,31 +517,7 @@ def _cmd_mutate(args) -> int:
     store = _open_store(args.dir, bootstrap=args.bootstrap)
     try:
         batch = store.batch()
-        names: dict[str, int] = {}
-
-        def resolve(ref):
-            if isinstance(ref, str):
-                if ref not in names:
-                    raise ValueError(f"unknown node name {ref!r}")
-                return names[ref]
-            return ref
-
-        for mutation in mutations:
-            kind = mutation.get("kind")
-            if kind == "node":
-                node = batch.new_node()
-                if mutation.get("name") is not None:
-                    names[str(mutation["name"])] = node
-            elif kind == "edge":
-                batch.add_edge(
-                    resolve(mutation.get("src")),
-                    label_from_wire(mutation.get("label")),
-                    resolve(mutation.get("dst")),
-                )
-            elif kind == "root":
-                batch.set_root(resolve(mutation.get("node")))
-            else:
-                raise ValueError(f"unknown mutation kind {kind!r}")
+        names = stage_mutations(batch, mutations)
         version = batch.commit(sync=True)
         print(json.dumps({"version": version, "nodes": names}, sort_keys=True))
     finally:

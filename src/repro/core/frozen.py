@@ -276,51 +276,49 @@ class FrozenGraph:
     @classmethod
     def from_edge_stream(
         cls,
-        num_nodes: int,
+        nodes: "int | Iterable[int]",
         edges: "Iterable[tuple[int, Label | str, int]]",
         *,
         root: "int | None" = 0,
+        version: int = 0,
     ) -> "FrozenGraph":
-        """Build a dense CSR snapshot straight from an edge stream.
+        """Build a CSR snapshot straight from an edge stream.
 
-        ``edges`` yields ``(src, label, dst)`` triples **grouped by
-        source in non-decreasing order** (the CSR invariant); node ids
-        are the dense range ``0..num_nodes-1``.  A plain-``str`` label is
-        a symbol, matching :meth:`Graph.add_edge`.  This is the
-        constant-memory ingestion path for generated graphs too large to
-        stage as a dict-of-``Edge``-lists :class:`Graph` first -- nothing
-        beyond the CSR vectors themselves is ever materialized.
+        ``nodes`` is the node ids in block order (a count ``n``: the
+        dense range ``0..n-1``), read one by one as blocks open, so a
+        decoder may append to the list it passed while it streams (the
+        store's checkpoint does).  ``edges`` yields ``(src, label, dst)``
+        triples **grouped by source in that order** (the CSR invariant);
+        a plain-``str`` label is a symbol, matching
+        :meth:`Graph.add_edge`.  Nothing beyond the CSR vectors is ever
+        materialized, which is what crawls and checkpoints too large to
+        stage as a :class:`Graph` need.
 
         The loop is its own, not :func:`_build`'s: that one reads
         ``Edge`` attributes, and an ``Edge`` per streamed triple made a
         533 000-edge crawl build a quarter slower.
         """
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        if root is not None and not 0 <= root < num_nodes:
-            raise GraphError(f"root {root} outside the dense node range")
-        offsets = array("q", [0])
+        dense = isinstance(nodes, int)
+        pending = iter(range(nodes) if dense else nodes)
+        node_ids: list[int] = []
+        offsets = array("q")  # block starts, then the end
         srcs = array("q")
         targets = array("q")
         label_ids = array("q")
         labels_seq: list[Label] = []
         label_index: dict[Label, int] = {}
         partitions: list[dict[int, array]] = []
-        cursor = 0  # the node whose edge block is open
+        block = None  # the node whose edge block is open
         edge_i = 0
-        part: dict[int, array] = {}
         for src, label, dst in edges:
-            if src < cursor:
-                raise GraphError(
-                    f"edge stream not grouped by source: {src} after {cursor}"
-                )
-            if not 0 <= src < num_nodes or not 0 <= dst < num_nodes:
-                raise GraphError(f"edge ({src}, {dst}) outside the dense node range")
-            while cursor < src:  # close empty blocks up to src
-                partitions.append(part)
-                part = {}
+            while src != block:  # open blocks up to src's
+                block = next(pending, None)
+                if block is None:
+                    raise GraphError(f"edge stream not grouped by source at node {src}")
                 offsets.append(edge_i)
-                cursor += 1
+                partitions.append(part := {})
+                if not dense:
+                    node_ids.append(block)
             if isinstance(label, str):
                 label = sym(label)
             lid = label_index.get(label)
@@ -335,27 +333,23 @@ class FrozenGraph:
                 bucket = part[lid] = array("q")
             bucket.append(dst)
             edge_i += 1
-        while cursor < num_nodes:
-            partitions.append(part)
-            part = {}
+        for block in pending:  # the empty blocks after the last edge
             offsets.append(edge_i)
-            cursor += 1
+            partitions.append({})
+            if not dense:
+                node_ids.append(block)
+        offsets.append(edge_i)
+        n = len(partitions)
+        dense = dense or all(map(int.__eq__, node_ids, range(n)))  # no list of n ints
         fg = object.__new__(cls)
-        fg.node_ids = range(num_nodes)  # dense: O(1) memory, list-like reads
-        fg.index = None
-        fg.offsets = offsets
-        fg.srcs = srcs
-        fg.targets = targets
-        fg.label_ids = label_ids
-        fg.labels_seq = labels_seq
-        fg.label_index = label_index
-        fg.partitions = partitions
-        fg._root = root
-        fg.snapshot_id = next(_SNAPSHOT_IDS)
-        fg.source_version = 0
-        fg._edge_cache = {}
-        fg._reachable_from_root = None
-        fg._ext = {}
+        _fill(fg, range(n) if dense else node_ids, offsets, srcs, targets, label_ids,
+              labels_seq, label_index, partitions, root, version)
+        if dense:
+            stray = targets and (min(targets) < 0 or max(targets) >= n)
+        else:
+            stray = len(fg.index) != n or not fg.index.keys() >= set(targets)
+        if stray or (root is not None and not fg.has_node(root)):
+            raise GraphError("edge stream repeats a node id or points outside its nodes")
         return fg
 
     def derive(
@@ -505,11 +499,25 @@ def _build(
                 merged[lid] = merged[lid] + bucket if lid in merged else bucket
         partitions += parts[k:]
     if (base is None or base.index is None) and fresh == list(range(n0, n0 + len(fresh))):
-        fg.node_ids = range(n0 + len(fresh))  # dense: O(1) memory, list-like reads
-        fg.index = None
+        node_ids = range(n0 + len(fresh))
     else:
-        fg.node_ids = [*(base.node_ids if base is not None else ()), *fresh]
-        fg.index = {node: pos for pos, node in enumerate(fg.node_ids)}
+        node_ids = [*(base.node_ids if base is not None else ()), *fresh]
+    _fill(fg, node_ids, offsets, srcs, targets, label_ids, labels_seq, label_index,
+          partitions, root, version)
+
+
+def _fill(
+    fg: FrozenGraph, node_ids: "range | list[int]", offsets: array, srcs: array,
+    targets: array, label_ids: array, labels_seq: "list[Label]",
+    label_index: "dict[Label, int]", partitions: list, root: "int | None", version: int,
+) -> None:
+    """Set ``fg``'s slots over finished vectors.  ``node_ids`` is a
+    ``range`` when ids are dense (``id == position``: O(1) memory, no
+    index), else a list in position order."""
+    fg.node_ids = node_ids
+    fg.index = (
+        None if isinstance(node_ids, range) else {n: pos for pos, n in enumerate(node_ids)}
+    )
     fg.offsets = offsets
     fg.srcs = srcs
     fg.targets = targets

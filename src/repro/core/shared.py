@@ -376,38 +376,24 @@ class SharedSnapshot:
         return self._graph
 
     def _build_graph(self) -> "FrozenGraph":
-        from .frozen import FrozenGraph, _SNAPSHOT_IDS
+        from .frozen import FrozenGraph, _fill
 
         if self._shm is None:
             raise SharedSnapshotError("snapshot is closed")
         d = self.descriptor
         fg = object.__new__(FrozenGraph)
-        if d.dense:
-            fg.node_ids = range(d.num_nodes)
-            fg.index = None
-        else:
-            node_ids = list(self.field("node_ids"))
-            fg.node_ids = node_ids
-            fg.index = {node: pos for pos, node in enumerate(node_ids)}
-        fg.offsets = self.field("offsets")
-        fg.srcs = self.field("srcs")
-        fg.targets = self.field("targets")
-        fg.label_ids = self.field("label_ids")
-        fg.labels_seq = list(d.labels)
-        fg.label_index = {label: lid for lid, label in enumerate(d.labels)}
-        fg.partitions = _LazyPartitions(
+        partitions = _LazyPartitions(
             self.field("pb_off"),
             self.field("plid"),
             self.field("pstart"),
             self.field("pidx"),
             self._register,
         )
-        fg._root = d.root
-        fg.snapshot_id = next(_SNAPSHOT_IDS)
-        fg.source_version = d.source_version
-        fg._edge_cache = {}
-        fg._reachable_from_root = None
-        fg._ext = {"shared": self}
+        node_ids = range(d.num_nodes) if d.dense else list(self.field("node_ids"))
+        fields = (self.field(name) for name in ("offsets", "srcs", "targets", "label_ids"))
+        labels = {label: lid for lid, label in enumerate(d.labels)}
+        _fill(fg, node_ids, *fields, list(d.labels), labels, partitions, d.root, d.source_version)
+        fg._ext["shared"] = self
         return fg
 
     # -- lifecycle -------------------------------------------------------------

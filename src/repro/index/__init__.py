@@ -95,8 +95,9 @@ class GraphIndexes:
     def apply_delta(self, new_edges) -> "GraphIndexes":
         """Maintain every *built* index incrementally from edge deltas.
 
-        The MVCC store calls this per commit with the newly visible
-        edges (each delivered exactly once).  Indexes nobody has built
+        The caller passes the edges a change made newly visible, each
+        exactly once (the MVCC store keeps no indexes; its snapshots
+        carry their own residents).  Indexes nobody has built
         yet stay unbuilt -- they will construct fresh, hence current, on
         first access.  After the call the path index is fresh without a
         rebuild: the ``StaleIndexError``-free write path.

@@ -71,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.labels import Label
     from ..obs.metrics import MetricsRegistry
     from ..obs.trace import Tracer
-    from ..storage.mvcc import VersionedGraphStore
+    from ..storage.mvcc import VersionedGraphStore, WriteBatch
 
 __all__ = [
     "QueryService",
@@ -118,6 +118,40 @@ def label_from_wire(value) -> "Label | str | int | float | bool":
     if isinstance(value, (bool, int, float)):
         return label_of(value)
     raise ValueError(f"cannot interpret {value!r} as an edge label")
+
+
+def stage_mutations(batch: "WriteBatch", mutations) -> dict[str, int]:
+    """Stage an ``apply`` op's mutation list into ``batch`` (the service
+    and ``repro mutate`` share this dialect); returns the batch-local
+    names of the nodes it creates."""
+    names: dict[str, int] = {}
+
+    def resolve(ref: object) -> int:
+        if isinstance(ref, bool) or not isinstance(ref, (int, str)):
+            raise ValueError(f"node reference must be an id or a name, got {ref!r}")
+        if isinstance(ref, str):
+            if ref not in names:
+                raise ValueError(f"unknown node name {ref!r}")
+            return names[ref]
+        return ref
+
+    for mutation in mutations:
+        kind = mutation.get("kind")
+        if kind == "node":
+            node = batch.new_node()
+            if mutation.get("name") is not None:
+                names[str(mutation["name"])] = node
+        elif kind == "edge":
+            batch.add_edge(
+                resolve(mutation.get("src")),
+                label_from_wire(mutation.get("label")),
+                resolve(mutation.get("dst")),
+            )
+        elif kind == "root":
+            batch.set_root(resolve(mutation.get("node")))
+        else:
+            raise ValueError(f"unknown mutation kind {kind!r}")
+    return names
 
 
 def _find_value_of(query: str) -> object:
@@ -584,32 +618,7 @@ class QueryService:
                 error_type="ReadOnly",
             )
         batch = self.store.batch()
-        names: dict[str, int] = {}
-
-        def resolve(ref: object) -> int:
-            if isinstance(ref, bool) or not isinstance(ref, (int, str)):
-                raise ValueError(f"node reference must be an id or a name, got {ref!r}")
-            if isinstance(ref, str):
-                if ref not in names:
-                    raise ValueError(f"unknown node name {ref!r}")
-                return names[ref]
-            return ref
-
-        for mutation in request["mutations"]:
-            kind = mutation["kind"]
-            if kind == "node":
-                node = batch.new_node()
-                name = mutation.get("name")
-                if name is not None:
-                    names[str(name)] = node
-            elif kind == "edge":
-                batch.add_edge(
-                    resolve(mutation.get("src")),
-                    label_from_wire(mutation.get("label")),
-                    resolve(mutation.get("dst")),
-                )
-            else:  # root
-                batch.set_root(resolve(mutation.get("node")))
+        names = stage_mutations(batch, request["mutations"])
         version = batch.commit(sync=bool(request.get("sync", True)))
         return self._respond(
             rid,
@@ -663,18 +672,20 @@ class QueryService:
         """The ``stats`` op payload: admission, sessions, snapshot, metrics
         (storage's too: views frozen vs derived, SQL images built vs carried).
 
-        A read-only diagnostic: it reports the store's live counts and
-        the snapshot some reader already froze (``snapshot_id`` is
-        ``None`` when the newest version has not been read yet) -- it
-        never freezes one itself.
+        A read-only diagnostic: it reports the store's counts and the
+        snapshot some reader already built (``snapshot_id`` is ``None``
+        when the newest version has not been read yet) -- it never
+        freezes or derives one itself.
         """
         store = self.store
         view = store.cached_view if store is not None else self._static_view
-        counts = store.graph if store is not None else view.frozen
+        counts = store.stats() if store is not None else {
+            "nodes": view.frozen.num_nodes, "edges": view.frozen.num_edges
+        }
         payload: dict[str, object] = {
             "graph": {
-                "nodes": counts.num_nodes,
-                "edges": counts.num_edges,
+                "nodes": counts["nodes"],
+                "edges": counts["edges"],
                 "snapshot_id": view.frozen.snapshot_id if view is not None else None,
             },
             "governor": self.governor.snapshot(),
@@ -684,8 +695,8 @@ class QueryService:
             "metrics": metrics_to_dict(self.metrics),
             "storage": metrics_to_dict(STORAGE_METRICS),
         }
-        if self.store is not None:
-            payload["store"] = self.store.stats()
+        if store is not None:
+            payload["store"] = counts
         return payload
 
 

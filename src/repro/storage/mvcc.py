@@ -1,30 +1,28 @@
 """MVCC over the rooted graph: versioned snapshots above a write-ahead log.
 
 The read side of the repo was built frozen-first: queries run against
-immutable :class:`~repro.core.frozen.FrozenGraph` snapshots, indexes
-snapshot the graph at construction, and any mutation invalidated the
-world.  :class:`VersionedGraphStore` keeps those reader invariants and
-adds a write path underneath them:
+immutable :class:`~repro.core.frozen.FrozenGraph` snapshots.
+:class:`VersionedGraphStore` keeps that reader invariant and adds a
+write path underneath it, with one representation of the graph: the
+newest snapshot built, plus the deltas committed since it.
 
 * **writers** stage typed deltas in a :class:`WriteBatch` and commit
   them through the :class:`~repro.storage.wal.WriteAheadLog` --
-  durability is one group fsync, not one whole-graph rewrite;
+  durability is one group fsync, not one whole-graph rewrite.  A commit
+  is validated against that snapshot plus the deltas since, and costs
+  what it changes: nothing is derived until someone reads;
 * **readers** pin a :class:`SnapshotView` (an immutable frozen snapshot
   tagged with the commit sequence it reflects); a view, once handed
   out, never changes -- concurrent commits produce *new* versions;
-* **indexes** (label/path/text/value) and the lazy DataGuide are
-  maintained incrementally from the committed edge deltas, so a write
-  costs proportional-to-the-delta index work instead of
-  rebuild-on-stale;
+* **publication** is a :meth:`~repro.core.frozen.FrozenGraph.derive`
+  of the snapshot plus the deltas since (version *n* is never mutated),
+  which becomes the next snapshot; its ``_ext`` residents that can
+  ``advance`` (the SQL image, the probe index) are carried over;
 * **checkpoints** periodically fold the log into one crash-safe
   full-state file (rename-atomic via ``atomic_write_bytes``), bounding
-  recovery time;
-* **publication** costs what the commits changed: only the first view
-  is a ``freeze()``.  A commit retires the current snapshot as the
-  *derivation base*; the next view is its
-  :meth:`~repro.core.frozen.FrozenGraph.derive` plus the deltas since
-  (version *n* is never mutated), and the base's ``_ext`` residents that
-  can ``advance`` (the SQL image, the probe index) are carried over.
+  recovery time.  The fold encodes the snapshot's flat arrays and keeps
+  the snapshot; opening decodes the file straight into one, and the WAL
+  tail becomes the deltas since it.
 
 Version ids *are* commit sequence numbers: version ``n`` is the state
 after commit ``n``, version ``0`` the checkpointed (or empty) base.
@@ -33,7 +31,8 @@ Crash model: any exception out of the commit path (including an
 :class:`~repro.resilience.errors.InjectedFault` from a seeded crash
 point) leaves the store object dead -- the process is presumed gone.
 Reopen the directory; recovery replays the checkpoint plus the durable
-WAL prefix, record by record, discarding any torn tail.
+WAL prefix, record by record, each validated whole, discarding any torn
+tail.
 """
 
 from __future__ import annotations
@@ -41,13 +40,11 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from ..core.frozen import PER_VERSION_RESIDENTS, FrozenGraph, freeze
-from ..core.graph import Edge, Graph, GraphError
+from ..core.graph import Graph, GraphError
 from ..core.labels import Label, label_of, sym
-from ..index import GraphIndexes
-from ..schema.dataguide import DataGuide
 from .serializer import (
     STORAGE_METRICS,
     SerializationError,
@@ -63,7 +60,6 @@ from .wal import (
     Delta,
     SetRoot,
     WriteAheadLog,
-    apply_delta,
     rewrite_wal,
 )
 
@@ -89,48 +85,62 @@ _VIEWS_DERIVED = STORAGE_METRICS.counter("mvcc_views_derived")
 # The SSD1 wire format renumbers reachable nodes densely -- correct for
 # interchange, fatal for a checkpoint: WAL deltas after the checkpoint
 # reference the writer's *original* ids.  The checkpoint therefore uses
-# its own id-preserving encoding (same varint/label primitives).
+# its own id-preserving encoding (same varint/label primitives): next
+# id, root + 1 (0: none), node count, then per node in snapshot order
+# its id, out-degree and ``(label, dst)`` pairs in insertion order.  The
+# file is that payload behind a header: magic, commit seq, payload CRC.
 
 
-def _encode_state(graph: Graph) -> bytes:
-    out = bytearray()
-    _write_varint(out, graph._next_id)
-    _write_varint(out, 0 if graph._root is None else graph._root + 1)
-    _write_varint(out, len(graph._adj))
-    for node, edges in graph._adj.items():
+def _encode_state(fg: FrozenGraph, next_id: int, seq: int) -> bytearray:
+    """The checkpoint file for ``fg`` at commit ``seq``, header and
+    payload in one buffer."""
+    labels = []
+    for label in fg.labels_seq:  # each label's bytes once, not once per edge
+        encoded = bytearray()
+        _write_label(encoded, label)
+        labels.append(bytes(encoded))
+    offsets, targets, label_ids = fg.offsets, fg.targets, fg.label_ids
+    out = bytearray(16)  # the header, once the payload's CRC is known
+    _write_varint(out, next_id)
+    _write_varint(out, 0 if fg._root is None else fg._root + 1)
+    _write_varint(out, fg.num_nodes)
+    for pos, node in enumerate(fg.node_ids):
+        start, end = offsets[pos], offsets[pos + 1]
         _write_varint(out, node)
-        _write_varint(out, len(edges))
-        for edge in edges:
-            _write_label(out, edge.label)
-            _write_varint(out, edge.dst)
-    return bytes(out)
+        _write_varint(out, end - start)
+        for i in range(start, end):
+            out += labels[label_ids[i]]
+            _write_varint(out, targets[i])
+    crc = zlib.crc32(memoryview(out)[16:])
+    out[:16] = CHECKPOINT_MAGIC + seq.to_bytes(8, "big") + crc.to_bytes(4, "big")
+    return out
 
 
-def _decode_state(payload: bytes) -> Graph:
-    graph = Graph()
+def _decode_state(payload: bytes, version: int) -> tuple[FrozenGraph, int]:
+    """The checkpointed snapshot, streamed into ``from_edge_stream``, and the
+    next free node id."""
     next_id, pos = _read_varint(payload, 0)
     root_plus1, pos = _read_varint(payload, pos)
     num_nodes, pos = _read_varint(payload, pos)
-    records: list[tuple[int, list[tuple[Label, int]]]] = []
-    for _ in range(num_nodes):
-        node, pos = _read_varint(payload, pos)
-        degree, pos = _read_varint(payload, pos)
-        edges: list[tuple[Label, int]] = []
-        for _ in range(degree):
-            label, pos = _read_label(payload, pos)
-            dst, pos = _read_varint(payload, pos)
-            edges.append((label, dst))
-        records.append((node, edges))
-        graph.ensure_node(node)
+    nodes: list[int] = []
+
+    def edges() -> Iterator[tuple[int, Label, int]]:
+        nonlocal pos
+        for _ in range(num_nodes):
+            node, pos = _read_varint(payload, pos)
+            degree, pos = _read_varint(payload, pos)
+            nodes.append(node)  # before its edges: from_edge_stream reads it then
+            for _ in range(degree):
+                label, pos = _read_label(payload, pos)
+                dst, pos = _read_varint(payload, pos)
+                yield node, label, dst
+
+    fg = FrozenGraph.from_edge_stream(
+        nodes, edges(), root=root_plus1 - 1 if root_plus1 else None, version=version
+    )
     if pos != len(payload):
         raise SerializationError("checkpoint has trailing bytes")
-    for node, edges in records:
-        for label, dst in edges:
-            graph.add_edge(node, label, dst)
-    if root_plus1:
-        graph.set_root(root_plus1 - 1)
-    graph._next_id = max(graph._next_id, next_id)
-    return graph
+    return fg, max(next_id, max(nodes, default=-1) + 1)
 
 
 @dataclass(frozen=True)
@@ -179,19 +189,19 @@ class WriteBatch:
 
     Node ids are allocated eagerly (so edges within the batch can
     reference them) but recorded as :class:`AddNode` deltas -- replay
-    reproduces the same ids.  Validation happens at staging time: a
-    batch that commits was already structurally sound, which is what
-    lets recovery apply WAL records unconditionally.
+    reproduces the same ids.  Staging checks each reference as it is
+    made; the commit validates the whole batch again, because another
+    batch may have committed in between.
     """
 
     def __init__(self, store: "VersionedGraphStore") -> None:
         self._store = store
         self._deltas: list[Delta] = []
-        self._next = store._graph._next_id
+        self._next = store._next_id
         self._fresh: set[int] = set()
 
     def _known(self, node: int) -> bool:
-        return node in self._fresh or self._store._graph.has_node(node)
+        return node in self._fresh or self._store._known(node)
 
     def new_node(self) -> int:
         node = self._next
@@ -226,6 +236,11 @@ class WriteBatch:
 class VersionedGraphStore:
     """A durable, versioned graph: checkpoint + WAL + pinned snapshots.
 
+    The state is ``_base``, the newest snapshot built, plus what was
+    committed after it: the edges ``_since`` and the node ids ``_added``
+    (in commit order), and plain counters for the next free id, the
+    root and the sizes.
+
     ``checkpoint_every`` (commits) bounds the delta chain: when the log
     grows past it, the store folds everything into a fresh checkpoint
     automatically.  ``durable=False`` skips fsyncs (tests and benches
@@ -239,31 +254,35 @@ class VersionedGraphStore:
         durable: bool = True,
         injector=None,
         checkpoint_every: "int | None" = 1024,
-        path_depth: int = 4,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._durable = durable
         self._injector = injector
         self._checkpoint_every = checkpoint_every
-        self._path_depth = path_depth
         self._closed = False
 
-        graph, base_seq = self._load_checkpoint()
+        base, base_seq, self._next_id = self._load_checkpoint()
+        _VIEWS_FROZEN.inc()
+        self._base: FrozenGraph = base
+        self._since: list[AddEdge] = []
+        self._added: dict[int, None] = {}
+        self._root = base._root
+        self._num_nodes, self._num_edges = base.num_nodes, base.num_edges
+        self._view: SnapshotView | None = None
         replay = WriteAheadLog.replay(self._wal_path, base_seq=base_seq)
         replayed = 0
         discarded_records = replay.discarded_records
         for record in replay.records:
             try:
-                for delta in record.deltas:
-                    apply_delta(graph, delta)
+                self._validate(record.deltas)
             except GraphError:
                 # a semantically inconsistent record: stop at the last
-                # good prefix, same as a torn tail
+                # good prefix, same as a torn tail; none of it applies
                 discarded_records += len(replay.records) - replayed
                 break
+            self._apply(record.deltas)
             replayed += 1
-        self._graph = graph
         self._checkpoint_seq = base_seq
         self._version = base_seq + replayed
         self._acked_seq = self._version
@@ -284,16 +303,6 @@ class VersionedGraphStore:
                 self._wal_path, replay.records[:replayed], fsync=durable
             )
         self._wal = WriteAheadLog(self._wal_path, injector=injector)
-        self._visible: set[int] = (
-            graph.reachable() if graph.has_root else set()
-        )
-        self._indexes: GraphIndexes | None = None
-        self._guide: DataGuide | None = None
-        self._view: SnapshotView | None = None
-        # the next view's derivation base and the deltas since (recorded
-        # only while there is a base; a checkpoint fold drops both)
-        self._base: FrozenGraph | None = None
-        self._since: list[Delta] = []
 
     # -- paths ----------------------------------------------------------------
 
@@ -321,21 +330,15 @@ class VersionedGraphStore:
         ckpt = directory / CHECKPOINT_NAME
         if ckpt.exists() or (directory / WAL_NAME).exists():
             raise FileExistsError(f"{directory} already holds a store")
-        payload = _encode_state(graph)
-        blob = (
-            CHECKPOINT_MAGIC
-            + (0).to_bytes(8, "big")
-            + zlib.crc32(payload).to_bytes(4, "big")
-            + payload
-        )
+        blob = _encode_state(freeze(graph), graph._next_id, 0)
         atomic_write_bytes(ckpt, blob, fsync=kwargs.get("durable", True))
         return cls(directory, **kwargs)
 
-    def _load_checkpoint(self) -> tuple[Graph, int]:
+    def _load_checkpoint(self) -> tuple[FrozenGraph, int, int]:
         try:
             raw = self._checkpoint_path.read_bytes()
         except FileNotFoundError:
-            return Graph(), 0
+            return FrozenGraph.from_edge_stream(0, (), root=None), 0, 0
         if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 16:
             raise SerializationError(
                 f"corrupt checkpoint {self._checkpoint_path}: bad header"
@@ -347,7 +350,8 @@ class VersionedGraphStore:
             raise SerializationError(
                 f"corrupt checkpoint {self._checkpoint_path}: CRC mismatch"
             )
-        return _decode_state(payload), seq
+        fg, next_id = _decode_state(payload, seq)
+        return fg, seq, next_id
 
     # -- crash points ----------------------------------------------------------
 
@@ -380,19 +384,15 @@ class VersionedGraphStore:
             self.sync()
         elif not self._durable:
             self._acked_seq = seq
-        self._ingest(deltas)
+        self._apply(deltas)
         if self._view is not None:
             # the retired snapshot's per-version residents (the planner)
             # point back at it; detached, its last reader frees it by
             # reference count, and a straggler rebuilds what it needs.
             # The rest (SQL image, probe index) wait for the next view
-            base = self._view.frozen
             for key in PER_VERSION_RESIDENTS:
-                base._ext.pop(key, None)
-            self._base, self._since = base, []
+                self._base._ext.pop(key, None)
             self._view = None
-        if self._base is not None:
-            self._since += deltas
         STORAGE_METRICS.counter("mvcc_commits").inc()
         if (
             self._checkpoint_every is not None
@@ -407,72 +407,56 @@ class VersionedGraphStore:
             self._wal.sync()
         self._acked_seq = self._version
 
-    def _validate(self, deltas: "Iterable[Delta]") -> None:
-        # a delta that cannot apply must never reach the log: recovery
-        # applies records unconditionally.  Node ids must be fresh: two
-        # batches opened at one version allocate the same ones
-        adj = self._graph._adj
-        next_id = self._graph._next_id
+    def _known(self, node: int) -> bool:
+        return node in self._added or self._base.has_node(node)
+
+    def _validate(self, deltas: "Sequence[Delta]") -> None:
+        """Refuse a commit (or a replayed record) that cannot apply whole.
+
+        A delta that cannot apply must never reach the log, and recovery
+        stops at the first record that fails here.  A node is known if
+        the snapshot has it, a commit since added it, or this one does;
+        new ids must be fresh, since two batches opened at one version
+        allocate the same ones.
+        """
+        next_id = self._next_id
         pending: set[int] = set()
+
+        def known(node: int) -> bool:
+            return node in pending or self._known(node)
+
         for delta in deltas:
-            if isinstance(delta, AddNode):
-                if delta.node < next_id or delta.node in adj or delta.node in pending:
+            kind = type(delta)
+            if kind is AddNode:
+                if delta.node < next_id or delta.node in pending:
                     raise GraphError(f"node {delta.node} is not a fresh id (next is {next_id})")
                 pending.add(delta.node)
-            elif isinstance(delta, AddEdge):
-                if delta.src not in adj and delta.src not in pending:
+            elif kind is AddEdge:
+                if not known(delta.src):
                     raise GraphError(f"unknown source node {delta.src}")
-                if delta.dst not in adj and delta.dst not in pending:
+                if not known(delta.dst):
                     raise GraphError(f"unknown destination node {delta.dst}")
                 if not isinstance(delta.label, Label):
                     raise GraphError(f"edge label must be a Label, got {delta.label!r}")
-            elif isinstance(delta, SetRoot):
-                if delta.node not in adj and delta.node not in pending:
+            elif kind is SetRoot:
+                if not known(delta.node):
                     raise GraphError(f"cannot root graph at unknown node {delta.node}")
             else:
                 raise GraphError(f"unknown delta {delta!r}")
 
-    def _ingest(self, deltas: "Sequence[Delta]") -> None:
-        """Apply deltas to the live graph and maintain derived state."""
-        graph = self._graph
-        visible = self._visible
-        new_edges: list[Edge] = []
-        root_changed = False
+    def _apply(self, deltas: "Sequence[Delta]") -> None:
+        """Record validated deltas as committed since the snapshot."""
         for delta in deltas:
-            if isinstance(delta, AddEdge):
-                edge = graph.add_edge(delta.src, delta.label, delta.dst)
-                if edge.src in visible:
-                    new_edges.append(edge)
-                    if edge.dst not in visible:
-                        # the edge opened a new region: everything below
-                        # it becomes visible, and each newly visible
-                        # node's out-edges enter the indexes
-                        visible.add(edge.dst)
-                        stack = [edge.dst]
-                        while stack:
-                            node = stack.pop()
-                            for e in graph.edges_from(node):
-                                new_edges.append(e)
-                                if e.dst not in visible:
-                                    visible.add(e.dst)
-                                    stack.append(e.dst)
-            elif isinstance(delta, SetRoot):
-                graph.set_root(delta.node)
-                root_changed = True
+            kind = type(delta)
+            if kind is AddEdge:
+                self._since.append(delta)
+                self._num_edges += 1
+            elif kind is AddNode:
+                self._added[delta.node] = None
+                self._next_id = max(self._next_id, delta.node + 1)
+                self._num_nodes += 1
             else:
-                apply_delta(graph, delta)
-        if root_changed:
-            # non-monotone: visibility (and every derived structure)
-            # restarts from the new root
-            self._visible = graph.reachable() if graph.has_root else set()
-            if self._indexes is not None:
-                self._indexes.refresh()
-            self._guide = None
-        else:
-            if self._indexes is not None:
-                self._indexes.apply_delta(new_edges)
-            if self._guide is not None and new_edges:
-                self._guide.refresh(new_edges)
+                self._root = delta.node
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -483,33 +467,26 @@ class VersionedGraphStore:
         rename-atomic, and the WAL reset is rename-atomic.  A crash
         between them leaves a new checkpoint plus a stale log -- replay
         skips records at or below the checkpoint's sequence, so the
-        combination is still exactly one state.
+        combination is still exactly one state.  The snapshot encoded
+        stays the store's, residents and all.
         """
         if self._closed:
             raise ValueError("store is closed")
         self._crash_point("checkpoint:begin")
-        payload = _encode_state(self._graph)
-        blob = (
-            CHECKPOINT_MAGIC
-            + self._version.to_bytes(8, "big")
-            + zlib.crc32(payload).to_bytes(4, "big")
-            + payload
-        )
+        blob = _encode_state(self._current(), self._next_id, self._version)
         self._crash_point("checkpoint:write")
         atomic_write_bytes(self._checkpoint_path, blob, fsync=self._durable)
         self._checkpoint_seq = self._version
         self._acked_seq = self._version
         self._wal.truncate(durable=self._durable)
-        self._drop_base()
         STORAGE_METRICS.counter("checkpoints").inc()
 
     # -- the read path ---------------------------------------------------------
 
     @property
-    def graph(self) -> Graph:
-        """The live (mutable) graph: the checkpoint merged with every
-        committed delta.  Mutate it only through :meth:`commit`."""
-        return self._graph
+    def graph(self) -> FrozenGraph:
+        """The current version's snapshot (``view().frozen``)."""
+        return self.view().frozen
 
     @property
     def version(self) -> int:
@@ -523,59 +500,39 @@ class VersionedGraphStore:
     def view(self) -> SnapshotView:
         """The current version's pinned read view (cached per version).
 
-        Derived from the base plus the commits since it when there is
-        one, frozen from the live graph otherwise; every reader at this
-        version shares the result.  Older views stay valid for as long as
-        their holders keep them -- neither path mutates a snapshot.
+        Every reader at this version shares it.  Older views stay valid
+        for as long as their holders keep them -- a derivation never
+        mutates a snapshot.
         """
         v = self._view
         if v is None:
-            base, deltas = self._base, self._since
-            if base is None:
-                _VIEWS_FROZEN.inc()
-                fg = freeze(self._graph)
-            else:
-                _VIEWS_DERIVED.inc()
-                edges = [d for d in deltas if type(d) is AddEdge]
-                nodes = [d.node for d in deltas if type(d) is AddNode]
-                fg = base.derive(nodes, edges, self._graph._root, self._graph.version)
-                # the residents that advance take the delta (a straggler
-                # may have rebuilt a per-version one on the base since)
-                for key, resident in base._ext.items():
-                    if key not in PER_VERSION_RESIDENTS:
-                        carried = resident.advance(fg, edges)
-                        if carried is not None:
-                            fg._ext[key] = carried
-                self._drop_base()
-            v = self._view = SnapshotView(fg, self._version)
+            v = self._view = SnapshotView(self._current(), self._version)
         return v
 
-    def _drop_base(self) -> None:
-        """Forget the derivation base.  What is left in its ``_ext`` (the
-        SQL image, anything a straggler rebuilt) points back at it;
-        detached, its last reader frees it by reference count."""
-        if self._base is not None:
-            self._base._ext.clear()
-            self._base, self._since = None, []
+    def _current(self) -> FrozenGraph:
+        """The snapshot at the current version: the base when nothing was
+        committed since it, else its derivation, which becomes the base."""
+        base, edges = self._base, self._since
+        if edges or self._added or self._root != base._root:
+            _VIEWS_DERIVED.inc()
+            fg = base.derive(list(self._added), edges, self._root, self._version)
+            # the residents that advance take the delta (a straggler
+            # may have rebuilt a per-version one on the base since);
+            # what is left points back at the old base, and detached,
+            # its last reader frees it by reference count
+            for key, resident in base._ext.items():
+                if key not in PER_VERSION_RESIDENTS:
+                    carried = resident.advance(fg, edges)
+                    if carried is not None:
+                        fg._ext[key] = carried
+            base._ext.clear()
+            self._base, self._since, self._added = fg, [], {}
+        return self._base
 
     @property
     def cached_view(self) -> "SnapshotView | None":
         """The current version's view if a reader already asked for it."""
         return self._view
-
-    @property
-    def indexes(self) -> GraphIndexes:
-        """Incrementally maintained index bundle over the live graph."""
-        if self._indexes is None:
-            self._indexes = GraphIndexes(self._graph, path_depth=self._path_depth)
-        return self._indexes
-
-    @property
-    def guide(self) -> DataGuide:
-        """Incrementally maintained strong DataGuide of the live graph."""
-        if self._guide is None:
-            self._guide = DataGuide(self._graph)
-        return self._guide
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -585,8 +542,8 @@ class VersionedGraphStore:
             "acked_version": self._acked_seq,
             "checkpoint_seq": self._checkpoint_seq,
             "wal_bytes": self._wal.size_bytes if not self._closed else 0,
-            "nodes": self._graph.num_nodes,
-            "edges": self._graph.num_edges,
+            "nodes": self._num_nodes,
+            "edges": self._num_edges,
             "recovery": {
                 "checkpoint_seq": self.recovery.checkpoint_seq,
                 "replayed_records": self.recovery.replayed_records,

@@ -84,14 +84,14 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 # -- typed deltas ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddNode:
     """Materialize ``node`` (the id the writer's allocator handed out)."""
 
     node: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddEdge:
     """Append ``src --label--> dst`` to the adjacency."""
 
@@ -100,7 +100,7 @@ class AddEdge:
     dst: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetRoot:
     """Re-root the graph at ``node`` (non-monotone: resets visibility)."""
 
@@ -111,7 +111,7 @@ Delta = Union[AddNode, AddEdge, SetRoot]
 
 
 def apply_delta(graph: Graph, delta: Delta) -> None:
-    """Apply one delta to a live graph (writer and recovery share this)."""
+    """Apply one delta to a mutable graph (a reference model of the store)."""
     if isinstance(delta, AddNode):
         graph.ensure_node(delta.node)
     elif isinstance(delta, AddEdge):

@@ -19,6 +19,7 @@ retires, and carries that snapshot's SQL image forward.  The contract:
   still equals the ``edges_from`` walk, witnesses included.
 """
 
+import copy
 import json
 import tempfile
 from pathlib import Path
@@ -41,6 +42,7 @@ from repro.planner import planner_for
 from repro.service.server import QueryService
 from repro.sqlbackend import NotCompilable, SqlBackend, sql_backend_for
 from repro.storage import STORAGE_METRICS, AddEdge, AddNode, SetRoot, VersionedGraphStore
+from repro.storage.wal import apply_delta
 from repro.unql import unql
 
 #: base labels draw from the first four; commits may also intern the rest
@@ -101,17 +103,25 @@ COMMITS = st.lists(
 )
 
 
-def apply_commit(store: VersionedGraphStore, commit) -> None:
+def commit_both(store: VersionedGraphStore, shadow: Graph, deltas: list) -> None:
+    """Commit ``deltas`` to the store and apply them to ``shadow``, the
+    test's own reference :class:`Graph` of what the store holds."""
+    store.commit(deltas)
+    for delta in deltas:
+        apply_delta(shadow, delta)
+
+
+def apply_commit(store: VersionedGraphStore, shadow: Graph, commit) -> None:
     fresh, edges, reroot, _, _, skip = commit
-    first = store.graph._next_id + skip
+    first = shadow._next_id + skip
     new = list(range(first, first + fresh))
-    nodes = [*store.graph.nodes(), *new]
+    nodes = [*shadow.nodes(), *new]
     deltas: list = [AddNode(node) for node in new]
     for src, label, dst in edges:
         deltas.append(AddEdge(nodes[src % len(nodes)], label, nodes[dst % len(nodes)]))
     if reroot is not None:
         deltas.append(SetRoot(nodes[reroot % len(nodes)]))
-    store.commit(deltas)
+    commit_both(store, shadow, deltas)
 
 
 def _canon(value):
@@ -172,6 +182,7 @@ def sql_answers(backend: SqlBackend, patterns) -> list:
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(bases(), COMMITS, st.lists(PATTERNS, min_size=1, max_size=3))
 def test_derived_views_equal_cold_freeze(base, commits, patterns):
+    shadow = copy.deepcopy(base)
     with tempfile.TemporaryDirectory() as tmp:
         with VersionedGraphStore.create(Path(tmp) / "s", base, durable=False) as store:
             pinned = store.view()
@@ -180,22 +191,22 @@ def test_derived_views_equal_cold_freeze(base, commits, patterns):
             pinned_answers = answers(pinned.frozen, patterns)
             pinned_sql = sql_answers(held, patterns)
             for commit in commits:
-                apply_commit(store, commit)
+                apply_commit(store, shadow, commit)
                 if commit[4]:
                     store.checkpoint()
                 if not commit[3]:
                     continue
                 view = store.view()
-                cold = freeze(store.graph)
+                cold = freeze(shadow)
                 assert dump(view.frozen) == dump(cold)
                 assert answers(view.frozen, patterns) == answers(cold, patterns)
-                if store.graph.has_root:
+                if shadow.has_root:
                     carried = sql_backend_for(view.frozen)
                     assert sql_answers(carried, patterns) == sql_answers(
                         SqlBackend(cold), patterns
                     )
             view = store.view()
-            assert dump(view.frozen) == dump(freeze(store.graph))
+            assert dump(view.frozen) == dump(freeze(shadow))
             # version 0 never moved, and the backend held from it still
             # answers version 0 although its image was carried away
             assert dump(pinned.frozen) == pinned_dump
@@ -226,16 +237,17 @@ def probe_sets(probes: ProbeIndex) -> dict:
 def test_carried_probe_index_equals_a_cold_build(base, commits):
     """Each view's probe index -- carried from the last read unless a
     fold came between -- holds what one built cold on the same graph does."""
+    shadow = copy.deepcopy(base)
     with tempfile.TemporaryDirectory() as tmp:
         with VersionedGraphStore.create(Path(tmp) / "s", base, durable=False) as store:
             probes_for(store.view().frozen).values
             for commit in commits:
-                apply_commit(store, commit)
+                apply_commit(store, shadow, commit)
                 if commit[4]:
                     store.checkpoint()
                 if commit[3]:
                     probes = probes_for(store.view().frozen)
-                    assert probe_sets(probes) == probe_sets(ProbeIndex(freeze(store.graph)))
+                    assert probe_sets(probes) == probe_sets(ProbeIndex(freeze(shadow)))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -243,12 +255,13 @@ def test_carried_probe_index_equals_a_cold_build(base, commits):
 def test_csr_walk_equals_edges_from_walk(base, commits, pattern):
     """The grouped walk over target buckets (and the insertion-ordered
     pruned scan witnesses use) agrees with the plain-graph walk."""
+    shadow = copy.deepcopy(base)
     with tempfile.TemporaryDirectory() as tmp:
         with VersionedGraphStore.create(Path(tmp) / "s", base, durable=False) as store:
             store.view()
             for commit in commits:
-                apply_commit(store, commit)
-            fg, graph = store.view().frozen, store.graph
+                apply_commit(store, shadow, commit)
+            fg, graph = store.view().frozen, shadow
             for start in graph.nodes():
                 csr, plain = QueryProfile(), QueryProfile()
                 assert rpq_nodes(fg, pattern, start, profile=csr) == rpq_nodes(
@@ -258,7 +271,8 @@ def test_csr_walk_equals_edges_from_walk(base, commits, pattern):
                 assert rpq_witnesses(fg, pattern, start) == rpq_witnesses(graph, pattern, start)
 
 
-def movie_store(directory: Path) -> VersionedGraphStore:
+def movie_store(directory: Path) -> "tuple[VersionedGraphStore, Graph]":
+    """A two-movie store and its shadow (:func:`commit_both`)."""
     g = Graph()
     root = g.new_node()
     g.set_root(root)
@@ -266,23 +280,26 @@ def movie_store(directory: Path) -> VersionedGraphStore:
         movie, leaf = g.new_node(), g.new_node()
         g.add_edge(root, "Movie", movie)
         g.add_edge(movie, string(title), leaf)
-    return VersionedGraphStore.create(directory, g, durable=False)
+    return VersionedGraphStore.create(directory, g, durable=False), copy.deepcopy(g)
 
 
-def add_movie(store: VersionedGraphStore, title: str) -> None:
-    batch = store.batch()
-    movie, leaf = batch.new_node(), batch.new_node()
-    batch.add_edge(store.graph.root, "Movie", movie)
-    batch.add_edge(movie, string(title), leaf)
-    batch.commit()
+def add_movie(store: VersionedGraphStore, shadow: Graph, title: str) -> None:
+    movie, leaf = shadow._next_id, shadow._next_id + 1
+    commit_both(store, shadow, [
+        AddNode(movie),
+        AddNode(leaf),
+        AddEdge(shadow.root, sym("Movie"), movie),
+        AddEdge(movie, string(title), leaf),
+    ])
 
 
 def test_a_retired_backend_never_serves_a_later_version(tmp_path: Path) -> None:
-    with movie_store(tmp_path / "s") as store:
+    store, shadow = movie_store(tmp_path / "s")
+    with store:
         v0 = store.view()
         b0 = sql_backend_for(v0.frozen)
         answer0 = b0.rpq_nodes("Movie._")
-        add_movie(store, "Psycho")
+        add_movie(store, shadow, "Psycho")
         v1 = store.view()
         b1 = sql_backend_for(v1.frozen)
         assert b1 is not b0 and b1.conn is not None
@@ -296,13 +313,14 @@ def test_a_retired_backend_never_serves_a_later_version(tmp_path: Path) -> None:
 def test_a_commit_keeps_only_the_image_it_can_carry(tmp_path: Path) -> None:
     """The retired snapshot's planner goes at the commit; its SQL image
     and probe index wait for the next view, which carries them away."""
-    with movie_store(tmp_path / "s") as store:
+    store, shadow = movie_store(tmp_path / "s")
+    with store:
         v0 = store.view().frozen
         sql_backend_for(v0)
         planner_for(v0)
         where_is(v0, "Vertigo")
         assert set(v0._ext) == {"sqlbackend", "planner", "probes"}
-        add_movie(store, "Psycho")
+        add_movie(store, shadow, "Psycho")
         assert set(v0._ext) == {"sqlbackend", "probes"}
         assert {"sqlbackend", "probes"} <= set(store.view().frozen._ext)
         assert v0._ext == {}
@@ -324,11 +342,12 @@ def test_views_and_images_are_derived_and_carried(tmp_path: Path) -> None:
     each -- and both wire ``stats`` and ``stats --json`` report the
     counters."""
     before = {name: STORAGE_METRICS.counter(name).value for name in COUNTERS}
-    with movie_store(tmp_path / "s") as store:
+    store, shadow = movie_store(tmp_path / "s")
+    with store:
         service = QueryService(store=store)
         for k in range(5):
             if k:
-                add_movie(store, f"New {k}")
+                add_movie(store, shadow, f"New {k}")
             sql_backend_for(service.current_view().frozen).rpq_nodes("Movie._")
             assert where_is(service.current_view().frozen, "Casablanca") == ["`Movie`.'Casablanca'"]
         delta = {name: STORAGE_METRICS.counter(name).value - before[name] for name in COUNTERS}
@@ -349,12 +368,13 @@ def test_a_wildcard_walk_reads_the_carried_probe_index(tmp_path: Path) -> None:
     commit, never rebuilt for the walk."""
     before = {name: STORAGE_METRICS.counter(name).value for name in COUNTERS}
     walks = PLAN_METRICS.counter("coreach_walks").value
-    with movie_store(tmp_path / "s") as store:
+    store, shadow = movie_store(tmp_path / "s")
+    with store:
         for k in range(5):
             if k:
-                add_movie(store, f"New {k}")
+                add_movie(store, shadow, f"New {k}")
             fg = store.view().frozen
-            assert rpq_nodes(fg, '_*."Vertigo"') == rpq_nodes(store.graph, '_*."Vertigo"')
+            assert rpq_nodes(fg, '_*."Vertigo"') == rpq_nodes(shadow, '_*."Vertigo"')
         delta = {name: STORAGE_METRICS.counter(name).value - before[name] for name in COUNTERS}
         assert (delta["probe_index_built"], delta["probe_index_carried"]) == (1, 4)
         assert PLAN_METRICS.counter("coreach_walks").value - walks == 10  # 5 snapshots, 5 graphs

@@ -2,22 +2,23 @@
 
 The MVCC contract under test: version ids are commit sequence numbers,
 a handed-out :class:`SnapshotView` never changes, reopening a directory
-reproduces the exact committed state, and incremental index/DataGuide
-maintenance answers identically to a cold rebuild.
+reproduces the exact committed state, and a fold neither rebuilds the
+snapshot nor what readers keep on it.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.automata import rpq_nodes
+from repro.browse import where_is
 from repro.core.convert import graph_to_oem
 from repro.core.graph import Graph, GraphError
 from repro.core.labels import string, sym
 from repro.datasets import generate_movies
-from repro.index import GraphIndexes
 from repro.lorel import lorel, lorel_rows
-from repro.schema.dataguide import DataGuide
+from repro.sqlbackend import sql_backend_for
 from repro.storage import AddEdge, AddNode, VersionedGraphStore
 from repro.storage.serializer import STORAGE_METRICS
 
@@ -109,7 +110,7 @@ class TestBatches:
 
     def test_node_ids_must_be_fresh(self, tmp_path: Path) -> None:
         with seeded_store(tmp_path) as store:
-            next_id = store.graph._next_id
+            next_id = store._next_id
             for node in (store.graph.root, next_id - 1):
                 with pytest.raises(GraphError):
                     store.commit([AddNode(node)])
@@ -144,7 +145,7 @@ class TestSnapshots:
     def test_view_is_cached_per_version(self, tmp_path: Path) -> None:
         with seeded_store(tmp_path) as store:
             assert store.view() is store.view()
-            store.commit([AddNode(store.graph._next_id)])
+            store.commit([AddNode(store._next_id)])
             assert store.view().version == 1
 
     def test_view_frozen_and_oem_outlive_commits(self, tmp_path: Path) -> None:
@@ -254,78 +255,73 @@ class TestDurability:
             assert reopened.graph.has_node(orphan)
 
 
-class TestIncrementalMaintenance:
-    def test_indexes_survive_commits_without_rebuild(self, tmp_path: Path) -> None:
+
+
+class TestFold:
+    """A checkpoint encodes the current snapshot and keeps it."""
+
+    COUNTERS = ("mvcc_views_frozen", "sql_image_built", "probe_index_built")
+
+    def test_a_fold_rebuilds_nothing_a_reader_holds(self, tmp_path: Path) -> None:
+        def read(fg) -> None:
+            sql_backend_for(fg).rpq_nodes("Entry.Movie")
+            where_is(fg, "Vertigo")  # the probe index
+
         with seeded_store(tmp_path) as store:
-            indexes = store.indexes
-            path_before = indexes.path  # force the build
+            read(store.view().frozen)
+            before = {name: STORAGE_METRICS.counter(name).value for name in self.COUNTERS}
             batch = store.batch()
-            movie = batch.new_node()
-            batch.add_edge(store.graph.root, "Movie", movie)
+            batch.add_edge(store.view().frozen.root, "Extra", batch.new_node())
             batch.commit()
-            # same objects, refreshed -- not rebuilt
-            assert store.indexes is indexes
-            assert indexes.path is path_before
-            assert not indexes.path.is_stale()
+            store.checkpoint()
+            read(store.view().frozen)
+            after = {name: STORAGE_METRICS.counter(name).value for name in self.COUNTERS}
+            assert after == before
 
-    def test_refreshed_indexes_match_cold_rebuild(self, tmp_path: Path) -> None:
+    def test_a_fold_with_nothing_committed_keeps_the_view(self, tmp_path: Path) -> None:
         with seeded_store(tmp_path) as store:
-            store.indexes.build_all()
-            guide = store.guide
-            root = store.graph.root
-            batch = store.batch()
-            movie = batch.new_node()
-            title = batch.new_node()
-            batch.add_edge(root, "Movie", movie)
-            batch.add_edge(movie, "Title", title)
-            batch.add_edge(title, string("Marnie"), title)
-            batch.commit()
+            view = store.view()
+            store.checkpoint()
+            assert store.view() is view
+            store.commit([AddNode(store._next_id)])
+            view = store.view()
+            store.checkpoint()
+            assert store.view() is view
 
-            cold = GraphIndexes(store.graph, path_depth=4).build_all()
-            assert store.indexes.path._paths == cold.path._paths
-            assert {
-                lab: sorted((e.src, e.dst) for e in edges)
-                for lab, edges in store.indexes.label._by_label.items()
-            } == {
-                lab: sorted((e.src, e.dst) for e in edges)
-                for lab, edges in cold.label._by_label.items()
-            }
-            assert sorted(store.indexes.text.vocabulary) == sorted(cold.text.vocabulary)
-            assert guide.equivalent_to(DataGuide(store.graph))
 
-    def test_set_root_resets_visibility(self, tmp_path: Path) -> None:
-        with seeded_store(tmp_path) as store:
-            store.indexes.build_all()
-            batch = store.batch()
-            new_root = batch.new_node()
-            batch.set_root(new_root)
-            batch.commit()
-            # non-monotone change: everything derived restarts from scratch
-            cold = GraphIndexes(store.graph, path_depth=4).build_all()
-            assert store.indexes.path._paths == cold.path._paths
-            assert store.guide.equivalent_to(DataGuide(store.graph))
-            assert store.view().frozen.root == new_root
-            assert store.indexes.path.lookup(()) == {new_root}
+def test_counts_are_reported_without_building_a_snapshot(
+    tmp_path: Path, monkeypatch, capsys
+) -> None:
+    """The wire ``stats`` op and ``repro recover`` read the store's counts:
+    neither freezes nor derives a snapshot, even with commits unread."""
+    from repro.cli import main as cli_main
+    from repro.core.frozen import FrozenGraph
+    from repro.service import InProcessHarness, QueryService
 
-    def test_edge_into_invisible_region_opens_it(self, tmp_path: Path) -> None:
-        # build a disconnected island first, then bridge to it: the
-        # island's interior edges must enter the indexes too
-        g = Graph()
-        root = g.new_node()
-        g.set_root(root)
-        store = VersionedGraphStore.create(tmp_path / "store", g, durable=False)
-        try:
-            batch = store.batch()
-            a = batch.new_node()
-            b = batch.new_node()
-            batch.add_edge(a, "inner", b)  # invisible: a is unreachable
-            batch.commit()
-            store.indexes.build_all()
-            assert store.indexes.label.count(sym("inner")) == 0
-
-            store.commit([AddEdge(root, sym("bridge"), a)])
-            assert store.indexes.label.count(sym("inner")) == 1
-            cold = GraphIndexes(store.graph, path_depth=4).build_all()
-            assert store.indexes.path._paths == cold.path._paths
-        finally:
-            store.close()
+    built = []
+    real_init, real_derive = FrozenGraph.__init__, FrozenGraph.derive
+    with seeded_store(tmp_path) as store:
+        store.view()
+        node = store.batch().new_node()
+        store.commit([AddNode(node), AddEdge(store.view().frozen.root, sym("x"), node)])
+        expected = {"nodes": store.stats()["nodes"], "edges": store.stats()["edges"]}
+        monkeypatch.setattr(
+            FrozenGraph, "__init__", lambda fg, *a: (built.append("freeze"), real_init(fg, *a))[1]
+        )
+        monkeypatch.setattr(
+            FrozenGraph,
+            "derive",
+            lambda fg, *a: (built.append("derive"), real_derive(fg, *a))[1],
+        )
+        stats = InProcessHarness(QueryService(store=store)).run_one({"id": 1, "op": "stats"})
+        graph = stats["result"]["graph"]
+        assert {"nodes": graph["nodes"], "edges": graph["edges"]} == expected
+        assert graph["snapshot_id"] is None
+    assert cli_main(["recover", str(tmp_path / "store")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {"nodes": report["nodes"], "edges": report["edges"]} == expected
+    assert report["replayed_records"] == 1
+    assert built == []
+    with VersionedGraphStore(tmp_path / "store", durable=False) as reopened:
+        fg = reopened.view().frozen
+        assert (fg.num_nodes, fg.num_edges) == (expected["nodes"], expected["edges"])

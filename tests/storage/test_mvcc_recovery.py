@@ -7,8 +7,8 @@ reopening the directory yields a *prefix-consistent* snapshot:
 * every acknowledged commit is present (durability),
 * the recovered version never exceeds what was written (no invention),
 * the recovered graph equals the shadow state at that version exactly,
-* indexes and DataGuide built over the recovered graph match a cold
-  rebuild (zero divergence).
+* the snapshot it serves equals a cold freeze of that shadow over the
+  whole read API (zero divergence).
 
 The sweep is deterministic: each scenario arms one
 :class:`FaultInjector` outage key at one commit boundary, catches the
@@ -16,23 +16,29 @@ The sweep is deterministic: each scenario arms one
 """
 
 import contextlib
+import copy
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from repro.core.frozen import freeze
 from repro.core.graph import Graph
 from repro.core.labels import string, sym
-from repro.index import GraphIndexes
 from repro.resilience import FaultInjector
 from repro.resilience.errors import InjectedFault
-from repro.schema.dataguide import DataGuide
 from repro.storage import AddEdge, AddNode, VersionedGraphStore
-from repro.storage.wal import apply_delta
+from repro.storage.mvcc import CHECKPOINT_NAME, WAL_NAME
+from repro.storage.serializer import _write_label, _write_varint
+from repro.storage.wal import WriteAheadLog, apply_delta
+
+from .test_derived_views import COMMITS, apply_commit, bases, dump
 
 CRASH_POINTS = [
     "wal:append",        # before anything reaches the file
@@ -87,13 +93,9 @@ def assert_prefix_consistent(
         )
         expected = shadow_at(version, deltas_by_seq)
         assert same_state(recovered.graph, expected), f"state diverges at v{version}"
-        # zero index divergence: what the store serves after recovery is
-        # exactly what a cold build over the ground-truth state produces
-        cold = GraphIndexes(expected, path_depth=4).build_all()
-        recovered.indexes.build_all()
-        assert recovered.indexes.path._paths == cold.path._paths
-        assert recovered.indexes.label.num_distinct_labels == cold.label.num_distinct_labels
-        assert recovered.guide.equivalent_to(DataGuide(expected))
+        # zero divergence: what the store serves after recovery is exactly
+        # what a cold freeze of the ground-truth state holds
+        assert dump(recovered.view().frozen) == dump(freeze(expected))
     return version
 
 
@@ -111,8 +113,7 @@ class TestInterruptionSweep:
         store = VersionedGraphStore.create(
             directory, base_graph(), durable=True, injector=injector
         )
-        store.indexes.build_all()  # exercise the incremental path pre-crash
-        _ = store.guide
+        store.view()  # a reader pins v0, so the first commit retires it
         acked = written = 0
         try:
             for seq, deltas in enumerate(deltas_by_seq, start=1):
@@ -245,6 +246,68 @@ class TestWriteAfterRecovery:
         )
 
 
+class TestWholeRecords:
+    def test_a_record_that_fails_validation_applies_nothing(self, tmp_path: Path) -> None:
+        """A CRC-valid record whose edge points nowhere is discarded whole:
+        the node it added is absent and its id is still the next fresh one."""
+        directory = tmp_path / "store"
+        VersionedGraphStore.create(directory, base_graph(), durable=False).close()
+        node = 1
+        with WriteAheadLog(directory / WAL_NAME) as wal:
+            wal.append(1, [AddNode(node), AddEdge(node, sym("x"), 10**9)])
+        with VersionedGraphStore(directory, durable=False) as reopened:
+            assert reopened.recovery.discarded_records == 1
+            assert reopened.version == 0
+            assert not reopened.graph.has_node(node)
+            assert reopened.batch().new_node() == node
+            assert reopened.stats()["nodes"] == 1
+
+
+def encode_graph_state(graph: Graph) -> bytes:
+    """The checkpoint payload as the Graph-backed store wrote it: next id,
+    root + 1, node count, then per node its id, degree and edges."""
+    out = bytearray()
+    _write_varint(out, graph._next_id)
+    _write_varint(out, 0 if graph._root is None else graph._root + 1)
+    _write_varint(out, len(graph._adj))
+    for node, edges in graph._adj.items():
+        _write_varint(out, node)
+        _write_varint(out, len(edges))
+        for edge in edges:
+            _write_label(out, edge.label)
+            _write_varint(out, edge.dst)
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bases(), COMMITS)
+def test_checkpoints_encode_the_shadow_and_reopen_to_it(base, commits):
+    """Over commits with skipped ids, re-roots, reads and folds: every
+    checkpoint holds the bytes the Graph-backed encoder gives the shadow,
+    and reopening serves the shadow."""
+    shadow = copy.deepcopy(base)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "s"
+        store = VersionedGraphStore.create(directory, base, durable=False)
+        try:
+            assert (directory / CHECKPOINT_NAME).read_bytes()[16:] == encode_graph_state(shadow)
+            for commit in commits:
+                apply_commit(store, shadow, commit)
+                if commit[3]:
+                    store.view()
+                if commit[4]:
+                    store.checkpoint()
+                    payload = (directory / CHECKPOINT_NAME).read_bytes()[16:]
+                    assert payload == encode_graph_state(shadow)
+        finally:
+            store.close()
+        with VersionedGraphStore(directory, durable=False) as reopened:
+            assert reopened.version == len(commits)
+            assert same_state(reopened.graph, shadow)
+            assert dump(reopened.view().frozen) == dump(freeze(shadow))
+            assert reopened.batch().new_node() == shadow._next_id
+
+
 # -- the real thing: SIGKILL mid-commit ---------------------------------------------
 
 KILL_CHILD = """
@@ -305,4 +368,4 @@ def test_sigkill_mid_commit_recovers_prefix(tmp_path: Path) -> None:
         assert version >= acked, f"acked commit lost: v{version} < acked {acked}"
         expected = shadow_at(version, deltas_by_seq)
         assert same_state(recovered.graph, expected)
-        assert recovered.guide.equivalent_to(DataGuide(expected))
+        assert dump(recovered.view().frozen) == dump(freeze(expected))
