@@ -13,7 +13,7 @@ calls.
 Plans are immutable-by-convention (a ``LazyDfa`` only ever *grows* its
 memo tables, never changes an answer), so sharing one plan between
 callers is safe.  The cache is a plain bounded LRU: no clocks, no
-clocks; eviction on insert past capacity.  Every cache operation --
+TTLs; eviction on insert past capacity.  Every cache operation --
 lookup, pruning store, clear, stats -- holds one re-entrant lock, so the
 asyncio server's worker tasks (and any caller's threads) can share a
 cache without corrupting the LRU order or the hit/miss/size accounting;

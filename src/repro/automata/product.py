@@ -16,7 +16,7 @@ those of a FIFO BFS.
 **Two layouts.**  It has two edge-scanning bodies because there are two
 graph layouts.  Over anything that serves ``edges_from`` (a plain
 :class:`~repro.core.graph.Graph`, an :class:`~repro.storage.external.
-ExternalGraph`) it expands ``(node, dfa state)`` configs one by one in
+ExternalGraph`, an OEM database's children) it expands ``(node, dfa state)`` configs one by one in
 FIFO order, scanning every out-edge -- the reference traversal the golden
 profiles pin, and the one witness walks run on either layout, because
 their tie-breaks are FIFO discovery order.  Over a
@@ -50,7 +50,8 @@ reads a different part of its state: :func:`product_bfs` (matches plus
 every explored config), :func:`rpq_nodes` (which, handed a ``profile``,
 counts those configs *after* the walk), :func:`rpq_nodes_many` (many origins in one
 stepper: plan, transition cache and live-label cache are paid once per
-pattern, not once per source) and :func:`rpq_witnesses` (the parents map,
+pattern, not once per source; Lorel walks each path operand for all its
+environments through it) and :func:`rpq_witnesses` (the parents map,
 recorded under insertion-ordered scans).
 
 Other runtimes build on :func:`ordered_edge_indices` (label-pruned,
@@ -739,6 +740,8 @@ class RpqStepper:
             grown: dict[int, list[int]] = {}
             for state, nodes in frontier.items():
                 live = _live_label_ids(fg, self.dfa, state, self._live_cache, self._guide_mask)
+                if live == () and self._dead_interned:
+                    continue  # no label steps on from here: nothing to scan
                 row = rows.setdefault(state, {})
                 if index is None:
                     parts = [partitions[node] for node in nodes]

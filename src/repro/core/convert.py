@@ -128,21 +128,24 @@ class _SnapshotObjects(dict):
     def __init__(self, fg: FrozenGraph) -> None:
         super().__init__()
         self.fg = fg
-        self.first_synthetic = max(fg.node_ids, default=-1) + 1
-        # label id -> symbol name, or None for a base label
-        self.symbols = [
-            str(lab.value) if lab.is_symbol else None for lab in fg.labels_seq
-        ]
+        self._first_synthetic: "Oid | None" = None
+
+    @property
+    def first_synthetic(self) -> Oid:
+        """One past the largest node id: O(nodes), so paid by the first decode."""
+        if self._first_synthetic is None:
+            self._first_synthetic = max(self.fg.node_ids, default=-1) + 1
+        return self._first_synthetic
 
     def is_scalar(self, pos: int) -> bool:
         """Does the node at ``pos`` encode exactly one scalar ``{v: {}}``?"""
         fg = self.fg
-        lo = fg.offsets[pos]
-        return (
-            fg.offsets[pos + 1] - lo == 1
-            and self.symbols[fg.label_ids[lo]] is None
-            and fg.out_degree(fg.targets[lo]) == 0
-        )
+        offsets = fg.offsets
+        lo = offsets[pos]
+        if offsets[pos + 1] - lo != 1 or fg.labels_seq[fg.label_ids[lo]].is_symbol:
+            return False
+        leaf = fg.targets[lo] if fg.index is None else fg.index[fg.targets[lo]]
+        return offsets[leaf] == offsets[leaf + 1]
 
     def atom_oid(self, edge: int) -> Oid:
         """The atomic object that holds the value on base-labeled ``edge``."""
@@ -175,13 +178,13 @@ class _SnapshotObjects(dict):
             if self.is_scalar(pos):
                 obj = OemObject(oid, atom=fg.labels_seq[fg.label_ids[lo]].value)
             else:
-                symbols, label_ids, targets = self.symbols, fg.label_ids, fg.targets
+                labels, label_ids, targets = fg.labels_seq, fg.label_ids, fg.targets
                 base = self.first_synthetic
                 obj = OemObject(
                     oid,
                     children=[
-                        (name, targets[i])
-                        if (name := symbols[label_ids[i]]) is not None
+                        (str(label.value), targets[i])
+                        if (label := labels[label_ids[i]]).is_symbol
                         else (DATA_MARKER, base + 2 * i)
                         for i in range(lo, hi)
                     ],
@@ -196,7 +199,8 @@ class OemView(OemDatabase):
     The :class:`OemDatabase` read protocol over the CSR arrays of a
     :class:`~repro.core.frozen.FrozenGraph`: objects are decoded per
     touched node (:class:`_SnapshotObjects`) and kept, so a query pays
-    for what it reads.  The snapshot is immutable, hence so is the view.
+    for what it reads, and building the view costs nothing.  The snapshot
+    is immutable, hence so is the view.
     """
 
     def __init__(self, fg: FrozenGraph, name: str = "DB") -> None:
@@ -205,6 +209,16 @@ class OemView(OemDatabase):
         self._objects = _SnapshotObjects(fg)
         self._names = {name: fg.root}
         self._oids: "list[Oid] | None" = None
+
+    def atom_of(self, oid: Oid) -> "object | None":
+        """A node's value read from the arrays: no object is decoded."""
+        fg = self.fg
+        if not fg.has_node(oid):  # a synthetic oid
+            return super().atom_of(oid)
+        pos = oid if fg.index is None else fg.index[oid]
+        if self._objects.is_scalar(pos):
+            return fg.labels_seq[fg.label_ids[fg.offsets[pos]]].value
+        return None
 
     def oids(self) -> Iterator[Oid]:
         """Every object reachable from the entry point, ascending."""

@@ -25,6 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
+from .graph import Edge
+from .labels import sym
+
 __all__ = ["Oid", "OemObject", "OemDatabase", "OemError", "ATOMIC_TYPES"]
 
 Oid = int
@@ -133,13 +136,19 @@ class OemDatabase:
         except KeyError:
             raise OemError(f"unknown oid {oid}") from None
 
-    def total_fanout(self, oids: "Iterable[Oid]") -> int:
-        """Sum of child counts over ``oids`` (each counted as given).
+    def atom_of(self, oid: Oid) -> "AtomicValue | None":
+        """The value of an atomic object, ``None`` for a complex one."""
+        return self.get(oid).atom
 
-        The OEM twin of :meth:`repro.core.graph.Graph.total_out_degree`:
-        one bulk call so profiled Lorel traversals can derive their
-        edge counts cheaply after the fact.
-        """
+    def edges_from(self, oid: Oid) -> list[Edge]:
+        """An object's children as symbol edges: the read API the product
+        walk (:class:`~repro.automata.product.RpqStepper`) steps through."""
+        return [Edge(oid, sym(label), child) for label, child in self.get(oid).children]
+
+    def total_out_degree(self, oids: "Iterable[Oid]") -> int:
+        """Sum of child counts over ``oids`` (each counted as given), as
+        :meth:`repro.core.graph.Graph.total_out_degree` sums out-degrees:
+        a profiled walk derives its edge count from it after the fact."""
         objects = self._objects
         return sum(len(objects[oid].children) for oid in oids)
 

@@ -13,16 +13,31 @@ Semantics follow Lore's select fragment:
   the ``as`` name, or the last path label, or the alias).  Projected
   objects are deep-copied into the answer, preserving sharing and cycles
   -- object identity survives exactly as far as it is observable.
+
+Every path runs on the one traversal kernel,
+:class:`~repro.automata.product.RpqStepper`, once per operand for all
+environments (:func:`~repro.automata.product.rpq_nodes_many`).  Over a
+snapshot's :class:`~repro.core.convert.OemView` a path whose guards all
+match symbols and no marker (:func:`_symbol_steps`, decided once per
+path) walks the :class:`~repro.core.frozen.FrozenGraph` itself: from a
+node, the OEM children such a guard can step are the node's symbol
+out-edges.  Atoms are read from the arrays too
+(:meth:`~repro.core.convert.OemView.atom_of`), so a query that projects
+atoms decodes no object.  Every other path, and every profiled run (its
+counts are of OEM children), walks the database's ``edges_from``.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from typing import Iterator
 
 from ..automata.dfa import LazyDfa
 from ..automata.nfa import build_nfa
 from ..automata.plan_cache import PlanCache
+from ..automata.product import _add_product_counts, product_bfs, rpq_nodes_many
 from ..automata.regex import PathRegex
+from ..core.convert import DATA_MARKER, LABEL_MARKER, TREE_MARKER, OemView
+from ..core.frozen import FrozenGraph
 from ..core.labels import sym
 from ..core.oem import OemDatabase, Oid
 from ..obs import QueryProfile
@@ -37,6 +52,7 @@ from .ast import (
     PathOperand,
     SelectItem,
 )
+from .coerce import compare_values, like_value
 
 __all__ = [
     "evaluate_lorel",
@@ -52,62 +68,25 @@ class LorelRuntimeError(ValueError):
 
 
 #: Compiled path plans shared across Lorel queries.  A profiled
-#: evaluation compiles fresh per runner instead (:meth:`_Runner.dfa_of`)
+#: evaluation compiles fresh per runner instead (:meth:`_Runner.plan_of`)
 #: so its ``dfa_states`` count is independent of query history.
 _PLAN_CACHE = PlanCache(name="lorel_plan_cache")
 
+_MARKERS = tuple(sym(name) for name in (DATA_MARKER, LABEL_MARKER, TREE_MARKER))
 
-def _oem_rpq_many(
-    db: OemDatabase,
-    starts: list[Oid],
-    dfa: LazyDfa,
-    profile: "QueryProfile | None" = None,
-) -> dict[Oid, set[Oid]]:
-    """Product traversal over OEM children, one tagged walk for many starts.
 
-    Configurations carry their origin, ``(start, oid, state)``, so each
-    start gets its own answer while all of them share the plan's
-    materialized states and truth vectors in a single queue -- this is
-    what turns Lorel's per-binding path conditions from one traversal
-    per environment into one traversal per clause.
+def _symbol_steps(path: PathRegex) -> bool:
+    """Does every guard of ``path`` match symbols only, and no marker?
 
-    With ``profile``, traversal counts accumulate into it, derived from
-    the explored config set after the traversal (every seen config is
-    expanded exactly once) -- the same post-hoc strategy as the RPQ
-    product, so the loop itself stays the plain one.
+    Then from a snapshot node the OEM children it can step are the
+    node's symbol out-edges, and from a synthetic oid (an atom or wrapper
+    off a base edge, whose children are markers) there are none.
     """
-    states_before = dfa.num_materialized_states
-    order = list(dict.fromkeys(starts))
-    results: dict[Oid, set[Oid]] = {s: set() for s in order}
-    accept_start = dfa.is_accepting(dfa.start)
-    seen: set[tuple[Oid, Oid, int]] = set()
-    queue: deque[tuple[Oid, Oid, int]] = deque()
-    for s in order:
-        if accept_start:
-            results[s].add(s)
-        config = (s, s, dfa.start)
-        seen.add(config)
-        queue.append(config)
-    while queue:
-        tag, oid, state = queue.popleft()
-        for label, child in db.get(oid).children:
-            nxt = dfa.step(state, sym(label))
-            if dfa.is_dead(nxt):
-                continue
-            config = (tag, child, nxt)
-            if config in seen:
-                continue
-            seen.add(config)
-            if dfa.is_accepting(nxt):
-                results[tag].add(child)
-            queue.append(config)
-    if profile is not None:
-        visited = {oid for _, oid, _ in seen}
-        profile.product_pairs += len(seen)
-        profile.nodes_visited += len(visited)
-        profile.edges_expanded += db.total_fanout(visited)
-        profile.dfa_states += dfa.num_materialized_states - states_before
-    return results
+    return all(
+        (guard.kind == "glob-symbol" or guard.kind == "exact" and guard.exact_label.is_symbol)
+        and not any(map(guard.matches, _MARKERS))
+        for guard in path.atoms()
+    )
 
 
 class _Runner:
@@ -117,7 +96,8 @@ class _Runner:
         self.db = db
         self.db_name = db_name
         self.profile = profile
-        self._dfas: dict[str, LazyDfa] = {}
+        self.fg = db.fg if isinstance(db, OemView) and profile is None else None
+        self._plans: "dict[str, tuple[LazyDfa, FrozenGraph | OemDatabase]]" = {}
         # (path text, start oid) -> targets.  A profiled run keeps no
         # memo: it traverses per binding, so its counts are the per-
         # binding work and do not depend on the order clauses batch in
@@ -125,17 +105,19 @@ class _Runner:
             {} if profile is None else None
         )
 
-    def dfa_of(self, path: PathRegex, text: str) -> LazyDfa:
-        dfa = self._dfas.get(text)
-        if dfa is None:
+    def plan_of(self, path: PathRegex, text: str) -> "tuple[LazyDfa, FrozenGraph | OemDatabase]":
+        """The path's plan and the graph it walks, decided once per path."""
+        plan = self._plans.get(text)
+        if plan is None:
             if self.profile is None:
                 dfa = _PLAN_CACHE.get(text, lambda: LazyDfa(build_nfa(path)))
             else:
                 dfa = LazyDfa(build_nfa(path))
                 # the fresh compile's start state is work this query did
                 self.profile.dfa_states += dfa.num_materialized_states
-            self._dfas[text] = dfa
-        return dfa
+            on_snapshot = self.fg is not None and _symbol_steps(path)
+            plan = self._plans[text] = (dfa, self.fg if on_snapshot else self.db)
+        return plan
 
     def count_answers(self, envs: int) -> None:
         """Close the profile, if any: one answer row per surviving environment."""
@@ -155,30 +137,48 @@ class _Runner:
         start = self.start_of(operand.base, env)
         if operand.path is None:
             return {start}
+        if self._memo is None:
+            dfa, graph = self.plan_of(operand.path, operand.path_text)
+            before = dfa.num_materialized_states
+            targets, seen = product_bfs(graph, dfa, start)
+            _add_product_counts(self.profile, graph, seen, before, dfa, 0)
+            return targets
         key = (operand.path_text, start)
-        cached = self._memo.get(key) if self._memo is not None else None
-        if cached is None:
-            dfa = self.dfa_of(operand.path, operand.path_text)
-            cached = _oem_rpq_many(self.db, [start], dfa, self.profile)[start]
-            if self._memo is not None:
-                self._memo[key] = cached
-        return cached
+        if key not in self._memo:
+            self.prefetch(operand, [env])
+        return self._memo[key]
 
-    def prefetch(self, operand: PathOperand, starts: list[Oid]) -> None:
-        """Batch-evaluate a path operand from many starts into the memo.
+    def prefetch(self, operand: PathOperand, envs: "list[dict[str, Oid]]") -> None:
+        """Walk ``operand`` from every environment's start into the memo.
 
-        One :func:`_oem_rpq_many` call covers every start the memo has
+        One :func:`rpq_nodes_many` call covers every start the memo has
         not seen; later :meth:`path_targets` calls are dict hits.  A
-        no-op under profiling (counts must reflect per-binding work).
+        no-op under profiling (counts must reflect per-binding work), and
+        for an unknown base, which :meth:`path_targets` reports if the
+        evaluation reaches it.
         """
         if self._memo is None or operand.path is None:
+            return
+        try:
+            starts = [self.start_of(operand.base, env) for env in envs]
+        except LorelRuntimeError:
             return
         text = operand.path_text
         missing = [s for s in dict.fromkeys(starts) if (text, s) not in self._memo]
         if not missing:
             return
-        dfa = self.dfa_of(operand.path, text)
-        for start, targets in _oem_rpq_many(self.db, missing, dfa).items():
+        dfa, graph = self.plan_of(operand.path, text)
+        if graph is self.fg:
+            # a synthetic start (an atom or wrapper off a base edge) has
+            # marker children only: the empty path is all it can match
+            nodes = []
+            for start in missing:
+                if graph.has_node(start):
+                    nodes.append(start)
+                else:
+                    self._memo[(text, start)] = {start} if dfa.is_accepting(dfa.start) else set()
+            missing = nodes
+        for start, targets in rpq_nodes_many(graph, dfa, missing).items():
             self._memo[(text, start)] = targets
 
     # -- where ----------------------------------------------------------------
@@ -189,15 +189,13 @@ class _Runner:
         non-value marker that fails comparisons but counts for exists)."""
         if isinstance(operand, LiteralOperand):
             return [operand.value]
-        values: list[object] = []
-        for oid in self.path_targets(operand, env):
-            obj = self.db.get(oid)
-            values.append(obj.atom if obj.is_atomic else _COMPLEX)
-        return values
+        atom_of = self.db.atom_of
+        return [
+            _COMPLEX if (atom := atom_of(oid)) is None else atom
+            for oid in self.path_targets(operand, env)
+        ]
 
     def check(self, predicate, env: dict[str, Oid]) -> bool:
-        from .coerce import compare_values, like_value
-
         if isinstance(predicate, BoolOp):
             if predicate.op == "and":
                 return self.check(predicate.left, env) and self.check(
@@ -275,10 +273,8 @@ def _bindings_with_runner(
             if fixed is not None:
                 reached = indexes.reaching(allowed, fixed)
         if reached is None:
-            # batch all environments' starts through one tagged traversal
-            runner.prefetch(
-                operand, [runner.start_of(clause.base, env) for env in envs]
-            )
+            # one kernel walk from every environment's start
+            runner.prefetch(operand, envs)
         nxt: list[dict[str, Oid]] = []
         for env in envs:
             if reached is not None:
@@ -297,8 +293,26 @@ def _bindings_with_runner(
         if not envs:
             return []
     if query.where is not None:
+        for operand in _path_operands(query.where):
+            runner.prefetch(operand, envs)
         envs = [env for env in envs if runner.check(query.where, env)]
     return envs
+
+
+def _path_operands(predicate) -> "Iterator[PathOperand]":
+    """The path operands of a where predicate, each walked once for all
+    environments before any is checked."""
+    if isinstance(predicate, BoolOp):
+        yield from _path_operands(predicate.left)
+        yield from _path_operands(predicate.right)
+    elif isinstance(predicate, NotOp):
+        yield from _path_operands(predicate.inner)
+    elif isinstance(predicate, Compare):
+        operands = (predicate.left, predicate.right)
+        yield from (op for op in operands if isinstance(op, PathOperand))
+    elif isinstance(predicate, (ExistsPredicate, LikePredicate)):
+        if isinstance(predicate.operand, PathOperand):
+            yield predicate.operand
 
 
 def lorel_bindings(
@@ -334,6 +348,8 @@ def _construct_answer(
     answer_root = answer.new_complex()
     answer.set_name("Answer", answer_root)
     copied: dict[Oid, Oid] = {}
+    for item in query.items:
+        runner.prefetch(item.operand, envs)
     for env in envs:
         row = answer.new_complex()
         answer.add_child(answer_root, "row", row)
@@ -350,14 +366,12 @@ def _copy_into(db: OemDatabase, answer: OemDatabase, copied: dict[Oid, Oid], oid
     would pin ``db`` -- a whole snapshot -- until the collector next runs.)"""
     if oid in copied:
         return copied[oid]
-    obj = db.get(oid)
-    if obj.is_atomic:
-        new = answer.new_atomic(obj.atom)
-        copied[oid] = new
+    atom = db.atom_of(oid)
+    if atom is not None:
+        new = copied[oid] = answer.new_atomic(atom)
         return new
-    new = answer.new_complex()
-    copied[oid] = new
-    for label, child in obj.children:
+    new = copied[oid] = answer.new_complex()
+    for label, child in db.get(oid).children:
         answer.add_child(new, label, _copy_into(db, answer, copied, child))
     return new
 

@@ -133,10 +133,15 @@ class OemIndexes:
     def num_distinct_values(self) -> int:
         return len(self._atoms_by_value)
 
-    def atoms_where(self, test: Callable[[object], bool]) -> set[Oid]:
+    def atoms_where(
+        self, test: Callable[[object], bool], via_symbol: bool = False
+    ) -> set[Oid]:
         """Atomic oids whose value satisfies ``test``.
 
         ``test`` runs once per *distinct* value -- the index's point.
+        ``via_symbol`` asks only for the atoms a symbol edge can lead to,
+        the only ones a non-empty symbol path reaches: in a database that
+        is every atom (a snapshot view skips its synthetic ones).
         """
         out: set[Oid] = set()
         for (_, value), oids in self._atoms_by_value.items():
@@ -144,14 +149,16 @@ class OemIndexes:
                 out.update(oids)
         return out
 
-    def atoms_comparing(self, op: str, literal: object, literal_first: bool = False) -> set[Oid]:
+    def atoms_comparing(
+        self, op: str, literal: object, literal_first: bool = False, via_symbol: bool = False
+    ) -> set[Oid]:
         """Atomic oids whose value ``v`` satisfies ``v op literal``
         (``literal op v`` when ``literal_first``) under Lorel coercion."""
         from ..lorel.coerce import compare_values
 
         if literal_first:
-            return self.atoms_where(lambda v: compare_values(literal, op, v))
-        return self.atoms_where(lambda v: compare_values(v, op, literal))
+            return self.atoms_where(lambda v: compare_values(literal, op, v), via_symbol)
+        return self.atoms_where(lambda v: compare_values(v, op, literal), via_symbol)
 
     def _edges_into(
         self, children: "dict[Oid, set[Oid]]", label: str
@@ -195,30 +202,39 @@ class _SnapshotIndexes(OemIndexes):
     index (:mod:`repro.index.probes`): its value table holds each distinct
     value once, sorted, so a comparison is a bisect; its per-label edge
     lists lead from a value to the atoms holding it, and its reverse
-    adjacency from a child to its parents."""
+    adjacency from a child to its parents.  No object is decoded."""
 
     def _index(self, view: OemView) -> None:
         self._objects = view._objects
 
-    def _atoms(self, lids: "Iterable[int]") -> set[Oid]:
+    def _atoms(self, lids: "Iterable[int]", via_symbol: bool) -> set[Oid]:
         objects = self._objects
-        probes = probes_for(objects.fg)
-        return {objects.atom_oid(edge) for lid in lids for edge in probes.label_edges(lid)}
+        fg = objects.fg
+        edges = (edge for lid in lids for edge in probes_for(fg).label_edges(lid))
+        if not via_symbol:
+            return set(map(objects.atom_oid, edges))
+        # an atom on a non-scalar base edge is synthetic: no symbol parent
+        srcs = set(map(fg.srcs.__getitem__, edges))
+        index, is_scalar = fg.index, objects.is_scalar
+        return {src for src in srcs if is_scalar(src if index is None else index[src])}
 
-    def atoms_where(self, test: Callable[[object], bool]) -> set[Oid]:
-        objects = self._objects
+    def atoms_where(
+        self, test: Callable[[object], bool], via_symbol: bool = False
+    ) -> set[Oid]:
+        labels = self._objects.fg.labels_seq
         return self._atoms(
-            lid
-            for lid, label in enumerate(objects.fg.labels_seq)
-            if objects.symbols[lid] is None and test(label.value)
+            (lid for lid, label in enumerate(labels) if label.is_base and test(label.value)),
+            via_symbol,
         )
 
-    def atoms_comparing(self, op: str, literal: object, literal_first: bool = False) -> set[Oid]:
+    def atoms_comparing(
+        self, op: str, literal: object, literal_first: bool = False, via_symbol: bool = False
+    ) -> set[Oid]:
         values = probes_for(self._objects.fg).values
         lids = values.compare(FLIPPED.get(op, op) if literal_first else op, literal)
         if lids is None:  # != and bool literals stay a per-label test
-            return super().atoms_comparing(op, literal, literal_first)
-        return self._atoms(lids)
+            return super().atoms_comparing(op, literal, literal_first, via_symbol)
+        return self._atoms(lids, via_symbol)
 
     def _edges_into(
         self, children: "dict[Oid, set[Oid]]", label: str
@@ -282,27 +298,27 @@ def _candidate_entry(
     from ..lorel.coerce import like_value
 
     operand: "PathOperand | None" = None
-    atoms: "Callable[[], set[Oid]] | None" = None
+    atoms: "Callable[[bool], set[Oid]] | None" = None
     if isinstance(conjunct, Compare):
         left, op, right = conjunct.left, conjunct.op, conjunct.right
         if isinstance(left, PathOperand) and isinstance(right, LiteralOperand):
             operand = left
-            atoms = lambda: indexes.atoms_comparing(op, right.value)  # noqa: E731
+            atoms = lambda via: indexes.atoms_comparing(op, right.value, False, via)  # noqa: E731
         elif isinstance(left, LiteralOperand) and isinstance(right, PathOperand):
             operand = right
-            atoms = lambda: indexes.atoms_comparing(op, left.value, True)  # noqa: E731
+            atoms = lambda via: indexes.atoms_comparing(op, left.value, True, via)  # noqa: E731
     elif isinstance(conjunct, LikePredicate) and isinstance(
         conjunct.operand, PathOperand
     ):
         operand = conjunct.operand
         pattern = conjunct.pattern
-        atoms = lambda: indexes.atoms_where(lambda v: like_value(v, pattern))  # noqa: E731
+        atoms = lambda via: indexes.atoms_where(lambda v: like_value(v, pattern), via)  # noqa: E731
     if operand is None or atoms is None or operand.base == db_name:
         return None
     path = fixed_symbol_path(operand.path)
     if path is None:
         return None
-    return operand.base, indexes.sources_via(atoms(), path)
+    return operand.base, indexes.sources_via(atoms(bool(path)), path)
 
 
 def pushdown_candidates(

@@ -60,8 +60,8 @@ class QueryControl:
         deadline: "float | None" = None,
         budget: "int | None" = None,
     ) -> None:
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be positive seconds")
+        if deadline is not None and not 0 < deadline < float("inf"):
+            raise ValueError("deadline must be positive finite seconds")
         if budget is not None and budget <= 0:
             raise ValueError("budget must be a positive operation count")
         self.key = key

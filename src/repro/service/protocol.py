@@ -57,6 +57,7 @@ Response (one per request, matched by ``id``)::
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Iterator
 
@@ -180,6 +181,9 @@ def validate_request(obj: dict) -> dict:
     for field, kinds in (("deadline", (int, float)), ("budget", (int,))):
         value = obj.get(field)
         if value is not None:
-            if not isinstance(value, kinds) or isinstance(value, bool) or value <= 0:
-                raise ProtocolError(f"{field!r} must be a positive number")
+            # json.loads admits NaN and Infinity, and NaN <= 0 is false
+            if not isinstance(value, kinds) or isinstance(value, bool) or not 0 < value < math.inf:
+                raise ProtocolError(f"{field!r} must be a positive finite number")
+    if obj.get("profile") is not None and not isinstance(obj["profile"], bool):
+        raise ProtocolError("'profile' must be a boolean")
     return obj

@@ -13,8 +13,12 @@ section-2 mapping is checked against an independent reference here: the
 recursive conversion the library shipped before, kept as the oracle.
 """
 
+import copy
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.browse import find_value, where_is
@@ -28,7 +32,8 @@ from repro.core.convert import (
 )
 from repro.core.frozen import freeze
 from repro.core.graph import Graph, GraphError
-from repro.core.labels import label_of, string
+from repro.automata.regex import parse_path_regex
+from repro.core.labels import label_of, string, sym
 from repro.core.oem import OemDatabase, OemError
 from repro.datasets import generate_movies
 from repro.lorel import (
@@ -38,8 +43,11 @@ from repro.lorel import (
     lorel_rows,
     parse_lorel,
 )
+from repro.lorel.evaluator import _Runner
 from repro.obs import QueryProfile
 from repro.obs.export import to_json
+from repro.storage import AddEdge, AddNode, VersionedGraphStore
+from repro.storage.wal import apply_delta
 from repro.unql import evaluate_query, parse_query, unql
 
 from .strategies import (
@@ -274,3 +282,115 @@ def test_profiled_twins_count_the_same_in_place():
     find_value(fg, "Bogart", profile=in_place)
     find_value(g, "Bogart", profile=on_copy)
     assert to_json(in_place.as_dict()) == to_json(on_copy.as_dict())
+
+
+#: one commit: (ids skipped before its new nodes, new nodes, edges as
+#: (src ref, label, dst ref) over old nodes + new ones, modulo their count)
+DATA_COMMITS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.lists(
+            st.tuples(
+                st.integers(0, 40),
+                st.one_of(
+                    st.sampled_from(OEM_LABELS).map(sym),
+                    st.sampled_from(ATOMS).map(
+                        lambda a: string(a) if isinstance(a, str) else label_of(a)
+                    ),
+                ),
+                st.integers(0, 40),
+            ),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data_graphs(), DATA_COMMITS, st.one_of(lorel_queries(), pushable_queries()), st.booleans())
+def test_lorel_rows_on_a_derived_snapshot_equal_rows_on_the_copy(g, commits, text, use_indexes):
+    """The store derives each version from the last; the first commit
+    adds a node past an id skip, so the derived snapshot is indexed.  Its view answers as
+    the copy of the test's own shadow graph does, pushdown on and off."""
+    shadow = copy.deepcopy(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        with VersionedGraphStore.create(Path(tmp) / "s", g, durable=False) as store:
+            store.view()
+            for i, (skip, fresh, edges) in enumerate(commits):
+                first = shadow._next_id + skip + (i == 0)
+                new = list(range(first, first + fresh + (i == 0)))
+                nodes = [*shadow.nodes(), *new]
+                deltas: list = [AddNode(node) for node in new]
+                for src, label, dst in edges:
+                    deltas.append(AddEdge(nodes[src % len(nodes)], label, nodes[dst % len(nodes)]))
+                store.commit(deltas)
+                for delta in deltas:
+                    apply_delta(shadow, delta)
+            view = store.view()
+            assert view.frozen.index is not None
+            try:
+                expected = lorel_rows(lorel(text, graph_to_oem(shadow), use_indexes=use_indexes))
+            except LorelRuntimeError as exc:
+                with pytest.raises(LorelRuntimeError, match=str(exc)[:20]):
+                    lorel(text, view.oem, use_indexes=use_indexes)
+                return
+            assert lorel_rows(lorel(text, view.oem, use_indexes=use_indexes)) == expected
+            assert lorel_rows(lorel(text, view.oem, use_indexes=not use_indexes)) == expected
+
+
+@pytest.mark.parametrize(
+    "guard, on_snapshot",
+    [
+        ("A", True),
+        ("A%", True),
+        ("(A|B)*", True),
+        ("_", False),
+        ("#", False),
+        ("!A", False),
+        ("<symbol>", False),
+        ("%", False),  # matches the markers
+        ("`@data`", False),
+        ('"x"', False),
+        ("1", False),
+    ],
+)
+def test_route_rule(guard, on_snapshot):
+    """A path walks the snapshot's arrays iff every guard matches symbols
+    only and no marker; either way the rows are the copy's."""
+    g = from_obj({"A": [{"B": 1, "AB": "x"}, 2], "B": {"A": "y"}})
+    a = next(iter(g.successors(g.root)))
+    g.add_edge(g.root, string("x"), a)  # a data edge whose target has children
+    view = OemView(freeze(g))
+    _, walked = _Runner(view, "DB").plan_of(parse_path_regex(guard), guard)
+    assert (walked is view.fg) is on_snapshot
+    assert walked is view or on_snapshot
+    # a profiled run counts OEM children, so it always reads the view
+    _, profiled = _Runner(view, "DB", QueryProfile()).plan_of(parse_path_regex(guard), guard)
+    assert profiled is view
+    for text in (f"select x from DB.{guard} x", f"select y from DB.#.(`@data`)? x, x.{guard} y"):
+        assert lorel_rows(lorel(text, view)) == lorel_rows(lorel(text, graph_to_oem(g)))
+
+
+def test_template_after_a_commit_decodes_nothing():
+    """The served template on a derived snapshot: rows from the arrays,
+    no OEM object decoded, no synthetic oid numbered."""
+    template = "select m.Title from DB.Entry.Movie m where m.Year < 1925"
+    g = generate_movies(200, seed=7)
+    shadow = copy.deepcopy(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        with VersionedGraphStore.create(Path(tmp) / "s", g, durable=False) as store:
+            store.view()
+            node = shadow._next_id
+            deltas = [AddNode(node), AddEdge(shadow.root, sym("Marker"), node)]
+            store.commit(deltas)
+            for delta in deltas:
+                apply_delta(shadow, delta)
+            view = store.view()
+            rows = lorel_rows(lorel(template, view.oem))
+            assert rows and rows == lorel_rows(lorel(template, graph_to_oem(shadow)))
+            objects = view.oem._objects
+            assert len(objects) == 0
+            assert objects._first_synthetic is None

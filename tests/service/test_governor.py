@@ -168,5 +168,8 @@ class TestQueryControl:
     def test_invalid_limits_rejected(self) -> None:
         with pytest.raises(ValueError):
             QueryControl("k", deadline=0)
+        for deadline in (float("nan"), float("inf")):  # NaN <= 0 is false
+            with pytest.raises(ValueError):
+                QueryControl("k", deadline=deadline)
         with pytest.raises(ValueError):
             QueryControl("k", budget=-1)

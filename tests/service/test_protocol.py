@@ -104,6 +104,10 @@ def test_validate_accepts(request_obj: dict) -> None:
         {"id": 1, "op": "rpq", "query": "E", "budget": 0},
         {"id": 1, "op": "rpq", "query": "E", "budget": 1.5},
         {"id": 1, "op": "rpq", "query": "E", "budget": True},
+        {"id": 1, "op": "rpq", "query": "E", "deadline": float("nan")},
+        {"id": 1, "op": "rpq", "query": "E", "deadline": float("inf")},
+        {"id": 1, "op": "rpq", "query": "E", "profile": "no"},
+        {"id": 1, "op": "rpq", "query": "E", "profile": 1},
     ],
 )
 def test_validate_refuses(request_obj: dict) -> None:
