@@ -276,31 +276,24 @@ class FrozenGraph:
     @classmethod
     def from_edge_stream(
         cls,
-        nodes: "int | Iterable[int]",
+        num_nodes: int,
         edges: "Iterable[tuple[int, Label | str, int]]",
         *,
         root: "int | None" = 0,
-        version: int = 0,
     ) -> "FrozenGraph":
-        """Build a CSR snapshot straight from an edge stream.
+        """Build a dense CSR snapshot (nodes ``0..num_nodes-1``) straight
+        from an edge stream.
 
-        ``nodes`` is the node ids in block order (a count ``n``: the
-        dense range ``0..n-1``), read one by one as blocks open, so a
-        decoder may append to the list it passed while it streams (the
-        store's checkpoint does).  ``edges`` yields ``(src, label, dst)``
-        triples **grouped by source in that order** (the CSR invariant);
-        a plain-``str`` label is a symbol, matching
-        :meth:`Graph.add_edge`.  Nothing beyond the CSR vectors is ever
-        materialized, which is what crawls and checkpoints too large to
+        ``edges`` yields ``(src, label, dst)`` triples **grouped by source
+        in ascending order** (the CSR invariant); a plain-``str`` label is
+        a symbol, matching :meth:`Graph.add_edge`.  Nothing beyond the CSR
+        vectors is ever materialized, which is what crawls too large to
         stage as a :class:`Graph` need.
 
         The loop is its own, not :func:`_build`'s: that one reads
         ``Edge`` attributes, and an ``Edge`` per streamed triple made a
         533 000-edge crawl build a quarter slower.
         """
-        dense = isinstance(nodes, int)
-        pending = iter(range(nodes) if dense else nodes)
-        node_ids: list[int] = []
         offsets = array("q")  # block starts, then the end
         srcs = array("q")
         targets = array("q")
@@ -312,13 +305,11 @@ class FrozenGraph:
         edge_i = 0
         for src, label, dst in edges:
             while src != block:  # open blocks up to src's
-                block = next(pending, None)
-                if block is None:
+                block = len(partitions)
+                if block >= num_nodes:
                     raise GraphError(f"edge stream not grouped by source at node {src}")
                 offsets.append(edge_i)
                 partitions.append(part := {})
-                if not dense:
-                    node_ids.append(block)
             if isinstance(label, str):
                 label = sym(label)
             lid = label_index.get(label)
@@ -333,23 +324,16 @@ class FrozenGraph:
                 bucket = part[lid] = array("q")
             bucket.append(dst)
             edge_i += 1
-        for block in pending:  # the empty blocks after the last edge
+        for _ in range(len(partitions), num_nodes):  # the empty blocks after the last edge
             offsets.append(edge_i)
             partitions.append({})
-            if not dense:
-                node_ids.append(block)
         offsets.append(edge_i)
-        n = len(partitions)
-        dense = dense or all(map(int.__eq__, node_ids, range(n)))  # no list of n ints
         fg = object.__new__(cls)
-        _fill(fg, range(n) if dense else node_ids, offsets, srcs, targets, label_ids,
-              labels_seq, label_index, partitions, root, version)
-        if dense:
-            stray = targets and (min(targets) < 0 or max(targets) >= n)
-        else:
-            stray = len(fg.index) != n or not fg.index.keys() >= set(targets)
+        _fill(fg, range(num_nodes), offsets, srcs, targets, label_ids,
+              labels_seq, label_index, partitions, root, 0)
+        stray = targets and (min(targets) < 0 or max(targets) >= num_nodes)
         if stray or (root is not None and not fg.has_node(root)):
-            raise GraphError("edge stream repeats a node id or points outside its nodes")
+            raise GraphError("edge stream points outside its nodes")
         return fg
 
     def derive(

@@ -37,12 +37,15 @@ tail.
 
 from __future__ import annotations
 
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import chain, pairwise, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from ..core.frozen import PER_VERSION_RESIDENTS, FrozenGraph, freeze
+from ..core.frozen import PER_VERSION_RESIDENTS, FrozenGraph, _fill, freeze
 from ..core.graph import Graph, GraphError
 from ..core.labels import Label, label_of, sym
 from .serializer import (
@@ -71,7 +74,9 @@ __all__ = [
     "CHECKPOINT_MAGIC",
 ]
 
-CHECKPOINT_MAGIC = b"SSDC"
+CHECKPOINT_MAGIC = b"SSDV"
+#: checkpoint vector typecodes, narrowest first
+_WIDTHS = "BHIQ"
 
 CHECKPOINT_NAME = "checkpoint.ssdc"
 WAL_NAME = "wal.ssdw"
@@ -84,63 +89,136 @@ _VIEWS_DERIVED = STORAGE_METRICS.counter("mvcc_views_derived")
 #
 # The SSD1 wire format renumbers reachable nodes densely -- correct for
 # interchange, fatal for a checkpoint: WAL deltas after the checkpoint
-# reference the writer's *original* ids.  The checkpoint therefore uses
-# its own id-preserving encoding (same varint/label primitives): next
-# id, root + 1 (0: none), node count, then per node in snapshot order
-# its id, out-degree and ``(label, dst)`` pairs in insertion order.  The
-# file is that payload behind a header: magic, commit seq, payload CRC.
+# reference the writer's *original* ids.  The checkpoint is instead the
+# snapshot's own vectors, ids and label ids as they stand: next id,
+# root + 1 (0: none), the labels (SSD1 dialect) in label-id order, the
+# node ids (flag 0 and a count when ``id == position``, else flag 1 and
+# a vector), then ``offsets``, ``targets`` and ``label_ids``.  A vector
+# is a typecode, a length and little-endian items at the narrowest width
+# that holds its maximum.  The file is that payload behind a header:
+# magic, commit seq, payload CRC (docs/DURABILITY.md).
+
+
+def _write_vector(out: bytearray, items: "Sequence[int]") -> None:
+    top = max(items, default=0)
+    code = next((c for c in _WIDTHS if top >> 8 * array(c).itemsize == 0), None)
+    if code is None:
+        raise SerializationError(f"checkpoint item {top} does not fit in 64 bits")
+    vec = array(code, items)
+    if sys.byteorder == "big":
+        vec.byteswap()
+    out.append(ord(code))
+    _write_varint(out, len(vec))
+    out += vec
+
+
+def _read_vector(payload: bytes, pos: int) -> tuple[array, int]:
+    code = chr(payload[pos]) if pos < len(payload) else "?"
+    if code not in _WIDTHS:
+        raise SerializationError(f"checkpoint vector has unknown typecode {code!r}")
+    length, pos = _read_varint(payload, pos + 1)
+    vec = array(code)
+    end = pos + length * vec.itemsize
+    if end > len(payload):
+        raise SerializationError("checkpoint vector runs past the payload")
+    vec.frombytes(memoryview(payload)[pos:end])
+    if sys.byteorder == "big":
+        vec.byteswap()
+    return vec, end
 
 
 def _encode_state(fg: FrozenGraph, next_id: int, seq: int) -> bytearray:
     """The checkpoint file for ``fg`` at commit ``seq``, header and
     payload in one buffer."""
-    labels = []
-    for label in fg.labels_seq:  # each label's bytes once, not once per edge
-        encoded = bytearray()
-        _write_label(encoded, label)
-        labels.append(bytes(encoded))
-    offsets, targets, label_ids = fg.offsets, fg.targets, fg.label_ids
     out = bytearray(16)  # the header, once the payload's CRC is known
     _write_varint(out, next_id)
     _write_varint(out, 0 if fg._root is None else fg._root + 1)
-    _write_varint(out, fg.num_nodes)
-    for pos, node in enumerate(fg.node_ids):
-        start, end = offsets[pos], offsets[pos + 1]
-        _write_varint(out, node)
-        _write_varint(out, end - start)
-        for i in range(start, end):
-            out += labels[label_ids[i]]
-            _write_varint(out, targets[i])
+    _write_varint(out, len(fg.labels_seq))
+    for label in fg.labels_seq:
+        _write_label(out, label)
+    if fg.index is None:
+        out.append(0)
+        _write_varint(out, fg.num_nodes)
+    else:
+        out.append(1)
+        _write_vector(out, fg.node_ids)
+    for vec in (fg.offsets, fg.targets, fg.label_ids):
+        _write_vector(out, vec)
     crc = zlib.crc32(memoryview(out)[16:])
     out[:16] = CHECKPOINT_MAGIC + seq.to_bytes(8, "big") + crc.to_bytes(4, "big")
     return out
 
 
 def _decode_state(payload: bytes, version: int) -> tuple[FrozenGraph, int]:
-    """The checkpointed snapshot, streamed into ``from_edge_stream``, and the
-    next free node id."""
+    """The checkpointed snapshot, its vectors copied in bulk, and the next
+    free node id; anything inconsistent is a :class:`SerializationError`."""
     next_id, pos = _read_varint(payload, 0)
     root_plus1, pos = _read_varint(payload, pos)
-    num_nodes, pos = _read_varint(payload, pos)
-    nodes: list[int] = []
-
-    def edges() -> Iterator[tuple[int, Label, int]]:
-        nonlocal pos
-        for _ in range(num_nodes):
-            node, pos = _read_varint(payload, pos)
-            degree, pos = _read_varint(payload, pos)
-            nodes.append(node)  # before its edges: from_edge_stream reads it then
-            for _ in range(degree):
-                label, pos = _read_label(payload, pos)
-                dst, pos = _read_varint(payload, pos)
-                yield node, label, dst
-
-    fg = FrozenGraph.from_edge_stream(
-        nodes, edges(), root=root_plus1 - 1 if root_plus1 else None, version=version
-    )
+    num_labels, pos = _read_varint(payload, pos)
+    labels_seq = []
+    for _ in range(num_labels):
+        label, pos = _read_label(payload, pos)
+        labels_seq.append(label)
+    label_index = {label: lid for lid, label in enumerate(labels_seq)}
+    if pos >= len(payload) or payload[pos] > 1:
+        raise SerializationError("checkpoint has no node id layout")
+    if payload[pos] == 0:
+        n, pos = _read_varint(payload, pos + 1)
+        node_ids: "range | list[int]" = range(n)
+    else:
+        ids, pos = _read_vector(payload, pos + 1)
+        node_ids, n = ids.tolist(), len(ids)
+    offsets, pos = _read_vector(payload, pos)
+    targets, pos = _read_vector(payload, pos)
+    label_ids, pos = _read_vector(payload, pos)
     if pos != len(payload):
         raise SerializationError("checkpoint has trailing bytes")
-    return fg, max(next_id, max(nodes, default=-1) + 1)
+    if len(label_index) != num_labels:
+        raise SerializationError("checkpoint repeats a label")
+    m = len(targets)
+    if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != m or len(label_ids) != m:
+        raise SerializationError("checkpoint vectors disagree in length")
+    bounds = offsets.tolist()
+    degrees = list(map(int.__sub__, bounds[1:], bounds))
+    if min(degrees, default=0) < 0:
+        raise SerializationError("checkpoint offsets decrease")
+    if m and max(label_ids) >= num_labels:
+        raise SerializationError("checkpoint label id past its label table")
+    try:
+        offsets, targets, label_ids = (array("q", v) for v in (offsets, targets, label_ids))
+        srcs = array("q", chain.from_iterable(map(repeat, node_ids, degrees)))
+    except OverflowError:  # a snapshot's edges only join node ids below 2**63
+        raise SerializationError("checkpoint edge at a node id past 2**63") from None
+    partitions: list[dict[int, array]] = []
+    for start, end in pairwise(bounds):
+        if start == end:
+            partitions.append({})
+            continue
+        run = label_ids[start:end]
+        if run.count(run[0]) == end - start:  # one label: one slice
+            partitions.append({run[0]: targets[start:end]})
+            continue
+        part: dict[int, array] = {}
+        for lid, dst in zip(run, targets[start:end]):
+            bucket = part.get(lid)
+            if bucket is None:
+                bucket = part[lid] = array("q")
+            bucket.append(dst)
+        partitions.append(part)
+    root = root_plus1 - 1 if root_plus1 else None
+    fg = object.__new__(FrozenGraph)
+    _fill(fg, node_ids, offsets, srcs, targets, label_ids, labels_seq, label_index,
+          partitions, root, version)
+    index = fg.index
+    if index is not None and len(index) != n:
+        raise SerializationError("checkpoint repeats a node id")
+    if m and not (max(targets) < n if index is None else index.keys() >= set(targets)):
+        raise SerializationError("checkpoint edge points outside its nodes")
+    if root is not None and not fg.has_node(root):
+        raise SerializationError(f"checkpoint root {root} is not a node")
+    if n and next_id <= (n - 1 if index is None else max(node_ids)):
+        raise SerializationError(f"checkpoint next id {next_id} is not past every node")
+    return fg, next_id
 
 
 @dataclass(frozen=True)
@@ -335,21 +413,19 @@ class VersionedGraphStore:
         return cls(directory, **kwargs)
 
     def _load_checkpoint(self) -> tuple[FrozenGraph, int, int]:
+        path = self._checkpoint_path
         try:
-            raw = self._checkpoint_path.read_bytes()
+            raw = path.read_bytes()
         except FileNotFoundError:
             return FrozenGraph.from_edge_stream(0, (), root=None), 0, 0
+        if raw[:4] == b"SSDC":
+            raise SerializationError(f"checkpoint {path} is in the retired per-edge SSDC format")
         if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 16:
-            raise SerializationError(
-                f"corrupt checkpoint {self._checkpoint_path}: bad header"
-            )
+            raise SerializationError(f"corrupt checkpoint {path}: bad header")
         seq = int.from_bytes(raw[4:12], "big")
-        crc = int.from_bytes(raw[12:16], "big")
         payload = raw[16:]
-        if zlib.crc32(payload) != crc:
-            raise SerializationError(
-                f"corrupt checkpoint {self._checkpoint_path}: CRC mismatch"
-            )
+        if zlib.crc32(payload) != int.from_bytes(raw[12:16], "big"):
+            raise SerializationError(f"corrupt checkpoint {path}: CRC mismatch")
         fg, next_id = _decode_state(payload, seq)
         return fg, seq, next_id
 

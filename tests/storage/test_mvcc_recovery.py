@@ -34,8 +34,7 @@ from repro.core.labels import string, sym
 from repro.resilience import FaultInjector
 from repro.resilience.errors import InjectedFault
 from repro.storage import AddEdge, AddNode, VersionedGraphStore
-from repro.storage.mvcc import CHECKPOINT_NAME, WAL_NAME
-from repro.storage.serializer import _write_label, _write_varint
+from repro.storage.mvcc import CHECKPOINT_NAME, WAL_NAME, _decode_state, _encode_state
 from repro.storage.wal import WriteAheadLog, apply_delta
 
 from .test_derived_views import COMMITS, apply_commit, bases, dump
@@ -263,42 +262,36 @@ class TestWholeRecords:
             assert reopened.stats()["nodes"] == 1
 
 
-def encode_graph_state(graph: Graph) -> bytes:
-    """The checkpoint payload as the Graph-backed store wrote it: next id,
-    root + 1, node count, then per node its id, degree and edges."""
-    out = bytearray()
-    _write_varint(out, graph._next_id)
-    _write_varint(out, 0 if graph._root is None else graph._root + 1)
-    _write_varint(out, len(graph._adj))
-    for node, edges in graph._adj.items():
-        _write_varint(out, node)
-        _write_varint(out, len(edges))
-        for edge in edges:
-            _write_label(out, edge.label)
-            _write_varint(out, edge.dst)
-    return bytes(out)
+def assert_checkpoint_holds(directory: Path, shadow: Graph) -> None:
+    """The checkpoint decodes to the shadow and its next id, and the
+    decoded snapshot re-encodes to the same bytes."""
+    raw = (directory / CHECKPOINT_NAME).read_bytes()
+    seq = int.from_bytes(raw[4:12], "big")
+    fg, next_id = _decode_state(raw[16:], seq)
+    assert dump(fg) == dump(freeze(shadow))
+    assert next_id == shadow._next_id
+    assert _encode_state(fg, next_id, seq) == raw
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(bases(), COMMITS)
 def test_checkpoints_encode_the_shadow_and_reopen_to_it(base, commits):
     """Over commits with skipped ids, re-roots, reads and folds: every
-    checkpoint holds the bytes the Graph-backed encoder gives the shadow,
-    and reopening serves the shadow."""
+    checkpoint decodes to the shadow and re-encodes to its own bytes, and
+    reopening serves the shadow."""
     shadow = copy.deepcopy(base)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp) / "s"
         store = VersionedGraphStore.create(directory, base, durable=False)
         try:
-            assert (directory / CHECKPOINT_NAME).read_bytes()[16:] == encode_graph_state(shadow)
+            assert_checkpoint_holds(directory, shadow)
             for commit in commits:
                 apply_commit(store, shadow, commit)
                 if commit[3]:
                     store.view()
                 if commit[4]:
                     store.checkpoint()
-                    payload = (directory / CHECKPOINT_NAME).read_bytes()[16:]
-                    assert payload == encode_graph_state(shadow)
+                    assert_checkpoint_holds(directory, shadow)
         finally:
             store.close()
         with VersionedGraphStore(directory, durable=False) as reopened:
