@@ -13,9 +13,6 @@ from .dfa import LazyDfa
 from .nfa import Nfa, build_nfa
 from .plan_cache import DEFAULT_PLAN_CACHE, PLAN_METRICS, PlanCache, cached_compile
 from .product import (
-    DensePlan,
-    PlanTooLarge,
-    compile_dense,
     compile_rpq,
     naive_rpq,
     ordered_edge_indices,
@@ -66,9 +63,6 @@ __all__ = [
     "build_nfa",
     "LazyDfa",
     "compile_rpq",
-    "compile_dense",
-    "DensePlan",
-    "PlanTooLarge",
     "product_bfs",
     "ordered_edge_indices",
     "rpq_nodes",

@@ -54,19 +54,14 @@ pattern, not once per source; Lorel walks each path operand for all its
 environments through it) and :func:`rpq_witnesses` (the parents map,
 recorded under insertion-ordered scans).
 
-Other runtimes build on :func:`ordered_edge_indices` (label-pruned,
-insertion-ordered edge scans; :mod:`repro.distributed.decompose` schedules
-configurations per site rather than per level and loops over it itself)
-and :func:`compile_dense` / :class:`DensePlan` (a finite DFA materialized
-over a snapshot's interned alphabet, picklable and deterministic, for
-:mod:`repro.distributed.parallel`'s worker processes, which cannot share a
-:class:`LazyDfa`'s visitation-order-dependent state numbering).
+The one other runtime builds on :func:`ordered_edge_indices` (label-pruned,
+insertion-ordered edge scans): :mod:`repro.distributed.decompose` schedules
+configurations per site rather than per level and loops over it itself,
+with the same :class:`LazyDfa` every other driver walks.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -91,9 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "compile_rpq",
-    "compile_dense",
-    "DensePlan",
-    "PlanTooLarge",
     "product_bfs",
     "ordered_edge_indices",
     "rpq_nodes",
@@ -334,111 +326,6 @@ def coreachable(graph: "Graph | FrozenGraph", labels: "frozenset[Label]") -> "tu
     _COREACH_WALKS.inc()
     _COREACH_NODES.inc(len(region))
     return region, reads
-
-
-# -- dense plans (the picklable worker kernel) ----------------------------------
-
-
-class PlanTooLarge(ValueError):
-    """The pattern's DFA exceeds the dense-materialization bound.
-
-    Raised by :func:`compile_dense` when determinization over the
-    snapshot's alphabet discovers more states than ``max_states``.
-    Callers fall back to the lazy kernel; the bound exists because the
-    dense table is ``num_states x num_labels`` ints.
-    """
-
-
-@dataclass(frozen=True)
-class DensePlan:
-    """A DFA fully materialized over one snapshot's interned alphabet.
-
-    The lazy DFA numbers states in visitation order, so two processes
-    running the same pattern materialize *different* numberings -- fine
-    within one process, useless as a wire format.  A dense plan is the
-    canonical alternative: states are numbered by a deterministic BFS
-    from the start state expanding label ids in ascending order, the
-    transition function is one flat ``array('q')`` (``state * num_labels
-    + lid -> next state``, ``-1`` dead), and acceptance is one byte per
-    state.  The whole plan pickles in a few hundred bytes and every
-    attacher agrees on what state ``3`` means -- which is what lets
-    parallel workers exchange ``(node, state)`` configurations as plain
-    ints.
-
-    The flat table is also the fast path: a worker advancing a config
-    does ``trans[state * L + lid]`` -- one multiply-add and an array
-    index -- instead of a dict probe on a ``(state, label)`` tuple key.
-
-    Only labels the snapshot interns exist in the plan; an edge label
-    outside the alphabet cannot label any edge, so dropping it changes
-    no traversal.
-    """
-
-    num_states: int
-    num_labels: int
-    trans: array = field(repr=False)
-    accepting: bytes = field(repr=False)
-    start: int = 0
-
-    def step(self, state: int, lid: int) -> int:
-        """Next dense state on label id ``lid``, or ``-1`` (dead)."""
-        return self.trans[state * self.num_labels + lid]
-
-    def is_accepting(self, state: int) -> bool:
-        return self.accepting[state] == 1
-
-
-def compile_dense(
-    pattern: "str | PathRegex | Nfa | LazyDfa",
-    labels_seq,
-    *,
-    plan_cache: "PlanCache | None" = None,
-    max_states: int = 4096,
-) -> DensePlan:
-    """Materialize ``pattern`` as a :class:`DensePlan` over ``labels_seq``.
-
-    ``labels_seq`` is the snapshot's interned label sequence
-    (:attr:`~repro.core.frozen.FrozenGraph.labels_seq`); position *is*
-    the label id, exactly as in the CSR ``label_ids`` vector.  The
-    construction is a BFS over DFA states restricted to that alphabet --
-    deterministic regardless of how much of the lazy DFA was already
-    materialized -- and raises :class:`PlanTooLarge` past ``max_states``.
-    """
-    dfa = compile_rpq(pattern, plan_cache=plan_cache)
-    num_labels = len(labels_seq)
-    dense_of = {dfa.start: 0}
-    order = [dfa.start]
-    rows: list[list[int]] = []
-    cursor = 0
-    while cursor < len(order):
-        state = order[cursor]
-        cursor += 1
-        row = []
-        for lid in range(num_labels):
-            nxt = dfa.step(state, labels_seq[lid])
-            if dfa.is_dead(nxt):
-                row.append(-1)
-                continue
-            dense = dense_of.get(nxt)
-            if dense is None:
-                if len(order) >= max_states:
-                    raise PlanTooLarge(
-                        f"dense plan exceeds {max_states} states "
-                        f"over a {num_labels}-label alphabet"
-                    )
-                dense = len(order)
-                dense_of[nxt] = dense
-                order.append(nxt)
-            row.append(dense)
-        rows.append(row)
-    trans = array("q", [cell for row in rows for cell in row])
-    accepting = bytes(1 if dfa.is_accepting(s) else 0 for s in order)
-    return DensePlan(
-        num_states=len(order),
-        num_labels=num_labels,
-        trans=trans,
-        accepting=accepting,
-    )
 
 
 # -- the other drivers: profile accounting, many-source ---------------------------

@@ -15,8 +15,6 @@ A small working surface over the library for shell use:
   :class:`~repro.obs.QueryProfile` (docs/OBSERVABILITY.md)
 * ``chaos FILE PATTERN``          -- distributed evaluation under injected
   site failures: partial answers + completeness report (docs/RESILIENCE.md)
-* ``distributed FILE PATTERN``    -- parallel RPQ over OS-process sites
-  sharing one CSR snapshot; BSP stats (docs/DISTRIBUTED.md)
 * ``serve FILE``                  -- long-lived query server over TCP
   (admission control, deadlines, cancellation; docs/SERVICE.md)
 * ``remote QUERY``                -- one query against a running server
@@ -153,7 +151,6 @@ def _cmd_schema(args) -> int:
 
 def _cmd_stats(args) -> int:
     from .automata.plan_cache import PLAN_METRICS
-    from .distributed import PARALLEL_METRICS
     from .obs.export import metrics_to_dict, to_json
     from .service.governor import SERVICE_METRICS
     from .index import probes  # noqa: F401 -- registers the probe_index_* counters
@@ -167,16 +164,18 @@ def _cmd_stats(args) -> int:
     for edge in g.edges():
         by_kind[edge.label.kind.value] = by_kind.get(edge.label.kind.value, 0) + 1
     planner = planner_for(g)
+    registries = (
+        ("storage", STORAGE_METRICS),
+        ("plan_cache", PLAN_METRICS),
+        ("service", SERVICE_METRICS),
+    )
     if args.json:
         payload = {
             "nodes": g.num_nodes,
             "edges": g.num_edges,
             "cyclic": g.has_cycle(),
             "labels": {k.value: by_kind[k.value] for k in LabelKind if k.value in by_kind},
-            "storage": metrics_to_dict(STORAGE_METRICS),
-            "plan_cache": metrics_to_dict(PLAN_METRICS),
-            "service": metrics_to_dict(SERVICE_METRICS),
-            "parallel": metrics_to_dict(PARALLEL_METRICS),
+            **{section: metrics_to_dict(registry) for section, registry in registries},
             "planner": planner.describe(),
             "indexes": planner.indexes.accounting(),
         }
@@ -188,14 +187,9 @@ def _cmd_stats(args) -> int:
     for kind in LabelKind:
         if kind.value in by_kind:
             print(f"labels[{kind.value}]: {by_kind[kind.value]}")
-    for name, value in metrics_to_dict(STORAGE_METRICS).items():
-        print(f"storage[{name}]: {value}")
-    for name, value in metrics_to_dict(PLAN_METRICS).items():
-        print(f"plan_cache[{name}]: {value}")
-    for name, value in metrics_to_dict(SERVICE_METRICS).items():
-        print(f"service[{name}]: {value}")
-    for name, value in metrics_to_dict(PARALLEL_METRICS).items():
-        print(f"parallel[{name}]: {value}")
+    for section, registry in registries:
+        for name, value in metrics_to_dict(registry).items():
+            print(f"{section}[{name}]: {value}")
     described = planner.describe()
     print(f"planner[guide_available]: {described['guide_available']}")
     for name, value in sorted(described["statistics"].items()):  # type: ignore[union-attr]
@@ -324,74 +318,6 @@ def _cmd_chaos(args) -> int:
     )
     print(report.describe())
     return 0 if report.complete else 3
-
-
-def _cmd_distributed(args) -> int:
-    """Run a path regex on the parallel OS-process runtime; print BSP stats.
-
-    Partitions the frozen graph across ``--workers`` sites with the
-    chosen strategy, spawns the worker pool over a shared-memory CSR
-    snapshot (``--inline`` runs the same driver in-process for quick
-    checks), and reports the observables docs/DISTRIBUTED.md explains:
-    cut fraction, supersteps, boundary messages, straggler ratio.  Exit
-    code 0 for a complete answer, 3 for a partial one (same convention
-    as ``chaos``).
-    """
-    from .distributed import ParallelRpqPool, build_partition
-    from .obs.export import to_json
-
-    fg = load_database(args.file).freeze()
-    part = build_partition(fg, args.workers, args.strategy)
-    with ParallelRpqPool(
-        fg, args.workers, partition=part, inline=args.inline
-    ) as pool:
-        result = pool.run(args.pattern)
-    stats = result.stats
-    if args.json:
-        print(
-            to_json(
-                {
-                    "matched": len(result.nodes),
-                    "complete": result.completeness.complete,
-                    "partition": {
-                        "strategy": args.strategy,
-                        "sites": part.num_sites,
-                        "cut_fraction": part.stats.cut_fraction,
-                        "balance": part.stats.balance,
-                        "sizes": list(part.stats.sizes),
-                    },
-                    "run": {
-                        "supersteps": stats.supersteps,
-                        "messages": stats.messages,
-                        "messages_per_site": list(stats.messages_per_site),
-                        "total_work": stats.total_work,
-                        "makespan": stats.makespan,
-                        "straggler_ratio": stats.straggler_ratio,
-                    },
-                }
-            )
-        )
-        return 0 if result.completeness.complete else 3
-    mode = "inline" if args.inline else "processes"
-    print(
-        f"sites: {args.workers} ({args.strategy}, {mode}), "
-        f"pattern: {args.pattern}"
-    )
-    print(
-        f"partition: cut {part.stats.cut_fraction:.3f}, "
-        f"balance {part.stats.balance:.2f}, sizes {list(part.stats.sizes)}"
-    )
-    print(
-        f"matched {len(result.nodes)} node(s) in {stats.supersteps} "
-        f"superstep(s), {stats.messages} message(s)"
-    )
-    print(
-        f"work: total {stats.total_work}, makespan {stats.makespan}, "
-        f"straggler ratio {stats.straggler_ratio:.2f}"
-    )
-    if not result.completeness.complete:
-        print(f"PARTIAL: {sorted(result.completeness.failed_keys())}")
-    return 0 if result.completeness.complete else 3
 
 
 def _open_store(directory, bootstrap=None):
@@ -657,26 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=3, help="breaker trip threshold (consecutive failures)")
     p.set_defaults(fn=_cmd_chaos)
 
-    p = sub.add_parser(
-        "distributed",
-        help="parallel RPQ over OS-process sites (shared-memory snapshot)",
-    )
-    p.add_argument("file")
-    p.add_argument("pattern", help='path regex, e.g. "link*.cite"')
-    p.add_argument("--workers", type=int, default=4, help="site/worker count")
-    p.add_argument(
-        "--strategy",
-        choices=["hash", "label", "greedy"],
-        default="greedy",
-        help="partition strategy (docs/DISTRIBUTED.md)",
-    )
-    p.add_argument(
-        "--inline",
-        action="store_true",
-        help="run the BSP driver in-process (no spawn, no shared memory)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=_cmd_distributed)
 
     p = sub.add_parser(
         "serve", help="serve queries over TCP (admission control, deadlines)"

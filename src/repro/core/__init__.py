@@ -8,8 +8,6 @@ This package is the substrate everything else builds on:
   with the horizontal constructors ``empty`` / ``singleton`` / ``union``;
 * :mod:`~repro.core.frozen` -- the immutable CSR snapshot the fast query
   kernel traverses (``Graph.freeze()``);
-* :mod:`~repro.core.shared` -- named shared-memory packing of frozen
-  snapshots so worker processes traverse the same bytes zero-copy;
 * :mod:`~repro.core.oem` -- the leaf-value OEM variant with object ids;
 * :mod:`~repro.core.node_labeled` -- the node-labeled variant and its
   extra-edge reduction;
@@ -29,7 +27,6 @@ from .labels import Label, LabelKind, boolean, integer, label_of, real, string, 
 from .node_labeled import NodeLabeledGraph, from_edge_labeled, to_edge_labeled
 from .oem import OemDatabase, OemObject, Oid
 from .oo_encode import OoClass, OoDatabase, OoObject, graph_to_oo, oo_to_graph
-from .shared import SharedGraphDescriptor, SharedSnapshot, SharedSnapshotError
 
 __all__ = [
     "Label",
@@ -45,9 +42,6 @@ __all__ = [
     "GraphError",
     "FrozenGraph",
     "freeze",
-    "SharedGraphDescriptor",
-    "SharedSnapshot",
-    "SharedSnapshotError",
     "disjoint_union",
     "bisimilar",
     "graph_equal",

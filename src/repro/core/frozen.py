@@ -43,13 +43,10 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, GraphError
 from .labels import Label, sym
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .shared import SharedGraphDescriptor, SharedSnapshot
 
 __all__ = ["FrozenGraph", "PER_VERSION_RESIDENTS", "freeze"]
 
@@ -62,7 +59,7 @@ _SNAPSHOT_IDS = count(1)
 #: drops them from the snapshot it retires.  Every other resident has an
 #: ``advance(fg, edges)`` that carries it to the next version (the SQL
 #: image, the probe index); a test holds the two kinds exhaustive.
-PER_VERSION_RESIDENTS = ("planner", "shared")
+PER_VERSION_RESIDENTS = ("planner",)
 
 
 class FrozenGraph:
@@ -348,7 +345,7 @@ class FrozenGraph:
         ``nodes`` are fresh ids in allocation order; ``edges`` anything
         with ``src`` / ``label`` / ``dst`` (an :class:`Edge`, a WAL
         ``AddEdge``) in commit order.  ``self`` is not touched (module
-        docstring).  For snapshots built here, not shared attachments.
+        docstring).
         """
         fresh = set(nodes)
         if len(fresh) != len(nodes) or any(map(self.has_node, fresh)):
@@ -361,35 +358,6 @@ class FrozenGraph:
         fg = object.__new__(FrozenGraph)
         _build(fg, self, [pos for pos, _ in grown], staged, by_src.__getitem__, root, version)
         return fg
-
-    # -- shared-memory snapshots ------------------------------------------------
-
-    def to_shared(self) -> "SharedSnapshot":
-        """Pack this snapshot into a named shared-memory segment.
-
-        Returns the owning :class:`~repro.core.shared.SharedSnapshot`;
-        its picklable ``descriptor`` is what travels to worker processes
-        (:meth:`from_shared`).  The caller owns the segment lifecycle:
-        ``close()`` *and* ``unlink()`` when done, or use the snapshot as
-        a context manager.  See :mod:`repro.core.shared`.
-        """
-        from .shared import pack
-
-        return pack(self)
-
-    @classmethod
-    def from_shared(cls, descriptor: "SharedGraphDescriptor") -> "FrozenGraph":
-        """Reattach a packed snapshot, zero-copy, in this process.
-
-        The returned graph's vectors are memoryviews into the shared
-        segment -- no adjacency is copied.  The underlying
-        :class:`~repro.core.shared.SharedSnapshot` handle rides in
-        ``graph._ext["shared"]``; call its ``close()`` when done (workers
-        never ``unlink`` -- that is the packing process's duty).
-        """
-        from .shared import attach
-
-        return attach(descriptor).graph
 
     # -- misc -----------------------------------------------------------------
 
@@ -497,7 +465,9 @@ def _fill(
 ) -> None:
     """Set ``fg``'s slots over finished vectors.  ``node_ids`` is a
     ``range`` when ids are dense (``id == position``: O(1) memory, no
-    index), else a list in position order."""
+    index), else a list in position order; ``partitions`` holds one
+    ``{label id: targets}`` dict per position, the only layout of them
+    (a cold freeze, a derivation and a checkpoint open all build it)."""
     fg.node_ids = node_ids
     fg.index = (
         None if isinstance(node_ids, range) else {n: pos for pos, n in enumerate(node_ids)}

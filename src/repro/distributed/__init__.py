@@ -1,10 +1,14 @@
 """Distributed query decomposition (section 4, Suciu VLDB '96).
 
-Two runtimes share one decomposition scheme: :mod:`~repro.distributed.
-decompose` simulates the BSP supersteps in-process (the reference the
-profiles pin), and :mod:`~repro.distributed.parallel` runs them for real
--- OS-process sites traversing one shared-memory CSR snapshot, partitioned
-by the strategies in :mod:`~repro.distributed.partition`.
+One runtime, in process: :mod:`~repro.distributed.sites` assigns every
+node to a site (by the strategies of :mod:`~repro.distributed.partition`
+or its own), :mod:`~repro.distributed.decompose` simulates the BSP
+supersteps of a path query over that segmentation -- per-site local
+expansion, boundary configurations as messages -- and counts what the
+wire would carry, and :mod:`~repro.distributed.srec_decompose` does the
+same for structural recursion.  Site failures are injected per delivery
+(:class:`SiteRuntime`), and the answer under dead sites is checked
+against the centralized answer without them.
 """
 
 from .decompose import (
@@ -12,14 +16,6 @@ from .decompose import (
     SiteRuntime,
     centralized_work,
     distributed_rpq,
-)
-from .parallel import (
-    PARALLEL_METRICS,
-    ParallelError,
-    ParallelResult,
-    ParallelRpqPool,
-    ParallelStats,
-    parallel_rpq,
 )
 from .partition import (
     PARTITION_STRATEGIES,
@@ -43,10 +39,4 @@ __all__ = [
     "DistributedStats",
     "SrecStats",
     "SiteRuntime",
-    "ParallelRpqPool",
-    "ParallelError",
-    "ParallelResult",
-    "ParallelStats",
-    "parallel_rpq",
-    "PARALLEL_METRICS",
 ]

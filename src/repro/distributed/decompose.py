@@ -147,16 +147,12 @@ class SiteRuntime:
     ``failure_threshold`` times before every later delivery fails fast
     without touching the network -- the documented trip bound.
 
-    ``dist`` may be a :class:`~repro.distributed.sites.DistributedGraph`
-    or a bare site count: the runtime only needs to know how many
-    breakers to build, which is what lets the parallel runtime (whose
-    partition lives in a flat position table, not a
-    ``DistributedGraph``) reuse the same guarded-delivery protocol.
+    The runtime reads only ``dist.num_sites``: one breaker per site.
     """
 
     def __init__(
         self,
-        dist: "DistributedGraph | int",
+        dist: DistributedGraph,
         *,
         injector: "FaultInjector | None" = None,
         policy: "RetryPolicy | None" = None,
@@ -165,8 +161,7 @@ class SiteRuntime:
         clock: "Clock | None" = None,
         events: "EventLog | None" = None,
     ) -> None:
-        self.dist = None if isinstance(dist, int) else dist
-        self.num_sites = dist if isinstance(dist, int) else dist.num_sites
+        self.num_sites = dist.num_sites
         self.injector = injector
         self.policy = policy if policy is not None else RetryPolicy(
             max_attempts=3, base_delay=0.01

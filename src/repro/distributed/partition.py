@@ -24,8 +24,8 @@ three strategies over a :class:`~repro.core.frozen.FrozenGraph` snapshot:
   hypothesis suite pins.
 
 Every strategy emits a :class:`Partition`: a flat ``pos -> site`` table
-(an ``array('q')`` indexed by CSR position, ready to ride a shared-memory
-segment next to the CSR vectors) plus a :class:`PartitionStats` report of
+(an ``array('q')`` indexed by CSR position, like the CSR vectors
+themselves) plus a :class:`PartitionStats` report of
 balance and cut size, so benchmarks can correlate strategy choice with
 message volume without re-deriving the accounting.
 """
@@ -88,9 +88,9 @@ class PartitionStats:
 class Partition:
     """A ``pos -> site`` assignment over one frozen snapshot.
 
-    ``site_of`` is indexed by CSR *position* (not node id), which makes
-    it directly packable as a shared-memory extra next to the CSR
-    vectors; :meth:`site_of_node` translates when callers hold node ids.
+    ``site_of`` is indexed by CSR *position* (not node id), like the
+    CSR vectors; :meth:`site_of_node` translates when callers hold node
+    ids.
     """
 
     num_sites: int
@@ -263,8 +263,8 @@ def build_partition(
 
     ``strategy`` names an entry of :data:`PARTITION_STRATEGIES`.  The
     result is deterministic for a given snapshot (no randomness in any
-    strategy), so two processes partitioning the same shared segment
-    agree without communicating.
+    strategy), so two sites partitioning the same snapshot agree
+    without communicating.
     """
     if num_sites < 1:
         raise ValueError("need at least one site")

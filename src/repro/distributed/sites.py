@@ -17,8 +17,9 @@ sub-queries start.  Two partitioning strategies are provided:
 
 The richer strategies of :mod:`~repro.distributed.partition` (``label``,
 ``greedy``) are also accepted by name; they partition the frozen snapshot
-and translate positions back to node ids, so the simulated runtime can be
-driven by the same assignments the parallel runtime measures.
+and translate positions back to node ids, so the simulation runs over the
+same assignments :func:`~repro.distributed.partition.build_partition`
+reports balance and cut size for.
 """
 
 from __future__ import annotations

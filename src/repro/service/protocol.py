@@ -146,7 +146,8 @@ def validate_request(obj: dict) -> dict:
     a bad query must not kill the connection carrying it.
     """
     op = obj.get("op")
-    if op not in OPS:
+    # an unhashable op or kind must be refused, not raise TypeError
+    if not isinstance(op, str) or op not in OPS:
         raise ProtocolError(f"unknown op {op!r} (expected one of {sorted(OPS)})")
     rid = obj.get("id")
     if not isinstance(rid, int) or isinstance(rid, bool):
@@ -170,10 +171,11 @@ def validate_request(obj: dict) -> dict:
         for mutation in mutations:
             if not isinstance(mutation, dict):
                 raise ProtocolError("each mutation must be an object")
-            if mutation.get("kind") not in MUTATION_KINDS:
+            kind = mutation.get("kind")
+            if not isinstance(kind, str) or kind not in MUTATION_KINDS:
                 raise ProtocolError(
                     f"mutation kind must be one of {sorted(MUTATION_KINDS)}, "
-                    f"got {mutation.get('kind')!r}"
+                    f"got {kind!r}"
                 )
         sync = obj.get("sync")
         if sync is not None and not isinstance(sync, bool):

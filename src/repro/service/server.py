@@ -700,6 +700,28 @@ class QueryService:
         return payload
 
 
+class _ReadIntoProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
+    """A stream protocol whose transport reads into one buffer per connection.
+
+    A plain stream transport calls ``recv(256 KiB)`` on every readable
+    event.  glibc serves that size by ``mmap`` until some earlier free of
+    a larger mapped block raises its threshold, so whether each read
+    costs an ``mmap``/``munmap`` pair and two page faults (~20 us) would
+    depend on what the process happened to import.  ``recv_into`` a
+    fixed buffer costs neither.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader, on_connect, loop) -> None:
+        super().__init__(reader, on_connect, loop=loop)
+        self._chunk = memoryview(bytearray(65536))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._chunk
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(bytes(self._chunk[:nbytes]))
+
+
 class AsyncQueryServer:
     """The asyncio TCP front-end over a :class:`QueryService`.
 
@@ -725,8 +747,13 @@ class AsyncQueryServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _ReadIntoProtocol(
+                asyncio.StreamReader(loop=loop), self._handle_connection, loop
+            ),
+            self.host,
+            self.port,
         )
 
     async def stop(self) -> None:

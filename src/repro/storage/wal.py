@@ -37,8 +37,7 @@ Recovery invariants (docs/DURABILITY.md spells out the matrix):
   not about forgetting valid tails).
 
 Every open log registers in a module-level table so the test suite's
-leak guard can assert no handle outlives its test (the same pattern as
-``repro.core.shared.live_segments``).
+leak guard can assert no handle outlives its test.
 """
 
 from __future__ import annotations

@@ -251,3 +251,14 @@ def test_prop_product_agrees_with_naive_up_to_bound(g, pattern):
     for node, path in witnesses.items():
         if len(path) <= bound:
             assert node in naive
+
+
+def test_public_kernel_api_is_importable_without_underscores():
+    # the decomposition modules depend on these names being public
+    from repro.automata import ordered_edge_indices, product
+    from repro.automata import product_bfs as exported
+
+    assert exported is product_bfs
+    assert callable(ordered_edge_indices)
+    assert not hasattr(product, "_product_bfs")
+    assert not hasattr(product, "_ordered_edge_indices")

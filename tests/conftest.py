@@ -1,44 +1,13 @@
-"""Repo-wide fixtures: the shared-memory leak guard.
-
-Shared segments survive process exit (that is their point), so a test
-that forgets ``unlink()`` poisons ``/dev/shm`` for every run after it.
-Two layers of enforcement:
-
-* the autouse session fixture below fails the run if any segment
-  created through :mod:`repro.core.shared` is still registered -- or
-  physically present under ``/dev/shm`` with our name prefix -- when the
-  session ends;
-* ``filterwarnings`` in ``pyproject.toml`` escalates resource-tracker
-  leak warnings raised during the run into errors.
-"""
-
-import glob
+"""Repo-wide fixtures: the write-ahead log handle leak guard."""
 
 import pytest
 
-from repro.core.shared import SEGMENT_PREFIX, live_segments
 from repro.storage import live_wal_handles
-
-
-def _stray_segments() -> list[str]:
-    return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
-
-
-@pytest.fixture(autouse=True, scope="session")
-def shared_memory_leak_guard():
-    before = set(_stray_segments())  # tolerate wreckage from older runs
-    yield
-    leaked = sorted(live_segments())
-    strays = [path for path in _stray_segments() if path not in before]
-    assert not leaked and not strays, (
-        f"shared-memory leak: live_segments()={leaked}, /dev/shm strays={strays} "
-        "-- some test packed a snapshot and never unlinked it"
-    )
 
 
 @pytest.fixture(autouse=True, scope="session")
 def wal_handle_leak_guard():
-    """No WriteAheadLog may outlive the session (same deal as segments).
+    """No WriteAheadLog may outlive the session.
 
     A leaked log handle holds an open file descriptor into a temp dir and
     usually means a ``VersionedGraphStore`` was abandoned without

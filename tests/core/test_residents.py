@@ -15,7 +15,6 @@ import ast
 from pathlib import Path
 
 from repro.core.frozen import PER_VERSION_RESIDENTS
-from repro.core.shared import SharedSnapshot
 from repro.datasets import figure1
 from repro.index.probes import ProbeIndex, probes_for
 from repro.planner import QueryPlanner, planner_for
@@ -29,7 +28,6 @@ RESIDENTS = {
     "probes": ProbeIndex,
     "sqlbackend": SqlBackend,
     "planner": QueryPlanner,
-    "shared": SharedSnapshot,
 }
 
 

@@ -12,7 +12,8 @@ The invariants every strategy must satisfy (whatever the graph):
   identical table (two processes must agree without communicating);
 * **clustering pays** -- on host-local crawl graphs the greedy cut is
   no worse than the locality-blind hash cut (the reason the strategy
-  exists).
+  exists), and the decomposed query sends fewer messages in fewer
+  supersteps for it (experiment E17).
 """
 
 from math import ceil
@@ -21,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata import rpq_nodes
 from repro.core.graph import Graph
 from repro.datasets import generate_crawl
-from repro.distributed import build_partition
+from repro.distributed import build_partition, distributed_rpq
 from repro.distributed.sites import partition_graph
 
 
@@ -135,3 +137,22 @@ def test_partition_graph_accepts_new_strategy_names(strategy):
     dist = partition_graph(g, 2, strategy=strategy)
     assert dist.num_sites == 2
     assert set(dist.site_of.values()) <= {0, 1}
+
+
+def test_locality_strategies_cut_messages_and_supersteps():
+    # E17: one crawl, one query, three segmentations.  At 5 000 pages and
+    # 4 sites hash sends 5 205 messages over 15 supersteps, label 821
+    # over 4, greedy 1 015 over 5; every strategy answers the same 150.
+    graph = generate_crawl(5000, seed=0).thaw()
+    query = "(link|ref)*.cite"
+    expected = set(rpq_nodes(graph, query))
+    stats = {}
+    for strategy in ("hash", "label", "greedy"):
+        results, stats[strategy] = distributed_rpq(
+            partition_graph(graph, 4, strategy), query
+        )
+        assert set(results) == expected, strategy
+    hash_run = stats["hash"]
+    for strategy in ("label", "greedy"):
+        assert 3 * stats[strategy].messages < hash_run.messages, strategy
+        assert stats[strategy].supersteps < hash_run.supersteps, strategy

@@ -108,6 +108,11 @@ def test_validate_accepts(request_obj: dict) -> None:
         {"id": 1, "op": "rpq", "query": "E", "deadline": float("inf")},
         {"id": 1, "op": "rpq", "query": "E", "profile": "no"},
         {"id": 1, "op": "rpq", "query": "E", "profile": 1},
+        # unhashable op / kind: refused, not a TypeError from the set lookup
+        {"id": 1, "op": ["rpq"], "query": "E"},
+        {"id": 1, "op": {"rpq": 1}, "query": "E"},
+        {"id": 1, "op": "apply", "mutations": [{"kind": ["node"]}]},
+        {"id": 1, "op": "apply", "mutations": [{"kind": {}}]},
     ],
 )
 def test_validate_refuses(request_obj: dict) -> None:

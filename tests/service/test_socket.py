@@ -69,6 +69,28 @@ def test_bad_query_then_connection_still_usable() -> None:
     assert by_id[2]["status"] == "ok"
 
 
+def test_frames_larger_than_one_read_are_reassembled() -> None:
+    # the server reads into a 64 KiB buffer: this frame spans five reads
+    padded = {"id": 1, "op": "ping", "pad": "x" * 300_000}
+    responses = run_against_server([padded, {"id": 2, "op": "ping"}])
+    assert sorted((r["id"], r["result"]) for r in responses) == [(1, "pong"), (2, "pong")]
+
+
+def test_unhashable_op_is_refused_and_connection_still_usable() -> None:
+    # an unhashable op or kind must not reach a set lookup: its TypeError
+    # would kill the handler, and the ping would get no response
+    for bad in (
+        {"id": 1, "op": ["rpq"], "query": "E"},
+        {"id": 1, "op": "apply", "mutations": [{"kind": {}}]},
+    ):
+        responses = run_against_server([bad, {"id": 2, "op": "ping"}])
+        by_id = {r["id"]: r for r in responses}
+        assert by_id[1]["status"] == "error"
+        assert by_id[1]["error_type"] == "ProtocolError"
+        assert by_id[2]["status"] == "ok"
+        assert by_id[2]["result"] == "pong"
+
+
 def test_engine_bug_still_gets_a_response_frame(monkeypatch) -> None:
     # before the fault boundary caught untyped exceptions, this one killed
     # the connection's driver task and the client waited out its own timeout

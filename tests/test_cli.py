@@ -105,10 +105,11 @@ class TestCommands:
         assert "cyclic: True" in out
         assert "labels[symbol]" in out
 
-    def test_stats_json_carries_parallel_metrics(self, binary_db, capsys):
+    def test_stats_json_carries_three_metric_sections(self, binary_db, capsys):
         assert main(["stats", binary_db, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "parallel" in payload
+        metric_sections = set(payload) - {"nodes", "edges", "cyclic", "labels", "planner", "indexes"}
+        assert metric_sections == {"storage", "plan_cache", "service"}
 
     def test_stats_json_counts_coreach_walks(self, json_db, capsys):
         assert main(["stats", json_db, "--json"]) == 0
@@ -119,28 +120,6 @@ class TestCommands:
         after = json.loads(capsys.readouterr().out)["plan_cache"]
         assert after["coreach_walks"] == before["coreach_walks"] + 1
         assert after["coreach_nodes"] > before["coreach_nodes"]
-
-    def test_distributed(self, json_db, capsys):
-        code = main(
-            ["distributed", json_db, "Entry.Movie.Title", "--workers", "2", "--inline"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "matched 2 node(s)" in out
-        assert "partition: cut" in out
-
-    def test_distributed_json(self, json_db, capsys):
-        code = main(
-            [
-                "distributed", json_db, "_*", "--workers", "3",
-                "--strategy", "hash", "--inline", "--json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["complete"] is True
-        assert payload["partition"]["sites"] == 3
-        assert payload["run"]["supersteps"] >= 1
 
     def test_error_paths_are_clean(self, json_db, capsys):
         assert main(["query", json_db, "select nonsense ((("]) == 2
