@@ -25,15 +25,16 @@ by DFA state*: a walk's frontier and explored set are ``{state: nodes}``,
 so what depends only on the state -- which exact labels can advance it
 (:meth:`LazyDfa.live_exact_labels`), its transition row, the sets its
 successors land in -- is fetched once per state per superstep, and the
-nodes' matching per-label partitions are then scanned with int work only
-(every partition, whenever a wildcard/glob/negation guard makes the live
-alphabet unbounded).  Skipped edges are exactly those a full scan would
-step into the dead state, and a transition is resolved only when a
-frontier node carries its label, so results -- and, via
-:meth:`LazyDfa.ensure_dead_state`, the profiled ``dfa_states`` counts --
-are identical on both layouts.  The order *within* a level differs, so a
-plan first walked on one layout may number its states differently from a
-plan first walked on the other; how many it builds cannot differ.
+nodes' label runs (:mod:`repro.core.frozen`) whose label is live are
+then scanned with int work only (every run, whenever a wildcard/glob/
+negation guard makes the live alphabet unbounded).  Skipped edges are
+exactly those a full scan would step into the dead state, and a
+transition is resolved only when a frontier node carries its label, so
+results -- and, via :meth:`LazyDfa.ensure_dead_state`, the profiled
+``dfa_states`` counts -- are identical on both layouts.  The order
+*within* a level differs, so a plan first walked on one layout may
+number its states differently from a plan first walked on the other;
+how many it builds cannot differ.
 
 **Co-reachable pruning.**  A repeating wildcard (``_*."Bogart"``)
 defeats label pruning.  When every accepted path ends on an exact label
@@ -211,7 +212,7 @@ def _live_label_ids(
     state: int,
     cache: dict,
     mask: "dict[int, frozenset[int]] | None" = None,
-) -> "tuple[int, ...] | None":
+) -> "frozenset[int] | None":
     """``state``'s live alphabet as interned label ids, or ``None``.
 
     ``None`` means the live set is not exactly known (some guard is a
@@ -226,9 +227,8 @@ def _live_label_ids(
     shrink an exact set further, and it turns an unbounded live set
     (wildcard/negation guards) into a finite one -- but bounding is only
     adopted when the mask rules out at least three quarters of the
-    vocabulary: per-partition probing costs per *label*, a full scan per
-    *edge*, so a barely-selective mask (``(!a)*`` allows almost every
-    label) would trade one contiguous scan for hundreds of probes.
+    vocabulary: a barely-selective mask (``(!a)*`` allows almost every
+    label) skips almost no run.
     Every label the mask excludes provably steps the automaton into the
     dead state on any root-origin traversal, so masked answers are
     identical to the unmasked scan -- the mask only skips the proving
@@ -241,15 +241,15 @@ def _live_label_ids(
         ids = None
     else:
         label_index = fg.label_index
-        ids = tuple(sorted(label_index[lab] for lab in live if lab in label_index))
+        ids = frozenset(label_index[lab] for lab in live if lab in label_index)
     if mask is not None:
         allowed = mask.get(state)
         if allowed is not None:
             if ids is None:
                 if len(allowed) * 4 <= len(fg.labels_seq):
-                    ids = tuple(sorted(allowed))
+                    ids = frozenset(allowed)
             else:
-                ids = tuple(lid for lid in ids if lid in allowed)
+                ids = ids & allowed
     cache[state] = ids
     return ids
 
@@ -264,14 +264,14 @@ def ordered_edge_indices(
 ):
     """The edge indices of the node at ``pos`` worth scanning from ``state``.
 
-    Pruned to the state's live labels (the partition sizes say how many
+    Pruned to the state's live labels (the node's label runs say which
     edges that keeps), but always yielded in *edge insertion order* --
     the order a plain-graph scan uses -- so order-sensitive consumers
     (witness tie-breaking, the distributed BSP message schedule) behave
-    identically on both layouts: a partial keep filters the node's
-    ``offsets`` slice by label id.  Skipping any edge interns the dead
-    state, keeping profiled state counts aligned with the full scan that
-    would have stepped into it.
+    identically on both layouts: a partial keep lists the kept runs'
+    edge indices.  Skipping any edge interns the dead state, keeping
+    profiled state counts aligned with the full scan that would have
+    stepped into it.
     """
     offsets = fg.offsets
     begin, end = offsets[pos], offsets[pos + 1]
@@ -280,15 +280,12 @@ def ordered_edge_indices(
     live = _live_label_ids(fg, dfa, state, live_cache, guide_mask)
     if live is None:
         return range(begin, end)
-    part = fg.partitions[pos]
-    kept = sum(len(part[lid]) for lid in live if lid in part)
-    if kept == end - begin:
+    first, stop = fg.run_off[pos], fg.run_off[pos + 1]
+    kept = [r for r in range(first, stop) if fg.run_lid[r] in live]
+    if len(kept) == stop - first:
         return range(begin, end)
     dfa.ensure_dead_state()
-    if not kept:
-        return ()
-    label_ids = fg.label_ids
-    return [i for i in range(begin, end) if label_ids[i] in live]
+    return [i for r in kept for i in range(fg.run_start[r], fg.run_start[r + 1])]
 
 
 # -- co-reachability: the region a wildcard walk expands --------------------------
@@ -608,17 +605,17 @@ class RpqStepper:
     def _expand_csr(self) -> None:
         """One label-pruned superstep over the CSR layout, state by state.
 
-        Per state and superstep: its live label ids, its row of the
-        transition table (label id -> next state, ``-1`` dead), and per
-        label the target state's explored set and frontier list.  Per
-        edge: a target read straight from the bucket, an int-set probe,
-        an add, an append.  A row entry is resolved only once a frontier
-        node carries the label and the dead state interned only once a
-        node has an edge outside the live set -- exactly the DFA states
-        a full scan builds.
+        Per state: its live label ids and transition row (label id ->
+        next state, ``-1`` dead).  Per node: its label runs.  Per run: a
+        live test, and the row entry and target sets only when its label
+        differs from the last run's.  Per edge: a ``targets`` read, an
+        int-set probe, an add, an append.  A row entry is resolved only
+        once a node carries the label and the dead state interned only
+        once a run is skipped -- exactly the DFA states a full scan builds.
         """
         fg: FrozenGraph = self.graph  # type: ignore[assignment]
-        partitions, index, coreach = fg.partitions, fg.index, self._coreach
+        index, coreach = fg.index, self._coreach
+        run_off, run_lid, run_start, targets = fg.run_off, fg.run_lid, fg.run_start, fg.targets
         is_accepting = self.dfa.is_accepting
         rows = self._trans
         ops = 0
@@ -627,57 +624,44 @@ class RpqStepper:
             grown: dict[int, list[int]] = {}
             for state, nodes in frontier.items():
                 live = _live_label_ids(fg, self.dfa, state, self._live_cache, self._guide_mask)
-                if live == () and self._dead_interned:
+                if live is not None and not live and self._dead_interned:
                     continue  # no label steps on from here: nothing to scan
                 row = rows.setdefault(state, {})
-                if index is None:
-                    parts = [partitions[node] for node in nodes]
-                else:
-                    parts = [partitions[index[node]] for node in nodes]
-                if live is None:
-                    current = reached = out = None
-                    for part in parts:
-                        for lid, bucket in part.items():
-                            ops += len(bucket)
+                skipped = False
+                last = current = reached = out = None
+                for pos in nodes if index is None else map(index.__getitem__, nodes):
+                    for r in range(run_off[pos], run_off[pos + 1]):
+                        lid = run_lid[r]
+                        if live is not None and lid not in live:
+                            skipped = True
+                            continue
+                        start = run_start[r]
+                        width = run_start[r + 1] - start
+                        ops += width
+                        if lid != last:
+                            last = lid
                             nxt = row.get(lid)
                             if nxt is None:
                                 nxt = self._transition(row, state, lid)
-                            if nxt < 0:
-                                continue
                             if nxt != current:
                                 current = nxt
-                                reached = seen.setdefault(nxt, set())
-                                out = grown.setdefault(nxt, [])
-                            for dst in bucket:
-                                if dst not in reached:
-                                    reached.add(dst)
-                                    out.append(dst)
-                    continue
-                hits = 0
-                for lid in live:
-                    reached = None
-                    for part in parts:
-                        bucket = part.get(lid)
-                        if bucket is None:
-                            continue
-                        hits += 1
-                        ops += len(bucket)
+                                reached = seen.setdefault(nxt, set()) if nxt >= 0 else None
+                                out = grown.setdefault(nxt, []) if nxt >= 0 else None
                         if reached is None:
-                            nxt = row.get(lid)
-                            if nxt is None:
-                                nxt = self._transition(row, state, lid)
-                            if nxt < 0:
-                                continue
-                            reached = seen.setdefault(nxt, set())
-                            out = grown.setdefault(nxt, [])
-                        for dst in bucket:
+                            continue
+                        if width == 1:
+                            dst = targets[start]
                             if dst not in reached:
                                 reached.add(dst)
                                 out.append(dst)
-                if not self._dead_interned and hits != sum(map(len, parts)):
-                    # some node has a label outside the live set: a full
-                    # scan would step that edge into the dead state;
-                    # intern it so materialized-state counts agree
+                            continue
+                        for dst in targets[start : start + width]:
+                            if dst not in reached:
+                                reached.add(dst)
+                                out.append(dst)
+                if skipped and not self._dead_interned:
+                    # a full scan would step the skipped edges into the
+                    # dead state; intern it so materialized-state counts agree
                     self.dfa.ensure_dead_state()
                     self._dead_interned = True
             todo = {}

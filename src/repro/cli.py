@@ -456,7 +456,8 @@ def _cmd_remote(args) -> int:
 
     Prints the response JSON; the exit code encodes the typed outcome
     so scripts can branch without parsing: 0 ok, 3 partial, 4 deadline,
-    5 overloaded, 2 error.
+    5 overloaded, 2 error (a connection closed before the response is
+    one).
     """
     import asyncio
 
@@ -470,13 +471,7 @@ def _cmd_remote(args) -> int:
         request["budget"] = args.budget
     if args.profile:
         request["profile"] = True
-    responses = asyncio.run(
-        request_over_socket(args.host, args.server_port, [request])
-    )
-    if not responses:
-        print("error: server closed the connection", file=sys.stderr)
-        return 2
-    response = responses[0]
+    response = asyncio.run(request_over_socket(args.host, args.server_port, [request]))[0]
     print(to_json(response))
     return {"ok": 0, "partial": 3, "deadline": 4, "overloaded": 5}.get(
         response.get("status"), 2

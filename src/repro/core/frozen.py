@@ -15,12 +15,12 @@ snapshot of the reachable-or-not *whole* node set of a graph:
 * the adjacency is three flat :mod:`array` vectors (``offsets``,
   ``targets``, ``label_ids``) in edge insertion order, so a node's
   out-edges are one contiguous slice with no per-call allocation;
-* each node additionally carries a *per-label partition*: label id ->
-  the node's edge targets with that label, which is what lets the RPQ
-  product kernel (:mod:`repro.automata.product`) scan only the edges
-  whose label can advance the automaton.  The buckets hold node ids, not
-  edge slots, so a node's partition does not depend on where its edges
-  sit in the flat arrays.
+* each node's slice is cut into *label runs*, maximal stretches of one
+  label id; a node's edges with label ``l`` are the ``targets`` slices
+  of its runs of ``l``, in insertion order.  That lets the RPQ product
+  kernel (:mod:`repro.automata.product`) scan only the edges whose
+  label can advance the automaton.  The runs are the one per-label
+  layout: flat vectors over the same edges, nothing per node.
 
 The read API mirrors :class:`Graph` (``edges_from`` / ``successors`` /
 ``total_out_degree`` / ``reachable`` ...), so every read-only evaluator
@@ -31,18 +31,20 @@ docs/PERFORMANCE.md for when freezing pays off.
 One builder (:func:`_build`) serves a cold freeze and
 :meth:`FrozenGraph.derive` -- a previous snapshot plus the nodes and
 edges committed since.  New nodes append and label ids are interned
-append-only, so the base's positions and ids stay valid; a node that
-gained no edge shares its partition dict with the base, which is never
-mutated.  A derived snapshot equals a cold freeze of the same graph up
-to a renaming of label ids (none when new labels first occur on new
-nodes).
+append-only, so the base's positions and ids stay valid; the base is
+never mutated.  A derived snapshot equals a cold freeze of the same
+graph, run for run, up to a renaming of label ids (none when new labels
+first occur on new nodes).  :func:`_runs` finds the runs of a cold
+freeze, a derivation's new edges, an edge stream and a checkpoint.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import deque
-from itertools import count
+from itertools import accumulate, compress, count, repeat
+from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, GraphError
@@ -74,8 +76,10 @@ class FrozenGraph:
       node id, interned label id, and source node id of edge ``i``;
     * ``labels_seq`` -- label id -> :class:`Label`;
     * ``label_index`` -- :class:`Label` -> label id;
-    * ``partitions[p]`` -- label id -> ``array`` of the targets of the
-      node at position ``p``'s edges with that label (insertion order);
+    * ``run_off[p] : run_off[p+1]`` -- the label runs of the node at
+      position ``p``; run ``r`` carries label id ``run_lid[r]`` on the
+      edge indices ``run_start[r] : run_start[r+1]`` (a final entry
+      closes the last run);
     * ``index`` -- node id -> position, or ``None`` when node ids are
       already dense (``id == position``).
     """
@@ -89,7 +93,9 @@ class FrozenGraph:
         "label_ids",
         "labels_seq",
         "label_index",
-        "partitions",
+        "run_off",
+        "run_lid",
+        "run_start",
         "snapshot_id",
         "source_version",
         "_root",
@@ -193,18 +199,18 @@ class FrozenGraph:
         pos = self._pos(node)
         targets = self.targets
         if label is None:
-            for i in range(self.offsets[pos], self.offsets[pos + 1]):
-                yield targets[i]
+            yield from targets[self.offsets[pos] : self.offsets[pos + 1]]
             return
         lid = self.label_index.get(label)
-        if lid is None:
-            return
-        yield from self.partitions[pos].get(lid, ())
+        run_lid, run_start = self.run_lid, self.run_start
+        for r in range(self.run_off[pos], self.run_off[pos + 1]):
+            if run_lid[r] == lid:
+                yield from targets[run_start[r] : run_start[r + 1]]
 
     def labels_from(self, node: int) -> set[Label]:
         """The set of distinct labels on edges out of ``node``."""
-        labels_seq = self.labels_seq
-        return {labels_seq[lid] for lid in self.partitions[self._pos(node)]}
+        pos, labels_seq = self._pos(node), self.labels_seq
+        return {labels_seq[lid] for lid in self.run_lid[self.run_off[pos] : self.run_off[pos + 1]]}
 
     def all_labels(self) -> set[Label]:
         """Every distinct label appearing anywhere in the graph."""
@@ -226,8 +232,7 @@ class FrozenGraph:
         return self._reachable_set(start)
 
     def _reachable_set(self, origin: int) -> set[int]:
-        pos = self._pos(origin)  # validates the node
-        del pos
+        self._pos(origin)  # validates the node
         offsets, targets = self.offsets, self.targets
         index = self.index
         seen = {origin}
@@ -297,16 +302,13 @@ class FrozenGraph:
         label_ids = array("q")
         labels_seq: list[Label] = []
         label_index: dict[Label, int] = {}
-        partitions: list[dict[int, array]] = []
         block = None  # the node whose edge block is open
-        edge_i = 0
         for src, label, dst in edges:
             while src != block:  # open blocks up to src's
-                block = len(partitions)
+                block = len(offsets)
                 if block >= num_nodes:
                     raise GraphError(f"edge stream not grouped by source at node {src}")
-                offsets.append(edge_i)
-                partitions.append(part := {})
+                offsets.append(len(targets))
             if isinstance(label, str):
                 label = sym(label)
             lid = label_index.get(label)
@@ -316,18 +318,11 @@ class FrozenGraph:
             srcs.append(src)
             targets.append(dst)
             label_ids.append(lid)
-            bucket = part.get(lid)
-            if bucket is None:
-                bucket = part[lid] = array("q")
-            bucket.append(dst)
-            edge_i += 1
-        for _ in range(len(partitions), num_nodes):  # the empty blocks after the last edge
-            offsets.append(edge_i)
-            partitions.append({})
-        offsets.append(edge_i)
+        # the empty blocks after the last edge, then the end
+        offsets.extend(repeat(len(targets), num_nodes + 1 - len(offsets)))
         fg = object.__new__(cls)
         _fill(fg, range(num_nodes), offsets, srcs, targets, label_ids,
-              labels_seq, label_index, partitions, root, 0)
+              labels_seq, label_index, _runs(offsets, label_ids), root, 0)
         stray = targets and (min(targets) < 0 or max(targets) >= num_nodes)
         if stray or (root is not None and not fg.has_node(root)):
             raise GraphError("edge stream points outside its nodes")
@@ -402,17 +397,15 @@ def _build(
     ``nodes`` are first the base nodes at the ascending positions
     ``grown``, then the new nodes in order; ``edges_of(node)`` gives each
     one's new out-edges.  One loop stages every node's block as if the
-    node were new.  A gained run is then spliced into the base's vectors
-    at the end of its node's block, appended to copies of that node's
-    base buckets, and the base offsets past it shift by its length.
+    node were new.  A gained block is then spliced into the base's
+    vectors at the end of its node's block, its runs after the node's
+    base runs, and everything past it shifts.
     """
     staged = srcs, targets, label_ids = array("q"), array("q"), array("q")
-    parts: list[dict[int, array]] = []
     ends = array("q", [0])  # staged block ends
     labels_seq = list(base.labels_seq) if base is not None else []
     label_index = dict(base.label_index) if base is not None else {}
     for node in nodes:
-        part: dict[int, array] = {}
         for edge in edges_of(node):
             label, dst = edge.label, edge.dst
             lid = label_index.get(label)
@@ -422,52 +415,73 @@ def _build(
             srcs.append(node)
             targets.append(dst)
             label_ids.append(lid)
-            bucket = part.get(lid)
-            if bucket is None:
-                bucket = part[lid] = array("q")
-            bucket.append(dst)
-        parts.append(part)
         ends.append(len(targets))
     if base is None:
-        n0, fresh, offsets, partitions = 0, nodes, ends, parts
+        n0, fresh, offsets, runs = 0, nodes, ends, _runs(ends, label_ids)
     else:
-        k, n0 = len(grown), base.num_nodes
-        fresh = nodes[k:]
+        k, n0, fresh = len(grown), base.num_nodes, nodes[len(grown) :]
         cuts = [(base.offsets[pos + 1], ends[j + 1]) for j, pos in enumerate(grown)]
         olds = base.srcs, base.targets, base.label_ids
+        s_off, s_lid, s_start = _runs(ends, label_ids)
         srcs, targets, label_ids = (_splice(old, new, cuts) for old, new in zip(olds, staged))
-        # a base node's block end moves by the staged runs before it
+        # a base node's block end and run starts move by the staged blocks
+        # before it, and its run offsets by the staged runs kept before it
         bounds = [0, *(pos + 1 for pos in grown), n0 + 1]
-        offsets = array("q")
+        offsets, run_off, run_lid, run_start = (array("q") for _ in range(4))
+        kept = 0
         for j in range(k + 1):
-            run, shift = base.offsets[bounds[j] : bounds[j + 1]], ends[j]
-            offsets += array("q", [off + shift for off in run]) if shift else run
-        offsets += array("q", [end + base.num_edges for end in ends[k + 1 :]])
-        # copy on write: the base's dicts and buckets are never touched
-        partitions = list(base.partitions)
-        for pos, part in zip(grown, parts):
-            merged = partitions[pos] = dict(partitions[pos])
-            for lid, bucket in part.items():
-                merged[lid] = merged[lid] + bucket if lid in merged else bucket
-        partitions += parts[k:]
+            lo, hi = bounds[j], bounds[j + 1]
+            offsets += _shifted(base.offsets[lo:hi], ends[j])
+            run_off += _shifted(base.run_off[lo:hi], kept)
+            own = slice(base.run_off[lo], base.run_off[min(hi, n0)])
+            run_lid += base.run_lid[own]
+            run_start += _shifted(base.run_start[own], ends[j])
+            if j < k:  # grown node j's staged runs, the first continuing its last
+                first, stop = s_off[j], s_off[j + 1]
+                if base.run_off[hi - 1] < base.run_off[hi] and run_lid[-1] == s_lid[first]:
+                    first += 1
+                run_lid += s_lid[first:stop]
+                run_start += _shifted(s_start[first:stop], base.offsets[hi])
+                kept += stop - first
+        offsets += _shifted(ends[k + 1 :], base.num_edges)
+        run_off += _shifted(s_off[k + 1 :], len(base.run_lid) + kept - s_off[k])
+        run_lid += s_lid[s_off[k] :]
+        run_start += _shifted(s_start[s_off[k] :], base.num_edges)
+        runs = run_off, run_lid, run_start
     if (base is None or base.index is None) and fresh == list(range(n0, n0 + len(fresh))):
         node_ids = range(n0 + len(fresh))
     else:
         node_ids = [*(base.node_ids if base is not None else ()), *fresh]
     _fill(fg, node_ids, offsets, srcs, targets, label_ids, labels_seq, label_index,
-          partitions, root, version)
+          runs, root, version)
+
+
+def _runs(offsets: "Sequence[int]", label_ids: array) -> "tuple[array, array, array]":
+    """``(run_off, run_lid, run_start)`` for the blocks ``offsets`` cuts
+    ``label_ids`` into: a run starts at a block's first edge and wherever
+    the label id changes.  Each pass over the edges is C-level iteration."""
+    m = len(label_ids)
+    first = bytearray(1) + bytearray(map(ne, label_ids, label_ids[1:])) + bytearray(1)
+    for off in offsets:
+        first[off] = 1
+    first[m] = 0  # the end starts no run
+    run_start = array("q", compress(range(m), first))
+    run_start.append(m)
+    before = list(accumulate(first, initial=0))  # before[i]: the runs starting before edge i
+    run_off = array("q", map(before.__getitem__, offsets))
+    return run_off, array("q", compress(label_ids, first)), run_start
 
 
 def _fill(
-    fg: FrozenGraph, node_ids: "range | list[int]", offsets: array, srcs: array,
+    fg: FrozenGraph, node_ids: "range | array | list[int]", offsets: array, srcs: array,
     targets: array, label_ids: array, labels_seq: "list[Label]",
-    label_index: "dict[Label, int]", partitions: list, root: "int | None", version: int,
+    label_index: "dict[Label, int]", runs: "tuple[array, array, array]",
+    root: "int | None", version: int,
 ) -> None:
     """Set ``fg``'s slots over finished vectors.  ``node_ids`` is a
     ``range`` when ids are dense (``id == position``: O(1) memory, no
-    index), else a list in position order; ``partitions`` holds one
-    ``{label id: targets}`` dict per position, the only layout of them
-    (a cold freeze, a derivation and a checkpoint open all build it)."""
+    index), else the ids in position order; ``runs`` is
+    ``(run_off, run_lid, run_start)``."""
     fg.node_ids = node_ids
     fg.index = (
         None if isinstance(node_ids, range) else {n: pos for pos, n in enumerate(node_ids)}
@@ -478,7 +492,7 @@ def _fill(
     fg.label_ids = label_ids
     fg.labels_seq = labels_seq
     fg.label_index = label_index
-    fg.partitions = partitions
+    fg.run_off, fg.run_lid, fg.run_start = runs
     fg._root = root
     fg.snapshot_id = next(_SNAPSHOT_IDS)
     fg.source_version = version
@@ -488,6 +502,17 @@ def _fill(
     #: PER_VERSION_RESIDENTS); FrozenGraph has ``__slots__`` without
     #: ``__weakref__``, so they attach here instead of in weak side tables
     fg._ext = {}
+
+
+def _shifted(vec: array, by: int) -> array:
+    """``vec`` with ``by`` added to every item, as one big-integer sum: the
+    items and ``by`` are non-negative and each result stays below 2**63,
+    so no 64-bit lane carries into the next (``vec`` itself when 0)."""
+    if not by:
+        return vec
+    order = sys.byteorder
+    lanes = int.from_bytes(vec, order) + int.from_bytes(array("q", [by]) * len(vec), order)
+    return array("q", lanes.to_bytes(8 * len(vec), order))
 
 
 def _splice(old: array, new: array, cuts: "list[tuple[int, int]]") -> array:

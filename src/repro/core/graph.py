@@ -355,7 +355,7 @@ class Graph:
         """An immutable CSR snapshot for the fast query kernel.
 
         Returns a :class:`~repro.core.frozen.FrozenGraph`: interned
-        label ids, flat offset/target arrays, per-label edge partitions.
+        label ids, flat offset/target arrays cut into per-label runs.
         Same read API, same node ids, no write API.  Freeze once and
         query many times; see docs/PERFORMANCE.md for the trade-off.
         """

@@ -832,10 +832,17 @@ async def request_over_socket(
 ) -> "list[dict]":
     """A minimal client: send requests, await as many responses.
 
-    Used by the ``repro query`` CLI and the socket tests; responses come
-    back in completion order, matched to requests by ``id``.
+    Used by the ``repro remote`` CLI and the socket tests; responses come
+    back in completion order, matched to requests by ``id``.  It reads
+    through :class:`_ReadIntoProtocol`, as the server does.  A connection
+    closed early raises :class:`ConnectionError` naming what is missing.
     """
-    reader, writer = await asyncio.open_connection(host, port)
+    loop = asyncio.get_running_loop()
+    reader = asyncio.StreamReader(loop=loop)
+    transport, protocol = await loop.create_connection(
+        lambda: _ReadIntoProtocol(reader, None, loop), host, port
+    )
+    writer = asyncio.StreamWriter(transport, protocol, reader, loop)
     try:
         for request in requests:
             writer.write(encode_frame(request))
@@ -845,7 +852,8 @@ async def request_over_socket(
         while len(responses) < len(requests):
             data = await reader.read(65536)
             if not data:
-                break
+                n, got = len(requests), len(responses)
+                raise ConnectionError(f"connection closed with {n - got} of {n} responses missing")
             responses.extend(decoder.feed(data))
         return responses
     finally:

@@ -41,11 +41,11 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain, pairwise, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
-from ..core.frozen import PER_VERSION_RESIDENTS, FrozenGraph, _fill, freeze
+from ..core.frozen import PER_VERSION_RESIDENTS, FrozenGraph, _fill, _runs, freeze
 from ..core.graph import Graph, GraphError
 from ..core.labels import Label, label_of, sym
 from .serializer import (
@@ -164,10 +164,10 @@ def _decode_state(payload: bytes, version: int) -> tuple[FrozenGraph, int]:
         raise SerializationError("checkpoint has no node id layout")
     if payload[pos] == 0:
         n, pos = _read_varint(payload, pos + 1)
-        node_ids: "range | list[int]" = range(n)
+        node_ids: "range | array" = range(n)
     else:
-        ids, pos = _read_vector(payload, pos + 1)
-        node_ids, n = ids.tolist(), len(ids)
+        node_ids, pos = _read_vector(payload, pos + 1)
+        n = len(node_ids)
     offsets, pos = _read_vector(payload, pos)
     targets, pos = _read_vector(payload, pos)
     label_ids, pos = _read_vector(payload, pos)
@@ -189,26 +189,10 @@ def _decode_state(payload: bytes, version: int) -> tuple[FrozenGraph, int]:
         srcs = array("q", chain.from_iterable(map(repeat, node_ids, degrees)))
     except OverflowError:  # a snapshot's edges only join node ids below 2**63
         raise SerializationError("checkpoint edge at a node id past 2**63") from None
-    partitions: list[dict[int, array]] = []
-    for start, end in pairwise(bounds):
-        if start == end:
-            partitions.append({})
-            continue
-        run = label_ids[start:end]
-        if run.count(run[0]) == end - start:  # one label: one slice
-            partitions.append({run[0]: targets[start:end]})
-            continue
-        part: dict[int, array] = {}
-        for lid, dst in zip(run, targets[start:end]):
-            bucket = part.get(lid)
-            if bucket is None:
-                bucket = part[lid] = array("q")
-            bucket.append(dst)
-        partitions.append(part)
     root = root_plus1 - 1 if root_plus1 else None
     fg = object.__new__(FrozenGraph)
     _fill(fg, node_ids, offsets, srcs, targets, label_ids, labels_seq, label_index,
-          partitions, root, version)
+          _runs(bounds, label_ids), root, version)
     index = fg.index
     if index is not None and len(index) != n:
         raise SerializationError("checkpoint repeats a node id")

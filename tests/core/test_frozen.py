@@ -1,5 +1,7 @@
 """Tests for the frozen CSR snapshot (the fast-path read layout)."""
 
+from typing import Iterator
+
 import pytest
 
 from repro.core.builder import from_obj
@@ -28,6 +30,16 @@ def cyclic_graph() -> Graph:
     g.add_edge(c, "back", a)
     g.add_edge(a, "skip", c)
     return g
+
+
+def run_buckets(fg: FrozenGraph, pos: int) -> "list[tuple[int, list[int]]]":
+    """The node at ``pos``'s targets per label id, read through its label
+    runs, labels in first-occurrence order."""
+    buckets: dict[int, list[int]] = {}
+    for r in range(fg.run_off[pos], fg.run_off[pos + 1]):
+        bucket = buckets.setdefault(fg.run_lid[r], [])
+        bucket += fg.targets[fg.run_start[r] : fg.run_start[r + 1]]
+    return list(buckets.items())
 
 
 class TestReadApiMirror:
@@ -152,13 +164,112 @@ class TestLabelPartitions:
         fg = g.freeze()
         for pos, node in enumerate(fg.node_ids):
             # each bucket holds the node's targets under one label, in order
-            covered = {
-                fg.labels_seq[lid]: list(bucket) for lid, bucket in fg.partitions[pos].items()
-            }
+            covered = {fg.labels_seq[lid]: bucket for lid, bucket in run_buckets(fg, pos)}
             assert covered == {
                 label: list(g.successors(node, label)) for label in g.labels_from(node)
             }
-        assert sum(len(b) for part in fg.partitions for b in part.values()) == fg.num_edges
+        assert sum(
+            len(b) for pos in range(fg.num_nodes) for _, b in run_buckets(fg, pos)
+        ) == fg.num_edges
+
+
+def assert_runs_are_the_buckets(fg: FrozenGraph) -> None:
+    """Every node's targets under every label, read through its runs,
+    are its edges with that label in insertion order; runs are maximal."""
+    assert fg.run_start[0] == 0 and fg.run_start[-1] == fg.num_edges
+    assert len(fg.run_off) == fg.num_nodes + 1 and fg.run_off[-1] == len(fg.run_lid)
+    for pos, node in enumerate(fg.node_ids):
+        edges = fg.edges_from(node)
+        by_label: dict = {}
+        for lid, bucket in run_buckets(fg, pos):
+            by_label.setdefault(fg.labels_seq[lid], []).extend(bucket)
+        for label in {e.label for e in edges} | {sym("absent")}:
+            expected = [e.dst for e in edges if e.label == label]
+            assert by_label.get(label, []) == expected
+            assert list(fg.successors(node, label)) == expected
+        lids = fg.run_lid[fg.run_off[pos] : fg.run_off[pos + 1]]
+        assert all(a != b for a, b in zip(lids, lids[1:]))
+        assert fg.labels_from(node) == {e.label for e in edges}
+
+
+def runs_by_label(fg: FrozenGraph) -> tuple:
+    """The runs with label ids read as labels: equal across snapshots
+    that intern labels in different orders."""
+    return (
+        list(fg.run_off), [fg.labels_seq[lid] for lid in fg.run_lid], list(fg.run_start)
+    )
+
+
+#: five commits over ``recurring_graph``: (new nodes, edges) with ``-k`` the
+#: k-th new node of the commit.  They extend a node's last run (a: x),
+#: open a run (a: z), make a label recur (b: p, q, p), give an edgeless
+#: node its first edges, add new labels, and grow several old nodes at once.
+COMMITS = [
+    (1, [(0, "x", -1), (1, "q", 2)]),
+    (2, [(-1, "new", -2), (1, "p", 3), (0, "z", 1), (3, "leaf", -2)]),
+    (0, [(0, "z", 2), (2, "first", 0), (0, "x", 3)]),
+    (1, [(-1, "x", 0), (-1, "y", 1), (-1, "x", 2), (4, "q", -1)]),
+    (0, [(1, "p", 0), (0, "x", 0), (7, "tail", 0)]),
+]
+
+
+def recurring_graph() -> Graph:
+    """Node 0's label ``x`` recurs after ``y``: two runs of one label."""
+    g = Graph()
+    a, b, c, d = (g.new_node() for _ in range(4))
+    g.set_root(a)
+    g.add_edge(a, "x", b)
+    g.add_edge(a, "y", c)
+    g.add_edge(a, "x", d)
+    g.add_edge(b, "p", c)
+    g.add_edge(b, "q", d)
+    return g
+
+
+def derive_chain(g: Graph) -> "Iterator[FrozenGraph]":
+    """Apply ``COMMITS`` to ``g``, yielding each derived snapshot."""
+    fg = g.freeze()
+    for fresh, edges in COMMITS:
+        nodes = [g.new_node() for _ in range(fresh)]
+        ref = {-k - 1: node for k, node in enumerate(nodes)}
+        added = [
+            g.add_edge(ref.get(src, src), label, ref.get(dst, dst)) for src, label, dst in edges
+        ]
+        fg = fg.derive(nodes, added, g.root, g.version)
+        yield fg
+
+
+class TestLabelRuns:
+    def test_cold_freeze(self):
+        fg = recurring_graph().freeze()
+        assert_runs_are_the_buckets(fg)
+        x = fg.label_index[sym("x")]
+        assert list(fg.run_lid[fg.run_off[0] : fg.run_off[1]]) == [x, fg.label_index[sym("y")], x]
+
+    def test_edge_stream(self):
+        g = recurring_graph()
+        stream = ((e.src, e.label, e.dst) for e in g.edges())
+        fg = FrozenGraph.from_edge_stream(g.num_nodes + 2, stream)
+        assert_runs_are_the_buckets(fg)
+        assert runs_by_label(fg)[1:] == runs_by_label(g.freeze())[1:]
+        assert list(fg.run_off[-3:]) == [len(fg.run_lid)] * 3  # the edgeless tail
+
+    def test_derive_chain_equals_cold_freeze_run_for_run(self):
+        g = recurring_graph()
+        for fg in derive_chain(g):
+            assert_runs_are_the_buckets(fg)
+            assert runs_by_label(fg) == runs_by_label(g.freeze())
+
+    def test_checkpoint_reopen(self):
+        from repro.storage.mvcc import _decode_state, _encode_state
+
+        g = recurring_graph()
+        *_, fg = derive_chain(g)
+        opened, _ = _decode_state(bytes(_encode_state(fg, g.num_nodes, 5)[16:]), 5)
+        assert_runs_are_the_buckets(opened)
+        assert (opened.run_off, opened.run_lid, opened.run_start) == (
+            fg.run_off, fg.run_lid, fg.run_start
+        )
 
 
 class TestFreezeThaw:

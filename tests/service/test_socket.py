@@ -7,7 +7,12 @@ shedding of excess connections -- using ephemeral loopback ports.
 """
 
 import asyncio
+import socket
+import threading
 
+import pytest
+
+from repro.cli import main
 from repro.datasets import generate_movies
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
@@ -89,6 +94,49 @@ def test_unhashable_op_is_refused_and_connection_still_usable() -> None:
         assert by_id[1]["error_type"] == "ProtocolError"
         assert by_id[2]["status"] == "ok"
         assert by_id[2]["result"] == "pong"
+
+
+def test_a_connection_closed_early_names_the_missing_responses() -> None:
+    # a stub server answers the first of two requests, then hangs up:
+    # the client used to return the one response as if that were all
+    async def answer_one(reader, writer) -> None:
+        decoder = FrameDecoder()
+        frames: list[dict] = []
+        while len(frames) < 2:
+            frames.extend(decoder.feed(await reader.read(65536)))
+        writer.write(encode_frame({"id": frames[0]["id"], "status": "ok", "result": "pong"}))
+        await writer.drain()
+        writer.close()
+
+    async def scenario() -> None:
+        server = await asyncio.start_server(answer_one, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        async with server:
+            with pytest.raises(ConnectionError, match="1 of 2 responses missing"):
+                await request_over_socket(
+                    "127.0.0.1", port, [{"id": 1, "op": "ping"}, {"id": 2, "op": "ping"}]
+                )
+
+    asyncio.run(scenario())
+
+
+def test_remote_cli_exits_2_on_a_connection_closed_early(capsys) -> None:
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def hang_up() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+
+    thread = threading.Thread(target=hang_up)
+    thread.start()
+    try:
+        code = main(["remote", "Entry", "--server-port", str(listener.getsockname()[1])])
+    finally:
+        thread.join()
+        listener.close()
+    assert code == 2
+    assert "1 of 1 responses missing" in capsys.readouterr().err
 
 
 def test_engine_bug_still_gets_a_response_frame(monkeypatch) -> None:

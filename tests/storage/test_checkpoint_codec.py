@@ -3,7 +3,7 @@
 A checkpoint holds a snapshot's ``offsets``, ``targets`` and
 ``label_ids`` at their narrowest width, its node ids (a count when
 dense), its label table in label-id order, root and next id.  Decoding
-returns exactly those vectors and rebuilds ``srcs`` and the partitions;
+returns exactly those vectors and rebuilds ``srcs`` and the label runs;
 a payload whose CRC holds but whose contents disagree is refused with a
 :class:`SerializationError`, never a ``GraphError`` or a half-built
 snapshot.
@@ -15,17 +15,32 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.frozen import FrozenGraph, freeze
 from repro.core.graph import Graph
 from repro.core.labels import sym
 from repro.datasets import generate_movies
 from repro.storage import AddEdge, AddNode, SetRoot, VersionedGraphStore
-from repro.storage.mvcc import CHECKPOINT_MAGIC, CHECKPOINT_NAME, _decode_state
+from repro.storage.mvcc import CHECKPOINT_MAGIC, CHECKPOINT_NAME, _decode_state, _encode_state
 from repro.storage.serializer import SerializationError, _write_label, _write_varint
 
 
+def run_buckets(fg, pos: int) -> "list[tuple[int, list[int]]]":
+    """The node at ``pos``'s targets per label id, through its runs."""
+    buckets: dict[int, list[int]] = {}
+    for r in range(fg.run_off[pos], fg.run_off[pos + 1]):
+        buckets.setdefault(fg.run_lid[r], []).extend(
+            fg.targets[fg.run_start[r] : fg.run_start[r + 1]]
+        )
+    return list(buckets.items())
+
+
 def snapshot_parts(fg) -> dict:
-    """Everything a checkpoint must give back, partitions in bucket order."""
+    """Everything a checkpoint must give back: the vectors, and each
+    node's targets per label read through its label runs, in bucket
+    order."""
     return {
         "node_ids": list(fg.node_ids),
         "dense": fg.index is None,
@@ -35,7 +50,8 @@ def snapshot_parts(fg) -> dict:
         "srcs": fg.srcs,
         "labels_seq": fg.labels_seq,
         "label_index": fg.label_index,
-        "partitions": [list(part.items()) for part in fg.partitions],
+        "buckets": [run_buckets(fg, pos) for pos in range(fg.num_nodes)],
+        "runs": (fg.run_off, fg.run_lid, fg.run_start),
         "root": fg._root,
     }
 
@@ -175,3 +191,53 @@ def test_the_retired_per_edge_format_is_refused_by_name(tmp_path: Path) -> None:
     write_checkpoint(tmp_path / "s", **HOSTILE["the retired SSDC magic"])
     with pytest.raises(SerializationError, match="retired per-edge SSDC format"):
         VersionedGraphStore(tmp_path / "s", durable=False)
+
+
+# -- the decoder over mutated payloads -------------------------------------------
+#
+# The CRC guards the file, not the decoder: with it recomputed, any byte
+# string can reach ``_decode_state``.  Whatever it returns must be a
+# snapshot that encodes back to exactly the bytes it came from, and a
+# snapshot holds flat vectors, not a Python container per node.
+
+MOVIES = generate_movies(40, seed=3)
+PAYLOAD = bytes(_encode_state(freeze(MOVIES), MOVIES._next_id, 7)[16:])
+#: slots that may hold Python containers: the label table, the sparse-id
+#: index and the per-snapshot caches
+CONTAINER_SLOTS = {"labels_seq", "label_index", "index", "_edge_cache", "_ext"}
+
+
+def flip(data: st.DataObject) -> bytes:
+    at = data.draw(st.integers(0, len(PAYLOAD) - 1))
+    bit = data.draw(st.integers(0, 7))
+    return PAYLOAD[:at] + bytes([PAYLOAD[at] ^ (1 << bit)]) + PAYLOAD[at + 1 :]
+
+
+def truncate(data: st.DataObject) -> bytes:
+    return PAYLOAD[: data.draw(st.integers(0, len(PAYLOAD) - 1))]
+
+
+def insert(data: st.DataObject) -> bytes:
+    at = data.draw(st.integers(0, len(PAYLOAD)))
+    return PAYLOAD[:at] + data.draw(st.binary(min_size=1, max_size=4)) + PAYLOAD[at:]
+
+
+def test_the_unmutated_payload_round_trips() -> None:
+    fg, next_id = _decode_state(PAYLOAD, 7)
+    assert bytes(_encode_state(fg, next_id, 7)[16:]) == PAYLOAD
+    assert fg.num_edges == MOVIES.num_edges
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_payload_is_refused_or_reencodes_to_itself(data: st.DataObject) -> None:
+    payload = data.draw(st.sampled_from([flip, truncate, insert]))(data)
+    try:
+        fg, next_id = _decode_state(payload, 7)
+    except SerializationError:
+        return
+    assert bytes(_encode_state(fg, next_id, 7)[16:]) == payload
+    for slot in FrozenGraph.__slots__:
+        value = getattr(fg, slot)
+        if slot not in CONTAINER_SLOTS and not isinstance(value, (int, type(None))):
+            assert isinstance(value, (array, range)), slot
