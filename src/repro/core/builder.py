@@ -92,7 +92,9 @@ def _children(obj: Any) -> Iterator[tuple[Label, Any]]:
             if not isinstance(key, (str, int, float, bool)):
                 raise BuildError(f"cannot use {type(key).__name__} as an edge label")
             label = sym(key) if isinstance(key, str) else label_of(key)
-            if isinstance(value, (list, tuple)) and isinstance(key, str):
+            # a Label is a tuple, not a collection: it is refused below
+            many = isinstance(value, (list, tuple)) and not isinstance(value, Label)
+            if many and isinstance(key, str):
                 # {"Cast": ["Bogart", "Bacall"]} means *several* Cast edges:
                 # the set semantics of the model, not an array.
                 for item in value:
@@ -100,7 +102,7 @@ def _children(obj: Any) -> Iterator[tuple[Label, Any]]:
             else:
                 yield label, value
         return
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)) and not isinstance(obj, Label):
         for i, item in enumerate(obj, start=1):
             yield label_of(i), item
         return

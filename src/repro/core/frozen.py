@@ -11,7 +11,7 @@ A :class:`FrozenGraph` is an immutable compressed-sparse-row (CSR)
 snapshot of the reachable-or-not *whole* node set of a graph:
 
 * labels are interned once into a dense ``label id`` space, so the hot
-  loops compare and hash small ints instead of Label dataclasses;
+  loops compare and hash small ints instead of Label tuples;
 * the adjacency is three flat :mod:`array` vectors (``offsets``,
   ``targets``, ``label_ids``) in edge insertion order, so a node's
   out-edges are one contiguous slice with no per-call allocation;
@@ -459,17 +459,18 @@ def _build(
 def _runs(offsets: "Sequence[int]", label_ids: array) -> "tuple[array, array, array]":
     """``(run_off, run_lid, run_start)`` for the blocks ``offsets`` cuts
     ``label_ids`` into: a run starts at a block's first edge and wherever
-    the label id changes.  Each pass over the edges is C-level iteration."""
+    the label id changes.  Each pass over the edges is C-level iteration,
+    into a list (an ``array`` grows item by item from an iterator)."""
     m = len(label_ids)
     first = bytearray(1) + bytearray(map(ne, label_ids, label_ids[1:])) + bytearray(1)
     for off in offsets:
         first[off] = 1
     first[m] = 0  # the end starts no run
-    run_start = array("q", compress(range(m), first))
+    run_start = array("q", list(compress(range(m), first)))
     run_start.append(m)
     before = list(accumulate(first, initial=0))  # before[i]: the runs starting before edge i
-    run_off = array("q", map(before.__getitem__, offsets))
-    return run_off, array("q", compress(label_ids, first)), run_start
+    run_off = array("q", list(map(before.__getitem__, offsets)))
+    return run_off, array("q", list(compress(label_ids, first))), run_start
 
 
 def _fill(

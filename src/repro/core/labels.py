@@ -14,14 +14,20 @@ the kind of a label at run time; this module is therefore the foundation of
 every dynamic-typing predicate in the query languages (``isInt``,
 ``isString``, ``isSymbol``...).
 
-:class:`Label` is immutable and hashable so that labels can key indexes and
-participate in set-valued edge collections.
+:class:`Label` is the pair ``(kind, value)`` as a ``tuple`` subclass.
+Labels key every index and intern table, so their identity is the
+tuple's own: hashing, equality and the ``kind``/``value`` reads run in C,
+never in a Python method.  Equality stays kind-aware because the kind is
+half the tuple.  The value's type is checked by the public constructors
+(:func:`sym`, :func:`string`, :func:`integer`, :func:`real`,
+:func:`boolean`, :func:`label_of` and ``Label(kind, value)``); decoders
+whose bytes already fix the kind build labels with ``tuple.__new__``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import _tuplegetter
 from typing import Union
 
 __all__ = [
@@ -48,6 +54,7 @@ class LabelKind(enum.Enum):
     ``Title``); the remaining kinds are base *data* types that the model
     allows directly on edges ("edges are labeled both with data, of types
     such as int and string ... and with names such as Movie and Title").
+    Kinds order as ``bool < int < real < string < symbol``.
     """
 
     INT = "int"
@@ -56,72 +63,65 @@ class LabelKind(enum.Enum):
     BOOL = "bool"
     SYMBOL = "symbol"
 
+    #: members are singletons: identity hashing, in C (``Enum.__hash__``
+    #: is a Python method hashing the member's name)
+    __hash__ = object.__hash__
+
+    def __lt__(self, other: "LabelKind") -> bool:
+        if not isinstance(other, LabelKind):
+            return NotImplemented
+        return _KIND_ORDER[self] < _KIND_ORDER[other]
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LabelKind.{self.name}"
 
 
+# a member read through the class costs about ten global reads, so the
+# hot paths use these (definition order)
+_INT, _REAL, _STRING, _BOOL, _SYMBOL = LabelKind
 # Deterministic ordering of kinds, used by Label.sort_key.
-_KIND_ORDER = {
-    LabelKind.BOOL: 0,
-    LabelKind.INT: 1,
-    LabelKind.REAL: 2,
-    LabelKind.STRING: 3,
-    LabelKind.SYMBOL: 4,
-}
+_KIND_ORDER = {_BOOL: 0, _INT: 1, _REAL: 2, _STRING: 3, _SYMBOL: 4}
+
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Label:
+class Label(tuple):
     """An edge label: one arm of ``int | real | string | bool | symbol``.
 
     Two labels are equal iff both their kind and their value are equal;
     in particular the *string* ``"Movie"`` and the *symbol* ``Movie`` are
     distinct labels even though both are represented by the same Python
     string.  This distinction is exactly the paper's distinction between
-    data values and attribute names.
+    data values and attribute names.  Labels order by kind, then by value
+    within a kind.
     """
 
-    kind: LabelKind
-    value: AtomValue
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        expected = _EXPECTED_TYPES[self.kind]
-        if not isinstance(self.value, expected) or (
-            self.kind in (LabelKind.INT, LabelKind.REAL)
-            and isinstance(self.value, bool)
+    kind = _tuplegetter(0, "The arm of the union, a :class:`LabelKind`.")
+    value = _tuplegetter(1, "The Python value the label carries.")
+
+    def __new__(cls, kind: LabelKind, value: AtomValue) -> "Label":
+        if not isinstance(value, _EXPECTED_TYPES[kind]) or (
+            isinstance(value, bool) and kind is not _BOOL
         ):
             raise TypeError(
-                f"label of kind {self.kind.value!r} cannot hold "
-                f"{type(self.value).__name__} value {self.value!r}"
+                f"label of kind {kind.value!r} cannot hold "
+                f"{type(value).__name__} value {value!r}"
             )
+        return _new(cls, (kind, value))
+
+    def __getnewargs__(self) -> "tuple[LabelKind, AtomValue]":
+        return tuple(self)
 
     # -- predicates ("switching on the type") --------------------------------
 
-    @property
-    def is_symbol(self) -> bool:
-        """True iff this label is an attribute-name symbol."""
-        return self.kind is LabelKind.SYMBOL
-
-    @property
-    def is_base(self) -> bool:
-        """True iff this label carries a base data value (not a symbol)."""
-        return self.kind is not LabelKind.SYMBOL
-
-    @property
-    def is_int(self) -> bool:
-        return self.kind is LabelKind.INT
-
-    @property
-    def is_real(self) -> bool:
-        return self.kind is LabelKind.REAL
-
-    @property
-    def is_string(self) -> bool:
-        return self.kind is LabelKind.STRING
-
-    @property
-    def is_bool(self) -> bool:
-        return self.kind is LabelKind.BOOL
+    is_symbol = property(lambda self: self.kind is _SYMBOL, doc="An attribute-name symbol?")
+    is_base = property(lambda self: self.kind is not _SYMBOL, doc="A base data value?")
+    is_int = property(lambda self: self.kind is _INT)
+    is_real = property(lambda self: self.kind is _REAL)
+    is_string = property(lambda self: self.kind is _STRING)
+    is_bool = property(lambda self: self.kind is _BOOL)
 
     # -- ordering -------------------------------------------------------------
 
@@ -130,59 +130,45 @@ class Label:
 
         Labels of different kinds are ordered by kind; within a kind, by
         value.  The order itself is arbitrary but deterministic, which is
-        what canonical serializations and rendered output need.
+        what canonical serializations and rendered output need.  ``<`` on
+        labels is the tuple order, which agrees with it.
         """
         return (_KIND_ORDER[self.kind], self.value)
 
-    def __lt__(self, other: "Label") -> bool:
-        if not isinstance(other, Label):
-            return NotImplemented
-        a, b = self.sort_key(), other.sort_key()
-        if a[0] != b[0]:
-            return a[0] < b[0]
-        try:
-            return a[1] < b[1]
-        except TypeError:  # e.g. bool vs bool is fine; mixed never reaches here
-            return str(a[1]) < str(b[1])
-
     def __repr__(self) -> str:
-        if self.kind is LabelKind.SYMBOL:
-            return f"`{self.value}`"
-        return repr(self.value)
+        return f"`{self.value}`" if self.kind is _SYMBOL else repr(self.value)
 
 
-_EXPECTED_TYPES = {
-    LabelKind.INT: int,
-    LabelKind.REAL: float,
-    LabelKind.STRING: str,
-    LabelKind.BOOL: bool,
-    LabelKind.SYMBOL: str,
-}
+_EXPECTED_TYPES = {_INT: int, _REAL: float, _STRING: str, _BOOL: bool, _SYMBOL: str}
 
 
 def sym(name: str) -> Label:
     """Build a symbol label (an attribute/class name such as ``Movie``)."""
-    return Label(LabelKind.SYMBOL, name)
+    if isinstance(name, str):  # the common case skips Label.__new__'s dispatch
+        return _new(Label, (_SYMBOL, name))
+    return Label(_SYMBOL, name)
 
 
 def string(value: str) -> Label:
     """Build a string *data* label (such as ``"Casablanca"``)."""
-    return Label(LabelKind.STRING, value)
+    if isinstance(value, str):
+        return _new(Label, (_STRING, value))
+    return Label(_STRING, value)
 
 
 def integer(value: int) -> Label:
     """Build an integer data label (array indices, counts, years...)."""
-    return Label(LabelKind.INT, value)
+    return Label(_INT, value)
 
 
 def real(value: float) -> Label:
     """Build a real (float) data label, e.g. the ``1.2E6`` credit of Fig. 1."""
-    return Label(LabelKind.REAL, float(value))
+    return Label(_REAL, float(value))
 
 
 def boolean(value: bool) -> Label:
     """Build a boolean data label."""
-    return Label(LabelKind.BOOL, value)
+    return Label(_BOOL, value)
 
 
 def label_of(value: "AtomValue | Label") -> Label:

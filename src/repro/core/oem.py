@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from .graph import Edge
-from .labels import sym
+from .labels import Label, sym
 
 __all__ = ["Oid", "OemObject", "OemDatabase", "OemError", "ATOMIC_TYPES"]
 
@@ -216,13 +216,14 @@ class OemDatabase:
             for key, value in obj.items():
                 if not isinstance(key, str):
                     raise OemError("OEM edge labels must be symbols (strings)")
-                if isinstance(value, (list, tuple)):
+                # a Label is a tuple, not a collection: _load refuses it
+                if isinstance(value, (list, tuple)) and not isinstance(value, Label):
                     for item in value:
                         self.add_child(oid, key, self._load(item))
                 else:
                     self.add_child(oid, key, self._load(value))
             return oid
-        if isinstance(obj, (list, tuple)):
+        if isinstance(obj, (list, tuple)) and not isinstance(obj, Label):
             oid = self.new_complex()
             for item in obj:
                 self.add_child(oid, "item", self._load(item))

@@ -28,6 +28,7 @@ a path is delimited by the first top-level whitespace.
 from __future__ import annotations
 
 from ..automata.regex import parse_path_regex
+from ..core.cursor import Cursor
 from .ast import (
     BoolOp,
     Compare,
@@ -48,68 +49,11 @@ class LorelSyntaxError(ValueError):
     """Raised on malformed Lorel query text."""
 
 
-_OPS = ("!=", "<=", ">=", "=", "<", ">")
 _KEYWORDS = {"select", "from", "where", "and", "or", "not", "as", "like", "exists", "true", "false"}
 
 
-class _P:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def err(self, message: str) -> LorelSyntaxError:
-        return LorelSyntaxError(f"{message} at position {self.pos} in {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_word(self, word: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text[self.pos : end].lower() != word:
-            return False
-        return end >= len(self.text) or not (
-            self.text[end].isalnum() or self.text[end] == "_"
-        )
-
-    def eat_word(self, word: str) -> None:
-        if not self.at_word(word):
-            raise self.err(f"expected keyword {word!r}")
-        self.pos += len(word)
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise self.err("expected an identifier")
-        return self.text[start : self.pos]
-
-    def quoted(self) -> str:
-        quote = self.peek()
-        if quote not in "\"'":
-            raise self.err("expected a quoted string")
-        self.pos += 1
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.err("unterminated string")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == quote:
-                return "".join(out)
-            if ch == "\\" and self.pos < len(self.text):
-                ch = self.text[self.pos]
-                self.pos += 1
-            out.append(ch)
+class _P(Cursor):
+    error = LorelSyntaxError
 
     # -- path references ----------------------------------------------------------
 
@@ -160,11 +104,9 @@ class _P:
             return LiteralOperand(self.quoted())
         if ch.isdigit() or ch == "-":
             return LiteralOperand(self.number())
-        if self.at_word("true"):
-            self.eat_word("true")
+        if self.accept_word("true"):
             return LiteralOperand(True)
-        if self.at_word("false"):
-            self.eat_word("false")
+        if self.accept_word("false"):
             return LiteralOperand(False)
         return self.pathref()
 
@@ -193,44 +135,31 @@ class _P:
 
     def predicate(self):
         node = self.conj()
-        while self.at_word("or"):
-            self.eat_word("or")
+        while self.accept_word("or"):
             node = BoolOp("or", node, self.conj())
         return node
 
     def conj(self):
         node = self.unit()
-        while self.at_word("and"):
-            self.eat_word("and")
+        while self.accept_word("and"):
             node = BoolOp("and", node, self.unit())
         return node
 
     def unit(self):
-        if self.at_word("not"):
-            self.eat_word("not")
+        if self.accept_word("not"):
             return NotOp(self.unit())
         if self.peek() == "(":
             self.pos += 1
             node = self.predicate()
-            self.skip_ws()
-            if self.peek() != ")":
-                raise self.err("expected ')'")
-            self.pos += 1
+            self.eat(")")
             return node
-        if self.at_word("exists"):
-            self.eat_word("exists")
-            operand = self.pathref()
-            return ExistsPredicate(operand)
+        if self.accept_word("exists"):
+            return ExistsPredicate(self.pathref())
         left = self.operand()
-        if self.at_word("like"):
-            self.eat_word("like")
+        if self.accept_word("like"):
             return LikePredicate(left, self.quoted())
-        self.skip_ws()
-        for op in _OPS:
-            if self.text[self.pos : self.pos + len(op)] == op:
-                self.pos += len(op)
-                return Compare(left, op, self.operand())
-        raise self.err("expected a comparison, 'like', or boolean operator")
+        op = self.comparison("expected a comparison, 'like', or boolean operator")
+        return Compare(left, op, self.operand())
 
     # -- the query -------------------------------------------------------------------------
 
@@ -246,18 +175,14 @@ class _P:
             self.pos += 1
             froms.append(self.from_clause())
         where = None
-        if self.at_word("where"):
-            self.eat_word("where")
+        if self.accept_word("where"):
             where = self.predicate()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.err("trailing input")
+        self.end()
         return LorelQuery(tuple(items), tuple(froms), where)
 
     def select_item(self) -> SelectItem:
         operand = self.pathref()
-        if self.at_word("as"):
-            self.eat_word("as")
+        if self.accept_word("as"):
             return SelectItem(operand, self.ident())
         return SelectItem(operand)
 

@@ -20,6 +20,8 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from ..core.labels import Label
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .metrics import MetricsRegistry
     from .profile import QueryProfile
@@ -66,9 +68,21 @@ def _jsonable(value: object) -> object:
     return repr(value)
 
 
+def _labels_as_text(value: object) -> object:
+    """``value`` with each :class:`Label` in it as its repr: a label is a
+    tuple, which :mod:`json` writes as a list without asking ``default``."""
+    if isinstance(value, Label):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _labels_as_text(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_labels_as_text(v) for v in value]
+    return value
+
+
 def to_json(payload: Mapping[str, object], indent: int = 2) -> str:
     """Canonical JSON text: sorted keys, stable indentation."""
-    return json.dumps(payload, indent=indent, sort_keys=True, default=_jsonable)
+    return json.dumps(_labels_as_text(payload), indent=indent, sort_keys=True, default=_jsonable)
 
 
 def write_bench(name: str, payload: Mapping[str, object], directory: "str | Path") -> Path:

@@ -35,7 +35,7 @@ from ..automata.regex import (
     PlusRE,
     StarRE,
 )
-from ..core.labels import Label, sym
+from ..core.labels import Label, label_of, sym
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.frozen import FrozenGraph
@@ -103,10 +103,7 @@ class GraphStatistics:
         for oid in db.oids():
             obj = db.get(oid)
             if obj.is_atomic:
-                try:
-                    lab = _value_label(obj.atom)
-                except ValueError:  # pragma: no cover - atoms are always labelable
-                    continue
+                lab = label_of(obj.atom)
                 value_counts[lab] = value_counts.get(lab, 0) + 1
                 continue
             for name, _child in obj.children:
@@ -201,11 +198,3 @@ class GraphStatistics:
             f"<GraphStatistics nodes={self.num_nodes} edges={self.num_edges} "
             f"labels={len(self.label_counts)}>"
         )
-
-
-def _value_label(value) -> Label:
-    from ..core.labels import label_of, string
-
-    if isinstance(value, str):
-        return string(value)
-    return label_of(value)

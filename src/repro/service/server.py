@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 from typing import TYPE_CHECKING, Iterator
 
 from ..automata.plan_cache import PlanCache
@@ -45,6 +46,7 @@ from ..browse import find_value, where_is
 from ..core.builder import to_obj
 from ..core.frozen import FrozenGraph, freeze
 from ..core.graph import Graph
+from ..core.labels import boolean, integer, label_of, real, string, sym
 from ..lorel import evaluate_lorel, lorel, lorel_rows, parse_lorel
 from ..obs import QueryProfile
 from ..obs.export import metrics_to_dict
@@ -90,34 +92,46 @@ _LOG = logging.getLogger(__name__)
 QUERY_OPS = frozenset({"rpq", "lorel", "unql", "find", "apply"})
 
 
+#: each wire label kind's constructor, and the types its JSON value may
+#: decode to (a real written without a fraction decodes to an int)
+_WIRE_KINDS = {
+    "symbol": (sym, (str,)),
+    "string": (string, (str,)),
+    "int": (integer, (int,)),
+    "real": (real, (int, float)),
+    "bool": (boolean, (bool,)),
+}
+
+
 def label_from_wire(value) -> "Label | str | int | float | bool":
     """Decode a mutation's JSON ``label`` field.
 
     Scalars follow :meth:`Graph.add_edge` semantics (a plain string is a
     *symbol*); the explicit object form selects the kind, which is the
-    only way to send string *data* over the wire.
+    only way to send string *data* over the wire.  A value whose JSON
+    type is not its kind's, and a real that is not finite, are refused
+    with :class:`ValueError`, never coerced.
     """
-    from ..core.labels import Label, LabelKind, label_of, sym
-
     if isinstance(value, dict):
-        kind = value.get("kind")
-        raw = value.get("value")
-        if kind == "symbol":
-            return sym(str(raw))
-        if kind == "string":
-            return Label(LabelKind.STRING, str(raw))
-        if kind == "int":
-            return Label(LabelKind.INT, int(raw))
-        if kind == "real":
-            return Label(LabelKind.REAL, float(raw))
-        if kind == "bool":
-            return Label(LabelKind.BOOL, bool(raw))
-        raise ValueError(f"unknown label kind {kind!r}")
-    if isinstance(value, str):
+        kind, raw = value.get("kind"), value.get("value")
+        make, types = _WIRE_KINDS.get(kind, (None, ()))
+        if make is None:
+            raise ValueError(f"unknown label kind {kind!r}")
+        if type(raw) not in types:
+            raise ValueError(f"a {kind} label cannot hold {raw!r}")
+    elif isinstance(value, str):
         return sym(value)
-    if isinstance(value, (bool, int, float)):
-        return label_of(value)
-    raise ValueError(f"cannot interpret {value!r} as an edge label")
+    elif isinstance(value, (bool, int, float)):
+        make, raw = label_of, value
+    else:
+        raise ValueError(f"cannot interpret {value!r} as an edge label")
+    try:
+        label = make(raw)
+    except OverflowError:  # an int past float's range, as a real
+        raise ValueError(f"a real label cannot hold {raw!r}") from None
+    if label.is_real and not math.isfinite(label.value):
+        raise ValueError(f"a real label must be finite, not {raw!r}")
+    return label
 
 
 def stage_mutations(batch: "WriteBatch", mutations) -> dict[str, int]:

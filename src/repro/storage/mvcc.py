@@ -41,7 +41,8 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from collections import Counter
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -51,7 +52,7 @@ from ..core.labels import Label, label_of, sym
 from .serializer import (
     STORAGE_METRICS,
     SerializationError,
-    _read_label,
+    _read_labels,
     _read_varint,
     _write_label,
     _write_varint,
@@ -112,16 +113,28 @@ def _write_vector(out: bytearray, items: "Sequence[int]") -> None:
     out += vec
 
 
-def _read_vector(payload: bytes, pos: int) -> tuple[array, int]:
+def _read_vector(payload: bytes, pos: int, wide: bool = False) -> tuple[array, int]:
+    """The vector at ``pos``: at its on-disk width, or (``wide``) as a
+    ``q`` vector whose lanes are filled by one slice assignment per byte
+    of the on-disk item."""
     code = chr(payload[pos]) if pos < len(payload) else "?"
     if code not in _WIDTHS:
         raise SerializationError(f"checkpoint vector has unknown typecode {code!r}")
     length, pos = _read_varint(payload, pos + 1)
-    vec = array(code)
-    end = pos + length * vec.itemsize
+    width = array(code).itemsize
+    end = pos + length * width
     if end > len(payload):
         raise SerializationError("checkpoint vector runs past the payload")
-    vec.frombytes(memoryview(payload)[pos:end])
+    raw = payload[pos:end]
+    if wide:
+        if width == 8 and length and max(raw[7::8]) > 0x7F:
+            raise SerializationError("checkpoint item past 2**63")
+        lanes = bytearray(8 * length)
+        for lane in range(width):
+            lanes[lane::8] = raw[lane::width]
+        code, raw = "q", lanes
+    vec = array(code)
+    vec.frombytes(raw)
     if sys.byteorder == "big":
         vec.byteswap()
     return vec, end
@@ -155,11 +168,8 @@ def _decode_state(payload: bytes, version: int) -> tuple[FrozenGraph, int]:
     next_id, pos = _read_varint(payload, 0)
     root_plus1, pos = _read_varint(payload, pos)
     num_labels, pos = _read_varint(payload, pos)
-    labels_seq = []
-    for _ in range(num_labels):
-        label, pos = _read_label(payload, pos)
-        labels_seq.append(label)
-    label_index = {label: lid for lid, label in enumerate(labels_seq)}
+    labels_seq, pos = _read_labels(payload, pos, num_labels)
+    label_index = dict(zip(labels_seq, range(num_labels)))
     if pos >= len(payload) or payload[pos] > 1:
         raise SerializationError("checkpoint has no node id layout")
     if payload[pos] == 0:
@@ -168,9 +178,9 @@ def _decode_state(payload: bytes, version: int) -> tuple[FrozenGraph, int]:
     else:
         node_ids, pos = _read_vector(payload, pos + 1)
         n = len(node_ids)
-    offsets, pos = _read_vector(payload, pos)
-    targets, pos = _read_vector(payload, pos)
-    label_ids, pos = _read_vector(payload, pos)
+    offsets, pos = _read_vector(payload, pos, wide=True)
+    targets, pos = _read_vector(payload, pos, wide=True)
+    label_ids, pos = _read_vector(payload, pos, wide=True)
     if pos != len(payload):
         raise SerializationError("checkpoint has trailing bytes")
     if len(label_index) != num_labels:
@@ -179,14 +189,18 @@ def _decode_state(payload: bytes, version: int) -> tuple[FrozenGraph, int]:
     if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != m or len(label_ids) != m:
         raise SerializationError("checkpoint vectors disagree in length")
     bounds = offsets.tolist()
-    degrees = list(map(int.__sub__, bounds[1:], bounds))
-    if min(degrees, default=0) < 0:
+    if bounds != sorted(bounds):
         raise SerializationError("checkpoint offsets decrease")
     if m and max(label_ids) >= num_labels:
         raise SerializationError("checkpoint label id past its label table")
+    # edge i leaves the node at position p when p blocks end at or before
+    # it: count the block ends at each edge index and sum them up
+    ends = Counter(bounds[1:])
+    positions = accumulate(map(ends.get, range(m), repeat(0)))
+    if not isinstance(node_ids, range):  # sparse ids: the id at each position
+        positions = map(node_ids.__getitem__, positions)
     try:
-        offsets, targets, label_ids = (array("q", v) for v in (offsets, targets, label_ids))
-        srcs = array("q", chain.from_iterable(map(repeat, node_ids, degrees)))
+        srcs = array("q", list(positions))
     except OverflowError:  # a snapshot's edges only join node ids below 2**63
         raise SerializationError("checkpoint edge at a node id past 2**63") from None
     root = root_plus1 - 1 if root_plus1 else None

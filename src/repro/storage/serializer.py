@@ -16,11 +16,16 @@ Format::
         varint out_degree
         repeated out_degree times: label, varint dst
     label := kind byte ('i','r','s','b','y') + payload
+
+Decoding is canonical: a varint with a redundant zero group, a bool byte
+other than 0 or 1 and a node the root does not reach are refused, so a
+payload that decodes encodes back to the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 
 from ..core.graph import Graph
 from ..core.labels import Label, LabelKind
@@ -35,14 +40,15 @@ STORAGE_METRICS = MetricsRegistry()
 
 _MAGIC = b"SSD1"
 
-_KIND_BYTES = {
-    LabelKind.INT: b"i",
-    LabelKind.REAL: b"r",
-    LabelKind.STRING: b"s",
-    LabelKind.BOOL: b"b",
-    LabelKind.SYMBOL: b"y",
-}
-_BYTE_KINDS = {v: k for k, v in _KIND_BYTES.items()}
+_INT, _REAL, _STRING, _BOOL, _SYMBOL = LabelKind  # definition order
+_KIND_BYTES = {_INT: b"i", _REAL: b"r", _STRING: b"s", _BOOL: b"b", _SYMBOL: b"y"}
+#: kind byte (as an int) -> kind
+_BYTE_KINDS = {v[0]: k for k, v in _KIND_BYTES.items()}
+_TEXT_KINDS = {ord("s"): _STRING, ord("y"): _SYMBOL}
+_REAL_FORMAT = struct.Struct("<d")
+#: builds a label without ``Label.__new__``'s type check: a decoder's
+#: bytes already fix the kind and the value's type
+_new = tuple.__new__
 
 
 class SerializationError(ValueError):
@@ -63,6 +69,9 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """The varint at ``pos``; one with a redundant zero group (which
+    :func:`_write_varint` never writes) is refused, so every decodable
+    record has one encoding."""
     result = 0
     shift = 0
     while True:
@@ -72,22 +81,24 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if not byte and shift:
+                raise SerializationError("varint has a redundant zero group")
             return result, pos
         shift += 7
 
 
 def _write_label(out: bytearray, label: Label) -> None:
-    out += _KIND_BYTES[label.kind]
-    if label.kind is LabelKind.INT:
+    kind, value = label
+    out += _KIND_BYTES[kind]
+    if kind is _INT:
         # zigzag for signed ints
-        value = int(label.value)
-        _write_varint(out, (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1)
-    elif label.kind is LabelKind.REAL:
-        out += struct.pack("<d", float(label.value))
-    elif label.kind is LabelKind.BOOL:
-        out.append(1 if label.value else 0)
+        _write_varint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
+    elif kind is _REAL:
+        out += _REAL_FORMAT.pack(value)
+    elif kind is _BOOL:
+        out.append(1 if value else 0)
     else:  # STRING / SYMBOL
-        encoded = str(label.value).encode("utf-8")
+        encoded = value.encode("utf-8")
         _write_varint(out, len(encoded))
         out += encoded
 
@@ -95,32 +106,59 @@ def _write_label(out: bytearray, label: Label) -> None:
 def _read_label(data: bytes, pos: int) -> tuple[Label, int]:
     if pos >= len(data):
         raise SerializationError("truncated label")
-    kind_byte = data[pos : pos + 1]
-    pos += 1
-    kind = _BYTE_KINDS.get(kind_byte)
+    kind = _BYTE_KINDS.get(data[pos])
     if kind is None:
-        raise SerializationError(f"unknown label kind byte {kind_byte!r}")
-    if kind is LabelKind.INT:
+        raise SerializationError(f"unknown label kind byte {data[pos : pos + 1]!r}")
+    pos += 1
+    if kind is _INT:
         raw, pos = _read_varint(data, pos)
         value = (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
-        return Label(kind, value), pos
-    if kind is LabelKind.REAL:
+    elif kind is _REAL:
         if pos + 8 > len(data):
             raise SerializationError("truncated real")
-        (value,) = struct.unpack_from("<d", data, pos)
-        return Label(kind, value), pos + 8
-    if kind is LabelKind.BOOL:
+        (value,) = _REAL_FORMAT.unpack_from(data, pos)
+        pos += 8
+    elif kind is _BOOL:
         if pos >= len(data):
             raise SerializationError("truncated bool")
-        return Label(kind, bool(data[pos])), pos + 1
-    length, pos = _read_varint(data, pos)
-    if pos + length > len(data):
-        raise SerializationError("truncated string")
+        if data[pos] > 1:
+            raise SerializationError(f"bool label byte {data[pos]} is not 0 or 1")
+        value = data[pos] == 1
+        pos += 1
+    else:
+        length, pos = _read_varint(data, pos)
+        if pos + length > len(data):
+            raise SerializationError("truncated string")
+        try:
+            value = data[pos : pos + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"corrupt string payload: {exc}") from exc
+        pos += length
+    return _new(Label, (kind, value)), pos
+
+
+def _read_labels(data: bytes, pos: int, count: int) -> tuple[list[Label], int]:
+    """``count`` labels from ``pos``, as :func:`_read_label` reads them.
+    A string or symbol whose length fits one varint byte (nearly all of
+    them) is read inline, and every label is built in one ``map``."""
+    kinds: list[LabelKind] = []
+    values: list[object] = []
+    size = len(data)
     try:
-        text = data[pos : pos + length].decode("utf-8")
+        for _ in range(count):
+            kind = _TEXT_KINDS.get(data[pos]) if pos + 1 < size else None
+            end = pos + 2 + data[pos + 1] if kind is not None else size + 1
+            if end <= size and data[pos + 1] < 0x80:
+                kinds.append(kind)
+                values.append(data[pos + 2 : end].decode("utf-8"))
+                pos = end
+            else:
+                (kind, value), pos = _read_label(data, pos)
+                kinds.append(kind)
+                values.append(value)
     except UnicodeDecodeError as exc:
         raise SerializationError(f"corrupt string payload: {exc}") from exc
-    return Label(kind, text), pos + length
+    return list(map(_new, repeat(Label), zip(kinds, values))), pos
 
 
 def dumps(graph: Graph) -> bytes:
@@ -145,7 +183,8 @@ def loads(data: bytes) -> Graph:
     """Reconstruct a graph serialized by :func:`dumps`.
 
     Every failure mode of corrupt input -- bad magic, truncation at any
-    byte, bit flips, implausible counts, invalid UTF-8 -- raises
+    byte, bit flips, implausible counts, invalid UTF-8, a node that is
+    not reachable from the root -- raises
     :class:`SerializationError` (or a subclass-compatible ``ValueError``);
     no other exception type may escape.  Counts are sanity-checked
     *before* allocation, so a flipped bit in a varint cannot make the
@@ -187,6 +226,8 @@ def loads(data: bytes) -> Graph:
             g.add_edge(node, label, nodes[dst])
     if pos != len(data):
         raise SerializationError("trailing bytes after graph")
+    if len(g.reachable()) != num_nodes:  # dumps writes the reachable part only
+        raise SerializationError("a node is unreachable from the root")
     STORAGE_METRICS.counter("graphs_loaded").inc()
     STORAGE_METRICS.counter("bytes_loaded").inc(len(data))
     return g

@@ -29,6 +29,7 @@ path-regex parser, so every general path expression (``Entry.Movie``,
 from __future__ import annotations
 
 from ..automata.regex import parse_path_regex
+from ..core.cursor import Cursor
 from ..core.labels import Label, boolean, integer, real, string, sym
 from .ast import (
     Binding,
@@ -60,72 +61,10 @@ class UnqlSyntaxError(ValueError):
 
 
 _TYPE_CHECKS = {"isint", "isreal", "isstring", "isbool", "issymbol", "isleaf"}
-_OPS = ("!=", "<=", ">=", "=", "<", ">")
 
 
-class _P:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    # -- low-level ------------------------------------------------------------
-
-    def err(self, message: str) -> UnqlSyntaxError:
-        return UnqlSyntaxError(f"{message} at position {self.pos} in {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.err(f"expected {ch!r}")
-        self.pos += 1
-
-    def at_word(self, word: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text[self.pos : end].lower() != word:
-            return False
-        return end >= len(self.text) or not (
-            self.text[end].isalnum() or self.text[end] == "_"
-        )
-
-    def eat_word(self, word: str) -> None:
-        if not self.at_word(word):
-            raise self.err(f"expected keyword {word!r}")
-        self.pos += len(word)
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise self.err("expected an identifier")
-        return self.text[start : self.pos]
-
-    def quoted(self) -> str:
-        quote = self.peek()
-        self.pos += 1
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.err("unterminated string")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == quote:
-                return "".join(out)
-            if ch == "\\" and self.pos < len(self.text):
-                ch = self.text[self.pos]
-                self.pos += 1
-            out.append(ch)
+class _P(Cursor):
+    error = UnqlSyntaxError
 
     def number(self) -> Label:
         self.skip_ws()
@@ -148,11 +87,9 @@ class _P:
         ch = self.peek()
         if ch in "\"'":
             return string(self.quoted())
-        if self.at_word("true"):
-            self.eat_word("true")
+        if self.accept_word("true"):
             return boolean(True)
-        if self.at_word("false"):
-            self.eat_word("false")
+        if self.accept_word("false"):
             return boolean(False)
         if ch.isdigit() or ch == "-":
             return self.number()
@@ -165,20 +102,15 @@ class _P:
         construct = self.construct()
         bindings: list[Binding] = []
         conditions: list[Condition] = []
-        if self.at_word("where"):
-            self.eat_word("where")
+        if self.accept_word("where"):
             while True:
                 if self.peek() == "{":
                     bindings.append(self.binding())
                 else:
                     conditions.append(self.condition())
-                if self.peek() == ",":
-                    self.eat(",")
-                    continue
-                break
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.err("trailing input")
+                if not self.accept(","):
+                    break
+        self.end()
         if not bindings and conditions:
             raise UnqlSyntaxError("conditions require at least one binding clause")
         return Query(construct, tuple(bindings), tuple(conditions))
@@ -187,8 +119,7 @@ class _P:
 
     def construct(self) -> Construct:
         node = self.catom()
-        while self.at_word("union"):
-            self.eat_word("union")
+        while self.accept_word("union"):
             node = ConstructUnion(node, self.catom())
         return node
 
@@ -209,16 +140,13 @@ class _P:
     def construct_tree(self) -> ConstructTree:
         self.eat("{")
         members: list[tuple[ConstructLabel, Construct]] = []
-        if self.peek() == "}":
-            self.eat("}")
+        if self.accept("}"):
             return ConstructTree(())
         while True:
             members.append((self.construct_label(), self._construct_value()))
-            if self.peek() == ",":
-                self.eat(",")
-                continue
-            self.eat("}")
-            return ConstructTree(tuple(members))
+            if not self.accept(","):
+                self.eat("}")
+                return ConstructTree(tuple(members))
 
     def _construct_value(self) -> Construct:
         self.eat(":")
@@ -250,28 +178,23 @@ class _P:
     def binding(self) -> Binding:
         pattern = self.pattern()
         self.eat_word("in")
-        if self.peek() == "\\":
-            self.eat("\\")
+        if self.accept("\\"):
             return Binding(pattern, self.ident(), source_is_var=True)
         return Binding(pattern, self.ident(), source_is_var=False)
 
     def pattern(self) -> Pattern:
         self.eat("{")
         members: list[PatternMember] = []
-        if self.peek() == "}":
-            self.eat("}")
+        if self.accept("}"):
             return Pattern(())
         while True:
             members.append(self.pattern_member())
-            if self.peek() == ",":
-                self.eat(",")
-                continue
-            self.eat("}")
-            return Pattern(tuple(members))
+            if not self.accept(","):
+                self.eat("}")
+                return Pattern(tuple(members))
 
     def pattern_member(self) -> PatternMember:
-        if self.peek() == "\\":
-            self.eat("\\")
+        if self.accept("\\"):
             edge: "RegexEdge | LabelVarEdge" = LabelVarEdge(self.ident())
         else:
             edge = self.regex_edge()
@@ -319,8 +242,7 @@ class _P:
         self.skip_ws()
         # type check: isint(\x)
         for fn in _TYPE_CHECKS:
-            if self.at_word(fn):
-                self.eat_word(fn)
+            if self.accept_word(fn):
                 self.eat("(")
                 self.eat("\\")
                 var = self.ident()
@@ -335,17 +257,12 @@ class _P:
             if ch not in "\"'":
                 raise self.err("'like' needs a quoted pattern")
             return LikeCondition(left, self.quoted())
-        self.skip_ws()
-        for op in _OPS:
-            if self.text[self.pos : self.pos + len(op)] == op:
-                self.pos += len(op)
-                right, right_is_var = self.operand()
-                return Comparison(left, op, right, left_is_var, right_is_var)
-        raise self.err("expected a comparison operator or 'like'")
+        op = self.comparison("expected a comparison operator or 'like'")
+        right, right_is_var = self.operand()
+        return Comparison(left, op, right, left_is_var, right_is_var)
 
     def operand(self) -> tuple["str | Label", bool]:
-        if self.peek() == "\\":
-            self.eat("\\")
+        if self.accept("\\"):
             return self.ident(), True
         return self.literal(), False
 

@@ -19,6 +19,7 @@ the result is a new graph (sources are never mutated).
 
 from __future__ import annotations
 
+from ..core.cursor import Cursor
 from ..core.graph import Graph
 from ..core.labels import Label, boolean, integer, real, string, sym
 from .restructure import collapse_edges, drop_edges, fix_bacall, relabel, short_circuit
@@ -30,50 +31,14 @@ class TraverseSyntaxError(ValueError):
     """Raised on malformed traverse statements."""
 
 
-class _P:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
+class _P(Cursor):
     def err(self, message: str) -> TraverseSyntaxError:
         return TraverseSyntaxError(f"{message} in {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise self.err("expected a word")
-        return self.text[start : self.pos]
 
     def label(self) -> Label:
         ch = self.peek()
         if ch in "\"'":
-            quote = ch
-            self.pos += 1
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    raise self.err("unterminated string")
-                c = self.text[self.pos]
-                self.pos += 1
-                if c == quote:
-                    return string("".join(out))
-                if c == "\\" and self.pos < len(self.text):
-                    c = self.text[self.pos]
-                    self.pos += 1
-                out.append(c)
+            return string(self.quoted())
         if ch == "`":
             self.pos += 1
             end = self.text.find("`", self.pos)
@@ -98,7 +63,7 @@ class _P:
                 return real(float(text)) if dotted else integer(int(text))
             except ValueError:
                 raise self.err(f"bad number {text!r}") from None
-        token = self.word()
+        token = self.ident("a word")
         if token == "true":
             return boolean(True)
         if token == "false":
@@ -107,22 +72,12 @@ class _P:
 
     def keyword(self, *options: str) -> str:
         save = self.pos
-        token = self.word().lower()
+        token = self.ident("a word").lower()
         if token not in options:
             self.pos = save
             raise self.err(f"expected one of {options}, got {token!r}")
         return token
 
-    def arrow(self) -> None:
-        self.skip_ws()
-        if self.text[self.pos : self.pos + 2] != "=>":
-            raise self.err("expected '=>'")
-        self.pos += 2
-
-    def end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.err("trailing input")
 
 
 def traverse(statement: str, **sources: Graph) -> Graph:
@@ -136,7 +91,7 @@ def traverse(statement: str, **sources: Graph) -> Graph:
     """
     p = _P(statement)
     p.keyword("traverse")
-    source_name = p.word()
+    source_name = p.ident("a word")
     try:
         graph = sources[source_name]
     except KeyError:
@@ -146,7 +101,7 @@ def traverse(statement: str, **sources: Graph) -> Graph:
     op = p.keyword("replace", "delete", "collapse", "shortcut")
     if op == "replace":
         old = p.label()
-        p.arrow()
+        p.eat("=>")
         new = p.label()
         scope: "Label | None" = None
         if p.peek():

@@ -1,8 +1,17 @@
 """Tests for the tagged-union label type (section 2's ``type label``)."""
 
-import pytest
+import copy
+import math
+import pickle
+import sys
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.builder import BuildError, from_obj
 from repro.core.labels import (
+    _KIND_ORDER,
     Label,
     LabelKind,
     boolean,
@@ -12,6 +21,8 @@ from repro.core.labels import (
     string,
     sym,
 )
+from repro.core.oem import OemDatabase, OemError
+from repro.obs.export import to_json
 
 
 class TestConstruction:
@@ -139,3 +150,106 @@ class TestLabelOf:
     def test_repr_distinguishes_symbols(self):
         assert repr(sym("Movie")) == "`Movie`"
         assert repr(string("Movie")) == "'Movie'"
+
+
+# -- the tuple representation against a model of the dataclass it replaced ----
+
+class ReferenceLabel:
+    """What a label's identity, order and text were as a frozen dataclass:
+    ``(kind, value)`` tuple equality and hashing, ``sort_key`` order, and
+    backquoted symbols."""
+
+    def __init__(self, kind: LabelKind, value: object) -> None:
+        self.kind, self.value = kind, value
+
+    def __eq__(self, other: object) -> bool:
+        return (self.kind, self.value) == (other.kind, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.kind.value, self.value))
+
+    def sort_key(self) -> tuple:
+        return (_KIND_ORDER[self.kind], self.value)
+
+    def __lt__(self, other: "ReferenceLabel") -> bool:
+        a, b = self.sort_key(), other.sort_key()
+        return a[0] < b[0] if a[0] != b[0] else a[1] < b[1]
+
+    def __repr__(self) -> str:
+        return f"`{self.value}`" if self.kind is LabelKind.SYMBOL else repr(self.value)
+
+
+TEXT = st.text(alphabet="ab", max_size=2)
+LABELS = st.one_of(
+    st.builds(sym, TEXT),
+    st.builds(string, TEXT),
+    st.builds(integer, st.integers(-1, 2) | st.integers()),
+    st.builds(real, st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, math.nan]) | st.floats()),
+    st.builds(boolean, st.booleans()),
+)
+
+
+def same(a: Label, b: Label) -> bool:
+    """Equal kind, value type and text (NaN included, which ``==`` is not)."""
+    return (type(a), a.kind, type(a.value), repr(a)) == (type(b), b.kind, type(b.value), repr(b))
+
+
+@given(st.lists(LABELS, min_size=2, max_size=6))
+def test_labels_agree_with_the_dataclass_model(labels: "list[Label]") -> None:
+    refs = [ReferenceLabel(lab.kind, lab.value) for lab in labels]
+    for a, ra in zip(labels, refs):
+        assert repr(a) == repr(ra) and str(a) == repr(ra)
+        assert a.sort_key() == ra.sort_key() or math.isnan(a.value)
+        for b, rb in zip(labels, refs):
+            assert (a == b) is (ra == rb) and (a != b) is (ra != rb)
+            assert (a < b) is (ra < rb)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len(set(labels)) == len(set(refs))
+
+
+@given(LABELS)
+def test_a_label_survives_pickle_and_copy(label: Label) -> None:
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert same(pickle.loads(pickle.dumps(label, proto)), label)
+    assert same(copy.copy(label), label) and same(copy.deepcopy(label), label)
+
+
+def test_equality_is_kind_aware_across_the_numeric_kinds() -> None:
+    one = [integer(1), real(1.0), boolean(True)]
+    assert len(set(one)) == 3 and all(a != b for a in one for b in one if a is not b)
+    assert sym("Movie") != string("Movie") and hash(sym("Movie")) == hash(sym("Movie"))
+    assert real(-0.0) == real(0.0) and hash(real(-0.0)) == hash(real(0.0))
+
+
+def test_hash_equality_and_field_reads_never_enter_python_code() -> None:
+    label, twin = sym("Movie"), sym("".join(["Mov", "ie"]))
+    table = {label: 1}
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code) if event == "call" else None)
+    try:
+        hash(twin), label == twin, label != twin, label.kind, label.value, table[twin]
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
+class TestTupleBranches:
+    """A label is a tuple: the code that dispatches on ``(list, tuple)``
+    or leaves tuples to :mod:`json` still treats it as one value."""
+
+    def test_json_export_writes_a_label_as_its_text(self) -> None:
+        assert to_json({"l": sym("a"), "n": [integer(3)]}) == (
+            '{\n  "l": "`a`",\n  "n": [\n    "3"\n  ]\n}'
+        )
+
+    def test_from_obj_refuses_a_label_value(self) -> None:
+        for obj in (sym("x"), {"a": sym("x")}, [sym("x")]):
+            with pytest.raises(BuildError, match="cannot encode Label"):
+                from_obj(obj)
+        assert from_obj({"a": (1, 2)}).num_edges == 4  # a plain tuple is still several edges
+
+    def test_oem_refuses_a_label_value(self) -> None:
+        for obj in (sym("x"), {"a": sym("x")}):
+            with pytest.raises(OemError, match="cannot load Label"):
+                OemDatabase.from_obj(obj)

@@ -19,12 +19,13 @@ from repro.core.builder import to_obj
 from repro.core.convert import graph_to_oem
 from repro.core.frozen import FrozenGraph
 from repro.core.graph import Graph
-from repro.core.labels import string
+from repro.core.labels import boolean, integer, real, string, sym
 from repro.datasets import generate_movies
 from repro.lorel import lorel, lorel_rows
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import SimulatedClock
 from repro.service import InProcessHarness, QueryService
+from repro.service.server import label_from_wire
 from repro.service.errors import ProtocolError
 from repro.service.protocol import validate_request
 from repro.storage import VersionedGraphStore
@@ -110,6 +111,44 @@ class TestApply:
             # the service is alive and the store is still writable
             ok = harness.run_one(add_movie_request(2, store.graph.root, "Laura"))
             assert ok["status"] == "ok" and store.version == 1
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            {"kind": "symbol"},  # was the symbol `None`
+            {"kind": "int", "value": 1.9},  # was 1
+            {"kind": "bool", "value": "false"},  # was True
+            {"kind": "string", "value": None},  # was "None"
+            {"kind": "real", "value": float("nan")},
+            {"kind": "real", "value": 10**400},
+            float("inf"),
+        ],
+        ids=["symbol-null", "int-fraction", "bool-text", "string-null", "real-nan",
+             "real-overflow", "scalar-inf"],
+    )
+    def test_a_label_of_the_wrong_type_is_refused_not_coerced(
+        self, tmp_path: Path, label: object
+    ) -> None:
+        store, svc = store_service(tmp_path)
+        with store:
+            response = InProcessHarness(svc).run_one(
+                {"id": 1, "op": "apply", "mutations": [
+                    {"kind": "edge", "src": store.graph.root, "label": label,
+                     "dst": store.graph.root}
+                ]}
+            )
+            assert response["status"] == "error" and response["error_type"] == "ValueError"
+            assert store.version == 0
+
+    def test_wire_labels_of_each_kind_decode_exactly(self) -> None:
+        assert label_from_wire({"kind": "symbol", "value": "Movie"}) == sym("Movie")
+        assert label_from_wire({"kind": "string", "value": "Movie"}) == string("Movie")
+        assert label_from_wire({"kind": "int", "value": 7}) == integer(7)
+        assert label_from_wire({"kind": "real", "value": 2}) == real(2.0)
+        assert label_from_wire({"kind": "bool", "value": False}) == boolean(False)
+        assert label_from_wire("Movie") == sym("Movie") and label_from_wire(1.5) == real(1.5)
+        with pytest.raises(ValueError, match="cannot hold"):
+            label_from_wire({"kind": "int", "value": True})
 
     def test_deferred_sync_reports_the_ack_horizon(self, tmp_path: Path) -> None:
         store = VersionedGraphStore.create(

@@ -11,8 +11,9 @@ assert recovery never invents, reorders, or holes the commit history.
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from repro.core.labels import string, sym
+from repro.core.labels import boolean, integer, real, string, sym
 from repro.storage import AddEdge, AddNode, SetRoot, WriteAheadLog
 from repro.storage.serializer import STORAGE_METRICS, SerializationError
 from repro.storage.wal import (
@@ -21,6 +22,8 @@ from repro.storage.wal import (
     decode_deltas,
     encode_deltas,
 )
+
+from .test_journal_fuzz import mutants
 
 
 def commits(n: int = 4) -> list[list]:
@@ -217,3 +220,23 @@ class TestDurabilityAccounting:
             wal.sync()
         replay = WriteAheadLog.replay(path, base_seq=3)
         assert [r.commit_seq for r in replay.records] == [4]
+
+
+PAYLOAD = encode_deltas(
+    2**40,
+    [AddNode(0), AddNode(300), SetRoot(300), AddEdge(300, sym("Movie"), 0),
+     AddEdge(0, string("Casablanca"), 0), AddEdge(0, integer(-1942), 300),
+     AddEdge(0, real(1.2e6), 0), AddEdge(300, boolean(True), 300)],
+)
+
+
+@given(mutants(PAYLOAD))
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_record_payload_is_refused_or_reencodes_to_itself(mutant: bytes) -> None:
+    """The delta codec is canonical: whatever decodes encodes back to the
+    mutant's bytes."""
+    try:
+        seq, deltas = decode_deltas(mutant)
+    except SerializationError:
+        return
+    assert encode_deltas(seq, deltas) == mutant
