@@ -1,24 +1,28 @@
-"""E16 -- the compile-to-relational backend vs the native kernel.
+"""E16 -- the compile-to-relational backend vs the native engines.
 
-Three workload families over the PR-7 SQL backend, with the warm
-fast-path kernel (frozen CSR snapshot, cached plan) as the baseline
-everywhere:
+Four workload families over the SQL backend, with the warm native
+engines as the baseline everywhere:
 
 * **flat RPQ** -- fixed/record-shaped chains on the relational bridge
   catalog and the movies OEM, where the compiler emits sargable
   ``wide``/``chain`` plans and sqlite's indexes do the work;
 * **deep RPQ** -- Kleene-star closures on the web graph, where the
-  compiled recursive CTE re-runs the kernel's BFS without its pruning:
-  the ``auto`` route must keep these native and stay within 10% of the
-  bare kernel;
-* **Lorel** -- a filtered clause chain, native binding enumeration vs
-  the SQL join plan.
+  compiled recursive CTE re-runs the kernel's BFS without its pruning;
+  the planner's ``auto`` route (index, guide, masked kernel -- it has no
+  SQL strategy) must stay within 10% of the bare kernel;
+* **Lorel bindings** -- a filtered clause chain on a mutable
+  ``OemDatabase``, native binding enumeration vs the SQL join plan;
+* **served shapes** -- what a server would run on each engine, on
+  ``generate_movies(2000)`` at seeds 7 and 23: ``rpq_nodes`` with a plan
+  cache against a guide-less ``sql_backend_for`` image, ``lorel`` on the
+  snapshot's ``OemView`` against ``lorel_sql_backend_for(view).evaluate``,
+  and ``unql`` against ``unql_sql``.
 
 The acceptance gates: SQL >= 1.5x the kernel on at least one flat
 workload, and ``auto`` never loses more than 10% to the kernel on a
-closure the policy keeps native.  ``BENCH_SMOKE=1`` shrinks the sweep
-and skips the ratio assertions (shared CI runners are too noisy to
-gate on).
+closure.  The served shapes are recorded, not gated.  ``BENCH_SMOKE=1``
+shrinks the sweep and skips the ratio assertions (shared CI runners are
+too noisy to gate on).
 """
 
 import os
@@ -28,23 +32,37 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _tables import print_table, timed
 
-from repro.core.convert import graph_to_oem
+from repro.automata.plan_cache import PlanCache
+from repro.automata.product import rpq_nodes
+from repro.core.builder import to_obj
+from repro.core.convert import OemView, graph_to_oem
 from repro.core.frozen import freeze
 from repro.datasets import generate_movies, generate_web
 from repro.datasets.relational_data import generate_catalog
-from repro.lorel import parse_lorel
+from repro.lorel import lorel, lorel_rows, parse_lorel
 from repro.lorel.evaluator import lorel_bindings
 from repro.obs.export import write_bench
 from repro.planner import planner_for
 from repro.relational.encode import relational_to_graph
 from repro.schema.dataguide import DataGuide
-from repro.sqlbackend import SqlBackend, lorel_sql_backend_for
+from repro.sqlbackend import (
+    NotCompilable,
+    SqlBackend,
+    lorel_sql_backend_for,
+    sql_backend_for,
+    unql_sql,
+)
+from repro.unql import parse_query, unql
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 MOVIES = 30 if SMOKE else 200
 CATALOG = (30, 15) if SMOKE else (400, 150)
 PAGES = 30 if SMOKE else 150
 QUERY_REPEAT = 3 if SMOKE else 25
+SERVED_MOVIES = 30 if SMOKE else 2000
+SERVED_SEEDS = (7, 23)
+SERVED_REPEAT = 2 if SMOKE else 10
+SERVED_ROUNDS = 3 if SMOKE else 7
 
 #: The flat workloads: record-shaped chains the compiler answers with
 #: ``wide`` single-table scans or pruned self-join ``chain`` plans.
@@ -53,9 +71,22 @@ FLAT = {
     "movies": ["Entry.Movie.Title", "Entry.Movie.Cast.Actors"],
 }
 
-#: The deep workloads: closures whose compiled form is a recursive CTE
-#: -- the routing policy keeps every one of these on the kernel.
+#: The deep workloads: closures whose compiled form is a recursive CTE.
 DEEP = ["link*.title", "link*.keyword", "link.link*.title"]
+
+#: The served shapes: the read templates a server answers, per op.
+SERVED_RPQ = [
+    "Entry.Movie.Title",
+    "Entry.Movie.Director",
+    "Entry.Movie.Cast.Actors",
+    "Entry.Movie.(References)*.Title",
+    '_*."Bogart"',
+]
+SERVED_LOREL = [
+    "select m.Title from DB.Entry.Movie m where m.Year < 1925",
+    "select m.Title, c.Actors from DB.Entry.Movie m, m.Cast c",
+]
+SERVED_UNQL = [r"select \t where {Entry.Movie.Title: \t} in db"]
 
 _RECORDS: dict = {}
 
@@ -124,10 +155,9 @@ def test_e16_flat_sql_vs_kernel(benchmark):
 
 
 def test_e16_deep_auto_stays_native(benchmark):
-    """Closures: the CTE loses to the kernel, so ``auto`` must not pay it."""
+    """Closures: the CTE loses to the kernel; the planner's ``auto`` never pays it."""
     fg = freeze(generate_web(PAGES, seed=7))
     planner = planner_for(fg)
-    planner.attach_sql()
     backend = SqlBackend(fg)
     rows = []
     auto_ratios = []
@@ -172,7 +202,7 @@ def test_e16_deep_auto_stays_native(benchmark):
             )
         )
     print_table(
-        f"E16b: closures, auto routing overhead (web{PAGES})",
+        f"E16b: closures, planner auto vs kernel vs SQL CTE (web{PAGES})",
         ["pattern", "nodes", "kernel", "auto", "sql-cte", "auto/kernel"],
         rows,
     )
@@ -182,7 +212,8 @@ def test_e16_deep_auto_stays_native(benchmark):
 
 
 def test_e16_lorel_sql_vs_native(benchmark):
-    """Filtered clause chains: the SQL join plan vs native enumeration."""
+    """Filtered clause chains: the SQL join plan vs native enumeration, on
+    a mutable ``OemDatabase`` (bindings only: not the served path)."""
     db = graph_to_oem(generate_movies(MOVIES, seed=23))
     backend = lorel_sql_backend_for(db)
     queries = [
@@ -221,8 +252,107 @@ def test_e16_lorel_sql_vs_native(benchmark):
             )
         )
     print_table(
-        f"E16c: Lorel bindings, SQL vs native (movies{MOVIES} OEM)",
+        f"E16c: Lorel bindings, SQL vs native (movies{MOVIES} OemDatabase)",
         ["query", "bindings", "native", "sql", "speedup"],
+        rows,
+    )
+    query = parse_lorel(queries[0])
+    benchmark(lambda: backend.bindings(query))
+
+
+def _alternated(native, via_sql, rounds: int) -> "tuple[float, float]":
+    """Best time of each engine over ``rounds`` alternated rounds."""
+    best = [float("inf"), float("inf")]
+    for _ in range(rounds):
+        for side, fn in enumerate((native, via_sql)):
+            seconds, _ = timed(fn, repeat=1)
+            best[side] = min(best[side], seconds)
+    return best[0], best[1]
+
+
+def _served_row(records, rows, seed, op, query, kind, native, via_sql, repeat=SERVED_REPEAT):
+    """Time one served shape (both engines already agree) and record it:
+    ``native``/``via_sql`` answer ``repeat`` times per call; a single-shot
+    shape (``repeat == 1``, seconds per SQL call) gets one round."""
+    native_s, sql_s = _alternated(native, via_sql, SERVED_ROUNDS if repeat > 1 else 1)
+    native_s, sql_s = native_s / repeat, sql_s / repeat
+    speedup = native_s / sql_s if sql_s else float("inf")
+    records[f"seed{seed}/{op}/{query}"] = {
+        "kind": kind,
+        "native_s": native_s,
+        "sql_s": sql_s,
+        "speedup": speedup,
+    }
+    rows.append(
+        (
+            seed,
+            op,
+            query,
+            kind,
+            f"{native_s * 1e3:.2f}ms",
+            f"{sql_s * 1e3:.2f}ms",
+            f"x{speedup:.3g}",
+        )
+    )
+
+
+def test_e16_served_shapes(benchmark):
+    """What a server runs on each engine: kernel with a plan cache vs a
+    guide-less SQL image, Lorel on the ``OemView`` vs SQL Lorel on it,
+    UnQL vs the per-member SQL rewrite.  Recorded, not gated."""
+    records = _RECORDS.setdefault("served", {})
+    rows = []
+    for seed in SERVED_SEEDS:
+        fg = freeze(generate_movies(SERVED_MOVIES, seed=seed))
+        cache = PlanCache()
+        backend = sql_backend_for(fg)
+        for pattern in SERVED_RPQ:
+            expected = rpq_nodes(fg, pattern, plan_cache=cache)
+            try:
+                kind = backend.compile(pattern).kind
+            except NotCompilable as exc:
+                records[f"seed{seed}/rpq/{pattern}"] = {"refused": exc.reason}
+                rows.append((seed, "rpq", pattern, f"refused: {exc.reason}", "", "", ""))
+                continue
+            assert backend.rpq_nodes(pattern) == expected
+            # a recursive CTE takes seconds per call at full size: one shot
+            repeat = 1 if kind == "automaton" else SERVED_REPEAT
+
+            def native(pattern=pattern, repeat=repeat):
+                return [rpq_nodes(fg, pattern, plan_cache=cache) for _ in range(repeat)]
+
+            def via_sql(pattern=pattern, repeat=repeat):
+                return [backend.rpq_nodes(pattern) for _ in range(repeat)]
+
+            _served_row(records, rows, seed, "rpq", pattern, kind, native, via_sql, repeat)
+        view = OemView(fg)
+        lorel_backend = lorel_sql_backend_for(view)
+        for text in SERVED_LOREL:
+            query = parse_lorel(text)
+            assert lorel_rows(lorel_backend.evaluate(query)) == lorel_rows(lorel(text, view))
+
+            def native(text=text):
+                return [lorel(text, view) for _ in range(SERVED_REPEAT)]
+
+            def via_sql(query=query):
+                return [lorel_backend.evaluate(query) for _ in range(SERVED_REPEAT)]
+
+            _served_row(records, rows, seed, "lorel", text, "join", native, via_sql)
+        sources = {"db": fg, "DB": fg}
+        for text in SERVED_UNQL:
+            query = parse_query(text)
+            assert to_obj(unql_sql(query, sources)) == to_obj(unql(text, db=fg))
+
+            def native(text=text):
+                return [unql(text, db=fg) for _ in range(SERVED_REPEAT)]
+
+            def via_sql(query=query):
+                return [unql_sql(query, sources) for _ in range(SERVED_REPEAT)]
+
+            _served_row(records, rows, seed, "unql", text, "per-member", native, via_sql)
+    print_table(
+        f"E16d: served shapes, SQL vs native (movies{SERVED_MOVIES}, per query)",
+        ["seed", "op", "query", "plan", "native", "sql", "speedup"],
         rows,
     )
 
@@ -233,9 +363,11 @@ def test_e16_lorel_sql_vs_native(benchmark):
             "catalog": list(CATALOG),
             "pages": PAGES,
             "query_repeat": QUERY_REPEAT,
+            "served_movies": SERVED_MOVIES,
+            "served_seeds": list(SERVED_SEEDS),
+            "served_repeat": SERVED_REPEAT,
             "timings": _RECORDS,
         },
         Path(__file__).parent / "out",
     )
-    query = parse_lorel(queries[0])
-    benchmark(lambda: backend.bindings(query))
+    benchmark(lambda: backend.rpq_nodes(SERVED_RPQ[0]))

@@ -67,33 +67,27 @@ def _cmd_dot(args) -> int:
 
 def _cmd_query(args) -> int:
     g = load_database(args.file)
-    if getattr(args, "engine", "native") == "native":
-        result = unql(args.query, db=g)
-    else:
-        # sql and auto both route through unql_sql: compilable root-level
-        # members run on sqlite, everything else stays native per member.
+    if args.engine == "sql":
+        # compilable root-level members run on sqlite, the rest stay
+        # native member by member
         from .sqlbackend import unql_sql
         from .unql import parse_query
 
         result = unql_sql(parse_query(args.query), {"db": g})
+    else:
+        result = unql(args.query, db=g)
     print(render(result))
     return 0
 
 
 def _cmd_lorel(args) -> int:
     db = graph_to_oem(load_database(args.file))
-    engine = getattr(args, "engine", "native")
-    if engine == "native":
-        answer = lorel(args.query, db)
-    else:
-        from .sqlbackend import NotCompilable, lorel_sql
+    if args.engine == "sql":
+        from .sqlbackend import lorel_sql
 
-        try:
-            answer = lorel_sql(args.query, db)
-        except NotCompilable:
-            if engine == "sql":
-                raise  # explicit sql: surface the reason instead of hiding it
-            answer = lorel(args.query, db)
+        answer = lorel_sql(args.query, db)  # a refusal surfaces as an error
+    else:
+        answer = lorel(args.query, db)
     for i, row in enumerate(lorel_rows(answer)):
         print(f"row {i}: {row}")
     return 0
@@ -154,7 +148,7 @@ def _cmd_stats(args) -> int:
     from .obs.export import metrics_to_dict, to_json
     from .service.governor import SERVICE_METRICS
     from .index import probes  # noqa: F401 -- registers the probe_index_* counters
-    from .sqlbackend import backend  # noqa: F401 -- registers the sql_image_* counters
+    from .sqlbackend import backend  # noqa: F401 -- registers the sql_image_built counter
     from .storage import STORAGE_METRICS
 
     from .planner import planner_for
@@ -501,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["native", "sql", "auto"],
         default="native",
-        help="evaluation engine: native traversal, or the SQL backend",
+        help="evaluation engine: native traversal (auto is an alias), or the SQL backend",
     )
     p.set_defaults(fn=_cmd_query)
 
@@ -512,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["native", "sql", "auto"],
         default="native",
-        help="sql requires a compilable query; auto falls back to native",
+        help="evaluation engine: native (auto is an alias), or sql, which "
+        "requires a compilable query",
     )
     p.set_defaults(fn=_cmd_lorel)
 

@@ -58,10 +58,11 @@ __all__ = ["FrozenGraph", "PER_VERSION_RESIDENTS", "freeze"]
 _SNAPSHOT_IDS = count(1)
 
 #: The ``_ext`` residents that live and die with one version: a commit
-#: drops them from the snapshot it retires.  Every other resident has an
-#: ``advance(fg, edges)`` that carries it to the next version (the SQL
-#: image, the probe index); a test holds the two kinds exhaustive.
-PER_VERSION_RESIDENTS = ("planner",)
+#: drops them from the snapshot it retires, and the next version builds
+#: its own on first use.  Every other resident has an ``advance(fg,
+#: edges)`` that carries it to the next version (the probe index); a test
+#: holds the two kinds exhaustive.
+PER_VERSION_RESIDENTS = ("planner", "sqlbackend")
 
 
 class FrozenGraph:

@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["QueryPlanner", "planner_for"]
 
 #: Strategy names accepted by :meth:`QueryPlanner.rpq` (``auto`` routes).
-_STRATEGIES = ("auto", "index", "guide", "sql", "mask", "kernel")
+_STRATEGIES = ("auto", "index", "guide", "mask", "kernel")
 
 
 class QueryPlanner:
@@ -80,7 +80,6 @@ class QueryPlanner:
         self._indexes = GraphIndexes(self._fg, path_depth=path_depth)
         self._stats: "GraphStatistics | None" = None
         self._regexes: dict[str, PathRegex] = {}
-        self._sql = None  # attached SqlBackend, strategy 2.5
 
     # -- the structures ---------------------------------------------------------
 
@@ -120,32 +119,6 @@ class QueryPlanner:
         if self._stats is None:
             self._stats = GraphStatistics.from_frozen(self._fg, guide=self.guide)
         return self._stats
-
-    def attach_sql(self, backend=None):
-        """Attach the compile-to-SQL engine as a routing option.
-
-        With a backend attached, ``auto`` may answer root-origin queries
-        from sqlite: after the index and the guide pass (the guide, when
-        available, is already optimal and keeps existing routing -- and
-        golden profiles -- untouched), a query whose compiled plan the
-        backend :meth:`~repro.sqlbackend.SqlBackend.favors` runs as SQL
-        instead of the masked kernel.  Pass an existing
-        :class:`~repro.sqlbackend.SqlBackend` to share its connection;
-        by default one is built over this planner's snapshot, statistics
-        and guide.  Never attached implicitly: seed behaviour is
-        unchanged until a caller opts in.
-        """
-        if backend is None:
-            from ..sqlbackend.backend import SqlBackend
-
-            backend = SqlBackend(self._fg, stats=self.statistics, guide=self.guide)
-        self._sql = backend
-        return backend
-
-    @property
-    def sql(self):
-        """The attached :class:`~repro.sqlbackend.SqlBackend`, or ``None``."""
-        return self._sql
 
     # -- plans and masks --------------------------------------------------------
 
@@ -245,15 +218,14 @@ class QueryPlanner:
 
         Answers equal :func:`repro.automata.product.rpq_nodes` on the
         same snapshot (the property suite asserts it).  ``strategy``
-        forces a specific route for ablation (``index``, ``guide`` and
-        ``sql`` raise when not applicable; ``mask`` degrades to
-        ``kernel`` when no guide exists); non-root ``start`` always
-        takes the kernel -- the index, the guide and the SQL backend
-        only know root-origin paths.
+        forces a specific route for ablation (``index`` and ``guide``
+        raise when not applicable; ``mask`` degrades to ``kernel`` when
+        no guide exists); non-root ``start`` always takes the kernel --
+        the index and the guide only know root-origin paths.
 
         ``profile`` accumulates what the route that answered did, and
-        names it in ``extras``: ``index_answered`` / ``guide_answered`` /
-        ``sql_answered`` mark the strategy that short-circuited,
+        names it in ``extras``: ``index_answered`` / ``guide_answered``
+        mark the strategy that short-circuited,
         ``guide_pruned_partitions`` is the mask's static pruning strength
         on the masked-kernel route.  The golden-profile suite never
         routes through the planner, so these extras appear only in
@@ -287,8 +259,6 @@ class QueryPlanner:
                 return set(hit)
             if strategy == "index":
                 raise ValueError("pattern is not index-coverable")
-        if strategy == "sql":
-            return self._sql_route(pattern, forced=True, profile=profile)
         dfa = self.plan_for(pattern)
         if strategy in ("auto", "guide"):
             guide = self.guide
@@ -303,47 +273,10 @@ class QueryPlanner:
                 return set(answers)
             if strategy == "guide":
                 raise ValueError("no DataGuide available (over budget)")
-        if strategy == "auto" and self._sql is not None:
-            answers = self._sql_route(pattern, forced=False, profile=profile)
-            if answers is not None:
-                return answers
         mask = self.mask_for(pattern, dfa)
         if profile is not None:
             self._note_mask(profile, mask)
         return rpq_nodes(fg, dfa, start=origin, guide_mask=mask, profile=profile)
-
-    def _sql_route(
-        self, pattern, *, forced: bool, profile: "QueryProfile | None"
-    ) -> "set[int] | None":
-        """The SQL answer when routed there, ``None`` to fall through.
-
-        ``forced`` (strategy ``"sql"``) attaches a backend on demand and
-        raises on uncompilable patterns, mirroring the other forced
-        strategies; ``auto`` consults :meth:`SqlBackend.favors` and
-        falls back silently.  A ``profile`` is told when SQL answered.
-        """
-        from ..sqlbackend.errors import NotCompilable
-
-        backend = self._sql
-        if backend is None:
-            if not forced:
-                return None
-            backend = self.attach_sql()
-        regex = self._regex_of(pattern)
-        if regex is None:
-            if forced:
-                raise ValueError("pre-compiled patterns cannot route to SQL")
-            return None
-        try:
-            if forced or backend.favors(regex):
-                answers = backend.rpq_nodes(regex)
-                if profile is not None:
-                    profile.count("sql_answered")
-                return answers
-        except NotCompilable as exc:
-            if forced:
-                raise ValueError(f"pattern is not SQL-compilable ({exc})") from exc
-        return None
 
     def _index_lookup(self, pattern) -> "frozenset[int] | None":
         """The path-index answer for a covered fixed path, else ``None``."""
@@ -403,15 +336,6 @@ class QueryPlanner:
         if self._guide is not None:
             out["guide_states"] = self._guide.num_states
             out["guide_transitions"] = self._guide.num_transitions
-        if self._sql is not None:
-            out["sql"] = {
-                "attached": True,
-                "sql_answered": self._sql.counters["executes"],
-                "counters": dict(self._sql.counters),
-                "last_sql": self._sql.last_sql,
-            }
-        else:
-            out["sql"] = {"attached": False}
         out["statistics"] = self.statistics.as_dict()
         return out
 

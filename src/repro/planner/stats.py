@@ -23,7 +23,7 @@ Estimates follow the textbook System-R shapes on label frequencies:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from ..automata.regex import (
     AltRE,
@@ -39,7 +39,6 @@ from ..core.labels import Label, label_of, sym
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.frozen import FrozenGraph
-    from ..core.graph import Edge
     from ..core.oem import OemDatabase
     from ..schema.dataguide import DataGuide
 
@@ -111,17 +110,6 @@ class GraphStatistics:
                 label_counts[lab] = label_counts.get(lab, 0) + 1
                 num_edges += 1
         return cls(len(db), num_edges, label_counts, value_counts=value_counts)
-
-    def plus(self, num_nodes: int, edges: "Sequence[Edge]") -> "GraphStatistics":
-        """These statistics after ``edges`` were added and the graph grew
-        to ``num_nodes`` nodes (DataGuide extents do not carry over)."""
-        counts, values = dict(self.label_counts), dict(self.value_counts)
-        for edge in edges:
-            label = edge.label
-            counts[label] = counts.get(label, 0) + 1
-            if label.is_base:
-                values[label] = values.get(label, 0) + 1
-        return GraphStatistics(num_nodes, self.num_edges + len(edges), counts, value_counts=values)
 
     # -- point lookups ---------------------------------------------------------
 

@@ -16,9 +16,12 @@ Request::
      "deadline": 0.5,        # optional: seconds of clock budget
      "budget": 100000,       # optional: max edges scanned
      "profile": false,       # optional: attach a QueryProfile
-     "engine": "auto"}       # optional: native | sql | auto
+     "engine": "native"}     # optional: native | sql | auto
 
-``op`` is one of ``rpq | lorel | unql | find | apply | stats | ping |
+``engine`` names the evaluator: ``native`` (the default) runs the graph
+engines, ``sql`` the relational one on ``rpq``/``lorel``/``unql`` -- a
+query outside its fragment answers ``error`` -- and ``auto`` is an alias
+of ``native``.  ``op`` is one of ``rpq | lorel | unql | find | apply | stats | ping |
 cancel``; ``cancel`` carries ``{"target": <id>}`` instead of a query.
 
 ``apply`` is the write op (services backed by a

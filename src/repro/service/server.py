@@ -168,6 +168,13 @@ def stage_mutations(batch: "WriteBatch", mutations) -> dict[str, int]:
     return names
 
 
+def _wants_sql(request: dict) -> bool:
+    """Whether a query op is served by the SQL engine: only when it asks
+    for ``"sql"`` -- ``"auto"`` is an alias of ``"native"``, and ``find``
+    has no SQL form."""
+    return request.get("engine") == "sql" and request["op"] != "find"
+
+
 def _find_value_of(query: str) -> object:
     """A ``find`` request's search value: ``query`` as JSON, else the text."""
     try:
@@ -322,7 +329,6 @@ class QueryService:
         self._requests = metrics.counter("service_requests")
         self._ops_histogram = metrics.histogram("service_query_ops")
         self._sql_answered = metrics.counter("service_sql_answered")
-        self._sql_fallback = metrics.counter("service_sql_fallback")
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -430,11 +436,7 @@ class QueryService:
             self._guard_worker(op)
             if op == "apply":
                 task.response = self._apply(rid, request)
-            elif (
-                op == "rpq"
-                and not request.get("profile")
-                and request.get("engine", "native") == "native"
-            ):
+            elif op == "rpq" and not request.get("profile") and not _wants_sql(request):
                 stepper = RpqStepper(
                     task.view.frozen, request["query"], plan_cache=self.plan_cache
                 )
@@ -533,16 +535,8 @@ class QueryService:
         query = request.get("query", "")
         if request.get("profile"):
             return self._profiled_oneshot(rid, op, query, view)
-        engine = str(request.get("engine", "native"))
-        if engine in ("sql", "auto") and op in ("rpq", "lorel", "unql"):
-            response = self._sql_oneshot(rid, op, query, engine, view)
-            if response is not None:
-                return response
-        if op == "rpq":
-            # an auto rpq that fell back from SQL (plain native rpq
-            # streams through the stepper and never reaches here)
-            results = rpq_nodes(view.frozen, query, plan_cache=self.plan_cache)
-            return self._respond(rid, "ok", result=sorted(results))
+        if _wants_sql(request):
+            return self._sql_oneshot(rid, op, query, view)
         if op == "lorel":
             return self._respond(rid, "ok", result=lorel_rows(lorel(query, view.oem)))
         if op == "unql":
@@ -569,47 +563,28 @@ class QueryService:
             rid, "ok", result=result, profile=profile.as_dict(), engine="native"
         )
 
-    def _sql_oneshot(
-        self, rid: int, op: str, query: str, engine: str, view: SnapshotView
-    ) -> "dict | None":
-        """One query op on the SQL engine, or ``None`` to fall back native.
+    def _sql_oneshot(self, rid: int, op: str, query: str, view: SnapshotView) -> dict:
+        """One query op on the SQL engine, asked for by ``"engine": "sql"``.
 
-        ``engine == "auto"`` turns :class:`NotCompilable` into a counted
-        native fallback; ``engine == "sql"`` lets it propagate (it is a
+        A query outside the SQL fragment raises :class:`NotCompilable`, a
         ``ValueError``, so the caller's fault boundary returns a typed
-        ``error`` response -- never a wrong answer).  Successful SQL
-        answers carry ``engine: "sql"`` so clients can tell who served.
+        ``error`` response -- never a wrong answer, never a silent native
+        one.  Answers carry ``engine: "sql"``.
         """
-        from ..sqlbackend import NotCompilable, lorel_sql_backend_for, sql_backend_for, unql_sql
+        from ..sqlbackend import lorel_sql_backend_for, sql_backend_for, unql_sql
 
-        backend = sql_backend_for(view.frozen)
-        try:
-            if op == "rpq":
-                # auto mirrors the planner policy: sargable plans go to
-                # SQL, fixpoint (closure) plans stay on the native kernel
-                if engine == "auto" and not backend.favors(query):
-                    self._sql_fallback.inc()
-                    return None
-                nodes = backend.rpq_nodes(query, tracer=self.tracer)
-                result: object = sorted(nodes)
-            elif op == "lorel":
-                answer = lorel_sql_backend_for(view.oem).evaluate(
-                    parse_lorel(query), tracer=self.tracer
-                )
-                result = lorel_rows(answer)
-            else:  # unql: per-member routing, uncompilable members stay native
-                result = to_obj(
-                    unql_sql(
-                        parse_query(query),
-                        {"db": view.frozen, "DB": view.frozen},
-                        backend=backend,
-                    )
-                )
-        except NotCompilable:
-            if engine == "sql":
-                raise
-            self._sql_fallback.inc()
-            return None
+        result: object
+        if op == "rpq":
+            result = sorted(sql_backend_for(view.frozen).rpq_nodes(query, tracer=self.tracer))
+        elif op == "lorel":
+            answer = lorel_sql_backend_for(view.oem).evaluate(
+                parse_lorel(query), tracer=self.tracer
+            )
+            result = lorel_rows(answer)
+        else:  # unql: per-member routing, uncompilable members stay native
+            result = to_obj(
+                unql_sql(parse_query(query), {"db": view.frozen, "DB": view.frozen})
+            )
         self._sql_answered.inc()
         return self._respond(rid, "ok", result=result, engine="sql")
 
@@ -684,7 +659,7 @@ class QueryService:
 
     def stats(self) -> dict[str, object]:
         """The ``stats`` op payload: admission, sessions, snapshot, metrics
-        (storage's too: views frozen vs derived, SQL images built vs carried).
+        (storage's too: views frozen vs derived, SQL images built).
 
         A read-only diagnostic: it reports the store's counts and the
         snapshot some reader already built (``snapshot_id`` is ``None``

@@ -6,10 +6,11 @@ that, on stdlib :mod:`sqlite3`: snapshots load as edge/label tables
 (plus DataGuide-derived wide tables for the record-shaped parts),
 root-origin path-regex queries and Lorel's from/where core compile to
 SQL (self-join chains, recursive-CTE fixpoints for closure), and every
-query outside the compilable fragment raises :class:`NotCompilable` so
-routing layers fall back to the native kernel -- refuse, never
-approximate.  The differential test harness in ``tests/differential``
-cross-checks both engines on generated databases and queries.
+query outside the compilable fragment raises :class:`NotCompilable` --
+refuse, never approximate.  Callers reach it only by asking for it (the
+service's and the CLI's ``sql`` engine); the differential test harness
+in ``tests/differential`` cross-checks both engines on generated
+databases and queries.
 """
 
 from .backend import (

@@ -9,19 +9,15 @@ database the way :func:`repro.planner.pushdown.oem_indexes_for` is.
 through the snapshot backend, reusing the optimizer's resolved-edge
 annotation so the native evaluator consumes SQL-computed target sets.
 
-Routing policy (:meth:`SqlBackend.favors`): SQL is preferred exactly
-when the compiled plan avoids the recursive fixpoint -- ``wide`` and
-``chain`` plans are sargable scans and joins, where sqlite's indexes
-beat the Python product automaton on flat data; ``automaton`` plans
-re-run the same BFS the kernel runs, minus the kernel's pruning, so
-those stay native.  The differential suite holds regardless of routing:
-any compiled plan agrees with the kernel, the policy only picks speed.
+Nothing routes here on its own: the service and the CLI reach these
+engines only when asked for ``sql`` by name, and the differential suite
+holds them equal to the native evaluators.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from ..automata.regex import PathRegex, parse_path_regex
 from ..core.frozen import freeze
@@ -39,10 +35,8 @@ from .errors import NotCompilable
 from .lorel_sql import compile_lorel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import sqlite3
-
     from ..core.frozen import FrozenGraph
-    from ..core.graph import Edge, Graph
+    from ..core.graph import Graph
     from ..core.oem import OemDatabase, Oid
 
 __all__ = [
@@ -55,38 +49,27 @@ __all__ = [
 ]
 
 _IMAGES_BUILT = STORAGE_METRICS.counter("sql_image_built")
-_IMAGES_CARRIED = STORAGE_METRICS.counter("sql_image_carried")
 
 
 class SqlBackend:
     """The relational engine over one frozen snapshot.
 
     Construction pays the load once (edge + label tables and their
-    indexes) unless handed ``conn``, an image of ``fg`` already loaded;
-    queries then compile against the snapshot's vocabulary (plans cached
-    by pattern text) and execute on sqlite.  The wide tables are loaded
-    on demand, and only with a ``guide``: without the DataGuide no plan
-    can read them.  ``last_sql`` and ``counters`` expose what happened
-    for ``describe()``/metrics.
-
-    There is one image per version *lineage*, carried and never shared
-    back: :meth:`advance` moves version *n*'s connection to *n+1*, and
-    the backend it came from detaches -- used again, it reloads its own
-    snapshot, so it never answers with a later version's rows.
+    indexes); queries then compile against the snapshot's vocabulary
+    (plans cached by pattern text) and execute on sqlite.  The wide
+    tables are loaded on demand, and only with a ``guide``: without the
+    DataGuide no plan can read them.  ``last_sql`` and ``counters``
+    expose what happened.  The image lives and dies with its snapshot:
+    a commit drops it, and the next version builds its own on first use.
     """
 
-    def __init__(
-        self,
-        fg: "FrozenGraph",
-        *,
-        stats: "GraphStatistics | None" = None,
-        guide=None,
-        conn: "sqlite3.Connection | None" = None,
-    ) -> None:
+    def __init__(self, fg: "FrozenGraph", *, guide=None) -> None:
         self.fg = fg
-        self.stats = stats if stats is not None else GraphStatistics.from_frozen(fg)
+        self.stats = GraphStatistics.from_frozen(fg)
         self.guide = guide
-        self._conn = conn if conn is not None else self._load()
+        self.conn = connect()
+        encode_graph(self.conn, fg)
+        _IMAGES_BUILT.inc()
         self._catalog: "WideCatalog | None" = None
         self._plans: dict[str, CompiledQuery] = {}
         self.counters = {
@@ -96,33 +79,6 @@ class SqlBackend:
             "not_compilable": 0,
         }
         self.last_sql: "str | None" = None
-
-    def _load(self) -> "sqlite3.Connection":
-        conn = connect()
-        encode_graph(conn, self.fg)
-        _IMAGES_BUILT.inc()
-        return conn
-
-    @property
-    def conn(self) -> "sqlite3.Connection":
-        """The sqlite image of :attr:`fg` (reloaded once detached)."""
-        if self._conn is None:
-            self._conn = self._load()
-        return self._conn
-
-    def advance(self, fg: "FrozenGraph", edges: "Sequence[Edge]") -> "SqlBackend | None":
-        """This image carried to ``fg`` (:attr:`fg` plus ``edges``): new rows,
-        additive statistics, no plans or wide tables; ``self`` detaches.
-        ``None`` over a DataGuide, which describes one snapshot only."""
-        conn, catalog = self._conn, self._catalog
-        self._conn, self._catalog, self._plans = None, None, {}
-        if conn is None or self.guide is not None:
-            return None
-        if catalog is not None:
-            conn.executescript("DROP TABLE wide_member; DROP TABLE wide_attr;")
-        encode_graph(conn, fg, edges, known_labels=len(self.fg.labels_seq))
-        _IMAGES_CARRIED.inc()
-        return SqlBackend(fg, stats=self.stats.plus(fg.num_nodes, edges), conn=conn)
 
     @property
     def catalog(self) -> "WideCatalog":
@@ -180,31 +136,15 @@ class SqlBackend:
             rows = self.conn.execute(plan.sql, plan.params).fetchall()
         return {row[0] for row in rows}
 
-    def favors(self, pattern: "str | PathRegex") -> bool:
-        """True when the SQL plan should beat the native kernel."""
-        try:
-            plan = self.compile(pattern)
-        except NotCompilable:
-            return False
-        return plan.kind in ("wide", "chain")
 
-
-def sql_backend_for(
-    graph: "Graph | FrozenGraph",
-    *,
-    stats: "GraphStatistics | None" = None,
-    guide=None,
-) -> SqlBackend:
-    """The snapshot-cached :class:`SqlBackend` (freezing if needed).
-
-    Memoized in the snapshot's extension slot like
-    :func:`repro.planner.planner_for`; ``stats``/``guide`` apply only to
-    the creating call.
-    """
+def sql_backend_for(graph: "Graph | FrozenGraph") -> SqlBackend:
+    """The snapshot-cached, guide-less :class:`SqlBackend` (freezing if
+    needed), memoized in the snapshot's extension slot like
+    :func:`repro.planner.planner_for`."""
     fg = freeze(graph)
     backend = fg._ext.get("sqlbackend")
     if not isinstance(backend, SqlBackend):
-        backend = SqlBackend(fg, stats=stats, guide=guide)
+        backend = SqlBackend(fg)
         fg._ext["sqlbackend"] = backend
     return backend
 
@@ -314,8 +254,8 @@ def lorel_sql(
     """Parse and evaluate a Lorel query on the SQL engine.
 
     The drop-in twin of :func:`repro.lorel.lorel`; raises
-    :class:`NotCompilable` when the query is outside the SQL fragment
-    (callers fall back to the native evaluator).
+    :class:`NotCompilable` when the query is outside the SQL fragment;
+    the refusal reaches the caller, nothing falls back.
     """
     query = parse_lorel(text) if isinstance(text, str) else text
     return lorel_sql_backend_for(db, db_name).evaluate(query)
@@ -325,9 +265,7 @@ def lorel_sql(
 # UnQL routing.
 
 
-def unql_sql(
-    query: Query, sources: "Mapping[str, Graph]", *, backend: "SqlBackend | None" = None
-) -> "Graph":
+def unql_sql(query: Query, sources: "Mapping[str, Graph]") -> "Graph":
     """Evaluate an UnQL query with SQL-resolved root-level members.
 
     The twin of :func:`repro.unql.optimizer.evaluate_with_indexes`: every
@@ -341,8 +279,7 @@ def unql_sql(
     if not names:
         return evaluate_query(query, sources)
     primary = names[0]
-    if backend is None:
-        backend = sql_backend_for(sources[primary])
+    backend = sql_backend_for(sources[primary])
     new_bindings = []
     for binding in query.bindings:
         if binding.source_is_var or binding.source != primary:

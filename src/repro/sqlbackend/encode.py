@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..core.labels import Label
 from ..lorel.coerce import compare_values, like_value
@@ -40,7 +40,6 @@ from ..schema.to_relational import record_regions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.frozen import FrozenGraph
-    from ..core.graph import Edge
     from ..core.oem import OemDatabase
 
 __all__ = [
@@ -98,48 +97,34 @@ def connect() -> sqlite3.Connection:
     return conn
 
 
-def encode_graph(
-    conn: sqlite3.Connection,
-    fg: "FrozenGraph",
-    edges: "Iterable[Edge] | None" = None,
-    *,
-    known_labels: int = 0,
-) -> None:
+def encode_graph(conn: sqlite3.Connection, fg: "FrozenGraph") -> None:
     """Load a frozen snapshot as ``edge`` + ``label`` tables.
 
     ``lid`` is the snapshot's own interned label id, loaded straight
     from the CSR arrays (one executemany, no Label objects touched);
     the covering index on ``(lid, src, dst)`` is what the chain
     compiler's per-step lookups scan, and ``(src, lid)`` serves the
-    seeded direction.  Given ``edges``, ``conn`` already holds the
-    snapshot ``fg`` was derived from (label ids below ``known_labels``),
-    and only those edges and the labels interned since are inserted.
+    seeded direction.
     """
-    if edges is None:
-        conn.executescript(
-            """
-            CREATE TABLE edge (src INTEGER NOT NULL, lid INTEGER NOT NULL,
-                               dst INTEGER NOT NULL);
-            CREATE TABLE label (lid INTEGER PRIMARY KEY, kind TEXT NOT NULL, value);
-            """
-        )
-    conn.executemany(
-        "INSERT INTO edge VALUES (?, ?, ?)",
-        zip(fg.srcs, fg.label_ids, fg.targets)
-        if edges is None
-        else [(e.src, fg.label_index[e.label], e.dst) for e in edges],
+    conn.executescript(
+        """
+        CREATE TABLE edge (src INTEGER NOT NULL, lid INTEGER NOT NULL,
+                           dst INTEGER NOT NULL);
+        CREATE TABLE label (lid INTEGER PRIMARY KEY, kind TEXT NOT NULL, value);
+        """
     )
-    labels = enumerate(fg.labels_seq[known_labels:], known_labels)
-    rows = ((lid, *store_label(label)) for lid, label in labels)
+    conn.executemany(
+        "INSERT INTO edge VALUES (?, ?, ?)", zip(fg.srcs, fg.label_ids, fg.targets)
+    )
+    rows = ((lid, *store_label(label)) for lid, label in enumerate(fg.labels_seq))
     conn.executemany("INSERT INTO label VALUES (?, ?, ?)", rows)
-    if edges is None:
-        conn.executescript(
-            """
-            CREATE INDEX edge_src ON edge(src, lid);
-            CREATE INDEX edge_lid ON edge(lid, src, dst);
-            CREATE INDEX edge_dst ON edge(dst, lid, src);
-            """
-        )
+    conn.executescript(
+        """
+        CREATE INDEX edge_src ON edge(src, lid);
+        CREATE INDEX edge_lid ON edge(lid, src, dst);
+        CREATE INDEX edge_dst ON edge(dst, lid, src);
+        """
+    )
     conn.commit()
 
 

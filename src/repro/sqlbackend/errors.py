@@ -3,7 +3,8 @@
 The backend's safety contract is *refuse, never approximate*: any
 pattern or query it cannot lower into SQL with exactly the native
 engine's semantics raises :class:`NotCompilable` at compile time, and
-the routing layers fall back to the native kernel.  The fuzz suite in
+the caller that asked for SQL gets the refusal (UnQL's per-member
+rewrite leaves that member native).  The fuzz suite in
 ``tests/sqlbackend`` generates adversarial patterns and asserts exactly
 this dichotomy -- either both engines agree, or the SQL engine raised
 :class:`NotCompilable` before producing a single row.

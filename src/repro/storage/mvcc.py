@@ -460,10 +460,10 @@ class VersionedGraphStore:
             self._acked_seq = seq
         self._apply(deltas)
         if self._view is not None:
-            # the retired snapshot's per-version residents (the planner)
-            # point back at it; detached, its last reader frees it by
-            # reference count, and a straggler rebuilds what it needs.
-            # The rest (SQL image, probe index) wait for the next view
+            # the retired snapshot's per-version residents (the planner,
+            # the SQL image) point back at it; detached, its last reader
+            # frees it by reference count, and a straggler rebuilds what
+            # it needs.  The rest (the probe index) wait for the next view
             for key in PER_VERSION_RESIDENTS:
                 self._base._ext.pop(key, None)
             self._view = None

@@ -57,16 +57,6 @@ def test_rpq_differential(g, pattern):
     assert via_sql == native
 
 
-@given(graphs(), rpq_patterns())
-def test_rpq_planner_auto_route(g, pattern):
-    """The planner's auto strategy agrees with kernel once SQL attaches."""
-    planner = planner_for(freeze(g))
-    planner.attach_sql()
-    assert planner.rpq(pattern, strategy="auto") == planner.rpq(
-        pattern, strategy="kernel"
-    )
-
-
 @given(oem_databases(), lorel_queries())
 def test_lorel_differential(db, text):
     """SQL Lorel rows equal the native evaluator's, order included."""

@@ -7,8 +7,7 @@ Three laws, one per section:
 * passing the *same* profile to two calls sums their counts (what the
   UnQL and Lorel evaluators rely on for their sub-queries);
 * the profile describes the run that answered -- a profiled ``find`` on a
-  served snapshot takes the label probe and leaves nothing behind on it,
-  and the planner's profile names the route that served, SQL included.
+  served snapshot takes the label probe and leaves nothing behind on it.
 """
 
 import importlib
@@ -76,7 +75,7 @@ def test_rpq_and_witnesses_answer_the_same_with_a_profile(g, pattern, frozen):
 def test_planner_answers_the_same_with_a_profile_on_every_strategy(g, pattern):
     planner = QueryPlanner(g)
     expected = rpq_nodes(planner.graph, pattern)
-    for strategy in ("auto", "index", "guide", "sql", "mask", "kernel"):
+    for strategy in ("auto", "index", "guide", "mask", "kernel"):
         profile = QueryProfile()
         try:
             answer = planner.rpq(pattern, strategy=strategy, profile=profile)
@@ -199,29 +198,6 @@ def test_profiled_find_does_not_inflate_the_served_snapshot():
     reachable = frozen.reachable()
     assert on_thawed.nodes_visited == len(reachable)
     assert on_thawed.edges_expanded == frozen.total_out_degree(reachable)
-
-
-def test_planner_profile_names_the_sql_route_when_sql_served():
-    g = generate_movies(15, seed=4)
-    # no guide (over budget) and no covering path index: auto reaches SQL
-    planner = QueryPlanner(g, guide_max_states=1, path_depth=1)
-    planner.attach_sql()
-    pattern = "Entry.Movie.Title"
-    assert planner.sql.favors(pattern)
-    expected = rpq_nodes(planner.graph, pattern)
-
-    auto = QueryProfile()
-    assert planner.rpq(pattern, profile=auto) == expected
-    assert auto.extras == {"sql_answered": 1}
-    assert (auto.engine, auto.results, auto.product_pairs) == ("planner-rpq", len(expected), 0)
-
-    forced = QueryProfile()
-    assert planner.rpq(pattern, strategy="sql", profile=forced) == expected
-    assert forced.extras == {"sql_answered": 1}
-
-    kernel = QueryProfile()
-    assert planner.rpq(pattern, strategy="kernel", profile=kernel) == expected
-    assert "sql_answered" not in kernel.extras and kernel.product_pairs > 0
 
 
 # -- the twins are gone, not aliased ------------------------------------------------

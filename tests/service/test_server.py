@@ -177,6 +177,24 @@ class TestBudgets:
         assert response["status"] == "ok"
         assert len(response["result"]) == 31
 
+    def test_auto_engine_rpq_is_bounded(self) -> None:
+        """``"engine": "auto"`` is the native stepper: it charges the budget
+        and reports its work, like a request that names no engine."""
+        svc = service(generate_movies(200, seed=7))
+        harness = InProcessHarness(svc)
+        query = "Entry.Movie.Director"
+        response = harness.run_one(
+            {"id": 1, "op": "rpq", "query": query, "engine": "auto", "budget": 1}
+        )
+        assert response["status"] == "partial" and response["reason"] == "budget"
+        auto = harness.run_one({"id": 2, "op": "rpq", "query": query, "engine": "auto"})
+        plain = harness.run_one({"id": 3, "op": "rpq", "query": query})
+        assert auto["status"] == "ok" and "engine" not in auto
+        assert auto["ops"] == plain["ops"] > 0
+        assert auto["supersteps"] == plain["supersteps"] >= 3
+        assert auto["result"] == plain["result"] == sorted(rpq_nodes(svc.frozen, query))
+        assert svc.metrics.counter("service_sql_answered").value == 0
+
 
 # -- cooperative cancellation ------------------------------------------------------
 

@@ -306,7 +306,7 @@ class TestSnapshotIsolation:
                 assert response["status"] == "ok", (request, response)
                 assert response["result"] == at_v0[request["op"]], request
                 assert (response.get("engine") == "sql") == (
-                    request.get("engine") in ("auto", "sql")
+                    request.get("engine") == "sql"
                 ), request
             for i, request in enumerate(requests, start=100):
                 fresh = harness.run_one({"id": i, **request})
@@ -324,8 +324,8 @@ class TestSnapshotIsolation:
         reads = [
             {"op": "rpq", "query": "Entry.Movie.Title"},
             {"op": "find", "query": json.dumps("Casablanca")},
-            {"op": "rpq", "query": "Entry.Movie.Title", "engine": "auto"},
-            {"op": "lorel", "query": "select m.Title from DB.Entry.Movie m", "engine": "auto"},
+            {"op": "rpq", "query": "Entry.Movie.Title", "engine": "sql"},
+            {"op": "lorel", "query": "select m.Title from DB.Entry.Movie m", "engine": "sql"},
             {"op": "unql", "query": r"select \t where {Entry.Movie.Title: \t} in db"},
         ]
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.frozen import freeze
 from repro.core.graph import Graph
 from repro.core.oem import OemDatabase
-from repro.datasets import figure1, generate_web
+from repro.datasets import figure1
 from repro.datasets.relational_data import generate_catalog
 from repro.lorel import lorel, lorel_rows, parse_lorel
 from repro.planner import planner_for
@@ -93,13 +93,6 @@ class TestSqlBackendFacade:
         assert backend.counters["executes"] == 2
         assert "SELECT" in backend.last_sql
 
-    def test_favors_policy(self):
-        backend = SqlBackend(freeze(generate_web(20, seed=1)))
-        assert backend.favors("link.title")  # chain: sargable
-        assert not backend.favors("link*.title")  # automaton: stays native
-        over_dfa_cap = "(" + ".".join(["link"] * 80) + ")*"
-        assert not backend.favors(over_dfa_cap)  # refusals are never favored
-
     def test_snapshot_memoization(self):
         g = figure1()
         fg = freeze(g)
@@ -140,12 +133,12 @@ class TestUnqlRouting:
             g.add_edge(root, f"x{i:04d}", hub)
         text = r"select {a: \t, b: \u} where {q: \t, x%: \u} in db"
         query = parse_query(text)
-        sources = {"db": g, "DB": g}
-        backend = SqlBackend(freeze(g))
+        fg = freeze(g)
+        sources = {"db": fg, "DB": fg}
         with pytest.raises(NotCompilable):
-            backend.compile("x%")
+            sql_backend_for(fg).compile("x%")
         native = evaluate_query(query, sources)
-        routed = unql_sql(query, sources, backend=backend)
+        routed = unql_sql(query, sources)
         assert routed.num_edges == native.num_edges
 
     def test_variable_source_stays_native(self):

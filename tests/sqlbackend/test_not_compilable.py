@@ -94,12 +94,13 @@ def test_not_compilable_is_a_value_error():
 
 
 def test_planner_auto_falls_back(wide_vocab_graph):
-    planner = planner_for(freeze(wide_vocab_graph))
-    planner.attach_sql()
+    """The planner answers natively what the SQL engine refuses."""
+    fg = freeze(wide_vocab_graph)
+    planner = planner_for(fg)
     native = planner.rpq("x%", strategy="kernel")
     assert planner.rpq("x%", strategy="auto") == native
-    with pytest.raises(ValueError):
-        planner.rpq("x%", strategy="sql")  # forced route refuses loudly
+    with pytest.raises(NotCompilable):
+        SqlBackend(fg).rpq_nodes("x%")  # asked for by name, SQL refuses loudly
 
 
 _CAP_PATTERNS = st.sampled_from(

@@ -1,10 +1,10 @@
-"""Routing layers over the SQL backend: planner, service, CLI, parity.
+"""The SQL backend's reach: planner, service, CLI, parity.
 
-The backend is opt-in at every layer -- the planner only consults it
-after :meth:`attach_sql`, the service only on an ``engine`` request
-field, the CLI only under ``--engine`` -- and the pinned golden
-profiles must stay byte-identical whether or not a backend is attached
-anywhere in the process.
+The backend is served only when asked for by name -- the planner never
+consults it, the service only on ``"engine": "sql"``, the CLI only
+under ``--engine sql``; ``auto`` is an alias of ``native`` everywhere --
+and the pinned golden profiles must stay byte-identical whether or not
+a backend exists anywhere in the process.
 """
 
 import json
@@ -26,25 +26,20 @@ from repro.unql import evaluate_query, parse_query
 
 
 class TestPlannerRoute:
-    def test_forced_sql_strategy(self):
-        planner = planner_for(freeze(generate_web(25, seed=4)))
-        native = planner.rpq("link.title", strategy="kernel")
-        assert planner.rpq("link.title", strategy="sql") == native
-        assert planner.describe()["sql"]["attached"] is True
-        assert planner.describe()["sql"]["sql_answered"] >= 1
-        assert "SELECT" in planner.describe()["sql"]["last_sql"]
+    """The planner has no SQL strategy: no route of it builds an image."""
 
     def test_auto_never_routes_sql_unattached(self):
-        planner = planner_for(freeze(generate_web(25, seed=4)))
+        fg = freeze(generate_web(25, seed=4))
+        planner = planner_for(fg)
         planner.rpq("link.title", strategy="auto")
-        assert planner.describe()["sql"] == {"attached": False}
+        assert "sqlbackend" not in fg._ext and "sql" not in planner.describe()
 
     def test_auto_keeps_closures_native(self):
-        planner = planner_for(freeze(generate_web(25, seed=4)))
-        planner.attach_sql()
+        fg = freeze(generate_web(25, seed=4))
+        planner = planner_for(fg)
         native = planner.rpq("link*.title", strategy="kernel")
         assert planner.rpq("link*.title", strategy="auto") == native
-        assert planner.describe()["sql"]["counters"]["executes"] == 0
+        assert "sqlbackend" not in fg._ext
 
 
 GOLDEN = json.loads(
@@ -53,11 +48,11 @@ GOLDEN = json.loads(
 
 
 class TestGoldenProfileParity:
-    """Attaching SQL backends must not move a single pinned count."""
+    """Building SQL backends must not move a single pinned count."""
 
     def _attach_everything(self, graph):
         fg = freeze(graph)
-        planner_for(fg).attach_sql()
+        planner_for(fg)
         sql_backend_for(fg)
         lorel_sql_backend_for(graph_to_oem(graph))
 
@@ -117,12 +112,11 @@ class TestServiceEngine:
 
     def test_auto_keeps_closures_native(self, service):
         svc, run = service
-        native = run({"id": 1, "op": "rpq", "query": "link*.title"})
-        auto = run({"id": 2, "op": "rpq", "query": "link*.title", "engine": "auto"})
-        assert auto["result"] == native["result"]
-        assert "engine" not in auto  # served natively
-        stats = run({"id": 3, "op": "stats"})["result"]["metrics"]
-        assert stats["service_sql_fallback"] == 1
+        for query in ("link*.title", "link.title"):
+            native = run({"id": 1, "op": "rpq", "query": query})
+            auto = run({"id": 2, "op": "rpq", "query": query, "engine": "auto"})
+            assert auto == {**native, "id": 2}  # served natively, ops included
+        assert "sqlbackend" not in svc.frozen._ext
 
     def test_lorel_and_unql_engines(self, service):
         svc, run = service
@@ -131,8 +125,9 @@ class TestServiceEngine:
         for op, query in (("lorel", lq), ("unql", uq)):
             native = run({"id": 1, "op": op, "query": query})
             via_sql = run({"id": 2, "op": op, "query": query, "engine": "sql"})
-            assert via_sql["result"] == native["result"], op
-            assert via_sql["engine"] == "sql"
+            auto = run({"id": 3, "op": op, "query": query, "engine": "auto"})
+            assert via_sql["result"] == native["result"] == auto["result"], op
+            assert via_sql["engine"] == "sql" and "engine" not in auto
 
     def test_bad_engine_is_a_protocol_error(self, service):
         svc, run = service
@@ -152,8 +147,9 @@ class TestServiceEngine:
 
     def test_sql_counter_in_stats(self, service):
         svc, run = service
-        run({"id": 1, "op": "lorel", "query": "select x.url from DB.link x",
-             "engine": "auto"})
+        for engine in ("auto", "sql"):
+            run({"id": 1, "op": "lorel", "query": "select x.url from DB.link x",
+                 "engine": engine})
         stats = run({"id": 2, "op": "stats"})["result"]["metrics"]
         assert stats["service_sql_answered"] == 1
 
@@ -200,6 +196,25 @@ class TestCliEngine:
             assert main(args + ["--engine", engine]) == 0
             outs[engine] = capsys.readouterr().out
         assert outs["native"] == outs["sql"]
+
+    def test_auto_runs_the_native_evaluators(self, db_file, capsys, monkeypatch):
+        """``--engine auto`` is ``native``, as on the wire: no SQL call."""
+        import repro.sqlbackend
+        from repro.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("auto reached the SQL engine")
+
+        monkeypatch.setattr(repro.sqlbackend, "unql_sql", refuse)
+        monkeypatch.setattr(repro.sqlbackend, "lorel_sql", refuse)
+        for args in (
+            ["query", db_file, r"select \t where {Entry.Movie.Title: \t} in db"],
+            ["lorel", db_file, "select m.Title from DB.Entry.Movie m"],
+        ):
+            assert main(args + ["--engine", "native"]) == 0
+            native_out = capsys.readouterr().out
+            assert main(args + ["--engine", "auto"]) == 0
+            assert capsys.readouterr().out == native_out
 
     def test_explicit_sql_surfaces_refusal(self, wide_db_file, capsys):
         from repro.cli import main

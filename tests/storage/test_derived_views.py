@@ -2,7 +2,8 @@
 
 After the first read, the store publishes each version by
 :meth:`~repro.core.frozen.FrozenGraph.derive` from the snapshot it
-retires, and carries that snapshot's SQL image forward.  The contract:
+retires, and carries that snapshot's probe index forward; its SQL image
+is dropped and the next version builds its own.  The contract:
 
 * **equivalence** -- a derived view answers every read API call and
   every engine exactly as a cold ``freeze`` of the live graph does
@@ -12,7 +13,7 @@ retires, and carries that snapshot's SQL image forward.  The contract:
 * **copy-on-write** -- a view pinned before later derivations dumps and
   answers byte-identically afterwards;
 * **SQL isolation** -- a backend held from an old version never serves
-  a later version's rows after its image was carried;
+  a later version's rows;
 * **probe index** -- the carried reverse adjacency, per-label edge lists
   and value table hold what a cold build of the same graph holds;
 * **kernel** -- over the target-bucket layout, the grouped CSR walk
@@ -186,7 +187,7 @@ def test_derived_views_equal_cold_freeze(base, commits, patterns):
     with tempfile.TemporaryDirectory() as tmp:
         with VersionedGraphStore.create(Path(tmp) / "s", base, durable=False) as store:
             pinned = store.view()
-            held = sql_backend_for(pinned.frozen)  # the image the lineage carries
+            held = sql_backend_for(pinned.frozen)  # version 0's own image
             pinned_dump = dump(pinned.frozen)
             pinned_answers = answers(pinned.frozen, patterns)
             pinned_sql = sql_answers(held, patterns)
@@ -201,14 +202,14 @@ def test_derived_views_equal_cold_freeze(base, commits, patterns):
                 assert dump(view.frozen) == dump(cold)
                 assert answers(view.frozen, patterns) == answers(cold, patterns)
                 if shadow.has_root:
-                    carried = sql_backend_for(view.frozen)
-                    assert sql_answers(carried, patterns) == sql_answers(
+                    image = sql_backend_for(view.frozen)
+                    assert sql_answers(image, patterns) == sql_answers(
                         SqlBackend(cold), patterns
                     )
             view = store.view()
             assert dump(view.frozen) == dump(freeze(shadow))
             # version 0 never moved, and the backend held from it still
-            # answers version 0 although its image was carried away
+            # answers version 0 after every later version built its own
             assert dump(pinned.frozen) == pinned_dump
             assert answers(pinned.frozen, patterns) == pinned_answers
             assert sql_answers(held, patterns) == pinned_sql
@@ -305,14 +306,14 @@ def test_a_retired_backend_never_serves_a_later_version(tmp_path: Path) -> None:
         assert b1 is not b0 and b1.conn is not None
         assert b1.rpq_nodes("Movie._") == rpq_nodes(v1.frozen, "Movie._")
         assert len(b1.rpq_nodes("Movie._")) == len(answer0) + 1
-        # the image moved on with v1; b0 reloads v0's own rows
+        # v1 built its own image; b0 still holds v0's rows
         assert b0.rpq_nodes("Movie._") == answer0
         assert b1.rpq_nodes("Movie._") == rpq_nodes(v1.frozen, "Movie._")
 
 
 def test_a_commit_keeps_only_the_image_it_can_carry(tmp_path: Path) -> None:
-    """The retired snapshot's planner goes at the commit; its SQL image
-    and probe index wait for the next view, which carries them away."""
+    """The retired snapshot's planner and SQL image go at the commit; its
+    probe index waits for the next view, which carries it away."""
     store, shadow = movie_store(tmp_path / "s")
     with store:
         v0 = store.view().frozen
@@ -321,8 +322,8 @@ def test_a_commit_keeps_only_the_image_it_can_carry(tmp_path: Path) -> None:
         where_is(v0, "Vertigo")
         assert set(v0._ext) == {"sqlbackend", "planner", "probes"}
         add_movie(store, shadow, "Psycho")
-        assert set(v0._ext) == {"sqlbackend", "probes"}
-        assert {"sqlbackend", "probes"} <= set(store.view().frozen._ext)
+        assert set(v0._ext) == {"probes"}
+        assert set(store.view().frozen._ext) == {"probes"}
         assert v0._ext == {}
 
 
@@ -330,17 +331,16 @@ COUNTERS = (
     "mvcc_views_frozen",
     "mvcc_views_derived",
     "sql_image_built",
-    "sql_image_carried",
     "probe_index_built",
     "probe_index_carried",
 )
 
 
 def test_views_and_images_are_derived_and_carried(tmp_path: Path) -> None:
-    """Open, read, then 4 x (commit + read): one freeze, one image load
-    and one probe index build, then four derivations and four carries of
-    each -- and both wire ``stats`` and ``stats --json`` report the
-    counters."""
+    """Open, read, then 4 x (commit + read): one freeze and one probe index
+    build, then four derivations and four carries of the index; the SQL
+    image is built once per version read -- and both wire ``stats`` and
+    ``stats --json`` report the counters."""
     before = {name: STORAGE_METRICS.counter(name).value for name in COUNTERS}
     store, shadow = movie_store(tmp_path / "s")
     with store:
@@ -354,8 +354,7 @@ def test_views_and_images_are_derived_and_carried(tmp_path: Path) -> None:
         assert delta == {
             "mvcc_views_frozen": 1,
             "mvcc_views_derived": 4,
-            "sql_image_built": 1,
-            "sql_image_carried": 4,
+            "sql_image_built": 5,
             "probe_index_built": 1,
             "probe_index_carried": 4,
         }
