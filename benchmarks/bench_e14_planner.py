@@ -1,23 +1,18 @@
-"""E14 -- index-accelerated planning: what each routing decision buys.
+"""E14 -- index- and statistics-driven Lorel planning: what each buys.
 
-Four ablations over the PR-3 fast-path kernel, which is the *baseline*
-everywhere (frozen CSR snapshot, label-pruned traversal, warm plan
-cache) -- E14 measures only what the planner adds on top:
+Two ablations over the native Lorel evaluator:
 
-* **routing vs kernel** -- selective queries through
-  :meth:`~repro.planner.QueryPlanner.rpq` (``auto``: path index, then
-  DataGuide product, then masked kernel) vs the same warm kernel;
-* **guide mask** -- the kernel with the guide-derived pruning mask vs
-  without, on patterns whose wildcard/negation guards defeat exact
-  label pruning (the mask is the only finite live-set there);
-* **Lorel pushdown** -- where-predicates resolved through the OEM value
-  groups seeding the binding stage, vs post-filtering;
-* **statistics reordering** -- frequency-driven clause costs vs the
-  shape heuristic on a query whose rare clause the heuristic cannot see.
+* **Lorel pushdown** (E14c) -- where-predicates resolved through the OEM
+  value groups seeding the binding stage, vs post-filtering;
+* **statistics reordering** (E14d) -- frequency-driven clause costs vs
+  the shape heuristic on a query whose rare clause the heuristic cannot
+  see.
 
-The acceptance gate: the planner beats the PR-3 kernel by >= 1.5x on at
-least two selective workloads.  ``BENCH_SMOKE=1`` shrinks the sweep and
-skips the ratio assertions (shared CI runners are too noisy to gate on).
+E14a (path-index / DataGuide routing of RPQs) and E14b (the guide-masked
+kernel) were retired with the query planner: every path query walks the
+CSR kernel (EXPERIMENTS.md says why).  ``BENCH_SMOKE=1`` shrinks the
+sweep and skips the ratio assertions (shared CI runners are too noisy to
+gate on).
 """
 
 import os
@@ -27,141 +22,28 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _tables import print_table, timed
 
-from repro.automata.plan_cache import PlanCache
-from repro.automata.product import rpq_nodes
 from repro.core.convert import graph_to_oem
-from repro.datasets import generate_movies, generate_web
+from repro.datasets import generate_movies
 from repro.lorel import parse_lorel, reorder_from_clauses
 from repro.lorel.evaluator import lorel_bindings
 from repro.obs.export import write_bench
-from repro.obs.metrics import MetricsRegistry
-from repro.planner import QueryPlanner, oem_indexes_for
+from repro.planner import oem_indexes_for
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 ENTRIES = 40 if SMOKE else 180
-PAGES = 40 if SMOKE else 200
 QUERY_REPEAT = 5 if SMOKE else 40
-
-#: The selective RPQ workloads: fixed paths the index answers in one
-#: lookup, and root-origin patterns the guide answers without touching
-#: the data graph.
-SELECTIVE = {
-    "movies": ["Entry.Movie.Title", "Entry.Movie.Year", "Entry._.Title"],
-    "web": ["title", "link.link.title", "link.keyword"],
-}
 
 _RECORDS: dict = {}
 
 
-def _datasets():
-    return {
-        "movies": generate_movies(ENTRIES, seed=23, reference_fraction=0.3),
-        "web": generate_web(PAGES, seed=7),
-    }
-
-
-def test_e14_routing_vs_kernel(benchmark):
-    """The headline: planner-routed selective queries vs the warm kernel."""
-    rows = []
-    speedups = []
-    planner = None
-    for name, g in _datasets().items():
-        fg = g.freeze()
-        cache = PlanCache(registry=MetricsRegistry())
-        planner = QueryPlanner(fg)
-        for pattern in SELECTIVE[name]:
-            planner.rpq(pattern)  # warm: plans, index/guide, masks
-
-            def kernel():
-                return [
-                    rpq_nodes(fg, pattern, plan_cache=cache)
-                    for _ in range(QUERY_REPEAT)
-                ]
-
-            def routed():
-                return [planner.rpq(pattern) for _ in range(QUERY_REPEAT)]
-
-            kernel_s, kernel_res = timed(kernel)
-            routed_s, routed_res = timed(routed)
-            assert routed_res == kernel_res
-            speedup = kernel_s / routed_s if routed_s else float("inf")
-            speedups.append(speedup)
-            _RECORDS.setdefault("routing", {})[f"{name}:{pattern}"] = {
-                "hits": len(kernel_res[0]),
-                "kernel_s": kernel_s,
-                "routed_s": routed_s,
-                "speedup": speedup,
-            }
-            rows.append(
-                (
-                    name,
-                    pattern,
-                    len(kernel_res[0]),
-                    f"{kernel_s * 1e3:.2f}ms",
-                    f"{routed_s * 1e3:.2f}ms",
-                    f"x{speedup:.1f}",
-                )
-            )
-    print_table(
-        f"E14a: planner routing vs warm kernel ({QUERY_REPEAT} calls each)",
-        ["dataset", "pattern", "hits", "kernel", "planner", "speedup"],
-        rows,
-    )
-    if not SMOKE:
-        # acceptance: >= 1.5x on at least two selective workloads
-        assert sum(s >= 1.5 for s in speedups) >= 2, speedups
-    pattern = SELECTIVE["web"][0]
-    benchmark(lambda: planner.rpq(pattern))
-
-
-def test_e14_guide_mask(benchmark):
-    """The masked kernel vs the unmasked one, where exact pruning fails."""
-    g = _datasets()["movies"]
-    planner = QueryPlanner(g)
-    patterns = ["Entry._.References._.Title", 'Entry.Movie.(!Movie)*."Allen"']
-    rows = []
-    for pattern in patterns:
-        planner.rpq(pattern, strategy="mask")  # warm plan + mask
-
-        def masked():
-            return [
-                planner.rpq(pattern, strategy="mask") for _ in range(QUERY_REPEAT)
-            ]
-
-        def unmasked():
-            return [
-                planner.rpq(pattern, strategy="kernel") for _ in range(QUERY_REPEAT)
-            ]
-
-        unmasked_s, unmasked_res = timed(unmasked)
-        masked_s, masked_res = timed(masked)
-        assert masked_res == unmasked_res
-        _RECORDS.setdefault("guide_mask", {})[pattern] = {
-            "hits": len(masked_res[0]),
-            "unmasked_s": unmasked_s,
-            "masked_s": masked_s,
-        }
-        rows.append(
-            (
-                pattern,
-                len(masked_res[0]),
-                f"{unmasked_s * 1e3:.2f}ms",
-                f"{masked_s * 1e3:.2f}ms",
-                f"x{unmasked_s / masked_s:.1f}" if masked_s else "-",
-            )
-        )
-    print_table(
-        f"E14b: guide-masked vs unmasked kernel (movies{ENTRIES})",
-        ["pattern", "hits", "unmasked", "masked", "unmasked/masked"],
-        rows,
-    )
-    benchmark(lambda: planner.rpq(patterns[0], strategy="mask"))
+def _movies():
+    return generate_movies(ENTRIES, seed=23, reference_fraction=0.3)
 
 
 def test_e14_lorel_pushdown(benchmark):
     """Index-seeded bindings vs post-filtering on selective where-clauses."""
-    db = graph_to_oem(_datasets()["movies"])
-    indexes = oem_indexes_for(db)  # built once, amortized like the planner
+    db = graph_to_oem(_movies())
+    indexes = oem_indexes_for(db)  # built once, amortized across the queries
     queries = [
         "select m.Title from DB.Entry.Movie m where m.Year < 1925",
         "select m.Year from DB.Entry.Movie m where m.Title like '%Paris%'",
@@ -222,7 +104,7 @@ def test_e14_stats_reordering(benchmark):
     see that ``Documentary`` matches nothing, bind it first, and empty
     the environment set before any Movie is expanded.
     """
-    db = graph_to_oem(_datasets()["movies"])
+    db = graph_to_oem(_movies())
     indexes = oem_indexes_for(db)
     text = (
         "select d.Title from DB.Entry.Movie m, DB.Entry.Documentary d "
@@ -263,7 +145,6 @@ def test_e14_stats_reordering(benchmark):
         "e14_planner",
         {
             "entries": ENTRIES,
-            "pages": PAGES,
             "query_repeat": QUERY_REPEAT,
             "timings": _RECORDS,
         },

@@ -86,7 +86,7 @@ def test_e18_incremental_vs_rebuild(benchmark, tmp_path):
     """E18a: mixed read/write -- delta refresh vs rebuild-on-stale."""
     incremental = generate_movies(ENTRIES, seed=23)
     rebuild = generate_movies(ENTRIES, seed=23)
-    indexes = GraphIndexes(incremental, path_depth=4)
+    indexes = GraphIndexes(incremental)
 
     def run_incremental() -> int:
         total = 0
@@ -103,7 +103,7 @@ def test_e18_incremental_vs_rebuild(benchmark, tmp_path):
         total = 0
         for k in range(ROUNDS):
             _graph_round(rebuild, k)
-            cold = GraphIndexes(rebuild, path_depth=4).build_all()
+            cold = GraphIndexes(rebuild).build_all()
             total += _read_round(cold, DataGuide(rebuild))
         return total
 
@@ -126,9 +126,7 @@ def test_e18_incremental_vs_rebuild(benchmark, tmp_path):
     )
     # both strategies answered identically (same final round, same hits)
     assert inc_hits > 0 and reb_hits > 0
-    assert indexes.path._paths == GraphIndexes(
-        incremental, path_depth=4
-    ).build_all().path._paths
+    assert indexes.path._paths == GraphIndexes(incremental).build_all().path._paths
     if not SMOKE:
         assert speedup >= 5.0, f"incremental only {speedup:.1f}x over rebuild"
 

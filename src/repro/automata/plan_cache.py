@@ -14,7 +14,7 @@ Plans are immutable-by-convention (a ``LazyDfa`` only ever *grows* its
 memo tables, never changes an answer), so sharing one plan between
 callers is safe.  The cache is a plain bounded LRU: no clocks, no
 TTLs; eviction on insert past capacity.  Every cache operation --
-lookup, pruning store, clear, stats -- holds one re-entrant lock, so the
+lookup, clear, stats -- holds one re-entrant lock, so the
 asyncio server's worker tasks (and any caller's threads) can share a
 cache without corrupting the LRU order or the hit/miss/size accounting;
 the lock also covers the counter increments themselves, which are plain
@@ -71,10 +71,6 @@ class PlanCache:
         self.name = name
         self._lock = threading.RLock()
         self._plans: "OrderedDict[str, LazyDfa]" = OrderedDict()
-        # (pattern text, graph snapshot id) -> guide-pruning component
-        # (the planner's per-DFA-state label mask); lives and dies with
-        # the pattern's plan entry.
-        self._prunings: dict[tuple[str, int], object] = {}
         self._hits = registry.counter(f"{name}_hits")
         self._misses = registry.counter(f"{name}_misses")
         self._evictions = registry.counter(f"{name}_evictions")
@@ -102,8 +98,7 @@ class PlanCache:
                 plan = LazyDfa(build_nfa(parse_path_regex(pattern)))
             self._plans[pattern] = plan
             if len(self._plans) > self.capacity:
-                evicted, _ = self._plans.popitem(last=False)
-                self._drop_prunings(evicted)
+                self._plans.popitem(last=False)
                 self._evictions.inc()
             self._size.set(len(self._plans))
             return plan, False
@@ -112,38 +107,10 @@ class PlanCache:
         """The plan for ``pattern`` (compiled on first use, then reused)."""
         return self.lookup(pattern, build)[0]
 
-    # -- the guide-pruning component (keyed by graph snapshot) ------------------
-
-    def pruning_for(self, pattern: str, snapshot_id: int):
-        """The cached guide-pruning mask for ``pattern`` over one snapshot.
-
-        Returns ``None`` when no mask has been stored; masks are only
-        valid for the exact :class:`~repro.core.frozen.FrozenGraph`
-        snapshot they were computed against, hence the id in the key.
-        """
-        with self._lock:
-            return self._prunings.get((pattern, snapshot_id))
-
-    def store_pruning(self, pattern: str, snapshot_id: int, mask: object) -> None:
-        """Attach a guide-pruning mask to ``pattern``'s plan entry.
-
-        Only patterns currently in the cache accept a mask (an evicted
-        plan's pruning would be unreachable garbage); storing for an
-        unknown pattern is a silent no-op.
-        """
-        with self._lock:
-            if pattern in self._plans:
-                self._prunings[(pattern, snapshot_id)] = mask
-
-    def _drop_prunings(self, pattern: str) -> None:
-        for key in [k for k in self._prunings if k[0] == pattern]:
-            del self._prunings[key]
-
     def clear(self) -> None:
         """Drop every cached plan (counters keep their history)."""
         with self._lock:
             self._plans.clear()
-            self._prunings.clear()
             self._size.set(0)
 
     def stats(self) -> dict[str, int]:
@@ -155,7 +122,6 @@ class PlanCache:
                 "hits": self._hits.value,
                 "misses": self._misses.value,
                 "evictions": self._evictions.value,
-                "prunings": len(self._prunings),
             }
 
     def __len__(self) -> int:

@@ -147,7 +147,6 @@ def rpq_nodes(
     start: int | None = None,
     *,
     plan_cache: "PlanCache | None" = None,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
     profile: "QueryProfile | None" = None,
 ) -> set[int]:
     """All nodes reachable from ``start`` (default: root) by a matching path.
@@ -158,13 +157,6 @@ def rpq_nodes(
     graph for the label-pruned kernel, and a plan cache to amortize
     compilation across repeated string patterns -- both return the same
     node set as the plain path.
-
-    ``guide_mask`` is the planner's static pruning component (DFA state
-    -> label ids provably able to advance it on root-origin paths of
-    *this* snapshot).  It is only sound for traversals starting at the
-    snapshot's root and only applies to the frozen kernel; the planner is
-    the intended caller (:class:`repro.planner.QueryPlanner` checks both
-    conditions), and a mask passed alongside a plain graph is ignored.
 
     ``profile`` is an accumulator the walk adds its exact counts to,
     derived from the explored configs once it has finished: distinct
@@ -177,7 +169,7 @@ def rpq_nodes(
     """
     dfa, states_before = _resolve_plan(pattern, plan_cache)
     origin = graph.root if start is None else start
-    stepper = RpqStepper._over(graph, dfa, [origin], guide_mask)
+    stepper = RpqStepper._over(graph, dfa, [origin])
     results = stepper.run()
     if profile is not None:
         profile.stamp("rpq", _text_of(pattern))
@@ -189,7 +181,6 @@ def product_bfs(
     graph: "Graph | FrozenGraph",
     dfa: LazyDfa,
     origin: int,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
 ) -> tuple[set[int], set[tuple[int, int]]]:
     """The stepper run to completion: matched nodes plus every explored config.
 
@@ -198,7 +189,7 @@ def product_bfs(
     unless the walk is pruned to a co-reachable region), so the hot loop
     itself carries no instrumentation.
     """
-    stepper = RpqStepper._over(graph, dfa, [origin], guide_mask)
+    stepper = RpqStepper._over(graph, dfa, [origin])
     stepper.run()
     return stepper.results, stepper.seen
 
@@ -207,11 +198,7 @@ def product_bfs(
 
 
 def _live_label_ids(
-    fg: FrozenGraph,
-    dfa: LazyDfa,
-    state: int,
-    cache: dict,
-    mask: "dict[int, frozenset[int]] | None" = None,
+    fg: FrozenGraph, dfa: LazyDfa, state: int, cache: dict
 ) -> "frozenset[int] | None":
     """``state``'s live alphabet as interned label ids, or ``None``.
 
@@ -220,19 +207,6 @@ def _live_label_ids(
     Labels the automaton can advance on but the graph never uses are
     dropped -- they cannot label any edge.  Cached per state because the
     answer only depends on the (immutable) NFA subset.
-
-    ``mask`` is the planner's guide-derived pruning component: per DFA
-    state, the label ids that can advance it *somewhere reachable from
-    the snapshot's root* (:meth:`repro.planner.QueryPlanner`).  It may
-    shrink an exact set further, and it turns an unbounded live set
-    (wildcard/negation guards) into a finite one -- but bounding is only
-    adopted when the mask rules out at least three quarters of the
-    vocabulary: a barely-selective mask (``(!a)*`` allows almost every
-    label) skips almost no run.
-    Every label the mask excludes provably steps the automaton into the
-    dead state on any root-origin traversal, so masked answers are
-    identical to the unmasked scan -- the mask only skips the proving
-    work.
     """
     if state in cache:
         return cache[state]
@@ -242,26 +216,11 @@ def _live_label_ids(
     else:
         label_index = fg.label_index
         ids = frozenset(label_index[lab] for lab in live if lab in label_index)
-    if mask is not None:
-        allowed = mask.get(state)
-        if allowed is not None:
-            if ids is None:
-                if len(allowed) * 4 <= len(fg.labels_seq):
-                    ids = frozenset(allowed)
-            else:
-                ids = ids & allowed
     cache[state] = ids
     return ids
 
 
-def ordered_edge_indices(
-    fg: FrozenGraph,
-    dfa: LazyDfa,
-    state: int,
-    pos: int,
-    live_cache: dict,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
-):
+def ordered_edge_indices(fg: FrozenGraph, dfa: LazyDfa, state: int, pos: int, live_cache: dict):
     """The edge indices of the node at ``pos`` worth scanning from ``state``.
 
     Pruned to the state's live labels (the node's label runs say which
@@ -277,7 +236,7 @@ def ordered_edge_indices(
     begin, end = offsets[pos], offsets[pos + 1]
     if begin == end:
         return ()
-    live = _live_label_ids(fg, dfa, state, live_cache, guide_mask)
+    live = _live_label_ids(fg, dfa, state, live_cache)
     if live is None:
         return range(begin, end)
     first, stop = fg.run_off[pos], fg.run_off[pos + 1]
@@ -420,7 +379,6 @@ class RpqStepper:
         "_frontier",
         "_by_state",
         "_parents",
-        "_guide_mask",
         "_trans",
         "_live_cache",
         "_dead_interned",
@@ -440,10 +398,10 @@ class RpqStepper:
         self._begin(graph, dfa, [graph.root if start is None else start])
 
     @classmethod
-    def _over(cls, graph, dfa, origins, guide_mask=None, parents=False) -> "RpqStepper":
+    def _over(cls, graph, dfa, origins, parents=False) -> "RpqStepper":
         """The drivers' constructor: :meth:`_begin` without a compile."""
         stepper = cls.__new__(cls)
-        stepper._begin(graph, dfa, origins, guide_mask, parents)
+        stepper._begin(graph, dfa, origins, parents)
         return stepper
 
     def _begin(
@@ -451,15 +409,13 @@ class RpqStepper:
         graph: "Graph | FrozenGraph",
         dfa: LazyDfa,
         origins: "list[int]",
-        guide_mask: "dict[int, frozenset[int]] | None" = None,
         parents: bool = False,
     ) -> None:
         """Start one walk per origin (distinct, non-empty) over shared caches.
 
-        ``guide_mask`` follows the :func:`rpq_nodes` contract; ``parents``
-        (single origin) records each config's discovering ``(config,
-        edge)`` and runs the FIFO per-config body on either layout, so
-        discovery order is layout-independent.  Whether the walk is
+        ``parents`` (single origin) records each config's discovering
+        ``(config, edge)`` and runs the FIFO per-config body on either
+        layout, so discovery order is layout-independent.  Whether the walk is
         pruned to a co-reachable region is decided here
         (:func:`coreach_labels`); the region itself is found by the first
         :meth:`step`.
@@ -493,7 +449,6 @@ class RpqStepper:
         ]
         self.origin, self.results, _, _ = self._walks[0]
         self._parents: "dict | None" = {(self.origin, start): None} if parents else None
-        self._guide_mask = guide_mask
         self.supersteps = 0
         self.ops = 0
         self._trans: dict[int, dict[int, int]] = {}
@@ -595,7 +550,7 @@ class RpqStepper:
         """``node``'s CSR edges worth stepping from ``state``, insertion order."""
         fg: FrozenGraph = self.graph  # type: ignore[assignment]
         pos = node if fg.index is None else fg.index[node]
-        span = ordered_edge_indices(fg, self.dfa, state, pos, self._live_cache, self._guide_mask)
+        span = ordered_edge_indices(fg, self.dfa, state, pos, self._live_cache)
         edges = fg.edges_from(node)
         if len(span) == len(edges):
             return edges
@@ -623,7 +578,7 @@ class RpqStepper:
         for origin, results, seen, frontier in self._frontier:
             grown: dict[int, list[int]] = {}
             for state, nodes in frontier.items():
-                live = _live_label_ids(fg, self.dfa, state, self._live_cache, self._guide_mask)
+                live = _live_label_ids(fg, self.dfa, state, self._live_cache)
                 if live is not None and not live and self._dead_interned:
                     continue  # no label steps on from here: nothing to scan
                 row = rows.setdefault(state, {})
@@ -719,7 +674,6 @@ def rpq_witnesses(
     start: int | None = None,
     *,
     plan_cache: "PlanCache | None" = None,
-    guide_mask: "dict[int, frozenset[int]] | None" = None,
     profile: "QueryProfile | None" = None,
 ) -> dict[int, tuple[Edge, ...]]:
     """A shortest witness path for every node matched by the pattern.
@@ -731,11 +685,9 @@ def rpq_witnesses(
     deterministic and layout-independent: the frozen kernel scans pruned
     edges in insertion order, so ties break exactly as on a plain graph.
 
-    ``guide_mask`` follows the :func:`rpq_nodes` contract: sound only for
-    root-origin traversals of the frozen snapshot it was computed for.
-    ``profile`` does too: the witness walk is the stepper
-    :func:`rpq_nodes` runs, so the two report identical counts for the
-    same query (a cross-check the tests rely on).
+    ``profile`` follows the :func:`rpq_nodes` contract: the witness walk
+    is the stepper :func:`rpq_nodes` runs, so the two report identical
+    counts for the same query (a cross-check the tests rely on).
 
     The parents map is keyed in discovery order, which on both layouts is
     that of a plain FIFO BFS, so the first accepting config listed for a
@@ -744,7 +696,7 @@ def rpq_witnesses(
     """
     dfa, states_before = _resolve_plan(pattern, plan_cache)
     origin = graph.root if start is None else start
-    stepper = RpqStepper._over(graph, dfa, [origin], guide_mask, parents=True)
+    stepper = RpqStepper._over(graph, dfa, [origin], parents=True)
     stepper.run()
     parents = stepper._parents
     witnesses: dict[int, tuple[Edge, ...]] = {}

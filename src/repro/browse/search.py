@@ -276,7 +276,7 @@ def where_is(
 ) -> list[str]:
     """Human-oriented wrapper: dotted path strings for :func:`find_value`.
 
-    ``indexes`` routes the probe through the value index (the planner's
-    browse delegation passes its own :class:`~repro.index.GraphIndexes`).
+    ``indexes`` routes the probe through the value index of a
+    :class:`~repro.index.GraphIndexes`.
     """
     return [str(f) for f in find_value(graph, value, indexes)]

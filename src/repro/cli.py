@@ -145,19 +145,19 @@ def _cmd_schema(args) -> int:
 
 def _cmd_stats(args) -> int:
     from .automata.plan_cache import PLAN_METRICS
+    from .core.frozen import freeze
     from .obs.export import metrics_to_dict, to_json
+    from .planner import GraphStatistics
     from .service.governor import SERVICE_METRICS
     from .index import probes  # noqa: F401 -- registers the probe_index_* counters
     from .sqlbackend import backend  # noqa: F401 -- registers the sql_image_built counter
     from .storage import STORAGE_METRICS
 
-    from .planner import planner_for
-
     g = load_database(args.file)
     by_kind: dict[str, int] = {}
     for edge in g.edges():
         by_kind[edge.label.kind.value] = by_kind.get(edge.label.kind.value, 0) + 1
-    planner = planner_for(g)
+    statistics = GraphStatistics.from_frozen(freeze(g)).as_dict()
     registries = (
         ("storage", STORAGE_METRICS),
         ("plan_cache", PLAN_METRICS),
@@ -170,8 +170,7 @@ def _cmd_stats(args) -> int:
             "cyclic": g.has_cycle(),
             "labels": {k.value: by_kind[k.value] for k in LabelKind if k.value in by_kind},
             **{section: metrics_to_dict(registry) for section, registry in registries},
-            "planner": planner.describe(),
-            "indexes": planner.indexes.accounting(),
+            "statistics": statistics,
         }
         print(to_json(payload))
         return 0
@@ -184,10 +183,8 @@ def _cmd_stats(args) -> int:
     for section, registry in registries:
         for name, value in metrics_to_dict(registry).items():
             print(f"{section}[{name}]: {value}")
-    described = planner.describe()
-    print(f"planner[guide_available]: {described['guide_available']}")
-    for name, value in sorted(described["statistics"].items()):  # type: ignore[union-attr]
-        print(f"planner[{name}]: {value}")
+    for name, value in sorted(statistics.items()):
+        print(f"statistics[{name}]: {value}")
     return 0
 
 
@@ -196,14 +193,11 @@ def _cmd_profile(args) -> int:
 
     ``--engine`` picks the evaluator: ``rpq`` (path regex), ``lorel``,
     ``unql``, or ``find`` (the section-1.3 browse search).  ``--planner``
-    routes through the index-accelerated planner layer: rpq answers come
-    from the path index / DataGuide / guide-masked kernel, lorel pushes
-    where-predicates into the value groups, and find probes the value
-    index -- the profile then carries the planner's extras counters and
-    index hit/miss accounting.  (``unql --planner`` is a no-op: a
-    profiled UnQL run walks the kernel with fresh plans, so its counts do
-    not depend on query history; an unprofiled one already plans.)
-    ``--json`` emits via :mod:`repro.obs.export` for scripting.
+    consults the indexes: lorel pushes where-predicates into the value
+    groups, and find probes the value index -- the output then carries
+    their hit/miss accounting.  (rpq and unql always walk the kernel, so
+    the flag changes nothing for them.)  ``--json`` emits via
+    :mod:`repro.obs.export` for scripting.
     """
     from .automata.plan_cache import DEFAULT_PLAN_CACHE, PLAN_METRICS
     from .browse import find_value
@@ -217,18 +211,9 @@ def _cmd_profile(args) -> int:
     profile = QueryProfile()
     index_accounting: "dict[str, dict[str, int]] | None" = None
     if args.engine == "rpq":
-        if args.planner:
-            from .planner import planner_for
+        from .automata.product import rpq_nodes
 
-            planner = planner_for(g, plan_cache=DEFAULT_PLAN_CACHE)
-            results = planner.rpq(args.query, profile=profile)
-            index_accounting = planner.indexes.accounting()
-        else:
-            from .automata.product import rpq_nodes
-
-            results = rpq_nodes(
-                g, args.query, plan_cache=DEFAULT_PLAN_CACHE, profile=profile
-            )
+        results = rpq_nodes(g, args.query, plan_cache=DEFAULT_PLAN_CACHE, profile=profile)
         preview = f"{len(results)} node(s)"
     elif args.engine == "lorel":
         db = graph_to_oem(g)
@@ -553,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--planner",
         action="store_true",
-        help="route through the index-accelerated planner (extras counters)",
+        help="consult the indexes: lorel pushdown, find value index (rpq, unql: no effect)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=_cmd_profile)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, repeat
 from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -52,17 +52,12 @@ from .labels import Label, sym
 
 __all__ = ["FrozenGraph", "PER_VERSION_RESIDENTS", "freeze"]
 
-#: Process-wide snapshot id allocator: every FrozenGraph gets a distinct
-#: id, so caches keyed by ``snapshot_id`` can never confuse two snapshots
-#: (even of the same source graph at different versions).
-_SNAPSHOT_IDS = count(1)
-
 #: The ``_ext`` residents that live and die with one version: a commit
 #: drops them from the snapshot it retires, and the next version builds
 #: its own on first use.  Every other resident has an ``advance(fg,
 #: edges)`` that carries it to the next version (the probe index); a test
 #: holds the two kinds exhaustive.
-PER_VERSION_RESIDENTS = ("planner", "sqlbackend")
+PER_VERSION_RESIDENTS = ("sqlbackend",)
 
 
 class FrozenGraph:
@@ -97,7 +92,6 @@ class FrozenGraph:
         "run_off",
         "run_lid",
         "run_start",
-        "snapshot_id",
         "source_version",
         "_root",
         "_edge_cache",
@@ -496,7 +490,6 @@ def _fill(
     fg.label_index = label_index
     fg.run_off, fg.run_lid, fg.run_start = runs
     fg._root = root
-    fg.snapshot_id = next(_SNAPSHOT_IDS)
     fg.source_version = version
     fg._edge_cache = {}
     fg._reachable_from_root = None

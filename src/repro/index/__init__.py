@@ -19,6 +19,9 @@ from .path_index import PathIndex, StaleIndexError
 from .text_index import TextIndex, tokenize
 from .value_index import ValueIndex
 
+#: the :class:`PathIndex` depth bound of a :class:`GraphIndexes` bundle
+PATH_DEPTH = 4
+
 __all__ = [
     "LabelIndex",
     "ValueIndex",
@@ -38,9 +41,8 @@ class GraphIndexes:
     pay nothing.
     """
 
-    def __init__(self, graph: Graph, path_depth: int = 4) -> None:
+    def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self._path_depth = path_depth
         self._label: LabelIndex | None = None
         self._value: ValueIndex | None = None
         self._text: TextIndex | None = None
@@ -72,7 +74,7 @@ class GraphIndexes:
             # target sets may answer a covered path incorrectly.  The
             # bundle rebuilds it transparently; direct PathIndex holders
             # get StaleIndexError from lookup instead.
-            self._path = PathIndex(self._graph, max_depth=self._path_depth)
+            self._path = PathIndex(self._graph, max_depth=PATH_DEPTH)
         return self._path
 
     def build_all(self) -> "GraphIndexes":

@@ -242,7 +242,7 @@ def _bindings_with_runner(
     sets *before* binding, and each alias binds only to targets inside
     its candidate set -- predicate pushdown.  The full where clause
     still filters the survivors, so the answer is identical to the
-    post-filtering evaluation (asserted by the planner property suite);
+    post-filtering evaluation (asserted by the pushdown property suite);
     pushdown only shrinks the environment sets the later clauses and the
     residual filter have to process.
     """

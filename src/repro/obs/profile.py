@@ -13,7 +13,7 @@ the benchmark timings stay inside their noise band.
 A profile is an **accumulator**: the caller constructs one and passes it
 as ``profile=`` to the same entry point that answers the query
 (``rpq_nodes``, ``evaluate_query``, ``evaluate_lorel``, ``find_value``,
-``QueryPlanner.rpq``, ``distributed_rpq``, ...), which returns what it
+``distributed_rpq``, ...), which returns what it
 always returns and *adds* the run's counts to the profile.  Handing one
 profile to two calls therefore sums them, which is how the UnQL and Lorel
 evaluators account their sub-queries.  Identity is first-writer-wins
@@ -77,13 +77,9 @@ class QueryProfile:
     ``complete`` carries the partial-result verdict (False when a
     degraded engine lost regions); ``extras`` holds engine-specific
     counts (e.g. per-site message totals) without schema changes.
-    Planner-issued profiles (:mod:`repro.planner`) report their routing
-    there: ``index_answered`` / ``guide_answered`` mark a query answered
-    entirely from the path index or DataGuide, ``guide_pruned_partitions``
-    is the guide mask's static pruning strength on a kernel traversal,
-    and ``index_seeded`` counts Lorel binding clauses seeded from pushed
-    where-predicates.  The golden suite's direct engine paths never set
-    these, so pinned profiles are unaffected.
+    Lorel with pushdown reports ``index_seeded`` there: the binding
+    clauses seeded from pushed where-predicates.  The golden suite's
+    direct engine paths never set it, so pinned profiles are unaffected.
     """
 
     engine: str = ""

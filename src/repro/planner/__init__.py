@@ -1,39 +1,27 @@
-"""Index-accelerated query planning (section 4 + the DataGuide of [22]).
+"""Cost- and index-driven Lorel planning (section 4).
 
 The paper's optimization story for semistructured queries is structural:
-*"the addition of path ... indices on labels"* and the DataGuide's role
-as a summary that answers path questions without touching the database.
-This package is the layer that routes every query through those
-structures before the data graph is traversed:
+*"the addition of path ... indices on labels"*.  The structures
+themselves are library code (:mod:`repro.index`, the DataGuide of
+:mod:`repro.schema`); path queries walk the CSR kernel of
+:mod:`repro.automata.product`, whose adjacency is already the index.
+This package holds what Lorel evaluation consults:
 
-* :class:`QueryPlanner` -- per-snapshot strategy routing for regular
-  path queries: answer covered fixed paths from the
-  :class:`~repro.index.PathIndex`, answer root-origin patterns from the
-  :class:`~repro.schema.DataGuide` product, and otherwise run the frozen
-  kernel under a *guide mask* (per-DFA-state live-label sets derived
-  from the guide x automaton product) that bounds wildcard and negation
-  guards to the labels actually reachable on root paths;
-* :class:`GraphStatistics` -- label frequencies, guide extent sizes and
-  value selectivities collected at freeze time, driving the cost-based
-  Lorel clause reordering of :func:`repro.lorel.reorder_from_clauses`;
+* :class:`GraphStatistics` -- label frequencies and value selectivities
+  collected at freeze time, driving the cost-based Lorel clause
+  reordering of :func:`repro.lorel.reorder_from_clauses`;
 * :mod:`repro.planner.pushdown` -- Lorel ``where``-clause predicate
   pushdown: comparisons over fixed symbol paths resolve through an
   :class:`~repro.planner.pushdown.OemIndexes` value index into candidate
   oid sets that seed the binding traversal instead of post-filtering it.
-
-Every strategy is *safe*: the property suite in ``tests/planner`` checks
-planner answers against the plain product on random graphs and patterns.
 """
 
 from __future__ import annotations
 
-from .planner import QueryPlanner, planner_for
 from .pushdown import OemIndexes, oem_indexes_for, pushdown_candidates
 from .stats import GraphStatistics
 
 __all__ = [
-    "QueryPlanner",
-    "planner_for",
     "GraphStatistics",
     "OemIndexes",
     "oem_indexes_for",

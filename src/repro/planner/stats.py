@@ -3,7 +3,7 @@
 The Lorel optimizer's original clause costs were shape heuristics: an
 exact label step cost 1, a star 16, independent of the data.  On real
 data the numbers that matter are *frequencies*: how many edges carry each
-label, how large the DataGuide extents are, how selective each value is.
+label, how selective each value is.
 A :class:`GraphStatistics` snapshot collects exactly those at freeze
 time (one O(edges) pass -- the frozen layout has the label histogram
 nearly for free) and exposes a cardinality estimator over the path-regex
@@ -40,7 +40,6 @@ from ..core.labels import Label, label_of, sym
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.frozen import FrozenGraph
     from ..core.oem import OemDatabase
-    from ..schema.dataguide import DataGuide
 
 __all__ = ["GraphStatistics"]
 
@@ -49,12 +48,11 @@ class GraphStatistics:
     """Frequency statistics of one database snapshot.
 
     ``label_counts`` maps each distinct edge label to its occurrence
-    count; ``extent_sizes`` (optional) are the DataGuide target-set
-    sizes; ``value_counts`` maps base-data labels (the leaf values) to
+    count; ``value_counts`` maps base-data labels (the leaf values) to
     their counts, which is what value-selectivity estimates divide by.
     """
 
-    __slots__ = ("num_nodes", "num_edges", "label_counts", "value_counts", "extent_sizes")
+    __slots__ = ("num_nodes", "num_edges", "label_counts", "value_counts")
 
     def __init__(
         self,
@@ -63,7 +61,6 @@ class GraphStatistics:
         label_counts: dict[Label, int],
         *,
         value_counts: "dict[Label, int] | None" = None,
-        extent_sizes: "list[int] | None" = None,
     ) -> None:
         self.num_nodes = num_nodes
         self.num_edges = num_edges
@@ -73,25 +70,17 @@ class GraphStatistics:
             if value_counts is not None
             else {lab: n for lab, n in label_counts.items() if lab.is_base}
         )
-        self.extent_sizes = extent_sizes
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_frozen(
-        cls, fg: "FrozenGraph", *, guide: "DataGuide | None" = None
-    ) -> "GraphStatistics":
+    def from_frozen(cls, fg: "FrozenGraph") -> "GraphStatistics":
         """Collect statistics from a frozen snapshot (one pass over edges)."""
         counts = [0] * len(fg.labels_seq)
         for lid in fg.label_ids:
             counts[lid] += 1
         label_counts = {fg.labels_seq[lid]: n for lid, n in enumerate(counts) if n}
-        return cls(
-            fg.num_nodes,
-            fg.num_edges,
-            label_counts,
-            extent_sizes=guide.extent_sizes() if guide is not None else None,
-        )
+        return cls(fg.num_nodes, fg.num_edges, label_counts)
 
     @classmethod
     def from_oem(cls, db: "OemDatabase") -> "GraphStatistics":
@@ -169,17 +158,13 @@ class GraphStatistics:
         return float(self.num_edges) + sum(self.cardinality(p) for p in parts)
 
     def as_dict(self) -> dict[str, object]:
-        """A JSON-ready summary (the ``stats --json`` planner section)."""
-        out: dict[str, object] = {
+        """A JSON-ready summary (the ``stats`` statistics section)."""
+        return {
             "nodes": self.num_nodes,
             "edges": self.num_edges,
             "distinct_labels": len(self.label_counts),
             "distinct_values": len(self.value_counts),
         }
-        if self.extent_sizes is not None:
-            out["guide_states"] = len(self.extent_sizes)
-            out["guide_extent_total"] = sum(self.extent_sizes)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -24,32 +24,16 @@ from ..core.labels import Label
 
 __all__ = [
     "DataGuide",
-    "GuideTooLargeError",
     "paths_equivalent",
     "rpq_via_dataguide",
     "guide_product",
 ]
 
 
-class GuideTooLargeError(RuntimeError):
-    """Subset construction exceeded the caller's ``max_states`` budget.
-
-    The strong DataGuide of a highly-connected graph can be exponentially
-    larger than the graph itself; callers that build guides opportunistically
-    (the query planner) pass a budget and treat this as "no summary
-    available" instead of hanging.
-    """
-
-
 class DataGuide:
-    """The strong DataGuide of a rooted edge-labeled graph.
+    """The strong DataGuide of a rooted edge-labeled graph."""
 
-    ``max_states`` bounds the subset construction: when the guide would
-    exceed that many states, :class:`GuideTooLargeError` is raised and no
-    partial guide escapes.  ``None`` (the default) means unbounded.
-    """
-
-    def __init__(self, graph: Graph, *, max_states: "int | None" = None) -> None:
+    def __init__(self, graph: Graph) -> None:
         self._graph = graph
         self._states: list[frozenset[int]] = []
         self._state_ids: dict[frozenset[int], int] = {}
@@ -67,11 +51,6 @@ class DataGuide:
             for label in sorted(moves, key=Label.sort_key):
                 target = frozenset(moves[label])
                 if target not in self._state_ids:
-                    if max_states is not None and len(self._states) >= max_states:
-                        raise GuideTooLargeError(
-                            f"DataGuide exceeded {max_states} states "
-                            f"(graph has {graph.num_nodes} nodes)"
-                        )
                     self._intern(target)
                     queue.append(target)
                 self._transitions[sid][label] = self._state_ids[target]
@@ -232,10 +211,6 @@ class DataGuide:
         """The target set of a guide state: the database nodes its path reaches."""
         return self._states[state]
 
-    def extent_sizes(self) -> list[int]:
-        """``len(extent(s))`` per state -- the statistics object's raw input."""
-        return [len(s) for s in self._states]
-
     def as_graph(self) -> Graph:
         """The DataGuide itself as an edge-labeled graph (it is one)."""
         g = Graph()
@@ -290,9 +265,8 @@ def rpq_via_dataguide(guide: DataGuide, pattern) -> frozenset[int]:
     paper points at via [22], and experiment E7 measures the win.
 
     ``pattern`` may be a string, a parsed regex, or a precompiled
-    :class:`~repro.automata.dfa.LazyDfa` (the planner passes its cached
-    plan so the guide product and any fallback traversal share one
-    automaton).
+    :class:`~repro.automata.dfa.LazyDfa` (a cached plan, shared with
+    any other traversal of the same pattern).
     """
     from ..automata.product import compile_rpq
 
@@ -304,10 +278,9 @@ def rpq_via_dataguide(guide: DataGuide, pattern) -> frozenset[int]:
 def guide_product(guide: DataGuide, dfa) -> tuple[set[int], set[tuple[int, int]]]:
     """The guide x DFA product: answer nodes plus explored configurations.
 
-    The ``seen`` set of ``(guide state, dfa state)`` pairs is what the
-    planner's profiled twin reports as its product work -- the whole point
-    of the strategy is that this set is tiny relative to the data-graph
-    product it replaces.
+    The ``seen`` set of ``(guide state, dfa state)`` pairs is the
+    product's work -- the whole point of the strategy is that this set
+    is tiny relative to the data-graph product it replaces.
     """
     answers: set[int] = set()
     start = (0, dfa.start)

@@ -38,6 +38,7 @@ import asyncio
 import json
 import logging
 import math
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 from ..automata.plan_cache import PlanCache
@@ -70,10 +71,13 @@ from .protocol import FrameDecoder, encode_frame, validate_request
 from .session import Session, SessionManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from sqlite3 import Connection
+
     from ..core.labels import Label
     from ..obs.metrics import MetricsRegistry
     from ..obs.trace import Tracer
     from ..storage.mvcc import VersionedGraphStore, WriteBatch
+    from .governor import QueryControl
 
 __all__ = [
     "QueryService",
@@ -173,6 +177,43 @@ def _wants_sql(request: dict) -> bool:
     for ``"sql"`` -- ``"auto"`` is an alias of ``"native"``, and ``find``
     has no SQL form."""
     return request.get("engine") == "sql" and request["op"] != "find"
+
+
+#: sqlite VM instructions between two checkpoints of an ``engine: "sql"``
+#: request; each checkpoint charges it one op (docs/SERVICE.md)
+SQL_OPS_EVERY = 10_000
+
+
+@contextmanager
+def _checkpointed(conn: "Connection", control: "QueryControl") -> Iterator[None]:
+    """Run sqlite statements on ``conn`` under ``control``'s limits.
+
+    A progress handler charges ``control`` one op every
+    :data:`SQL_OPS_EVERY` VM instructions.  When the checkpoint raises
+    (deadline, budget, cancellation) the handler aborts the statement,
+    and the checkpoint's exception replaces sqlite's ``interrupted``.
+    """
+    import sqlite3
+
+    stopped: "list[ResilienceError]" = []
+
+    def progress() -> int:
+        try:
+            control.checkpoint(1)
+        except ResilienceError as exc:
+            stopped.append(exc)
+            return 1
+        return 0
+
+    conn.set_progress_handler(progress, SQL_OPS_EVERY)
+    try:
+        yield
+    except sqlite3.OperationalError:
+        if stopped:
+            raise stopped[0] from None
+        raise
+    finally:
+        conn.set_progress_handler(None, 0)
 
 
 def _find_value_of(query: str) -> object:
@@ -456,7 +497,7 @@ class QueryService:
                     supersteps=stepper.supersteps,
                 )
             else:
-                task.response = self._run_oneshot(rid, op, request, task.view)
+                task.response = self._run_oneshot(rid, op, request, task.view, control)
         except QueryCancelled as exc:
             task.response = self._interrupted(rid, "partial", "cancelled", exc, stepper)
             self._cancelled_counter.inc()
@@ -515,7 +556,7 @@ class QueryService:
         breaker.record_success()
 
     def _run_oneshot(
-        self, rid: int, op: str, request: dict, view: SnapshotView
+        self, rid: int, op: str, request: dict, view: SnapshotView, control: "QueryControl"
     ) -> dict:
         """The non-checkpointed engines, one call each.
 
@@ -529,14 +570,16 @@ class QueryService:
         One-shot work is not interruptible mid-engine; the deadline was
         checked at the entry checkpoint and the answer, once computed, is
         returned even if it finished late (dropping finished work helps
-        no one).  Every engine reads ``view`` -- the snapshot pinned at
-        submission -- never the live graph.
+        no one).  The SQL engine is the exception: its statements
+        checkpoint ``control`` (:func:`_checkpointed`).  Every engine
+        reads ``view`` -- the snapshot pinned at submission -- never the
+        live graph.
         """
         query = request.get("query", "")
         if request.get("profile"):
             return self._profiled_oneshot(rid, op, query, view)
         if _wants_sql(request):
-            return self._sql_oneshot(rid, op, query, view)
+            return self._sql_oneshot(rid, op, query, view, control)
         if op == "lorel":
             return self._respond(rid, "ok", result=lorel_rows(lorel(query, view.oem)))
         if op == "unql":
@@ -563,28 +606,34 @@ class QueryService:
             rid, "ok", result=result, profile=profile.as_dict(), engine="native"
         )
 
-    def _sql_oneshot(self, rid: int, op: str, query: str, view: SnapshotView) -> dict:
+    def _sql_oneshot(
+        self, rid: int, op: str, query: str, view: SnapshotView, control: "QueryControl"
+    ) -> dict:
         """One query op on the SQL engine, asked for by ``"engine": "sql"``.
 
         A query outside the SQL fragment raises :class:`NotCompilable`, a
         ``ValueError``, so the caller's fault boundary returns a typed
         ``error`` response -- never a wrong answer, never a silent native
-        one.  Answers carry ``engine: "sql"``.
+        one.  Its statements run under ``control`` (:func:`_checkpointed`):
+        a limit stops them, and the caller answers ``deadline`` or
+        ``partial`` with no rows.  Answers carry ``engine: "sql"``.
         """
         from ..sqlbackend import lorel_sql_backend_for, sql_backend_for, unql_sql
 
         result: object
         if op == "rpq":
-            result = sorted(sql_backend_for(view.frozen).rpq_nodes(query, tracer=self.tracer))
+            backend = sql_backend_for(view.frozen)
+            with _checkpointed(backend.conn, control):
+                result = sorted(backend.rpq_nodes(query, tracer=self.tracer))
         elif op == "lorel":
-            answer = lorel_sql_backend_for(view.oem).evaluate(
-                parse_lorel(query), tracer=self.tracer
-            )
-            result = lorel_rows(answer)
+            parsed = parse_lorel(query)
+            lorel_backend = lorel_sql_backend_for(view.oem)
+            with _checkpointed(lorel_backend.conn, control):
+                result = lorel_rows(lorel_backend.evaluate(parsed, tracer=self.tracer))
         else:  # unql: per-member routing, uncompilable members stay native
-            result = to_obj(
-                unql_sql(parse_query(query), {"db": view.frozen, "DB": view.frozen})
-            )
+            parsed = parse_query(query)
+            with _checkpointed(sql_backend_for(view.frozen).conn, control):
+                result = to_obj(unql_sql(parsed, {"db": view.frozen, "DB": view.frozen}))
         self._sql_answered.inc()
         return self._respond(rid, "ok", result=result, engine="sql")
 
@@ -662,8 +711,8 @@ class QueryService:
         (storage's too: views frozen vs derived, SQL images built).
 
         A read-only diagnostic: it reports the store's counts and the
-        snapshot some reader already built (``snapshot_id`` is ``None``
-        when the newest version has not been read yet) -- it never
+        version of the snapshot some reader already built (``version``
+        is ``None`` when the newest version has not been read yet) -- it never
         freezes or derives one itself.
         """
         store = self.store
@@ -675,7 +724,7 @@ class QueryService:
             "graph": {
                 "nodes": counts["nodes"],
                 "edges": counts["edges"],
-                "snapshot_id": view.frozen.snapshot_id if view is not None else None,
+                "version": view.version if view is not None else None,
             },
             "governor": self.governor.snapshot(),
             "sessions": self.sessions.snapshot(),

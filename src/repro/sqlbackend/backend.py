@@ -139,8 +139,7 @@ class SqlBackend:
 
 def sql_backend_for(graph: "Graph | FrozenGraph") -> SqlBackend:
     """The snapshot-cached, guide-less :class:`SqlBackend` (freezing if
-    needed), memoized in the snapshot's extension slot like
-    :func:`repro.planner.planner_for`."""
+    needed), memoized in the snapshot's extension slot."""
     fg = freeze(graph)
     backend = fg._ext.get("sqlbackend")
     if not isinstance(backend, SqlBackend):

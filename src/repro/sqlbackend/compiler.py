@@ -78,8 +78,7 @@ class CompiledQuery:
 
     ``kind`` is ``"wide"``, ``"chain"`` or ``"automaton"``; ``info``
     carries compile-time facts (join order, DFA size, extent size) that
-    :meth:`~repro.planner.QueryPlanner.describe` and the ``.sql``
-    goldens surface.
+    the ``.sql`` goldens surface.
     """
 
     sql: str

@@ -460,8 +460,8 @@ class VersionedGraphStore:
             self._acked_seq = seq
         self._apply(deltas)
         if self._view is not None:
-            # the retired snapshot's per-version residents (the planner,
-            # the SQL image) point back at it; detached, its last reader
+            # the retired snapshot's per-version resident (the SQL
+            # image) points back at it; detached, its last reader
             # frees it by reference count, and a straggler rebuilds what
             # it needs.  The rest (the probe index) wait for the next view
             for key in PER_VERSION_RESIDENTS:

@@ -241,22 +241,15 @@ def _regex_targets(
 ) -> set[int]:
     """The nodes ``edge``'s path regex reaches from ``node``.
 
-    The plan is interned by the edge's text, and a root-origin edge
-    routes through the planner, which answers from the path index or
-    DataGuide when they cover the pattern and otherwise guide-prunes the
-    kernel traversal.  A profiled run does neither: it compiles a fresh
-    plan and walks the kernel with it, so what it counts does not depend
-    on the plans and planner structures earlier queries left behind.
+    The plan is interned by the edge's text, and the kernel walks it from
+    ``node`` whatever the origin.  A profiled run compiles a fresh plan,
+    so what it counts does not depend on the plans earlier queries left
+    behind.
     """
     if profile is not None:
         return rpq_nodes(graph, edge.regex, start=node, profile=profile)
     dfa = _PLAN_CACHE.get(edge.text, lambda: compile_rpq(edge.regex))
-    if node != graph.root:
-        return rpq_nodes(graph, dfa, start=node)
-    from ..planner import planner_for
-
-    # the planner finds the plan just interned under the edge's text
-    return planner_for(graph, plan_cache=_PLAN_CACHE).rpq(edge.text)
+    return rpq_nodes(graph, dfa, start=node)
 
 
 def _match_target(

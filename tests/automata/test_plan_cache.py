@@ -120,7 +120,6 @@ class TestMetrics:
             "hits": 0,
             "misses": 1,
             "evictions": 0,
-            "prunings": 0,
         }
 
 

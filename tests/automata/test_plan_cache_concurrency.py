@@ -5,8 +5,8 @@ lock landed a concurrent burst could corrupt the LRU ``OrderedDict``
 mid-``move_to_end`` or lose counter increments (``Counter.inc`` is a
 plain read-modify-write).  These tests hammer a small cache from many
 threads and then audit the invariants the accounting is supposed to
-keep: bounded size, exact hit+miss totals, a size gauge that matches
-reality, and prunings that never outlive their plan entry.
+keep: bounded size, exact hit+miss totals, and a size gauge that
+matches reality.
 """
 
 import threading
@@ -25,9 +25,6 @@ def _hammer(cache: PlanCache, seed: int, patterns: "list[str]", errors: "list[Ba
             pattern = patterns[state % len(patterns)]
             plan, _hit = cache.lookup(pattern)
             assert plan is not None
-            if i % 7 == 0:
-                cache.store_pruning(pattern, snapshot_id=seed, mask=(seed, i))
-                cache.pruning_for(pattern, snapshot_id=seed)
             if i % 13 == 0:
                 cache.stats()
                 len(cache)
@@ -104,10 +101,6 @@ def test_concurrent_clear_is_safe() -> None:
 
     assert errors == []
     assert len(cache) <= 8
-    # After a final clear the pruning table is empty too -- no leaks of
-    # masks whose plan entry is gone.
-    cache.clear()
-    assert cache.stats()["prunings"] == 0
 
 
 def test_reentrant_build_does_not_deadlock() -> None:

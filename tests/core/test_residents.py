@@ -17,7 +17,6 @@ from pathlib import Path
 from repro.core.frozen import PER_VERSION_RESIDENTS
 from repro.datasets import figure1
 from repro.index.probes import ProbeIndex, probes_for
-from repro.planner import QueryPlanner, planner_for
 from repro.sqlbackend import SqlBackend, sql_backend_for
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -27,7 +26,6 @@ CARRIER = Path("repro/storage/mvcc.py")
 RESIDENTS = {
     "probes": ProbeIndex,
     "sqlbackend": SqlBackend,
-    "planner": QueryPlanner,
 }
 
 
@@ -78,7 +76,7 @@ def test_a_resident_advances_unless_it_is_per_version():
 
 def test_the_accessors_store_their_resident_under_its_key():
     fg = figure1().freeze()
-    for make in (probes_for, sql_backend_for, planner_for):
+    for make in (probes_for, sql_backend_for):
         resident = make(fg)
         (key,) = [k for k, r in fg._ext.items() if r is resident]
         assert isinstance(resident, RESIDENTS[key])

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.automata.product import rpq_nodes
 from repro.core.convert import graph_to_oem
 from repro.core.frozen import freeze
 from repro.core.oem import OemDatabase
 from repro.datasets import figure1, generate_acedb, generate_movies, generate_web
 from repro.lorel import lorel, lorel_rows
-from repro.planner import planner_for
 from repro.sqlbackend import NotCompilable, SqlBackend, lorel_sql, unql_sql
 from repro.unql import evaluate_query, parse_query
 
@@ -51,7 +51,7 @@ def test_corpus_case(case):
     if engine == "rpq":
         g = _graph_of(case)
         fg = freeze(g)
-        native = planner_for(fg).rpq(query, strategy="kernel")
+        native = rpq_nodes(fg, query)
         try:
             via_sql = SqlBackend(fg).rpq_nodes(query)
         except NotCompilable:

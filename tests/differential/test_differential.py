@@ -19,10 +19,10 @@ is part of the native contract the SQL engine reproduces.
 
 from hypothesis import event, given
 
+from repro.automata.product import rpq_nodes
 from repro.core.convert import graph_to_oem
 from repro.core.frozen import freeze
 from repro.lorel import lorel, lorel_rows, parse_lorel
-from repro.planner import planner_for
 from repro.sqlbackend import (
     NotCompilable,
     SqlBackend,
@@ -44,8 +44,7 @@ from .strategies import (
 def test_rpq_differential(g, pattern):
     """SQL RPQ answers equal the product-automaton kernel, or refuse."""
     fg = freeze(g)
-    planner = planner_for(fg)
-    native = planner.rpq(pattern, strategy="kernel")
+    native = rpq_nodes(fg, pattern)
     backend = SqlBackend(fg)
     try:
         via_sql = backend.rpq_nodes(pattern)

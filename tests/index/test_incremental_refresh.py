@@ -63,7 +63,7 @@ class Maintained:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.visible = graph.reachable() if graph.has_root else set()
-        self.indexes = GraphIndexes(graph, path_depth=4)
+        self.indexes = GraphIndexes(graph)
         self.guide = DataGuide(graph)
 
     def commit(self, deltas: list) -> None:
@@ -147,7 +147,7 @@ def test_refresh_equals_cold_rebuild(script: list, seed: int) -> None:
     run_script(model, script)
 
     live = model.indexes
-    cold = GraphIndexes(model.graph, path_depth=4).build_all()
+    cold = GraphIndexes(model.graph).build_all()
 
     # the path index answered incrementally, never via rebuild
     assert not live.path.is_stale()
@@ -193,6 +193,6 @@ def test_an_edge_into_an_unreachable_region_opens_it() -> None:
     assert model.indexes.label.count(sym("inner")) == 0
     model.commit([AddEdge(root, sym("bridge"), 1)])
     assert model.indexes.label.count(sym("inner")) == 1
-    cold = GraphIndexes(model.graph, path_depth=4).build_all()
+    cold = GraphIndexes(model.graph).build_all()
     assert model.indexes.path._paths == cold.path._paths
     assert model.guide.equivalent_to(DataGuide(model.graph))

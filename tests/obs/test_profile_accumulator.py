@@ -2,8 +2,7 @@
 
 Three laws, one per section:
 
-* passing a profile never changes the answer -- every family, every
-  planner strategy;
+* passing a profile never changes the answer -- every family;
 * passing the *same* profile to two calls sums their counts (what the
   UnQL and Lorel evaluators rely on for their sub-queries);
 * the profile describes the run that answered -- a profiled ``find`` on a
@@ -28,7 +27,6 @@ from repro.lorel import evaluate_lorel, lorel_bindings, lorel_rows, parse_lorel
 from repro.obs import QueryProfile
 from repro.obs.export import to_json
 from repro.obs.profile import _COUNT_FIELDS
-from repro.planner import QueryPlanner
 from repro.service import InProcessHarness, QueryService
 from repro.unql import evaluate_query, parse_query, unql
 
@@ -68,24 +66,6 @@ def test_rpq_and_witnesses_answer_the_same_with_a_profile(g, pattern, frozen):
     assert rpq_witnesses(graph, pattern, profile=QueryProfile()) == rpq_witnesses(
         graph, pattern
     )
-
-
-@settings(deadline=None)
-@given(g=small_graphs(), pattern=st.sampled_from(PATTERNS))
-def test_planner_answers_the_same_with_a_profile_on_every_strategy(g, pattern):
-    planner = QueryPlanner(g)
-    expected = rpq_nodes(planner.graph, pattern)
-    for strategy in ("auto", "index", "guide", "mask", "kernel"):
-        profile = QueryProfile()
-        try:
-            answer = planner.rpq(pattern, strategy=strategy, profile=profile)
-        except ValueError:  # a forced route that does not apply to this pattern
-            with pytest.raises(ValueError):
-                planner.rpq(pattern, strategy=strategy)
-            continue
-        assert answer == expected == planner.rpq(pattern, strategy=strategy)
-        assert profile.engine == "planner-rpq" and profile.results == len(expected)
-    assert planner.witnesses(pattern, profile=QueryProfile()) == planner.witnesses(pattern)
 
 
 @settings(deadline=None)
@@ -145,7 +125,6 @@ def test_passing_the_same_profile_twice_sums_the_counts():
     g = generate_movies(20, seed=3)
     fg, db = g.freeze(), graph_to_oem(g)
     web = generate_web(30, seed=2)
-    planner = QueryPlanner(g)
     _sum_law(lambda p: rpq_nodes(fg, "Entry.Movie.Title", profile=p))
     _sum_law(lambda p: rpq_witnesses(g, "Entry._.Title", profile=p))
     _sum_law(lambda p: evaluate_query(parse_query(UNQL), {"db": g}, profile=p))
@@ -153,9 +132,6 @@ def test_passing_the_same_profile_twice_sums_the_counts():
     _sum_law(lambda p: lorel_bindings(parse_lorel(LOREL), db, profile=p))
     _sum_law(lambda p: find_value(fg, "Bogart", profile=p))
     _sum_law(lambda p: find_attribute_names(g, "Tit%", profile=p))
-    # (the index route; a planner's kernel routes run cached plans, whose
-    # ``dfa_states`` charge is by design what *this* run newly built)
-    _sum_law(lambda p: planner.rpq("Entry.Movie.Title", profile=p))
     _sum_law(
         lambda p: distributed_rpq(partition_graph(web, 3), "link*.keyword", profile=p)
     )
@@ -212,5 +188,3 @@ def test_no_twin_is_importable_from_any_package():
             if name.endswith(suffixes) or name == "GroupCommit":
                 offenders.append(f"{info.name}.{name}")
     assert not offenders
-    assert not hasattr(QueryPlanner, "rpq_profiled")
-    assert not hasattr(QueryPlanner, "witnesses_profiled")

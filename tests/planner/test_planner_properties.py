@@ -1,87 +1,16 @@
-"""Property tests: the planner is *observationally invisible*.
+"""Property tests: Lorel pushdown is *observationally invisible*.
 
-Whatever route the planner picks -- path index, DataGuide product,
-guide-masked kernel, plain kernel -- the answer must equal the direct
-kernel on the same snapshot, over arbitrary graphs and every guard
-shape (exact, alternation, closure, wildcard ``#``/``_``, negation,
-globs).  Same for Lorel: the index-seeded evaluator must equal the
-post-filtering one on arbitrary databases and where-clause bounds.
+The index-seeded evaluator must equal the post-filtering one on
+arbitrary databases and where-clause bounds.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.product import rpq_nodes, rpq_witnesses
 from repro.core.convert import OemView, oem_to_graph
 from repro.core.frozen import freeze
-from repro.core.graph import Graph
 from repro.core.oem import OemDatabase
 from repro.lorel import lorel, lorel_rows
-from repro.obs import QueryProfile
-from repro.planner import QueryPlanner
-
-#: Guard shapes including the unbounded live sets (``#``, ``_``, ``!a``,
-#: globs) where the guide mask is the only finite pruning available.
-PATTERNS = [
-    "a",
-    "a.b",
-    "a*",
-    "(a|b)*",
-    "a.b*",
-    "#.a",
-    "_.b",
-    "!a",
-    "(a.b)+",
-    "a.(!b)*.a",
-    "%a",
-    "a.#",
-]
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(2, 6))
-    g = Graph()
-    nodes = [g.new_node() for _ in range(n)]
-    g.set_root(nodes[0])
-    for _ in range(draw(st.integers(1, 10))):
-        g.add_edge(
-            draw(st.sampled_from(nodes)),
-            draw(st.sampled_from(["a", "b", "c", "ca"])),
-            draw(st.sampled_from(nodes)),
-        )
-    return g
-
-
-@given(small_graphs(), st.sampled_from(PATTERNS))
-@settings(max_examples=150, deadline=None)
-def test_prop_planner_routes_equal_direct_kernel(g, pattern):
-    planner = QueryPlanner(g)
-    expected = rpq_nodes(planner.graph, pattern)
-    for strategy in ("auto", "mask", "kernel"):
-        assert planner.rpq(pattern, strategy=strategy) == expected, strategy
-    if planner.guide is not None:
-        assert planner.rpq(pattern, strategy="guide") == expected
-
-
-@given(small_graphs(), st.sampled_from(PATTERNS))
-@settings(max_examples=100, deadline=None)
-def test_prop_masked_witnesses_equal_unmasked(g, pattern):
-    planner = QueryPlanner(g)
-    assert planner.witnesses(pattern) == rpq_witnesses(planner.graph, pattern)
-
-
-@given(small_graphs(), st.sampled_from(PATTERNS))
-@settings(max_examples=100, deadline=None)
-def test_prop_profiled_routes_equal_direct_kernel(g, pattern):
-    planner = QueryPlanner(g)
-    expected = rpq_nodes(planner.graph, pattern)
-    profile = QueryProfile()
-    results = planner.rpq(pattern, profile=profile)
-    assert results == expected
-    assert profile.results == len(expected)
-    witnesses = planner.witnesses(pattern, profile=QueryProfile())
-    assert witnesses == rpq_witnesses(planner.graph, pattern)
 
 
 @st.composite

@@ -135,10 +135,12 @@ def test_reordered_rows_come_out_in_written_order():
     assert lorel_rows(lorel_sql(text, db)) == written
 
 
-def test_as_dict_reports_extents_only_when_given():
+def test_as_dict_reports_the_counts():
     stats = stats_of(DATA)
-    assert "guide_states" not in stats.as_dict()
-    with_guide = GraphStatistics(1, 0, {}, extent_sizes=[2, 3])
-    described = with_guide.as_dict()
-    assert described["guide_states"] == 2
-    assert described["guide_extent_total"] == 5
+    g = from_obj(DATA)
+    assert stats.as_dict() == {
+        "nodes": g.num_nodes,
+        "edges": g.num_edges,
+        "distinct_labels": len(stats.label_counts),
+        "distinct_values": len(stats.value_counts),
+    }

@@ -14,11 +14,13 @@ import logging
 import pytest
 
 from repro.automata.product import rpq_nodes
+from repro.core.builder import to_obj
 from repro.core.graph import Graph
 from repro.datasets import generate_movies
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, SimulatedClock
 from repro.service import InProcessHarness, Overloaded, QueryService
+from repro.unql import unql
 
 
 def chain_graph(length: int = 60) -> Graph:
@@ -37,6 +39,24 @@ def service(graph=None, **kw) -> QueryService:
     # shared process-wide SERVICE_METRICS accumulating across the suite
     kw.setdefault("metrics", MetricsRegistry())
     return QueryService(graph if graph is not None else generate_movies(20, seed=11), **kw)
+
+
+class TickingClock(SimulatedClock):
+    """A simulated clock that moves ``tick`` seconds each time it is read,
+    so time passes inside one-shot work that never yields a step."""
+
+    def __init__(self, tick: float) -> None:
+        super().__init__()
+        self.tick = tick
+
+    def now(self) -> float:
+        self.advance(self.tick)
+        return super().now()
+
+
+#: an ``engine: "sql"`` closure whose statement runs for hundreds of
+#: progress-handler intervals on movies-200
+SQL_CLOSURE = "Entry.Movie.(References)*.Title"
 
 
 # -- the happy path, every engine --------------------------------------------------
@@ -66,6 +86,18 @@ class TestEngines:
              "query": r"select \t where {Entry: {Movie: {Title: \t}}} in db"}
         )
         assert response["status"] == "ok"
+
+    def test_unql_root_edges_walk_the_kernel(self) -> None:
+        """The served UnQL template answers from the kernel and leaves no
+        per-snapshot planner behind on the pinned snapshot."""
+        graph = generate_movies(200, seed=7)
+        svc = service(graph)
+        harness = InProcessHarness(svc)
+        query = r"select \t where {Entry.Movie.Title: \t} in db"
+        response = harness.run_one({"id": 1, "op": "unql", "query": query})
+        assert response["status"] == "ok"
+        assert response["result"] == to_obj(unql(query, db=graph))
+        assert "planner" not in svc.current_view().frozen._ext
 
     def test_find(self) -> None:
         svc = service()
@@ -145,6 +177,24 @@ class TestDeadlines:
         assert responses[2]["status"] == "deadline"
         assert responses[2]["result"] == []  # no work was done stale
 
+    def test_sql_statement_stops_at_the_deadline(self) -> None:
+        """An ``engine: "sql"`` statement checkpoints from sqlite's progress
+        handler: the deadline stops it at the first interval past expiry."""
+        svc = service(generate_movies(200, seed=7), clock=TickingClock(0.01))
+        harness = InProcessHarness(svc)
+        task = harness.submit(
+            {"id": 1, "op": "rpq", "query": SQL_CLOSURE, "engine": "sql", "deadline": 0.1}
+        )
+        response = harness.run()[1]
+        assert response["status"] == "deadline" and response["result"] == []
+        assert response["completeness"]["failures"][0]["kind"] == "deadline"
+        # each checkpoint reads the clock once, so it expires within ten
+        # intervals -- not the hundreds the statement needs
+        assert 0 < task.ticket.control.ops <= 10
+        plain = harness.run_one({"id": 2, "op": "rpq", "query": SQL_CLOSURE, "engine": "sql"})
+        assert plain["status"] == "ok"
+        assert plain["result"] == sorted(rpq_nodes(svc.frozen, SQL_CLOSURE))
+
     def test_no_deadline_runs_to_completion(self) -> None:
         svc = service(chain_graph(60))
         harness = InProcessHarness(svc, advance_per_step=1000.0)  # time is irrelevant
@@ -176,6 +226,25 @@ class TestBudgets:
         )
         assert response["status"] == "ok"
         assert len(response["result"]) == 31
+
+    def test_sql_statement_stops_at_the_budget(self) -> None:
+        """SQL ops are progress-handler intervals: ``budget: 1`` stops the
+        statement at the second one, and the answer is partial with no rows."""
+        svc = service(generate_movies(200, seed=7))
+        harness = InProcessHarness(svc)
+        task = harness.submit(
+            {"id": 1, "op": "rpq", "query": SQL_CLOSURE, "engine": "sql", "budget": 1}
+        )
+        response = harness.run()[1]
+        assert response["status"] == "partial" and response["reason"] == "budget"
+        assert response["result"] == []
+        assert task.ticket.control.ops == 2
+        # the handler went with the request: the image runs the statement
+        # to the end outside one, and the next request answers in full
+        expected = rpq_nodes(svc.frozen, SQL_CLOSURE)
+        assert svc.frozen._ext["sqlbackend"].rpq_nodes(SQL_CLOSURE) == expected
+        again = harness.run_one({"id": 2, "op": "rpq", "query": SQL_CLOSURE, "engine": "sql"})
+        assert again["status"] == "ok" and again["result"] == sorted(expected)
 
     def test_auto_engine_rpq_is_bounded(self) -> None:
         """``"engine": "auto"`` is the native stepper: it charges the budget

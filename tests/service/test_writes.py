@@ -197,7 +197,7 @@ class TestApply:
             harness = InProcessHarness(svc)
             harness.run_one({"id": 1, "op": "rpq", "query": "Entry"})  # a reader froze v0
             seen = harness.run_one({"id": 2, "op": "stats"})["result"]["graph"]
-            assert seen["snapshot_id"] == store.view().frozen.snapshot_id
+            assert seen["version"] == store.view().version == 0
             harness.run_one(add_movie_request(3, store.graph.root, "Laura"))
             before = len(freezes)
             stats = harness.run_one({"id": 4, "op": "stats"})["result"]
@@ -205,7 +205,7 @@ class TestApply:
             assert stats["graph"] == {
                 "nodes": store.graph.num_nodes,
                 "edges": store.graph.num_edges,
-                "snapshot_id": None,  # nobody has read version 1 yet
+                "version": None,  # nobody has read version 1 yet
             }
             assert stats["store"]["edges"] == store.graph.num_edges
             assert {"hits", "misses"} <= set(stats["plan_cache"])

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.automata.product import rpq_nodes
 from repro.core.frozen import freeze
 from repro.core.graph import Graph
 from repro.core.oem import OemDatabase
 from repro.datasets import figure1
 from repro.datasets.relational_data import generate_catalog
 from repro.lorel import lorel, lorel_rows, parse_lorel
-from repro.planner import planner_for
 from repro.schema.dataguide import DataGuide
 from repro.sqlbackend import (
     NotCompilable,
@@ -65,9 +65,7 @@ class TestWideEncoding:
         backend = SqlBackend(fg, guide=DataGuide(fg))
         plan = backend.compile("A.m1.x")
         assert plan.kind == "wide"
-        assert backend.rpq_nodes("A.m1.x") == planner_for(fg).rpq(
-            "A.m1.x", strategy="kernel"
-        )
+        assert backend.rpq_nodes("A.m1.x") == rpq_nodes(fg, "A.m1.x")
 
     def test_wide_plan_on_relational_sample(self):
         """The fully record-shaped bridge dataset compiles wide."""
@@ -75,12 +73,9 @@ class TestWideEncoding:
 
         fg = freeze(relational_to_graph(generate_catalog(20, 10, seed=2)))
         backend = SqlBackend(fg, guide=DataGuide(fg))
-        planner = planner_for(fg)
         for pattern in ("Movies.tuple.title", "Casts.tuple.actor"):
             assert backend.compile(pattern).kind == "wide"
-            assert backend.rpq_nodes(pattern) == planner.rpq(
-                pattern, strategy="kernel"
-            )
+            assert backend.rpq_nodes(pattern) == rpq_nodes(fg, pattern)
 
 
 class TestSqlBackendFacade:

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.automata.product import rpq_nodes
 from repro.core.frozen import freeze
 from repro.core.graph import Graph
 from repro.core.oem import OemDatabase
 from repro.lorel.ast import LorelQuery, PathOperand, SelectItem
-from repro.planner import planner_for
 from repro.sqlbackend import NotCompilable, SqlBackend, compile_lorel, lorel_sql
 from repro.sqlbackend.compiler import MAX_IN_LIST
 
@@ -63,7 +63,7 @@ def test_unconstrained_wildcard_is_fine(wide_vocab_graph):
     """``#`` matches the *whole* vocabulary: no IN-list, no cap."""
     fg = freeze(wide_vocab_graph)
     backend = SqlBackend(fg)
-    assert backend.rpq_nodes("#") == planner_for(fg).rpq("#", strategy="kernel")
+    assert backend.rpq_nodes("#") == rpq_nodes(fg, "#")
 
 
 def test_lorel_unknown_base_reason():
@@ -93,16 +93,6 @@ def test_not_compilable_is_a_value_error():
     assert "vocabulary" in str(exc)
 
 
-def test_planner_auto_falls_back(wide_vocab_graph):
-    """The planner answers natively what the SQL engine refuses."""
-    fg = freeze(wide_vocab_graph)
-    planner = planner_for(fg)
-    native = planner.rpq("x%", strategy="kernel")
-    assert planner.rpq("x%", strategy="auto") == native
-    with pytest.raises(NotCompilable):
-        SqlBackend(fg).rpq_nodes("x%")  # asked for by name, SQL refuses loudly
-
-
 _CAP_PATTERNS = st.sampled_from(
     [
         "x%",  # over the IN-list cap
@@ -124,7 +114,7 @@ _CAP_PATTERNS = st.sampled_from(
 def test_fuzz_refuse_or_agree(wide_vocab_graph, pattern):
     """The trichotomy: agreement, or typed refusal + native answer."""
     fg = freeze(wide_vocab_graph)
-    native = planner_for(fg).rpq(pattern, strategy="kernel")
+    native = rpq_nodes(fg, pattern)
     try:
         via_sql = SqlBackend(fg).rpq_nodes(pattern)
     except NotCompilable as exc:

@@ -1,7 +1,7 @@
-"""The SQL backend's reach: planner, service, CLI, parity.
+"""The SQL backend's reach: native engines, service, CLI, parity.
 
-The backend is served only when asked for by name -- the planner never
-consults it, the service only on ``"engine": "sql"``, the CLI only
+The backend is served only when asked for by name -- the native engines
+never consult it, the service only on ``"engine": "sql"``, the CLI only
 under ``--engine sql``; ``auto`` is an alias of ``native`` everywhere --
 and the pinned golden profiles must stay byte-identical whether or not
 a backend exists anywhere in the process.
@@ -19,26 +19,24 @@ from repro.datasets import figure1, generate_movies, generate_web
 from repro.lorel import evaluate_lorel, parse_lorel
 from repro.obs import QueryProfile
 from repro.obs.metrics import MetricsRegistry
-from repro.planner import planner_for
 from repro.service.server import QueryService
 from repro.sqlbackend import lorel_sql_backend_for, sql_backend_for
-from repro.unql import evaluate_query, parse_query
+from repro.unql import evaluate_query, parse_query, unql
 
 
-class TestPlannerRoute:
-    """The planner has no SQL strategy: no route of it builds an image."""
+class TestNativeRoute:
+    """The native engines have no SQL route: none of them builds an image."""
 
-    def test_auto_never_routes_sql_unattached(self):
+    def test_native_engines_never_build_an_image(self):
         fg = freeze(generate_web(25, seed=4))
-        planner = planner_for(fg)
-        planner.rpq("link.title", strategy="auto")
-        assert "sqlbackend" not in fg._ext and "sql" not in planner.describe()
+        rpq_nodes(fg, "link.title")
+        unql(r"select \t where {link.title: \t} in db", db=fg)
+        assert "sqlbackend" not in fg._ext
 
-    def test_auto_keeps_closures_native(self):
+    def test_root_unql_edges_walk_the_kernel(self):
         fg = freeze(generate_web(25, seed=4))
-        planner = planner_for(fg)
-        native = planner.rpq("link*.title", strategy="kernel")
-        assert planner.rpq("link*.title", strategy="auto") == native
+        answer = unql(r"select {t: \t} where {link*.title: \t} in db", db=fg)
+        assert answer.out_degree(answer.root) == len(rpq_nodes(fg, "link*.title"))
         assert "sqlbackend" not in fg._ext
 
 
@@ -52,7 +50,6 @@ class TestGoldenProfileParity:
 
     def _attach_everything(self, graph):
         fg = freeze(graph)
-        planner_for(fg)
         sql_backend_for(fg)
         lorel_sql_backend_for(graph_to_oem(graph))
 

@@ -39,7 +39,6 @@ from repro.core.labels import integer, string, sym
 from repro.index.probes import ProbeIndex, probes_for
 from repro.lorel import lorel, lorel_rows
 from repro.obs import QueryProfile
-from repro.planner import planner_for
 from repro.service.server import QueryService
 from repro.sqlbackend import NotCompilable, SqlBackend, sql_backend_for
 from repro.storage import STORAGE_METRICS, AddEdge, AddNode, SetRoot, VersionedGraphStore
@@ -312,15 +311,14 @@ def test_a_retired_backend_never_serves_a_later_version(tmp_path: Path) -> None:
 
 
 def test_a_commit_keeps_only_the_image_it_can_carry(tmp_path: Path) -> None:
-    """The retired snapshot's planner and SQL image go at the commit; its
+    """The retired snapshot's SQL image goes at the commit; its
     probe index waits for the next view, which carries it away."""
     store, shadow = movie_store(tmp_path / "s")
     with store:
         v0 = store.view().frozen
         sql_backend_for(v0)
-        planner_for(v0)
         where_is(v0, "Vertigo")
-        assert set(v0._ext) == {"sqlbackend", "planner", "probes"}
+        assert set(v0._ext) == {"sqlbackend", "probes"}
         add_movie(store, shadow, "Psycho")
         assert set(v0._ext) == {"probes"}
         assert set(store.view().frozen._ext) == {"probes"}

@@ -317,7 +317,7 @@ def test_counts_are_reported_without_building_a_snapshot(
         stats = InProcessHarness(QueryService(store=store)).run_one({"id": 1, "op": "stats"})
         graph = stats["result"]["graph"]
         assert {"nodes": graph["nodes"], "edges": graph["edges"]} == expected
-        assert graph["snapshot_id"] is None
+        assert graph["version"] is None
     assert cli_main(["recover", str(tmp_path / "store")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert {"nodes": report["nodes"], "edges": report["edges"]} == expected

@@ -104,12 +104,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cyclic: True" in out
         assert "labels[symbol]" in out
+        assert "statistics[distinct_labels]" in out
 
     def test_stats_json_carries_three_metric_sections(self, binary_db, capsys):
         assert main(["stats", binary_db, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        metric_sections = set(payload) - {"nodes", "edges", "cyclic", "labels", "planner", "indexes"}
+        metric_sections = set(payload) - {"nodes", "edges", "cyclic", "labels", "statistics"}
         assert metric_sections == {"storage", "plan_cache", "service"}
+        statistics = payload["statistics"]
+        assert (statistics["nodes"], statistics["edges"]) == (payload["nodes"], payload["edges"])
 
     def test_stats_json_counts_coreach_walks(self, json_db, capsys):
         assert main(["stats", json_db, "--json"]) == 0
