@@ -154,6 +154,10 @@ class LazyDfa:
         """
         return self._intern(frozenset())
 
+    @property
+    def has_dead_state(self) -> bool:
+        return frozenset() in self._state_ids
+
     def is_dead(self, state: int) -> bool:
         """True iff the state is the empty subset: no continuation can match."""
         return not self._subsets[state]

@@ -13,13 +13,12 @@ resumable, level-synchronous traversal of the product that a server can
 stop between supersteps (deadline, budget, cancellation); its levels are
 those of a FIFO BFS.
 
-**Two layouts.**  It has two edge-scanning bodies because there are two
-graph layouts.  Over anything that serves ``edges_from`` (a plain
-:class:`~repro.core.graph.Graph`, an :class:`~repro.storage.external.
-ExternalGraph`, an OEM database's children) it expands ``(node, dfa state)`` configs one by one in
-FIFO order, scanning every out-edge -- the reference traversal the golden
-profiles pin, and the one witness walks run on either layout, because
-their tie-breaks are FIFO discovery order.  Over a
+**Two layouts.**  Over anything that serves ``edges_from`` (a
+:class:`~repro.core.graph.Graph`, an ``ExternalGraph``, an OEM
+database's children) the walk expands ``(node, dfa state)`` configs one
+by one in FIFO order, scanning every out-edge -- the reference traversal
+the golden profiles pin, and the one witness walks run on either layout,
+because their tie-breaks are FIFO discovery order.  Over a
 :class:`~repro.core.frozen.FrozenGraph` it is *label-pruned* and *grouped
 by DFA state*: a walk's frontier and explored set are ``{state: nodes}``,
 so what depends only on the state -- which exact labels can advance it
@@ -36,6 +35,13 @@ results -- and, via :meth:`LazyDfa.ensure_dead_state`, the profiled
 number its states differently from a plan first walked on the other;
 how many it builds cannot differ.
 
+**Two directions** (Beamer et al.'s direction-optimising BFS).  Per
+state and walk, a CSR superstep *pushes* through its frontier's label
+runs, or -- live set exact, probe index built -- *pulls* from the live
+labels' carried edge lists when those hold, setup included, no more
+edges than the frontier has nodes and runs.  Either side interns the dead state exactly when a
+frontier node carries a label that is not live.
+
 **Co-reachable pruning.**  A repeating wildcard (``_*."Bogart"``)
 defeats label pruning.  When every accepted path ends on an exact label
 (:meth:`LazyDfa.final_labels`), such a walk expands only the nodes with
@@ -49,11 +55,9 @@ agree on ``seen``, ``supersteps`` and the profile counts.
 **Drivers.**  Every other entry point runs the stepper to completion and
 reads a different part of its state: :func:`product_bfs` (matches plus
 every explored config), :func:`rpq_nodes` (which, handed a ``profile``,
-counts those configs *after* the walk), :func:`rpq_nodes_many` (many origins in one
-stepper: plan, transition cache and live-label cache are paid once per
-pattern, not once per source; Lorel walks each path operand for all its
-environments through it) and :func:`rpq_witnesses` (the parents map,
-recorded under insertion-ordered scans).
+counts those configs *after* the walk), :func:`rpq_nodes_many` (many
+origins, one plan: Lorel walks each path operand for all its
+environments through it) and :func:`rpq_witnesses` (the parents map).
 
 The one other runtime builds on :func:`ordered_edge_indices` (label-pruned,
 insertion-ordered edge scans): :mod:`repro.distributed.decompose` schedules
@@ -98,6 +102,7 @@ __all__ = [
 
 _COREACH_WALKS = PLAN_METRICS.counter("coreach_walks")
 _COREACH_NODES = PLAN_METRICS.counter("coreach_nodes")
+_LABEL_SIDE_STATES = PLAN_METRICS.counter("label_side_states")
 
 
 def compile_rpq(
@@ -247,6 +252,22 @@ def ordered_edge_indices(fg: FrozenGraph, dfa: LazyDfa, state: int, pos: int, li
     return [i for r in kept for i in range(fg.run_start[r], fg.run_start[r + 1])]
 
 
+#: A pull's fixed cost per live label, in edges read, and the least frontier
+#: that pulls (Figure 1's walks broke even between 16 and 32).
+_PULL_SETUP = 32
+
+
+def _pull_pays(probes, live: "frozenset[int]", positions, run_off) -> bool:
+    """Whether the live labels' edges, setup included, are no more than the
+    frontier's nodes plus label runs (counted only until they catch up)."""
+    excess = probes.label_count(live) + _PULL_SETUP * len(live) - len(positions)
+    for pos in positions if excess > 0 else ():
+        excess -= run_off[pos + 1] - run_off[pos]
+        if excess <= 0:
+            break
+    return excess <= 0
+
+
 # -- co-reachability: the region a wildcard walk expands --------------------------
 
 
@@ -360,9 +381,9 @@ class RpqStepper:
     -- which is what makes the :class:`~repro.resilience.Completeness`
     contract attachable to a half-run query.
 
-    ``ops`` counts edges scanned *on the serving layout*: the frozen
-    kernel's label pruning skips edges a plain scan would touch, so a
-    budget is a bound on actual work done, not on the logical graph.  A
+    ``ops`` counts the edges examined *on the side that ran* (a push skips
+    edges a plain scan would touch, a pull reads every edge of its live
+    labels), so a budget bounds actual work, not the logical graph.  A
     walk pruned to a co-reachable region adds, in its first superstep,
     the in-edges read to find the region -- once per origin, so a
     many-origin stepper costs what its walks would cost one by one.
@@ -453,7 +474,7 @@ class RpqStepper:
         self.ops = 0
         self._trans: dict[int, dict[int, int]] = {}
         self._live_cache: dict = {}
-        self._dead_interned = False
+        self._dead_interned = dfa.has_dead_state
         self._final = coreach_labels(graph, dfa)
         self._coreach: "set[int] | None" = None
 
@@ -561,12 +582,14 @@ class RpqStepper:
         """One label-pruned superstep over the CSR layout, state by state.
 
         Per state: its live label ids and transition row (label id ->
-        next state, ``-1`` dead).  Per node: its label runs.  Per run: a
-        live test, and the row entry and target sets only when its label
-        differs from the last run's.  Per edge: a ``targets`` read, an
-        int-set probe, an add, an append.  A row entry is resolved only
-        once a node carries the label and the dead state interned only
-        once a run is skipped -- exactly the DFA states a full scan builds.
+        next state, ``-1`` dead), then a side: :meth:`_pull` where
+        :func:`_pull_pays` says so, else a push.  Per node: its
+        label runs.  Per run: a live test, and the row entry and target
+        sets only when its label differs from the last run's.  Per edge:
+        a ``targets`` read, an int-set probe, an add, an append.  On either
+        side a row entry is resolved only once a frontier node carries the
+        label and the dead state interned only once one carries a label
+        that is not live -- exactly the DFA states a full scan builds.
         """
         fg: FrozenGraph = self.graph  # type: ignore[assignment]
         index, coreach = fg.index, self._coreach
@@ -582,9 +605,15 @@ class RpqStepper:
                 if live is not None and not live and self._dead_interned:
                     continue  # no label steps on from here: nothing to scan
                 row = rows.setdefault(state, {})
+                positions = nodes if index is None else [index[node] for node in nodes]
+                if live is not None and len(positions) >= _PULL_SETUP:
+                    probes = fg._ext.get("probes")  # pulled from only once a probe built it
+                    if probes and probes.built and _pull_pays(probes, live, positions, run_off):
+                        ops += self._pull(probes, live, positions, state, row, seen, grown)
+                        continue
                 skipped = False
                 last = current = reached = out = None
-                for pos in nodes if index is None else map(index.__getitem__, nodes):
+                for pos in positions:
                     for r in range(run_off[pos], run_off[pos + 1]):
                         lid = run_lid[r]
                         if live is not None and lid not in live:
@@ -631,6 +660,35 @@ class RpqStepper:
                 nxt_frontier.append((origin, results, seen, todo))
         self.ops += ops
         self._frontier = nxt_frontier
+
+    def _pull(self, probes, live, positions, state: int, row: dict, seen: dict, grown: dict) -> int:
+        """One state's superstep from its live labels' carried edge lists; returns
+        the edges read.  A frontier node carries a label that is not live exactly
+        when the frontier's out-degree exceeds the edges kept."""
+        at = set(positions)
+        ops = kept = 0
+        for lid in live:
+            read, dsts = probes.label_targets(lid, at)
+            ops += read
+            kept += len(dsts)
+            if not dsts:
+                continue
+            nxt = row.get(lid)
+            if nxt is None:  # never dead: a live label is an exact guard's
+                nxt = self._transition(row, state, lid)
+            reached = seen.get(nxt)
+            if reached is None:
+                seen[nxt] = new = set(dsts)
+            else:
+                new = set(dsts).difference(reached)
+                reached |= new
+            grown.setdefault(nxt, []).extend(new)
+        offsets = self.graph.offsets
+        if not self._dead_interned and kept < sum(offsets[p + 1] - offsets[p] for p in positions):
+            self.dfa.ensure_dead_state()
+            self._dead_interned = True
+        _LABEL_SIDE_STATES.inc()
+        return ops
 
     def _transition(self, row: dict, state: int, lid: int) -> int:
         """Resolve ``row[lid]``: ``state``'s successor on label id ``lid``."""

@@ -110,10 +110,6 @@ class LabelIndex:
         return len(self._by_label.get(label, ()))
 
     @property
-    def num_distinct_labels(self) -> int:
-        return len(self._by_label)
-
-    @property
     def num_edges(self) -> int:
         return self._edge_count
 

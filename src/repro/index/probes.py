@@ -62,6 +62,9 @@ FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _SHIFT = 32
 _SLOT = (1 << _SHIFT) - 1
 
+# module globals: a member read through the class costs about ten of them
+_INT, _REAL, _STRING = LabelKind.INT, LabelKind.REAL, LabelKind.STRING
+
 
 class _Keyspace:
     """Label ids sorted by one key each; :meth:`where` is a bisect.
@@ -101,9 +104,9 @@ class _Keyspace:
 def _keys(label: Label) -> "list[tuple[str, object]]":
     """The ``(keyspace, key)`` entries of one label (none for NaN or a bool)."""
     kind, value = label.kind, label.value
-    if kind is LabelKind.INT or kind is LabelKind.REAL:
+    if kind is _INT or kind is _REAL:
         return [("numbers", value)] if value == value else []
-    if kind is not LabelKind.STRING:
+    if kind is not _STRING:
         return []
     number = parse_number(value)
     if number is None or number != number:
@@ -191,6 +194,12 @@ class _Grouped:
     def add(self, key: int, entry: int) -> None:
         self.extra.setdefault(key, array("q")).append(entry)
 
+    def count(self, key: int) -> int:
+        """``len(self[key])``, copying nothing."""
+        starts, more = self.starts, self.extra.get(key)
+        flat = starts[key + 1] - starts[key] if key + 1 < len(starts) else 0
+        return flat + len(more) if more else flat
+
 
 class ProbeIndex:
     """Reverse adjacency, per-label edge lists and value table of a snapshot.
@@ -219,6 +228,24 @@ class ProbeIndex:
     @property
     def values(self) -> ValueTable:
         return self._parts()[2]
+
+    @property
+    def built(self) -> bool:
+        """Whether the structures exist (asking builds nothing)."""
+        return self._into is not None
+
+    def label_count(self, lids: "Iterable[int]") -> int:
+        """How many edges carry one of the label ids ``lids``; copies nothing."""
+        return sum(map(self._parts()[1].count, lids))
+
+    def label_targets(self, lid: int, sources: "set[int]") -> "tuple[int, list[int]]":
+        """The entries read for label id ``lid``, and the targets of its
+        edges whose source *position* is in ``sources``."""
+        entries = self._parts()[1][lid]
+        offsets, targets = self.fg.offsets, self.fg.targets
+        return len(entries), [
+            targets[offsets[p] + (e & _SLOT)] for e in entries if (p := e >> _SHIFT) in sources
+        ]
 
     def _edge_ids(self, entries: array) -> list[int]:
         offsets = self.fg.offsets

@@ -23,6 +23,8 @@ from ..core.labels import Label, LabelKind
 
 __all__ = ["ValueIndex"]
 
+_STRING, _NUMBERS = LabelKind.STRING, (LabelKind.INT, LabelKind.REAL)
+
 
 class ValueIndex:
     """Sorted + hashed access to every base-data label in a graph.
@@ -43,9 +45,9 @@ class ValueIndex:
                 if label.is_symbol:
                     continue
                 self._exact.setdefault(label, []).append(edge)
-                if label.kind in (LabelKind.INT, LabelKind.REAL):
+                if label.kind in _NUMBERS:
                     numbers.append((float(label.value), edge))
-                elif label.kind is LabelKind.STRING:
+                elif label.kind is _STRING:
                     strings.append((str(label.value), edge))
         numbers.sort(key=lambda pair: pair[0])
         strings.sort(key=lambda pair: pair[0])
@@ -73,12 +75,12 @@ class ValueIndex:
             if label.is_symbol:
                 continue
             self._exact.setdefault(label, []).append(edge)
-            if label.kind in (LabelKind.INT, LabelKind.REAL):
+            if label.kind in _NUMBERS:
                 key = float(label.value)
                 at = bisect.bisect_right(self._number_keys, key)
                 self._number_keys.insert(at, key)
                 self._number_edges.insert(at, edge)
-            elif label.kind is LabelKind.STRING:
+            elif label.kind is _STRING:
                 key = str(label.value)
                 at = bisect.bisect_right(self._string_keys, key)
                 self._string_keys.insert(at, key)

@@ -155,10 +155,6 @@ class DataGuide:
     def num_states(self) -> int:
         return len(self._states)
 
-    @property
-    def num_transitions(self) -> int:
-        return sum(len(t) for t in self._transitions)
-
     def target_set(self, path: tuple[Label, ...]) -> frozenset[int]:
         """Database nodes reached by ``path`` (empty when path absent).
 

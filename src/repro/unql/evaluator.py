@@ -63,6 +63,9 @@ class UnqlRuntimeError(ValueError):
 #: of query history.
 _PLAN_CACHE = PlanCache(name="unql_plan_cache")
 
+#: A type test's function (``isint`` ... ``issymbol``) -> the kind it holds for
+_TYPE_TESTS = {f"is{kind.value}": kind for kind in LabelKind}
+
 
 @dataclass(frozen=True)
 class _TreeBinding:
@@ -347,13 +350,7 @@ def _check_condition(cond: Condition, env: dict[str, object]) -> bool:
             label = bound
             if cond.func == "isleaf":
                 return False
-        return {
-            "isint": label.kind is LabelKind.INT,
-            "isreal": label.kind is LabelKind.REAL,
-            "isstring": label.kind is LabelKind.STRING,
-            "isbool": label.kind is LabelKind.BOOL,
-            "issymbol": label.kind is LabelKind.SYMBOL,
-        }.get(cond.func, False)
+        return label.kind is _TYPE_TESTS.get(cond.func)
     raise UnqlRuntimeError(f"unknown condition {cond!r}")
 
 

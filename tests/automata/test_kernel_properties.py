@@ -21,13 +21,20 @@ pruned traversal onto its full-scan fallback):
 * the co-reachable prune: a repeated-wildcard walk expands only nodes
   that can still reach a final label, and answers exactly what
   ``naive_rpq`` does -- on both layouts and on a derived snapshot with
-  gaps in its ids, whose probe index was carried across the commit.
+  gaps in its ids, whose probe index was carried across the commit;
+* the two directions: forced to pull from the probe index's per-label
+  edge lists or to push through label runs, a CSR walk equals the FIFO
+  walk on a dense snapshot, an indexed one, and one whose index was
+  carried, and builds the DFA states a full scan builds.
 """
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata import product
 from repro.automata.plan_cache import PlanCache
 from repro.automata.product import (
     RpqStepper,
@@ -531,3 +538,116 @@ def test_prop_pruned_walks_answer_what_naive_enumeration_does(gc, pattern):
             assert not path or (path[0].src, path[-1].dst) == (g.root, node)
     # ties break by edge order, which the derivation keeps per source
     assert rpq_witnesses(derived, pattern) == rpq_witnesses(ordered, pattern)
+
+
+# -- the two directions of a superstep ------------------------------------------------
+#
+# Over a snapshot whose probe index is built, an exact-label state may pull
+# from the index's per-label entry lists instead of pushing through its
+# frontier's label runs.  The pull's setup cost ``_PULL_SETUP`` weighs the
+# decision: set far below or above any count, it forces every exact-label
+# state onto one side, so each side is held to the FIFO ``edges_from``
+# walk on its own.
+
+
+@contextmanager
+def forced(side):
+    """Every exact-label state takes ``side``: ``"pull"`` or ``"push"``."""
+    setup = product._PULL_SETUP
+    product._PULL_SETUP = -(10**9) if side == "pull" else 10**9
+    try:
+        yield
+    finally:
+        product._PULL_SETUP = setup
+
+
+def dense_copy(g):
+    """``g`` with its nodes renumbered ``0..n-1``, edge order kept."""
+    ids = {node: i for i, node in enumerate(g.nodes())}
+    dense = Graph()
+    for i in ids.values():
+        dense.ensure_node(i)
+    for edge in g.edges():
+        dense.add_edge(ids[edge.src], edge.label, ids[edge.dst])
+    dense.set_root(ids[g.root])
+    return dense
+
+
+def indexed_snapshots(g, keep, cut):
+    """The three snapshot kinds a pull reads, each with its probe index
+    built: a dense cold freeze; a derivation (gaps in its ids, so indexed
+    positions) whose index is built cold, every entry in the flat part; and
+    the same derivation with its base's index carried, the commit's entries
+    in the overflow."""
+    dense = freeze(dense_copy(g))
+    cold, _ = derived_snapshot(g, keep, cut)
+    carried, _ = derived_snapshot(g, keep, cut)
+    del cold._ext["probes"]
+    for fg in (dense, cold):
+        probes_for(fg).values
+    return dense, cold, carried
+
+
+SIDES = ("pull", "push")
+
+
+@given(gapped_graphs(), st.sampled_from(PATTERNS))
+@settings(max_examples=150, deadline=None)
+def test_prop_pull_equals_push_equals_the_edges_from_walk(gc, pattern):
+    for fg in indexed_snapshots(*gc):
+        dfa = compile_rpq(pattern)  # shared: seen holds the plan's state numbers
+        fifo = RpqStepper._over(fg, dfa, [fg.root], parents=True)  # the FIFO body
+        fifo.run()
+        for side in SIDES:
+            with forced(side):
+                walk = run_to_end(fg, dfa)
+            assert walk.results == fifo.results
+            assert walk.seen == fifo.seen
+            assert walk.supersteps == fifo.supersteps
+        # on plans of their own, both sides build the states the full scan builds
+        fresh = compile_rpq(pattern)
+        RpqStepper._over(fg, fresh, [fg.root], parents=True).run()
+        for side in SIDES:
+            plan = compile_rpq(pattern)
+            with forced(side):
+                run_to_end(fg, plan)
+            assert plan.num_materialized_states == fresh.num_materialized_states
+
+
+@given(gapped_graphs(), st.sampled_from(PATTERNS))
+@settings(max_examples=60, deadline=None)
+def test_prop_either_side_keeps_the_many_origin_ops_sum(gc, pattern):
+    for fg in indexed_snapshots(*gc):
+        dfa = compile_rpq(pattern)
+        origins = list(fg.nodes())
+        for side in SIDES:
+            with forced(side):
+                many = RpqStepper._over(fg, dfa, origins)
+                many.run()
+                singles = [RpqStepper(fg, dfa, origin) for origin in origins]
+                for single in singles:
+                    single.run()
+            assert many.ops == sum(single.ops for single in singles)
+            assert rpq_nodes_many(fg, dfa, origins) == {s.origin: s.results for s in singles}
+
+
+def test_a_pull_reads_the_live_labels_entries_and_counts_them():
+    """A pulling state reads every entry of its live labels, its frontier's
+    or not, and counts them as its ops; pushing, it reads its frontier's
+    live runs."""
+    g = Graph()
+    root, a, b, c = (g.new_node() for _ in range(4))
+    g.set_root(root)
+    g.add_edge(root, "a", a)
+    g.add_edge(a, "b", b)
+    g.add_edge(c, "b", b)  # a ``b`` edge off the frontier
+    g.add_edge(c, "b", a)
+    fg = g.freeze()
+    probes_for(fg).values
+    ops = {}
+    for side in SIDES:
+        with forced(side):
+            walk = run_to_end(fg, compile_rpq("a.b"))
+        assert walk.results == {b}
+        ops[side] = walk.ops
+    assert ops == {"pull": 1 + 3, "push": 1 + 1}

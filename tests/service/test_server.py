@@ -13,6 +13,7 @@ import logging
 
 import pytest
 
+from repro.automata.plan_cache import PLAN_METRICS
 from repro.automata.product import rpq_nodes
 from repro.core.builder import to_obj
 from repro.core.graph import Graph
@@ -20,6 +21,7 @@ from repro.datasets import generate_movies
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, SimulatedClock
 from repro.service import InProcessHarness, Overloaded, QueryService
+from repro.storage.serializer import STORAGE_METRICS
 from repro.unql import unql
 
 
@@ -98,6 +100,26 @@ class TestEngines:
         assert response["status"] == "ok"
         assert response["result"] == to_obj(unql(query, db=graph))
         assert "planner" not in svc.current_view().frozen._ext
+
+    def test_a_chain_rpq_pulls_only_from_a_probe_index_a_find_built(self) -> None:
+        """On a cold snapshot an exact chain pushes and builds nothing; once a
+        ``find`` has built the probe index, the same chain takes the label
+        side for some of its states and answers the same."""
+        graph = generate_movies(200, seed=7)
+        harness = InProcessHarness(service(graph))
+        built = STORAGE_METRICS.counter("probe_index_built")
+        pulled = PLAN_METRICS.counter("label_side_states")
+        before = (built.value, pulled.value)
+        request = {"id": 1, "op": "rpq", "query": "Entry.Movie.Title"}
+        cold = harness.run_one(request)
+        assert cold["result"] == sorted(rpq_nodes(graph, "Entry.Movie.Title"))
+        assert (built.value, pulled.value) == before
+        assert harness.run_one({"id": 2, "op": "find", "query": '"Bogart"'})["status"] == "ok"
+        assert built.value == before[0] + 1
+        warm = harness.run_one({**request, "id": 3})
+        assert warm["result"] == cold["result"]
+        assert warm["supersteps"] == cold["supersteps"]
+        assert pulled.value > before[1]
 
     def test_find(self) -> None:
         svc = service()
