@@ -15,7 +15,6 @@ from .plan_cache import DEFAULT_PLAN_CACHE, PLAN_METRICS, PlanCache, cached_comp
 from .product import (
     compile_rpq,
     naive_rpq,
-    ordered_edge_indices,
     product_bfs,
     rpq_nodes,
     rpq_nodes_many,
@@ -64,7 +63,6 @@ __all__ = [
     "LazyDfa",
     "compile_rpq",
     "product_bfs",
-    "ordered_edge_indices",
     "rpq_nodes",
     "rpq_nodes_many",
     "rpq_witnesses",

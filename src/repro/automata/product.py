@@ -17,8 +17,9 @@ those of a FIFO BFS.
 :class:`~repro.core.graph.Graph`, an ``ExternalGraph``, an OEM
 database's children) the walk expands ``(node, dfa state)`` configs one
 by one in FIFO order, scanning every out-edge -- the reference traversal
-the golden profiles pin, and the one witness walks run on either layout,
-because their tie-breaks are FIFO discovery order.  Over a
+the golden profiles pin, and the one witness walks run on either layout
+through ``edges_from``, because their tie-breaks are FIFO discovery
+order.  Over a
 :class:`~repro.core.frozen.FrozenGraph` it is *label-pruned* and *grouped
 by DFA state*: a walk's frontier and explored set are ``{state: nodes}``,
 so what depends only on the state -- which exact labels can advance it
@@ -59,16 +60,16 @@ counts those configs *after* the walk), :func:`rpq_nodes_many` (many
 origins, one plan: Lorel walks each path operand for all its
 environments through it) and :func:`rpq_witnesses` (the parents map).
 
-The one other runtime builds on :func:`ordered_edge_indices` (label-pruned,
-insertion-ordered edge scans): :mod:`repro.distributed.decompose` schedules
-configurations per site rather than per level and loops over it itself,
-with the same :class:`LazyDfa` every other driver walks.
+The one other runtime, :mod:`repro.distributed.decompose`, schedules
+configurations per site rather than per level and scans each node's
+block in insertion order itself, with the same :class:`LazyDfa` every
+other driver walks.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from ..core.frozen import FrozenGraph
 from ..core.graph import Edge, Graph, GraphError
@@ -92,7 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "compile_rpq",
     "product_bfs",
-    "ordered_edge_indices",
     "rpq_nodes",
     "rpq_nodes_many",
     "RpqStepper",
@@ -223,33 +223,6 @@ def _live_label_ids(
         ids = frozenset(label_index[lab] for lab in live if lab in label_index)
     cache[state] = ids
     return ids
-
-
-def ordered_edge_indices(fg: FrozenGraph, dfa: LazyDfa, state: int, pos: int, live_cache: dict):
-    """The edge indices of the node at ``pos`` worth scanning from ``state``.
-
-    Pruned to the state's live labels (the node's label runs say which
-    edges that keeps), but always yielded in *edge insertion order* --
-    the order a plain-graph scan uses -- so order-sensitive consumers
-    (witness tie-breaking, the distributed BSP message schedule) behave
-    identically on both layouts: a partial keep lists the kept runs'
-    edge indices.  Skipping any edge interns the dead state, keeping
-    profiled state counts aligned with the full scan that would have
-    stepped into it.
-    """
-    offsets = fg.offsets
-    begin, end = offsets[pos], offsets[pos + 1]
-    if begin == end:
-        return ()
-    live = _live_label_ids(fg, dfa, state, live_cache)
-    if live is None:
-        return range(begin, end)
-    first, stop = fg.run_off[pos], fg.run_off[pos + 1]
-    kept = [r for r in range(first, stop) if fg.run_lid[r] in live]
-    if len(kept) == stop - first:
-        return range(begin, end)
-    dfa.ensure_dead_state()
-    return [i for r in kept for i in range(fg.run_start[r], fg.run_start[r + 1])]
 
 
 #: A pull's fixed cost per live label, in edges read, and the least frontier
@@ -535,19 +508,17 @@ class RpqStepper:
         return self.results
 
     def _expand_edges(self) -> None:
-        """One superstep, config by config in FIFO order: any graph, through
-        ``edges_from`` -- or, a witness walk over the CSR layout, through
-        the pruned insertion-ordered scans of :func:`ordered_edge_indices`."""
+        """One superstep, config by config in FIFO order, through any
+        graph's ``edges_from``; an edge whose label is not live steps into
+        the dead state and is dropped there."""
         graph, dfa, parents, coreach = self.graph, self.dfa, self._parents, self._coreach
-        pruned = isinstance(graph, FrozenGraph)
         ops = 0
         nxt_frontier = []
         for origin, results, seen, configs in self._frontier:
             grown: list[tuple[int, int]] = []
             for config in configs:
                 node, state = config
-                edges = self._ordered_edges(node, state) if pruned else graph.edges_from(node)
-                for edge in edges:
+                for edge in graph.edges_from(node):
                     ops += 1
                     nxt_state = dfa.step(state, edge.label)
                     if dfa.is_dead(nxt_state):
@@ -567,17 +538,6 @@ class RpqStepper:
         self.ops += ops
         self._frontier = nxt_frontier
 
-    def _ordered_edges(self, node: int, state: int) -> "Sequence[Edge]":
-        """``node``'s CSR edges worth stepping from ``state``, insertion order."""
-        fg: FrozenGraph = self.graph  # type: ignore[assignment]
-        pos = node if fg.index is None else fg.index[node]
-        span = ordered_edge_indices(fg, self.dfa, state, pos, self._live_cache)
-        edges = fg.edges_from(node)
-        if len(span) == len(edges):
-            return edges
-        begin = fg.offsets[pos]
-        return [edges[i - begin] for i in span]
-
     def _expand_csr(self) -> None:
         """One label-pruned superstep over the CSR layout, state by state.
 
@@ -593,7 +553,8 @@ class RpqStepper:
         """
         fg: FrozenGraph = self.graph  # type: ignore[assignment]
         index, coreach = fg.index, self._coreach
-        run_off, run_lid, run_start, targets = fg.run_off, fg.run_lid, fg.run_start, fg.targets
+        offsets, targets = fg.offsets, fg.targets
+        run_off, run_lid, run_len = fg.run_off, fg.run_lid, fg.run_len
         is_accepting = self.dfa.is_accepting
         rows = self._trans
         ops = 0
@@ -614,13 +575,15 @@ class RpqStepper:
                 skipped = False
                 last = current = reached = out = None
                 for pos in positions:
+                    end = offsets[pos]
                     for r in range(run_off[pos], run_off[pos + 1]):
+                        start = end
+                        width = run_len[r]
+                        end += width
                         lid = run_lid[r]
                         if live is not None and lid not in live:
                             skipped = True
                             continue
-                        start = run_start[r]
-                        width = run_start[r + 1] - start
                         ops += width
                         if lid != last:
                             last = lid
@@ -639,7 +602,7 @@ class RpqStepper:
                                 reached.add(dst)
                                 out.append(dst)
                             continue
-                        for dst in targets[start : start + width]:
+                        for dst in targets[start:end]:
                             if dst not in reached:
                                 reached.add(dst)
                                 out.append(dst)
@@ -740,8 +703,8 @@ def rpq_witnesses(
     shortest label path from the start node that the regex accepts.  Used
     by Lorel path variables and by the browsing API to *show* the user
     where in the database something was found.  Witness choice is
-    deterministic and layout-independent: the frozen kernel scans pruned
-    edges in insertion order, so ties break exactly as on a plain graph.
+    deterministic and layout-independent: the walk reads ``edges_from`` in
+    insertion order on either layout, so ties break as on a plain graph.
 
     ``profile`` follows the :func:`rpq_nodes` contract: the witness walk
     is the stepper :func:`rpq_nodes` runs, so the two report identical

@@ -119,14 +119,14 @@ def _probe(fg: FrozenGraph, lids: Iterable[int], profile: "QueryProfile | None")
     if not fg.has_root:
         raise GraphError("graph has no root")
     probes = probes_for(fg)
-    srcs, targets, label_ids, labels_seq = fg.srcs, fg.targets, fg.label_ids, fg.labels_seq
+    targets, label_ids, labels_seq = fg.targets, fg.label_ids, fg.labels_seq
     # in insertion order, as the scan meets them
-    hits = sorted(i for lid in lids for i in probes.label_edges(lid))
-    paths = probes.root_paths({srcs[i] for i in hits})
+    hits = sorted(hit for lid in lids for hit in probes.labeled(lid))
+    paths = probes.root_paths({src for _, src in hits})
     findings = [
-        Finding(Edge(srcs[i], labels_seq[label_ids[i]], targets[i]), paths[srcs[i]])
-        for i in hits
-        if paths[srcs[i]] is not None
+        Finding(Edge(src, labels_seq[label_ids[i]], targets[i]), paths[src])
+        for i, src in hits
+        if paths[src] is not None
     ]
     if profile is not None:
         reach = fg.reachable()

@@ -147,11 +147,12 @@ class _SnapshotObjects(dict):
         leaf = fg.targets[lo] if fg.index is None else fg.index[fg.targets[lo]]
         return offsets[leaf] == offsets[leaf + 1]
 
-    def atom_oid(self, edge: int) -> Oid:
-        """The atomic object that holds the value on base-labeled ``edge``."""
+    def atom_oid(self, edge: int, src: Oid) -> Oid:
+        """The atomic object that holds the value on base-labeled ``edge``,
+        whose source is node ``src``."""
         fg = self.fg
-        if self.is_scalar(fg._pos(fg.srcs[edge])):
-            return fg.srcs[edge]
+        if self.is_scalar(fg._pos(src)):
+            return src
         wrapped = fg.out_degree(fg.targets[edge]) > 0
         return self.first_synthetic + 2 * edge + wrapped
 

@@ -16,11 +16,17 @@ snapshot of the reachable-or-not *whole* node set of a graph:
   ``targets``, ``label_ids``) in edge insertion order, so a node's
   out-edges are one contiguous slice with no per-call allocation;
 * each node's slice is cut into *label runs*, maximal stretches of one
-  label id; a node's edges with label ``l`` are the ``targets`` slices
-  of its runs of ``l``, in insertion order.  That lets the RPQ product
-  kernel (:mod:`repro.automata.product`) scan only the edges whose
-  label can advance the automaton.  The runs are the one per-label
-  layout: flat vectors over the same edges, nothing per node.
+  label id, stored as a label id and a width each and read forward from
+  the slice's start; a node's edges with label ``l`` are the ``targets``
+  slices of its runs of ``l``, in insertion order.  That lets the RPQ
+  product kernel (:mod:`repro.automata.product`) scan only the edges
+  whose label can advance the automaton.  The runs are the one
+  per-label layout: flat vectors over the same edges, nothing per node.
+
+Each fact is stored once.  An edge's source is the block that holds it
+(a reader starting from an edge rather than a node asks the probe index,
+:mod:`repro.index.probes`, whose entries name it), and a block's bounds
+are only in ``offsets``.
 
 The read API mirrors :class:`Graph` (``edges_from`` / ``successors`` /
 ``total_out_degree`` / ``reachable`` ...), so every read-only evaluator
@@ -43,8 +49,8 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from itertools import accumulate, compress, repeat
-from operator import ne
+from itertools import accumulate, compress, islice, repeat
+from operator import ne, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, GraphError
@@ -68,14 +74,14 @@ class FrozenGraph:
 
     * ``offsets[p] : offsets[p+1]`` -- the edge-index slice of the node
       at position ``p``;
-    * ``targets[i]`` / ``label_ids[i]`` / ``srcs[i]`` -- destination
-      node id, interned label id, and source node id of edge ``i``;
+    * ``targets[i]`` / ``label_ids[i]`` -- destination node id and
+      interned label id of edge ``i``;
     * ``labels_seq`` -- label id -> :class:`Label`;
     * ``label_index`` -- :class:`Label` -> label id;
     * ``run_off[p] : run_off[p+1]`` -- the label runs of the node at
-      position ``p``; run ``r`` carries label id ``run_lid[r]`` on the
-      edge indices ``run_start[r] : run_start[r+1]`` (a final entry
-      closes the last run);
+      position ``p``, in edge order; run ``r`` carries label id
+      ``run_lid[r]`` on ``run_len[r]`` consecutive edges, the first run
+      starting at ``offsets[p]`` and each next one where the last ends;
     * ``index`` -- node id -> position, or ``None`` when node ids are
       already dense (``id == position``).
     """
@@ -84,14 +90,13 @@ class FrozenGraph:
         "node_ids",
         "index",
         "offsets",
-        "srcs",
         "targets",
         "label_ids",
         "labels_seq",
         "label_index",
         "run_off",
         "run_lid",
-        "run_start",
+        "run_len",
         "source_version",
         "_root",
         "_edge_cache",
@@ -197,10 +202,13 @@ class FrozenGraph:
             yield from targets[self.offsets[pos] : self.offsets[pos + 1]]
             return
         lid = self.label_index.get(label)
-        run_lid, run_start = self.run_lid, self.run_start
+        run_lid, run_len = self.run_lid, self.run_len
+        start = self.offsets[pos]
         for r in range(self.run_off[pos], self.run_off[pos + 1]):
+            end = start + run_len[r]
             if run_lid[r] == lid:
-                yield from targets[run_start[r] : run_start[r + 1]]
+                yield from targets[start:end]
+            start = end
 
     def labels_from(self, node: int) -> set[Label]:
         """The set of distinct labels on edges out of ``node``."""
@@ -264,9 +272,10 @@ class FrozenGraph:
         lid = self.label_index.get(label)
         if lid is None:
             return ()
-        srcs, targets = self.srcs, self.targets
-        edges = sorted(probes_for(self).label_edges(lid))
-        return tuple(Edge(srcs[i], label, targets[i]) for i in edges)
+        targets = self.targets
+        return tuple(
+            Edge(src, label, targets[i]) for i, src in sorted(probes_for(self).labeled(lid))
+        )
 
     # -- construction without a Graph ------------------------------------------
 
@@ -292,7 +301,6 @@ class FrozenGraph:
         533 000-edge crawl build a quarter slower.
         """
         offsets = array("q")  # block starts, then the end
-        srcs = array("q")
         targets = array("q")
         label_ids = array("q")
         labels_seq: list[Label] = []
@@ -310,13 +318,12 @@ class FrozenGraph:
             if lid is None:
                 lid = label_index[label] = len(labels_seq)
                 labels_seq.append(label)
-            srcs.append(src)
             targets.append(dst)
             label_ids.append(lid)
         # the empty blocks after the last edge, then the end
         offsets.extend(repeat(len(targets), num_nodes + 1 - len(offsets)))
         fg = object.__new__(cls)
-        _fill(fg, range(num_nodes), offsets, srcs, targets, label_ids,
+        _fill(fg, range(num_nodes), offsets, targets, label_ids,
               labels_seq, label_index, _runs(offsets, label_ids), root, 0)
         stray = targets and (min(targets) < 0 or max(targets) >= num_nodes)
         if stray or (root is not None and not fg.has_node(root)):
@@ -394,9 +401,9 @@ def _build(
     one's new out-edges.  One loop stages every node's block as if the
     node were new.  A gained block is then spliced into the base's
     vectors at the end of its node's block, its runs after the node's
-    base runs, and everything past it shifts.
+    base runs; only the block ends and run offsets past it shift.
     """
-    staged = srcs, targets, label_ids = array("q"), array("q"), array("q")
+    staged = targets, label_ids = array("q"), array("q")
     ends = array("q", [0])  # staged block ends
     labels_seq = list(base.labels_seq) if base is not None else []
     label_index = dict(base.label_index) if base is not None else {}
@@ -407,7 +414,6 @@ def _build(
             if lid is None:
                 lid = label_index[label] = len(labels_seq)
                 labels_seq.append(label)
-            srcs.append(node)
             targets.append(dst)
             label_ids.append(lid)
         ends.append(len(targets))
@@ -416,13 +422,13 @@ def _build(
     else:
         k, n0, fresh = len(grown), base.num_nodes, nodes[len(grown) :]
         cuts = [(base.offsets[pos + 1], ends[j + 1]) for j, pos in enumerate(grown)]
-        olds = base.srcs, base.targets, base.label_ids
-        s_off, s_lid, s_start = _runs(ends, label_ids)
-        srcs, targets, label_ids = (_splice(old, new, cuts) for old, new in zip(olds, staged))
-        # a base node's block end and run starts move by the staged blocks
-        # before it, and its run offsets by the staged runs kept before it
+        olds = base.targets, base.label_ids
+        s_off, s_lid, s_len = _runs(ends, label_ids)
+        targets, label_ids = (_splice(old, new, cuts) for old, new in zip(olds, staged))
+        # a base node's block end moves by the staged blocks before it, and
+        # its run offsets by the staged runs kept before it
         bounds = [0, *(pos + 1 for pos in grown), n0 + 1]
-        offsets, run_off, run_lid, run_start = (array("q") for _ in range(4))
+        offsets, run_off, run_lid, run_len = (array("q") for _ in range(4))
         kept = 0
         for j in range(k + 1):
             lo, hi = bounds[j], bounds[j + 1]
@@ -430,29 +436,29 @@ def _build(
             run_off += _shifted(base.run_off[lo:hi], kept)
             own = slice(base.run_off[lo], base.run_off[min(hi, n0)])
             run_lid += base.run_lid[own]
-            run_start += _shifted(base.run_start[own], ends[j])
+            run_len += base.run_len[own]
             if j < k:  # grown node j's staged runs, the first continuing its last
                 first, stop = s_off[j], s_off[j + 1]
                 if base.run_off[hi - 1] < base.run_off[hi] and run_lid[-1] == s_lid[first]:
+                    run_len[-1] += s_len[first]
                     first += 1
                 run_lid += s_lid[first:stop]
-                run_start += _shifted(s_start[first:stop], base.offsets[hi])
+                run_len += s_len[first:stop]
                 kept += stop - first
         offsets += _shifted(ends[k + 1 :], base.num_edges)
         run_off += _shifted(s_off[k + 1 :], len(base.run_lid) + kept - s_off[k])
         run_lid += s_lid[s_off[k] :]
-        run_start += _shifted(s_start[s_off[k] :], base.num_edges)
-        runs = run_off, run_lid, run_start
+        run_len += s_len[s_off[k] :]
+        runs = run_off, run_lid, run_len
     if (base is None or base.index is None) and fresh == list(range(n0, n0 + len(fresh))):
         node_ids = range(n0 + len(fresh))
     else:
         node_ids = [*(base.node_ids if base is not None else ()), *fresh]
-    _fill(fg, node_ids, offsets, srcs, targets, label_ids, labels_seq, label_index,
-          runs, root, version)
+    _fill(fg, node_ids, offsets, targets, label_ids, labels_seq, label_index, runs, root, version)
 
 
 def _runs(offsets: "Sequence[int]", label_ids: array) -> "tuple[array, array, array]":
-    """``(run_off, run_lid, run_start)`` for the blocks ``offsets`` cuts
+    """``(run_off, run_lid, run_len)`` for the blocks ``offsets`` cuts
     ``label_ids`` into: a run starts at a block's first edge and wherever
     the label id changes.  Each pass over the edges is C-level iteration,
     into a list (an ``array`` grows item by item from an iterator)."""
@@ -460,16 +466,15 @@ def _runs(offsets: "Sequence[int]", label_ids: array) -> "tuple[array, array, ar
     first = bytearray(1) + bytearray(map(ne, label_ids, label_ids[1:])) + bytearray(1)
     for off in offsets:
         first[off] = 1
-    first[m] = 0  # the end starts no run
-    run_start = array("q", list(compress(range(m), first)))
-    run_start.append(m)
+    starts = array("q", list(compress(range(m + 1), first)))  # first[m] closes the last run
+    run_len = array("q", list(map(sub, islice(starts, 1, None), starts)))
     before = list(accumulate(first, initial=0))  # before[i]: the runs starting before edge i
     run_off = array("q", list(map(before.__getitem__, offsets)))
-    return run_off, array("q", list(compress(label_ids, first))), run_start
+    return run_off, array("q", list(compress(label_ids, first))), run_len
 
 
 def _fill(
-    fg: FrozenGraph, node_ids: "range | array | list[int]", offsets: array, srcs: array,
+    fg: FrozenGraph, node_ids: "range | array | list[int]", offsets: array,
     targets: array, label_ids: array, labels_seq: "list[Label]",
     label_index: "dict[Label, int]", runs: "tuple[array, array, array]",
     root: "int | None", version: int,
@@ -477,18 +482,17 @@ def _fill(
     """Set ``fg``'s slots over finished vectors.  ``node_ids`` is a
     ``range`` when ids are dense (``id == position``: O(1) memory, no
     index), else the ids in position order; ``runs`` is
-    ``(run_off, run_lid, run_start)``."""
+    ``(run_off, run_lid, run_len)``."""
     fg.node_ids = node_ids
     fg.index = (
         None if isinstance(node_ids, range) else {n: pos for pos, n in enumerate(node_ids)}
     )
     fg.offsets = offsets
-    fg.srcs = srcs
     fg.targets = targets
     fg.label_ids = label_ids
     fg.labels_seq = labels_seq
     fg.label_index = label_index
-    fg.run_off, fg.run_lid, fg.run_start = runs
+    fg.run_off, fg.run_lid, fg.run_len = runs
     fg._root = root
     fg.source_version = version
     fg._edge_cache = {}

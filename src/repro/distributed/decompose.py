@@ -31,7 +31,6 @@ from ..automata.product import (
     compile_rpq,
     coreach_labels,
     coreachable,
-    ordered_edge_indices,
 )
 from ..obs import QueryProfile
 from ..resilience import (
@@ -244,9 +243,10 @@ def _bsp(
     """The BSP loop: matched nodes, work statistics, explored configs.
 
     Each site's local expansion runs on the partition's cached frozen
-    snapshot, label-pruned but scanning edges in insertion order -- so
-    the message schedule, per-round work, and every other statistic are
-    those of a plain-graph run; only the wall-clock drops.  A config is
+    snapshot, scanning each node's block in insertion order and dropping
+    the edges whose label steps into the dead state -- so the message
+    schedule, per-round work, and every other statistic are those of a
+    plain-graph run; only the wall-clock drops.  A config is
     queued only inside the pattern's co-reachable region, the rule the
     centralized stepper applies, so both expand the same configs.
     """
@@ -254,12 +254,11 @@ def _bsp(
     labels = coreach_labels(fg, dfa)
     region = None if labels is None else coreachable(fg, labels)[0]
     site_of = dist.site_of
-    label_ids, edge_targets = fg.label_ids, fg.targets
+    offsets, label_ids, edge_targets = fg.offsets, fg.label_ids, fg.targets
     labels_seq, index = fg.labels_seq, fg.index
     stats = DistributedStats(messages_per_site=[0] * dist.num_sites)
     results: set[int] = set()
     trans: dict[tuple[int, int], int] = {}
-    live_cache: dict = {}
 
     start = (fg.root, dfa.start)
     seen = {start}
@@ -282,7 +281,7 @@ def _bsp(
                 node, state = queue.pop()
                 round_work[site] += 1
                 pos = node if index is None else index[node]
-                for i in ordered_edge_indices(fg, dfa, state, pos, live_cache):
+                for i in range(offsets[pos], offsets[pos + 1]):
                     lid = label_ids[i]
                     key = (state, lid)
                     nxt_state = trans.get(key)

@@ -22,7 +22,9 @@ their ancestors, so a wildcard RPQ such as ``_*."Bogart"`` expands only
 that region (:mod:`repro.automata.product`).
 
 An edge is recorded as one int: its source's position and its slot
-(its position in the source's block).  A
+(its position in the source's block).  The snapshot keeps no per-edge
+source, so a reader that starts from an edge rather than a node takes
+the source from the entry (:meth:`ProbeIndex.labeled`).  A
 :meth:`~repro.core.frozen.FrozenGraph.derive` splice moves global edge
 indices but neither of those -- a node's new edges land at the end of
 its block, and new nodes and label ids append -- so
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, chain, islice
+from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.labels import Label, LabelKind, parse_number
@@ -251,6 +253,17 @@ class ProbeIndex:
         offsets = self.fg.offsets
         return [offsets[entry >> _SHIFT] + (entry & _SLOT) for entry in entries]
 
+    def labeled(self, lid: int, into: "int | None" = None) -> "list[tuple[int, int]]":
+        """``(edge index, source node id)`` of each edge carrying label id
+        ``lid`` -- only those into node ``into`` when given -- in any
+        order.  The source is read off the edge's entry."""
+        in_edges, by_label, _ = self._parts()
+        fg = self.fg
+        offsets, node_ids, label_ids = fg.offsets, fg.node_ids, fg.label_ids
+        entries = by_label[lid] if into is None else in_edges[fg._pos(into)]
+        hits = [(offsets[e >> _SHIFT] + (e & _SLOT), node_ids[e >> _SHIFT]) for e in entries]
+        return hits if into is None else [hit for hit in hits if label_ids[hit[0]] == lid]
+
     def label_edges(self, lid: int) -> list[int]:
         """The indices of the edges carrying label id ``lid`` (any order)."""
         return self._edge_ids(self._parts()[1][lid])
@@ -345,13 +358,14 @@ class ProbeIndex:
 
 
 def _build(fg: "FrozenGraph") -> "tuple[_Grouped, _Grouped, ValueTable]":
-    """Every edge's entry grouped by its target and by its label."""
-    offsets, index = fg.offsets, fg.index
-    src_pos, dst_pos = (
-        (ids if index is None else array("q", map(index.__getitem__, ids)))
-        for ids in (fg.srcs, fg.targets)
-    )
-    entries = [(p << _SHIFT) + i - offsets[p] for i, p in enumerate(src_pos)]
+    """Every edge's entry grouped by its target and by its label.  The
+    entries of the block at position ``p`` are the range from ``p <<
+    _SHIFT`` over its out-degree, one C-level range per block."""
+    offsets, index, targets = fg.offsets, fg.index, fg.targets
+    dst_pos = targets if index is None else array("q", map(index.__getitem__, targets))
+    heads = range(0, fg.num_nodes << _SHIFT, 1 << _SHIFT)
+    stops = map(add, heads, map(sub, islice(offsets, 1, None), offsets))
+    entries = list(chain.from_iterable(map(range, heads, stops)))
     return (
         _Grouped(entries, dst_pos, fg.num_nodes),
         _Grouped(entries, fg.label_ids, len(fg.labels_seq)),

@@ -210,11 +210,11 @@ class _SnapshotIndexes(OemIndexes):
     def _atoms(self, lids: "Iterable[int]", via_symbol: bool) -> set[Oid]:
         objects = self._objects
         fg = objects.fg
-        edges = (edge for lid in lids for edge in probes_for(fg).label_edges(lid))
+        edges = (edge for lid in lids for edge in probes_for(fg).labeled(lid))
         if not via_symbol:
-            return set(map(objects.atom_oid, edges))
+            return {objects.atom_oid(i, src) for i, src in edges}
         # an atom on a non-scalar base edge is synthetic: no symbol parent
-        srcs = set(map(fg.srcs.__getitem__, edges))
+        srcs = {src for _, src in edges}
         index, is_scalar = fg.index, objects.is_scalar
         return {src for src in srcs if is_scalar(src if index is None else index[src])}
 
@@ -243,14 +243,12 @@ class _SnapshotIndexes(OemIndexes):
         lid = fg.label_index.get(sym(label))
         if lid is not None:
             probes = probes_for(fg)
-            srcs, label_ids = fg.srcs, fg.label_ids
             for child in children:
                 # a synthetic oid (an atom off a non-scalar edge) is no
                 # node and has no symbol parent
                 if fg.has_node(child):
-                    for edge in probes.edges_into(child):
-                        if label_ids[edge] == lid:
-                            yield child, srcs[edge]
+                    for _, src in probes.labeled(lid, child):
+                        yield child, src
 
 
 #: One cached OemIndexes per database; values hold only a weakref back to

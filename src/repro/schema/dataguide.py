@@ -26,7 +26,6 @@ __all__ = [
     "DataGuide",
     "paths_equivalent",
     "rpq_via_dataguide",
-    "guide_product",
 ]
 
 
@@ -267,17 +266,9 @@ def rpq_via_dataguide(guide: DataGuide, pattern) -> frozenset[int]:
     from ..automata.product import compile_rpq
 
     dfa = compile_rpq(pattern)
-    answers, _seen = guide_product(guide, dfa)
-    return frozenset(answers)
-
-
-def guide_product(guide: DataGuide, dfa) -> tuple[set[int], set[tuple[int, int]]]:
-    """The guide x DFA product: answer nodes plus explored configurations.
-
-    The ``seen`` set of ``(guide state, dfa state)`` pairs is the
-    product's work -- the whole point of the strategy is that this set
-    is tiny relative to the data-graph product it replaces.
-    """
+    # the guide x DFA product, depth first; its explored (guide state, dfa
+    # state) pairs stop it on a cyclic guide and stay tiny next to the
+    # data-graph product it replaces
     answers: set[int] = set()
     start = (0, dfa.start)
     seen = {start}
@@ -297,4 +288,4 @@ def guide_product(guide: DataGuide, dfa) -> tuple[set[int], set[tuple[int, int]]
             if dfa.is_accepting(q2):
                 answers.update(guide._states[nxt])
             stack.append(config)
-    return answers, seen
+    return frozenset(answers)

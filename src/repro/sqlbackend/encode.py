@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import TYPE_CHECKING
 
 from ..core.labels import Label
@@ -113,9 +115,11 @@ def encode_graph(conn: sqlite3.Connection, fg: "FrozenGraph") -> None:
         CREATE TABLE label (lid INTEGER PRIMARY KEY, kind TEXT NOT NULL, value);
         """
     )
-    conn.executemany(
-        "INSERT INTO edge VALUES (?, ?, ?)", zip(fg.srcs, fg.label_ids, fg.targets)
-    )
+    # each block's node id repeated over its out-degree: the edges' sources
+    offsets = fg.offsets
+    degrees = map(sub, islice(offsets, 1, None), offsets)
+    srcs = chain.from_iterable(map(repeat, fg.node_ids, degrees))
+    conn.executemany("INSERT INTO edge VALUES (?, ?, ?)", zip(srcs, fg.label_ids, fg.targets))
     rows = ((lid, *store_label(label)) for lid, label in enumerate(fg.labels_seq))
     conn.executemany("INSERT INTO label VALUES (?, ?, ?)", rows)
     conn.executescript(

@@ -41,8 +41,6 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass
-from collections import Counter
-from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -193,19 +191,15 @@ def _decode_state(payload: bytes, version: int) -> tuple[FrozenGraph, int]:
         raise SerializationError("checkpoint offsets decrease")
     if m and max(label_ids) >= num_labels:
         raise SerializationError("checkpoint label id past its label table")
-    # edge i leaves the node at position p when p blocks end at or before
-    # it: count the block ends at each edge index and sum them up
-    ends = Counter(bounds[1:])
-    positions = accumulate(map(ends.get, range(m), repeat(0)))
-    if not isinstance(node_ids, range):  # sparse ids: the id at each position
-        positions = map(node_ids.__getitem__, positions)
-    try:
-        srcs = array("q", list(positions))
-    except OverflowError:  # a snapshot's edges only join node ids below 2**63
-        raise SerializationError("checkpoint edge at a node id past 2**63") from None
+    # a snapshot's edges only join node ids below 2**63: the targets'
+    # wide read refuses the rest, and a source is an id with a block
+    if n and max(node_ids) >> 63 and any(
+        node >> 63 and lo < hi for node, lo, hi in zip(node_ids, bounds, bounds[1:])
+    ):
+        raise SerializationError("checkpoint edge at a node id past 2**63")
     root = root_plus1 - 1 if root_plus1 else None
     fg = object.__new__(FrozenGraph)
-    _fill(fg, node_ids, offsets, srcs, targets, label_ids, labels_seq, label_index,
+    _fill(fg, node_ids, offsets, targets, label_ids, labels_seq, label_index,
           _runs(bounds, label_ids), root, version)
     index = fg.index
     if index is not None and len(index) != n:

@@ -254,11 +254,9 @@ def test_prop_product_agrees_with_naive_up_to_bound(g, pattern):
 
 
 def test_public_kernel_api_is_importable_without_underscores():
-    # the decomposition modules depend on these names being public
-    from repro.automata import ordered_edge_indices, product
+    # the Lorel evaluator depends on this name being public
+    from repro.automata import product
     from repro.automata import product_bfs as exported
 
     assert exported is product_bfs
-    assert callable(ordered_edge_indices)
     assert not hasattr(product, "_product_bfs")
-    assert not hasattr(product, "_ordered_edge_indices")

@@ -36,9 +36,11 @@ def run_buckets(fg: FrozenGraph, pos: int) -> "list[tuple[int, list[int]]]":
     """The node at ``pos``'s targets per label id, read through its label
     runs, labels in first-occurrence order."""
     buckets: dict[int, list[int]] = {}
+    start = fg.offsets[pos]
     for r in range(fg.run_off[pos], fg.run_off[pos + 1]):
-        bucket = buckets.setdefault(fg.run_lid[r], [])
-        bucket += fg.targets[fg.run_start[r] : fg.run_start[r + 1]]
+        end = start + fg.run_len[r]
+        buckets.setdefault(fg.run_lid[r], []).extend(fg.targets[start:end])
+        start = end
     return list(buckets.items())
 
 
@@ -176,7 +178,7 @@ class TestLabelPartitions:
 def assert_runs_are_the_buckets(fg: FrozenGraph) -> None:
     """Every node's targets under every label, read through its runs,
     are its edges with that label in insertion order; runs are maximal."""
-    assert fg.run_start[0] == 0 and fg.run_start[-1] == fg.num_edges
+    assert all(fg.run_len) and sum(fg.run_len) == fg.num_edges
     assert len(fg.run_off) == fg.num_nodes + 1 and fg.run_off[-1] == len(fg.run_lid)
     for pos, node in enumerate(fg.node_ids):
         edges = fg.edges_from(node)
@@ -196,7 +198,7 @@ def runs_by_label(fg: FrozenGraph) -> tuple:
     """The runs with label ids read as labels: equal across snapshots
     that intern labels in different orders."""
     return (
-        list(fg.run_off), [fg.labels_seq[lid] for lid in fg.run_lid], list(fg.run_start)
+        list(fg.run_off), [fg.labels_seq[lid] for lid in fg.run_lid], list(fg.run_len)
     )
 
 
@@ -259,6 +261,11 @@ class TestLabelRuns:
         for fg in derive_chain(g):
             assert_runs_are_the_buckets(fg)
             assert runs_by_label(fg) == runs_by_label(g.freeze())
+            # a node's run widths sum to its out-degree
+            assert [
+                sum(fg.run_len[fg.run_off[pos] : fg.run_off[pos + 1]])
+                for pos in range(fg.num_nodes)
+            ] == [fg.out_degree(node) for node in fg.node_ids]
 
     def test_checkpoint_reopen(self):
         from repro.storage.mvcc import _decode_state, _encode_state
@@ -267,8 +274,8 @@ class TestLabelRuns:
         *_, fg = derive_chain(g)
         opened, _ = _decode_state(bytes(_encode_state(fg, g.num_nodes, 5)[16:]), 5)
         assert_runs_are_the_buckets(opened)
-        assert (opened.run_off, opened.run_lid, opened.run_start) == (
-            fg.run_off, fg.run_lid, fg.run_start
+        assert (opened.run_off, opened.run_lid, opened.run_len) == (
+            fg.run_off, fg.run_lid, fg.run_len
         )
 
 

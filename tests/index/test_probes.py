@@ -10,7 +10,10 @@
   the paths forward BFS first discovery spells on the plain layout, and
   ``None`` exactly off the root's reachable set;
 * **detachment** -- an index whose structures were carried to the next
-  version answers its own version afterwards.
+  version answers its own version afterwards;
+* **sources** -- the source :meth:`~repro.index.probes.ProbeIndex.labeled`
+  reads off an edge's entry is the one ``Graph.edges()`` gives, on a
+  cold freeze, a carried derivation and a decoded checkpoint.
 
 That a carried index equals a cold build of the derived snapshot is in
 ``tests/storage/test_derived_views.py``, over its commit sequences.
@@ -27,6 +30,7 @@ from repro.core.graph import Graph
 from repro.core.labels import boolean, integer, real, string, sym
 from repro.index.probes import FLIPPED, ValueTable, probes_for
 from repro.lorel.coerce import compare_values
+from repro.storage.mvcc import _decode_state, _encode_state
 
 OPS = ("=", "!=", "<", "<=", ">", ">=")
 TEXTS = ("nan", "inf", "-inf", " 7 ", "7", "7.0", "1_000", "1e3", "", "abc", "Abc", "0", "-0")
@@ -80,11 +84,11 @@ def test_value_table_probe_equals_the_per_label_scan(vocabulary, literal, cut):
 
 
 @st.composite
-def graphs(draw) -> Graph:
+def graphs(draw, gaps: bool = True) -> Graph:
     """Small rooted graphs with multi-edges, self-loops, cycles and
-    unreachable nodes, sometimes with gaps in the node ids."""
+    unreachable nodes, sometimes (``gaps``) with gaps in the node ids."""
     g = Graph()
-    skips = st.sampled_from((0, 0, 3))
+    skips = st.sampled_from((0, 0, 3) if gaps else (0,))
     nodes = [g.ensure_node(g._next_id + draw(skips)) for _ in range(draw(st.integers(1, 8)))]
     g.set_root(draw(st.sampled_from(nodes)))
     for _ in range(draw(st.integers(0, 18))):
@@ -117,3 +121,47 @@ def test_a_detached_index_answers_its_own_version():
     assert carried.label_edges(derived.label_index[sym("b")]) == carried.edges_into(2) == [1]
     assert len(carried.values.symbols) == 2
     assert (held.label_edges(lid), held.edges_into(1), held.values.symbols) == before
+
+
+def assert_sources_are_the_graphs(fg, g: Graph) -> None:
+    """Every edge, its source read off its probe entry, is ``g``'s edge at
+    the same index; per node and label, so are its in-edges."""
+    probes = probes_for(fg)
+    labels, label_ids, targets = fg.labels_seq, fg.label_ids, fg.targets
+    hits = sorted(hit for lid in range(len(labels)) for hit in probes.labeled(lid))
+    assert [i for i, _ in hits] == list(range(fg.num_edges))
+    edges = list(g.edges())
+    assert [(src, labels[label_ids[i]], targets[i]) for i, src in hits] == [
+        (e.src, e.label, e.dst) for e in edges
+    ]
+    for node in g.nodes():
+        for lid, label in enumerate(labels):
+            into = sorted(probes.labeled(lid, node))
+            assert [(edges[i].src, edges[i].label, edges[i].dst) for i, _ in into] == [
+                (src, label, node) for _, src in into
+            ]
+            assert len(into) == sum(e.dst == node and e.label == label for e in edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(gaps=False), st.data())
+def test_an_entry_names_the_source_the_graph_gives(g, data):
+    fg = freeze(g)
+    assert fg.index is None
+    assert_sources_are_the_graphs(fg, g)
+    probes_for(fg).values  # built, whatever the labels
+    # a commit with a gap before its new nodes, carried from the built index
+    more = data.draw(st.integers(0, 2))
+    fresh = [g.ensure_node(g._next_id + 2)] + [g.new_node() for _ in range(more)]
+    nodes = list(g.nodes())
+    added = [
+        g.add_edge(data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(("a", "d"))),
+                   data.draw(st.sampled_from(nodes)))
+        for _ in range(data.draw(st.integers(0, 6)))
+    ]
+    derived = fg.derive(fresh, added, g.root, 1)
+    derived._ext["probes"] = probes_for(fg).advance(derived, added)
+    assert derived.index is not None and probes_for(derived).built
+    assert_sources_are_the_graphs(derived, g)
+    opened, _ = _decode_state(bytes(_encode_state(derived, g._next_id, 1)[16:]), 1)
+    assert_sources_are_the_graphs(opened, g)

@@ -3,7 +3,7 @@
 A checkpoint holds a snapshot's ``offsets``, ``targets`` and
 ``label_ids`` at their narrowest width, its node ids (a count when
 dense), its label table in label-id order, root and next id.  Decoding
-returns exactly those vectors and rebuilds ``srcs`` and the label runs;
+returns exactly those vectors and rebuilds the label runs;
 a payload whose CRC holds but whose contents disagree is refused with a
 :class:`SerializationError`, never a ``GraphError`` or a half-built
 snapshot.
@@ -30,10 +30,11 @@ from repro.storage.serializer import SerializationError, _write_label, _write_va
 def run_buckets(fg, pos: int) -> "list[tuple[int, list[int]]]":
     """The node at ``pos``'s targets per label id, through its runs."""
     buckets: dict[int, list[int]] = {}
+    start = fg.offsets[pos]
     for r in range(fg.run_off[pos], fg.run_off[pos + 1]):
-        buckets.setdefault(fg.run_lid[r], []).extend(
-            fg.targets[fg.run_start[r] : fg.run_start[r + 1]]
-        )
+        end = start + fg.run_len[r]
+        buckets.setdefault(fg.run_lid[r], []).extend(fg.targets[start:end])
+        start = end
     return list(buckets.items())
 
 
@@ -47,11 +48,10 @@ def snapshot_parts(fg) -> dict:
         "offsets": fg.offsets,
         "targets": fg.targets,
         "label_ids": fg.label_ids,
-        "srcs": fg.srcs,
         "labels_seq": fg.labels_seq,
         "label_index": fg.label_index,
         "buckets": [run_buckets(fg, pos) for pos in range(fg.num_nodes)],
-        "runs": (fg.run_off, fg.run_lid, fg.run_start),
+        "runs": (fg.run_off, fg.run_lid, fg.run_len),
         "root": fg._root,
     }
 
