@@ -9,7 +9,7 @@ Three questions about the serving layer (docs/SERVICE.md):
   max_queue`` must be shed, served work must stay flat, and the queue
   must never exceed its bound: overload degrades *predictably*;
 * **crash-safe save cost** -- rename-atomic durable saves pay fsyncs;
-  measure the per-save tax against ``durable=False``.  (Amortizing
+  measure the per-save tax against ``fsync=False``.  (Amortizing
   durability over many small changes is the write-ahead log's job: E18
   and ``bench_e2e``'s ``write_burst``, ``storage.wal.fsyncs_per_commit``.)
 
@@ -29,7 +29,7 @@ from repro.obs.export import write_bench
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import SimulatedClock
 from repro.service import AdmissionGovernor, InProcessHarness, QueryService
-from repro.storage import GraphStore
+from repro.storage import atomic_write_bytes, dumps
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 ADMIT_CYCLES = 2_000 if SMOKE else 50_000
@@ -184,15 +184,14 @@ def test_e15_service_overhead(benchmark):
 def test_e15_crash_safe_save_cost(benchmark, tmp_path):
     """E15d: durability pricing -- per-save fsync vs none."""
     graph = generate_movies(ENTRIES, seed=23)
-    store = GraphStore(graph)
 
     def durable_saves():
         for i in range(SAVES):
-            store.save(tmp_path / f"durable-{i}.graph", durable=True)
+            atomic_write_bytes(tmp_path / f"durable-{i}.graph", dumps(graph), fsync=True)
 
     def fast_saves():
         for i in range(SAVES):
-            store.save(tmp_path / f"fast-{i}.graph", durable=False)
+            atomic_write_bytes(tmp_path / f"fast-{i}.graph", dumps(graph), fsync=False)
 
     durable_s, _ = timed(durable_saves, repeat=1)
     fast_s, _ = timed(fast_saves, repeat=1)
@@ -245,4 +244,4 @@ def test_e15_crash_safe_save_cost(benchmark, tmp_path):
         },
         Path(__file__).parent / "out",
     )
-    benchmark(lambda: store.save(tmp_path / "bench.graph", durable=True))
+    benchmark(lambda: atomic_write_bytes(tmp_path / "bench.graph", dumps(graph), fsync=True))

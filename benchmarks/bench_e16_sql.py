@@ -5,14 +5,14 @@ engines as the baseline everywhere:
 
 * **flat RPQ** -- fixed/record-shaped chains on the relational bridge
   catalog and the movies OEM, where the compiler emits sargable
-  ``wide``/``chain`` plans and sqlite's indexes do the work;
+  ``chain`` plans and sqlite's indexes do the work;
 * **deep RPQ** -- Kleene-star closures on the web graph, where the
   compiled recursive CTE re-runs the kernel's BFS without its pruning;
 * **Lorel bindings** -- a filtered clause chain on a mutable
   ``OemDatabase``, native binding enumeration vs the SQL join plan;
 * **served shapes** -- what a server would run on each engine, on
   ``generate_movies(2000)`` at seeds 7 and 23: ``rpq_nodes`` with a plan
-  cache against a guide-less ``sql_backend_for`` image, ``lorel`` on the
+  cache against a ``sql_backend_for`` image, ``lorel`` on the
   snapshot's ``OemView`` against ``lorel_sql_backend_for(view).evaluate``,
   and ``unql`` against ``unql_sql``.
 
@@ -40,7 +40,6 @@ from repro.lorel import lorel, lorel_rows, parse_lorel
 from repro.lorel.evaluator import lorel_bindings
 from repro.obs.export import write_bench
 from repro.relational.encode import relational_to_graph
-from repro.schema.dataguide import DataGuide
 from repro.sqlbackend import (
     NotCompilable,
     SqlBackend,
@@ -61,7 +60,7 @@ SERVED_REPEAT = 2 if SMOKE else 10
 SERVED_ROUNDS = 3 if SMOKE else 7
 
 #: The flat workloads: record-shaped chains the compiler answers with
-#: ``wide`` single-table scans or pruned self-join ``chain`` plans.
+#: pruned self-join ``chain`` plans.
 FLAT = {
     "catalog": ["Movies.tuple.title", "Casts.tuple.actor", "Movies.tuple.year"],
     "movies": ["Entry.Movie.Title", "Entry.Movie.Cast.Actors"],
@@ -102,7 +101,7 @@ def test_e16_flat_sql_vs_kernel(benchmark):
     for name, graph in _flat_graphs().items():
         fg = freeze(graph)
         cache = PlanCache()
-        backend = SqlBackend(fg, guide=DataGuide(fg))
+        backend = SqlBackend(fg)
         backends[name] = backend
         for pattern in FLAT[name]:
             plan = backend.compile(pattern)  # warm the plan cache
@@ -276,7 +275,7 @@ def _served_row(records, rows, seed, op, query, kind, native, via_sql, repeat=SE
 
 def test_e16_served_shapes(benchmark):
     """What a server runs on each engine: kernel with a plan cache vs a
-    guide-less SQL image, Lorel on the ``OemView`` vs SQL Lorel on it,
+    SQL image, Lorel on the ``OemView`` vs SQL Lorel on it,
     UnQL vs the per-member SQL rewrite.  Recorded, not gated."""
     records = _RECORDS.setdefault("served", {})
     rows = []

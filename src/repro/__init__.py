@@ -6,7 +6,7 @@ language with cycle-safe structural recursion, a Lorel-style SQL-like
 language with general path expressions, graph datalog, the relational
 encoding and the UnQL-to-relational translation, label/value/path indexes,
 graph schemas with simulation-based conformance, DataGuides, representative
-objects, distributed query decomposition, and a clustered storage layer.
+objects, distributed query decomposition, and a durable storage layer.
 
 Quickstart::
 

@@ -249,10 +249,6 @@ class ProbeIndex:
             targets[offsets[p] + (e & _SLOT)] for e in entries if (p := e >> _SHIFT) in sources
         ]
 
-    def _edge_ids(self, entries: array) -> list[int]:
-        offsets = self.fg.offsets
-        return [offsets[entry >> _SHIFT] + (entry & _SLOT) for entry in entries]
-
     def labeled(self, lid: int, into: "int | None" = None) -> "list[tuple[int, int]]":
         """``(edge index, source node id)`` of each edge carrying label id
         ``lid`` -- only those into node ``into`` when given -- in any
@@ -263,14 +259,6 @@ class ProbeIndex:
         entries = by_label[lid] if into is None else in_edges[fg._pos(into)]
         hits = [(offsets[e >> _SHIFT] + (e & _SLOT), node_ids[e >> _SHIFT]) for e in entries]
         return hits if into is None else [hit for hit in hits if label_ids[hit[0]] == lid]
-
-    def label_edges(self, lid: int) -> list[int]:
-        """The indices of the edges carrying label id ``lid`` (any order)."""
-        return self._edge_ids(self._parts()[1][lid])
-
-    def edges_into(self, node: int) -> list[int]:
-        """The indices of ``node``'s in-edges (any order)."""
-        return self._edge_ids(self._parts()[0][self.fg._pos(node)])
 
     def reaching(self, lids: "Iterable[int]") -> "tuple[set[int], int]":
         """The nodes with a path to an edge carrying one of ``lids`` (its

@@ -160,7 +160,7 @@ class OemIndexes:
             return self.atoms_where(lambda v: compare_values(literal, op, v), via_symbol)
         return self.atoms_where(lambda v: compare_values(v, op, literal), via_symbol)
 
-    def _edges_into(
+    def _parent_links(
         self, children: "dict[Oid, set[Oid]]", label: str
     ) -> Iterator[tuple[Oid, Oid]]:
         """``(child, parent)`` for every ``label`` edge ending in ``children``."""
@@ -182,7 +182,7 @@ class OemIndexes:
         current = {oid: {oid} for oid in targets}
         for label in reversed(labels):
             nxt: dict[Oid, set[Oid]] = {}
-            for child, parent in self._edges_into(current, label):
+            for child, parent in self._parent_links(current, label):
                 nxt.setdefault(parent, set()).update(current[child])
             current = nxt
             if not current:
@@ -236,7 +236,7 @@ class _SnapshotIndexes(OemIndexes):
             return super().atoms_comparing(op, literal, literal_first, via_symbol)
         return self._atoms(lids, via_symbol)
 
-    def _edges_into(
+    def _parent_links(
         self, children: "dict[Oid, set[Oid]]", label: str
     ) -> Iterator[tuple[Oid, Oid]]:
         fg = self._objects.fg

@@ -19,14 +19,7 @@ from .inference import generalize_label, infer_schema
 from .prune import predicates_may_overlap, pruned_rpq_nodes, schema_reachable_states
 from .representative import k_bisimulation, representative_object, ro_path_exists
 from .simulation import graph_simulation, maximal_simulation
-from .to_relational import (
-    ExtractionReport,
-    RecordRegion,
-    RecordRow,
-    RegionReport,
-    extract_tables,
-    record_regions,
-)
+from .to_relational import ExtractionReport, extract_tables
 
 __all__ = [
     "maximal_simulation",
@@ -47,10 +40,6 @@ __all__ = [
     "generalize_label",
     "ExtractionReport",
     "extract_tables",
-    "RecordRow",
-    "RecordRegion",
-    "RegionReport",
-    "record_regions",
     "parse_acedb_model",
     "AcedbModelError",
 ]

@@ -11,14 +11,6 @@ Total structure is not required: records may miss attributes (the
 semistructured reality), and the extraction either pads with ``None``
 (``allow_missing=True``, producing a structured view with nulls) or skips
 the non-conforming collection entirely (strict mode, reporting why).
-
-:func:`record_regions` is the same detection with the node identities
-kept: per ``(collection node, member symbol)`` pair, the record rows and
-their attribute/value/leaf node ids.  That is the raw material of the
-SQL backend's DataGuide-derived *wide tables* -- a region is exactly a
-graph fragment that denormalizes losslessly into one relational table,
-so a path query whose tail lands inside a region can be answered by a
-table scan instead of a graph traversal.
 """
 
 from __future__ import annotations
@@ -28,14 +20,7 @@ from dataclasses import dataclass, field
 from ..core.graph import Graph
 from ..relational.relation import Relation
 
-__all__ = [
-    "ExtractionReport",
-    "extract_tables",
-    "RecordRow",
-    "RecordRegion",
-    "RegionReport",
-    "record_regions",
-]
+__all__ = ["ExtractionReport", "extract_tables"]
 
 
 @dataclass
@@ -123,104 +108,3 @@ def extract_tables(graph: Graph, allow_missing: bool = False) -> ExtractionRepor
         report.tables[name] = Relation(tuple(attrs), rows)
     return report
 
-
-# ---------------------------------------------------------------------------
-# Record regions: the identity-preserving variant feeding the wide tables.
-
-
-@dataclass(frozen=True)
-class RecordRow:
-    """One record-shaped member: its node and attribute cells.
-
-    ``attrs`` holds ``(attribute, value_node, value, leaf_node)`` per
-    attribute edge -- the full ``record --attr--> {value: {}}`` spine,
-    so a query answering from the denormalized row can still return the
-    node ids the graph traversal would have returned.
-    """
-
-    node: int
-    attrs: tuple[tuple[str, int, object, int], ...]
-
-
-@dataclass(frozen=True)
-class RecordRegion:
-    """Every member of ``collection`` under ``member`` is a flat record."""
-
-    collection: int
-    member: str
-    rows: tuple[RecordRow, ...]
-
-
-@dataclass
-class RegionReport:
-    """All record regions of a graph, plus the soundness complement.
-
-    ``uncovered`` lists the ``(node, member)`` pairs that *have* member
-    edges but whose targets are not all record-shaped.  A consumer that
-    wants to answer ``...member...`` queries from the regions must check
-    its source nodes against this set: a node absent from both sides
-    simply has no such edges and contributes nothing either way.
-    """
-
-    regions: list[RecordRegion] = field(default_factory=list)
-    uncovered: set[tuple[int, str]] = field(default_factory=set)
-
-    def covers(self, node: int, member: str) -> bool:
-        return (node, member) not in self.uncovered
-
-
-def _record_row(graph: Graph, node: int) -> "RecordRow | None":
-    """The node-id-preserving twin of :func:`_record_of`."""
-    attrs: list[tuple[str, int, object, int]] = []
-    seen: set[str] = set()
-    for edge in graph.edges_from(node):
-        if not edge.label.is_symbol:
-            return None
-        value_edges = graph.edges_from(edge.dst)
-        if (
-            len(value_edges) != 1
-            or not value_edges[0].label.is_base
-            or graph.out_degree(value_edges[0].dst) != 0
-        ):
-            return None
-        name = str(edge.label.value)
-        if name in seen:
-            return None  # repeated attribute: set-valued, not relational
-        seen.add(name)
-        attrs.append((name, edge.dst, value_edges[0].label.value, value_edges[0].dst))
-    return RecordRow(node, tuple(attrs))
-
-
-def record_regions(graph: Graph) -> RegionReport:
-    """Find every ``(collection, member symbol)`` record region.
-
-    Unlike :func:`extract_tables` this keeps single-member collections
-    (soundness, not table-worthiness, is the criterion), dedupes shared
-    record nodes per region, and runs one pass over the reachable edge
-    set -- O(edges) total, paid once per snapshot by the SQL backend.
-    """
-    report = RegionReport()
-    row_cache: dict[int, "RecordRow | None"] = {}
-
-    def row_of(node: int) -> "RecordRow | None":
-        if node not in row_cache:
-            row_cache[node] = _record_row(graph, node)
-        return row_cache[node]
-
-    for node in sorted(graph.reachable()):
-        by_member: dict[str, list[int]] = {}
-        for edge in graph.edges_from(node):
-            if edge.label.is_symbol:
-                by_member.setdefault(str(edge.label.value), []).append(edge.dst)
-        for member in sorted(by_member):
-            rows = []
-            for target in dict.fromkeys(by_member[member]):
-                row = row_of(target)
-                if row is None:
-                    break
-                rows.append(row)
-            else:
-                report.regions.append(RecordRegion(node, member, tuple(rows)))
-                continue
-            report.uncovered.add((node, member))
-    return report

@@ -2,8 +2,7 @@
 
 "One obvious approach is to model the graph as a relational database and
 then exploit a relational query language" -- this package does exactly
-that, on stdlib :mod:`sqlite3`: snapshots load as edge/label tables
-(plus DataGuide-derived wide tables for the record-shaped parts),
+that, on stdlib :mod:`sqlite3`: snapshots load as edge/label tables,
 root-origin path-regex queries and Lorel's from/where core compile to
 SQL (self-join chains, recursive-CTE fixpoints for closure), and every
 query outside the compilable fragment raises :class:`NotCompilable` --
@@ -22,14 +21,7 @@ from .backend import (
     unql_sql,
 )
 from .compiler import CompiledQuery, compile_rpq
-from .encode import (
-    WideCatalog,
-    connect,
-    encode_graph,
-    encode_oem,
-    encode_wide,
-    register_functions,
-)
+from .encode import connect, encode_graph, encode_oem, register_functions
 from .errors import NotCompilable
 from .joins import JoinGraph, JoinNode, greedy_order
 from .lorel_sql import compile_lorel, oem_vocabulary
@@ -50,8 +42,6 @@ __all__ = [
     "register_functions",
     "encode_graph",
     "encode_oem",
-    "encode_wide",
-    "WideCatalog",
     "JoinGraph",
     "JoinNode",
     "greedy_order",

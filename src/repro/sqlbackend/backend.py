@@ -1,9 +1,9 @@
 """The SQL engines' facade: per-snapshot and per-database backends.
 
 :class:`SqlBackend` owns one sqlite connection per frozen snapshot --
-edge/label tables, the wide tables, a compiled-plan cache, and counters
--- and answers root-origin path-regex queries.  :class:`LorelSqlBackend`
-is its OEM twin for Lorel queries, version-checked against the mutable
+edge/label tables, a compiled-plan cache, and counters -- and answers
+root-origin path-regex queries.  :class:`LorelSqlBackend` is its OEM
+twin for Lorel queries, version-checked against the mutable
 database the way :func:`repro.planner.pushdown.oem_indexes_for` is.
 :func:`unql_sql` routes the root-level fixed members of an UnQL query
 through the snapshot backend, reusing the optimizer's resolved-edge
@@ -28,9 +28,9 @@ from ..planner.stats import GraphStatistics
 from ..storage.serializer import STORAGE_METRICS
 from ..unql.ast import Binding, Pattern, PatternMember, Query, RegexEdge
 from ..unql.evaluator import evaluate_query
-from ..unql.optimizer import _IndexResolvedEdge, fixed_path_of
+from ..unql.optimizer import _IndexResolvedEdge
 from .compiler import CompiledQuery, compile_rpq
-from .encode import WideCatalog, connect, encode_graph, encode_oem, encode_wide
+from .encode import connect, encode_graph, encode_oem
 from .errors import NotCompilable
 from .lorel_sql import compile_lorel
 
@@ -56,21 +56,18 @@ class SqlBackend:
 
     Construction pays the load once (edge + label tables and their
     indexes); queries then compile against the snapshot's vocabulary
-    (plans cached by pattern text) and execute on sqlite.  The wide
-    tables are loaded on demand, and only with a ``guide``: without the
-    DataGuide no plan can read them.  ``last_sql`` and ``counters``
-    expose what happened.  The image lives and dies with its snapshot:
-    a commit drops it, and the next version builds its own on first use.
+    (plans cached by pattern text) and execute on sqlite.  ``last_sql``
+    and ``counters`` expose what happened.  The image lives and dies
+    with its snapshot: a commit drops it, and the next version builds
+    its own on first use.
     """
 
-    def __init__(self, fg: "FrozenGraph", *, guide=None) -> None:
+    def __init__(self, fg: "FrozenGraph") -> None:
         self.fg = fg
         self.stats = GraphStatistics.from_frozen(fg)
-        self.guide = guide
         self.conn = connect()
         encode_graph(self.conn, fg)
         _IMAGES_BUILT.inc()
-        self._catalog: "WideCatalog | None" = None
         self._plans: dict[str, CompiledQuery] = {}
         self.counters = {
             "compiles": 0,
@@ -79,13 +76,6 @@ class SqlBackend:
             "not_compilable": 0,
         }
         self.last_sql: "str | None" = None
-
-    @property
-    def catalog(self) -> "WideCatalog":
-        """The wide tables' metadata; the first read loads the tables."""
-        if self._catalog is None:
-            self._catalog = encode_wide(self.conn, self.fg)
-        return self._catalog
 
     def compile(self, pattern: "str | PathRegex") -> CompiledQuery:
         """The cached SQL plan for a pattern (raises :class:`NotCompilable`)."""
@@ -100,17 +90,8 @@ class SqlBackend:
         if regex is None:
             regex = parse_path_regex(pattern)
         self.counters["compiles"] += 1
-        # only a fixed path resolved through the DataGuide can take the
-        # wide plan; nothing else is worth loading the wide tables for
-        wide = self.guide is not None and fixed_path_of(regex)
         try:
-            plan = compile_rpq(
-                self.fg,
-                regex,
-                self.stats,
-                guide=self.guide,
-                catalog=self.catalog if wide else None,
-            )
+            plan = compile_rpq(self.fg, regex, self.stats)
         except NotCompilable:
             self.counters["not_compilable"] += 1
             raise
@@ -138,8 +119,8 @@ class SqlBackend:
 
 
 def sql_backend_for(graph: "Graph | FrozenGraph") -> SqlBackend:
-    """The snapshot-cached, guide-less :class:`SqlBackend` (freezing if
-    needed), memoized in the snapshot's extension slot."""
+    """The snapshot-cached :class:`SqlBackend` (freezing if needed),
+    memoized in the snapshot's extension slot."""
     fg = freeze(graph)
     backend = fg._ext.get("sqlbackend")
     if not isinstance(backend, SqlBackend):

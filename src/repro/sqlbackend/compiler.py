@@ -1,10 +1,7 @@
 """Lowering root-origin path-regex queries to SQL (the paper's option 1).
 
-Three compilation shapes, tried in order of decreasing structure:
+Two compilation shapes, tried in order of decreasing structure:
 
-* **wide** -- the query's fixed path ends inside a record region, so the
-  answer is a scan of the DataGuide-derived wide tables (structured
-  speed for the structured part of the data);
 * **chain** -- the regex is a concatenation of single-label steps, which
   becomes an N-way self-join of ``edge`` in a greedy cost-based order
   (:mod:`~repro.sqlbackend.joins`), joined with ``CROSS JOIN`` so the
@@ -18,9 +15,9 @@ Three compilation shapes, tried in order of decreasing structure:
 Every label predicate is resolved *in Python* against the interned
 vocabulary into literal ``lid`` sets -- sqlite never evaluates a glob or
 a type test, so the two engines cannot disagree on predicate semantics.
-Queries outside the fragment (oversized IN-lists, DFA blow-ups, huge
-extents) raise :class:`~repro.sqlbackend.errors.NotCompilable` and the
-caller falls back to the native kernel.
+Queries outside the fragment (oversized IN-lists, DFA blow-ups) raise
+:class:`~repro.sqlbackend.errors.NotCompilable`, and the refusal reaches
+the caller.
 """
 
 from __future__ import annotations
@@ -38,28 +35,22 @@ from ..automata.regex import (
     LabelPredicate,
     PathRegex,
 )
-from ..relational.encode import _atom_kind
-from ..unql.optimizer import fixed_path_of
 from .errors import NotCompilable
 from .joins import JoinGraph, greedy_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.frozen import FrozenGraph
     from ..planner.stats import GraphStatistics
-    from ..schema.dataguide import DataGuide
-    from .encode import WideCatalog
 
 __all__ = [
     "CompiledQuery",
     "MAX_IN_LIST",
     "MAX_DFA_STATES",
     "MAX_DFA_TRANSITIONS",
-    "MAX_WIDE_EXTENT",
     "chain_steps",
     "resolve_step",
     "compile_chain",
     "compile_automaton",
-    "compile_wide",
     "compile_rpq",
 ]
 
@@ -68,17 +59,15 @@ MAX_IN_LIST = 512
 #: Materialized-DFA caps: states and (state, lid, state) transitions.
 MAX_DFA_STATES = 64
 MAX_DFA_TRANSITIONS = 4096
-#: Largest DataGuide extent inlined into a wide-table scan.
-MAX_WIDE_EXTENT = 256
 
 
 @dataclass
 class CompiledQuery:
     """An executable SQL plan: text, parameters, and provenance.
 
-    ``kind`` is ``"wide"``, ``"chain"`` or ``"automaton"``; ``info``
-    carries compile-time facts (join order, DFA size, extent size) that
-    the ``.sql`` goldens surface.
+    ``kind`` is ``"chain"`` or ``"automaton"``; ``info`` carries
+    compile-time facts (join order, DFA size) that the ``.sql`` goldens
+    surface.
     """
 
     sql: str
@@ -298,85 +287,6 @@ def compile_automaton(
 
 
 # ---------------------------------------------------------------------------
-# Wide-table compilation.
-
-
-def compile_wide(
-    regex: PathRegex,
-    guide: "DataGuide | None",
-    catalog: "WideCatalog | None",
-) -> "CompiledQuery | None":
-    """Answer a fixed-path query from the wide tables, when sound.
-
-    The fixed path splits as ``prefix . member [. attr [. value]]``; the
-    prefix resolves through the DataGuide to a collection extent, and
-    the split is usable only when every extent node's *member* region is
-    record-shaped (:meth:`WideCatalog.covers`).  Returns ``None`` when
-    no split applies -- the caller falls through to chain/automaton
-    compilation, never to a wrong answer.
-    """
-    if guide is None or catalog is None:
-        return None
-    fixed = fixed_path_of(regex)
-    if not fixed:
-        return None
-    for tail_len in (1, 2, 3):
-        if len(fixed) < tail_len:
-            break
-        split = len(fixed) - tail_len
-        member = fixed[split]
-        if not member.is_symbol:
-            continue
-        if tail_len >= 2 and not fixed[split + 1].is_symbol:
-            continue
-        if tail_len == 3 and not fixed[split + 2].is_base:
-            continue
-        extent = guide.target_set(fixed[:split])
-        if not extent:
-            return _empty("wide", "prefix unreachable")
-        if len(extent) > MAX_WIDE_EXTENT:
-            continue
-        member_name = str(member.value)
-        if not catalog.covers(extent, member_name):
-            continue
-        colls = _in_clause("m.coll", sorted(extent))
-        info = {"tail": tail_len, "extent": len(extent)}
-        if tail_len == 1:
-            sql = (
-                "SELECT DISTINCT m.rec AS node\n"
-                "FROM wide_member AS m\n"
-                f"WHERE m.member = ? AND {colls}\n"
-                "ORDER BY node"
-            )
-            return CompiledQuery(sql, (member_name,), "wide", info)
-        attr_name = str(fixed[split + 1].value)
-        if tail_len == 2:
-            sql = (
-                "SELECT DISTINCT w.vnode AS node\n"
-                "FROM wide_member AS m\n"
-                "JOIN wide_attr AS w ON w.rec = m.rec AND w.attr = ?\n"
-                f"WHERE m.member = ? AND {colls}\n"
-                "ORDER BY node"
-            )
-            return CompiledQuery(sql, (attr_name, member_name), "wide", info)
-        value = fixed[split + 2].value
-        kind = _atom_kind(value)
-        stored = int(value) if isinstance(value, bool) else value
-        sql = (
-            "SELECT DISTINCT w.leaf AS node\n"
-            "FROM wide_member AS m\n"
-            "JOIN wide_attr AS w ON w.rec = m.rec AND w.attr = ?\n"
-            "  AND w.kind = ? AND w.value = ?\n"
-            f"WHERE m.member = ? AND {colls}\n"
-            "ORDER BY node"
-        )
-        return CompiledQuery(
-            sql, (attr_name, kind, stored, member_name), "wide", info
-        )
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Top-level entry.
 
 
@@ -384,18 +294,12 @@ def compile_rpq(
     fg: "FrozenGraph",
     regex: PathRegex,
     stats: "GraphStatistics",
-    *,
-    guide: "DataGuide | None" = None,
-    catalog: "WideCatalog | None" = None,
 ) -> CompiledQuery:
     """Compile a root-origin path-regex query against a snapshot.
 
-    Tries wide, then chain, then automaton; raises
-    :class:`NotCompilable` when the query is outside the SQL fragment.
+    Tries chain, then automaton; raises :class:`NotCompilable` when the
+    query is outside the SQL fragment.
     """
-    compiled = compile_wide(regex, guide, catalog)
-    if compiled is not None:
-        return compiled
     steps = chain_steps(regex)
     if steps is not None:
         lid_steps = [resolve_step(preds, fg) for preds in steps]

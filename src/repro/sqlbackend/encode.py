@@ -13,11 +13,7 @@ step, concretely, on stdlib :mod:`sqlite3`:
   label, dst)`` / ``oem_atom(oid, kind, value)`` / ``oem_name(name,
   oid)`` -- the sqlite image of
   :func:`repro.relational.encode.oem_to_relations`, whose round-trip
-  identity the property suite pins;
-* the :func:`repro.schema.to_relational.record_regions` of a graph
-  denormalize into *wide tables* ``wide_member(coll, member, rec)`` and
-  ``wide_attr(rec, attr, vnode, kind, value, leaf)``, the
-  DataGuide-derived fast lane for flat data.
+  identity the property suite pins.
 
 Lorel's coercing comparisons cannot be expressed in sqlite's own
 operators (its ``LIKE`` is case-insensitive, its ``CAST`` parses
@@ -30,7 +26,6 @@ equality provable rather than approximate.
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import sub
 from typing import TYPE_CHECKING
@@ -38,7 +33,6 @@ from typing import TYPE_CHECKING
 from ..core.labels import Label
 from ..lorel.coerce import compare_values, like_value
 from ..relational.encode import _atom_kind, _decode_atom
-from ..schema.to_relational import record_regions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.frozen import FrozenGraph
@@ -49,8 +43,6 @@ __all__ = [
     "register_functions",
     "encode_graph",
     "encode_oem",
-    "encode_wide",
-    "WideCatalog",
     "store_label",
     "load_label",
 ]
@@ -171,75 +163,3 @@ def encode_oem(conn: sqlite3.Connection, db: "OemDatabase") -> None:
         """
     )
     conn.commit()
-
-
-@dataclass
-class WideCatalog:
-    """The wide tables' compile-time metadata.
-
-    ``uncovered`` is the soundness complement from
-    :class:`~repro.schema.to_relational.RegionReport`: a collection
-    node with *member*-edges not wholly record-shaped.  The compiler
-    may only answer ``...member...`` from the wide tables when none of
-    its source nodes appear here (a node with no member edges at all is
-    trivially covered -- it contributes nothing on either engine).
-    """
-
-    uncovered: set[tuple[int, str]] = field(default_factory=set)
-    num_rows: int = 0
-
-    def covers(self, nodes, member: str) -> bool:
-        return all((node, member) not in self.uncovered for node in nodes)
-
-
-def encode_wide(conn: sqlite3.Connection, fg: "FrozenGraph") -> WideCatalog:
-    """Denormalize every record region into the wide tables.
-
-    ``wide_member`` holds one row per (collection, member, record) link
-    (kept separate from the attribute rows so attribute-less records
-    still exist); ``wide_attr`` one row per attribute cell, carrying the
-    value node, the (kind, value) pair, and the leaf node -- the three
-    node positions a path query's tail can land on.
-    """
-    report = record_regions(fg)
-    conn.executescript(
-        """
-        CREATE TABLE wide_member (coll INTEGER NOT NULL, member TEXT NOT NULL,
-                                  rec INTEGER NOT NULL);
-        CREATE TABLE wide_attr (rec INTEGER NOT NULL, attr TEXT NOT NULL,
-                                vnode INTEGER NOT NULL, kind TEXT NOT NULL,
-                                value, leaf INTEGER NOT NULL);
-        """
-    )
-    member_rows: list[tuple] = []
-    attr_rows: list[tuple] = []
-    seen_rows: set[int] = set()
-    for region in report.regions:
-        for row in region.rows:
-            member_rows.append((region.collection, region.member, row.node))
-            if row.node in seen_rows:
-                continue  # a record shared by several collections: one attr set
-            seen_rows.add(row.node)
-            for attr, vnode, value, leaf in row.attrs:
-                kind = _atom_kind(value)
-                attr_rows.append(
-                    (
-                        row.node,
-                        attr,
-                        vnode,
-                        kind,
-                        int(value) if isinstance(value, bool) else value,
-                        leaf,
-                    )
-                )
-    conn.executemany("INSERT INTO wide_member VALUES (?, ?, ?)", member_rows)
-    conn.executemany("INSERT INTO wide_attr VALUES (?, ?, ?, ?, ?, ?)", attr_rows)
-    conn.executescript(
-        """
-        CREATE INDEX wide_member_coll ON wide_member(coll, member, rec);
-        CREATE INDEX wide_attr_rec ON wide_attr(rec, attr);
-        CREATE INDEX wide_attr_value ON wide_attr(attr, kind, value);
-        """
-    )
-    conn.commit()
-    return WideCatalog(uncovered=report.uncovered, num_rows=len(seen_rows))

@@ -8,12 +8,7 @@ from .mvcc import (
     WriteBatch,
 )
 from .serializer import STORAGE_METRICS, SerializationError, dumps, loads
-from .store import (
-    GraphStore,
-    PageCache,
-    atomic_write_bytes,
-    traversal_page_faults,
-)
+from .store import atomic_write_bytes
 from .wal import (
     AddEdge,
     AddNode,
@@ -27,9 +22,6 @@ __all__ = [
     "loads",
     "SerializationError",
     "STORAGE_METRICS",
-    "GraphStore",
-    "PageCache",
-    "traversal_page_faults",
     "atomic_write_bytes",
     "ExternalGraph",
     "EXTERNAL_MARKER",

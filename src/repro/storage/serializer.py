@@ -31,7 +31,7 @@ from ..core.graph import Graph
 from ..core.labels import Label, LabelKind
 from ..obs import MetricsRegistry
 
-__all__ = ["dumps", "loads", "serialize_node_record", "SerializationError", "STORAGE_METRICS"]
+__all__ = ["dumps", "loads", "SerializationError", "STORAGE_METRICS"]
 
 #: Always-on storage traffic accounting: graphs and bytes through
 #: dumps/loads.  Observability tests snapshot and reset it; the CLI's
@@ -232,14 +232,3 @@ def loads(data: bytes) -> Graph:
     STORAGE_METRICS.counter("bytes_loaded").inc(len(data))
     return g
 
-
-def serialize_node_record(graph: Graph, node: int, renumber: dict[int, int]) -> bytes:
-    """One node's out-edge record (the unit the record store pages)."""
-    out = bytearray()
-    _write_varint(out, renumber[node])
-    edges = [e for e in graph.edges_from(node) if e.dst in renumber]
-    _write_varint(out, len(edges))
-    for edge in edges:
-        _write_label(out, edge.label)
-        _write_varint(out, renumber[edge.dst])
-    return bytes(out)

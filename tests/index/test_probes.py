@@ -114,13 +114,14 @@ def test_a_detached_index_answers_its_own_version():
     fg = freeze(g)
     held = probes_for(fg)
     lid = fg.label_index[sym("a")]
-    before = (held.label_edges(lid), held.edges_into(1), list(held.values.symbols))
+    before = (held.labeled(lid), held.labeled(lid, into=1), list(held.values.symbols))
     edge = g.add_edge(root, "b", g.new_node())
     derived = fg.derive([edge.dst], [edge], root, 1)
     carried = held.advance(derived, [edge])
-    assert carried.label_edges(derived.label_index[sym("b")]) == carried.edges_into(2) == [1]
+    b = derived.label_index[sym("b")]
+    assert carried.labeled(b) == carried.labeled(b, into=2) == [(1, root)]
     assert len(carried.values.symbols) == 2
-    assert (held.label_edges(lid), held.edges_into(1), held.values.symbols) == before
+    assert (held.labeled(lid), held.labeled(lid, into=1), held.values.symbols) == before
 
 
 def assert_sources_are_the_graphs(fg, g: Graph) -> None:

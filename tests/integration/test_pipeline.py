@@ -10,7 +10,7 @@ from repro.lorel import lorel, lorel_rows
 from repro.schema.dataguide import DataGuide
 from repro.schema.inference import infer_schema
 from repro.schema.to_relational import extract_tables
-from repro.storage import GraphStore, dumps, loads
+from repro.storage import atomic_write_bytes, dumps, loads
 from repro.unql import fix_bacall, unql
 from repro.unql.views import ViewCatalog
 
@@ -21,8 +21,8 @@ class TestStoreQueryPipeline:
     def test_round_trip_then_query(self, tmp_path):
         db = generate_movies(60, seed=301)
         path = tmp_path / "movies.ssd"
-        GraphStore(db, clustering="dfs", page_size=512).save(path)
-        reloaded = GraphStore.load(path, page_size=512).graph
+        atomic_write_bytes(path, dumps(db))
+        reloaded = loads(path.read_bytes())
         assert bisimilar(db, reloaded)
         # query answers must be invariant under the round trip
         q = r"select \t where {Entry.Movie.Title: \t} in db"
@@ -122,8 +122,8 @@ class TestFigure1EndToEnd:
         fixed = fix_bacall(db, string("Bacall"), string("Bergman"), sym("Cast"))
         # persist
         path = tmp_path / "fig1.ssd"
-        GraphStore(fixed).save(path)
-        final = GraphStore.load(path).graph
+        atomic_write_bytes(path, dumps(fixed))
+        final = loads(path.read_bytes())
         # verify end state
         assert find_value(final, "Bacall") == []
         assert len(find_value(final, "Bergman")) == 1

@@ -9,12 +9,9 @@ from repro.core.oem import OemDatabase
 from repro.datasets import figure1
 from repro.datasets.relational_data import generate_catalog
 from repro.lorel import lorel, lorel_rows, parse_lorel
-from repro.schema.dataguide import DataGuide
 from repro.sqlbackend import (
     NotCompilable,
     SqlBackend,
-    connect,
-    encode_wide,
     lorel_sql_backend_for,
     sql_backend_for,
     unql_sql,
@@ -41,40 +38,23 @@ def _record_graph():
     return g
 
 
-class TestWideEncoding:
-    def test_member_column_separates_symbols(self):
-        """Two member symbols on one collection must not conflate.
+def test_record_shaped_paths_compile_to_chains():
+    """Fixed paths through record-shaped data are self-join chains that
+    answer exactly like the kernel."""
+    from repro.relational.encode import relational_to_graph
 
-        Regression for the encoding that keyed ``wide_member`` by
-        collection alone: a ``m1`` query would have returned ``m2``'s
-        records too.
-        """
-        conn = connect()
-        encode_wide(conn, freeze(_record_graph()))
-        m1 = conn.execute(
-            "SELECT COUNT(*) FROM wide_member WHERE member = 'm1'"
-        ).fetchone()[0]
-        m2 = conn.execute(
-            "SELECT COUNT(*) FROM wide_member WHERE member = 'm2'"
-        ).fetchone()[0]
-        assert (m1, m2) == (2, 1)
-
-    def test_wide_plan_differential(self):
-        """A guide-backed wide plan answers exactly like the kernel."""
-        fg = freeze(_record_graph())
-        backend = SqlBackend(fg, guide=DataGuide(fg))
-        plan = backend.compile("A.m1.x")
-        assert plan.kind == "wide"
-        assert backend.rpq_nodes("A.m1.x") == rpq_nodes(fg, "A.m1.x")
-
-    def test_wide_plan_on_relational_sample(self):
-        """The fully record-shaped bridge dataset compiles wide."""
-        from repro.relational.encode import relational_to_graph
-
-        fg = freeze(relational_to_graph(generate_catalog(20, 10, seed=2)))
-        backend = SqlBackend(fg, guide=DataGuide(fg))
-        for pattern in ("Movies.tuple.title", "Casts.tuple.actor"):
-            assert backend.compile(pattern).kind == "wide"
+    cases = (
+        (_record_graph(), ("A.m1.x",)),
+        (
+            relational_to_graph(generate_catalog(20, 10, seed=2)),
+            ("Movies.tuple.title", "Casts.tuple.actor"),
+        ),
+    )
+    for graph, patterns in cases:
+        fg = freeze(graph)
+        backend = sql_backend_for(fg)
+        for pattern in patterns:
+            assert backend.compile(pattern).kind == "chain"
             assert backend.rpq_nodes(pattern) == rpq_nodes(fg, pattern)
 
 

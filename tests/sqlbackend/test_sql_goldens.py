@@ -31,8 +31,8 @@ DATASETS = {
 }
 
 #: case name -> (dataset key, language, query text).  One case per plan
-#: shape: wide-table lookups, pruned self-join chains, recursive-CTE
-#: automata, and the Lorel clause/where compiler's main forms.
+#: shape: pruned self-join chains, recursive-CTE automata, and the Lorel
+#: clause/where compiler's main forms.
 CASES = {
     "rpq-chain-fixed": ("figure1", "rpq", "Entry.Movie.Title"),
     "rpq-chain-glob": ("figure1", "rpq", "Entry.%.Title"),

@@ -22,13 +22,7 @@ import pytest
 
 from repro.core.bisim import bisimilar
 from repro.datasets import generate_movies
-from repro.storage import (
-    GraphStore,
-    SerializationError,
-    atomic_write_bytes,
-    dumps,
-    loads,
-)
+from repro.storage import SerializationError, atomic_write_bytes, dumps, loads
 
 
 def sample(seed: int = 7):
@@ -45,14 +39,14 @@ class TornWrite(RuntimeError):
 def test_save_roundtrips(tmp_path: Path) -> None:
     g = sample()
     target = tmp_path / "g.graph"
-    GraphStore(g).save(target)
-    assert bisimilar(GraphStore.load(target).graph, g)
+    atomic_write_bytes(target, dumps(g))
+    assert bisimilar(loads(target.read_bytes()), g)
 
 
 def test_crash_mid_write_preserves_old_file(tmp_path: Path, monkeypatch) -> None:
     old, new = sample(seed=1), sample(seed=2)
     target = tmp_path / "g.graph"
-    GraphStore(old).save(target)
+    atomic_write_bytes(target, dumps(old))
     before = target.read_bytes()
 
     budget = len(dumps(new)) // 2  # die with half the payload on disk
@@ -87,19 +81,19 @@ def test_crash_mid_write_preserves_old_file(tmp_path: Path, monkeypatch) -> None
 
     monkeypatch.setattr("builtins.open", torn_open)
     with pytest.raises(TornWrite):
-        GraphStore(new).save(target)
+        atomic_write_bytes(target, dumps(new))
     monkeypatch.undo()
 
     # old file untouched and loadable; no temp debris
     assert target.read_bytes() == before
-    assert bisimilar(GraphStore.load(target).graph, old)
+    assert bisimilar(loads(target.read_bytes()), old)
     assert [p.name for p in tmp_path.iterdir()] == ["g.graph"]
 
 
 def test_crash_before_rename_preserves_old_file(tmp_path: Path, monkeypatch) -> None:
     old, new = sample(seed=3), sample(seed=4)
     target = tmp_path / "g.graph"
-    GraphStore(old).save(target)
+    atomic_write_bytes(target, dumps(old))
     before = target.read_bytes()
 
     def no_replace(src, dst):
@@ -107,7 +101,7 @@ def test_crash_before_rename_preserves_old_file(tmp_path: Path, monkeypatch) -> 
 
     monkeypatch.setattr(os, "replace", no_replace)
     with pytest.raises(TornWrite):
-        GraphStore(new).save(target)
+        atomic_write_bytes(target, dumps(new))
     monkeypatch.undo()
 
     assert target.read_bytes() == before
@@ -122,7 +116,7 @@ def test_crash_creating_fresh_file_leaves_nothing(tmp_path: Path, monkeypatch) -
 
     monkeypatch.setattr(os, "replace", no_replace)
     with pytest.raises(TornWrite):
-        GraphStore(sample()).save(target)
+        atomic_write_bytes(target, dumps(sample()))
     monkeypatch.undo()
 
     assert not target.exists()
@@ -132,20 +126,20 @@ def test_crash_creating_fresh_file_leaves_nothing(tmp_path: Path, monkeypatch) -
 def test_truncated_payload_never_escapes_as_untyped(tmp_path: Path) -> None:
     """Even a file torn by some *other* writer fails typed on load."""
     target = tmp_path / "g.graph"
-    GraphStore(sample()).save(target)
+    atomic_write_bytes(target, dumps(sample()))
     payload = target.read_bytes()
     for cut in (0, 1, 4, len(payload) // 2, len(payload) - 1):
         target.write_bytes(payload[:cut])
         with pytest.raises(SerializationError):
-            GraphStore.load(target)
+            loads(target.read_bytes())
 
 
 def test_durable_false_skips_fsync(tmp_path: Path, monkeypatch) -> None:
     calls = []
     monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
-    GraphStore(sample()).save(tmp_path / "a.graph", durable=False)
+    atomic_write_bytes(tmp_path / "a.graph", dumps(sample()), fsync=False)
     assert calls == []
-    GraphStore(sample()).save(tmp_path / "b.graph", durable=True)
+    atomic_write_bytes(tmp_path / "b.graph", dumps(sample()), fsync=True)
     assert len(calls) >= 1
 
 
@@ -155,13 +149,13 @@ def test_durable_false_skips_fsync(tmp_path: Path, monkeypatch) -> None:
 KILL_CHILD = """
 import sys
 from repro.datasets import generate_movies
-from repro.storage import GraphStore
+from repro.storage import atomic_write_bytes, dumps
 
 target = sys.argv[1]
-store = GraphStore(generate_movies(60, seed=9))
+data = dumps(generate_movies(60, seed=9))
 print("ready", flush=True)
 while True:  # save forever; the parent pulls the plug mid-flight
-    store.save(target)
+    atomic_write_bytes(target, data)
 """
 
 

@@ -215,13 +215,17 @@ def test_derived_views_equal_cold_freeze(base, commits, patterns):
 
 
 def probe_sets(probes: ProbeIndex) -> dict:
-    """A probe index's content in the snapshot's terms: edge indices,
-    node ids and labels (label ids may be renamed), as sets."""
+    """A probe index's content in the snapshot's terms: (edge index,
+    source node id) pairs and labels (label ids may be renamed), as sets."""
     fg, values = probes.fg, probes.values
     labels = fg.labels_seq
     return {
-        "by_label": {labels[lid]: set(probes.label_edges(lid)) for lid in range(len(labels))},
-        "into": {node: set(probes.edges_into(node)) for node in fg.nodes()},
+        "by_label": {labels[lid]: set(probes.labeled(lid)) for lid in range(len(labels))},
+        "into": {
+            (node, labels[lid]): set(probes.labeled(lid, into=node))
+            for node in fg.nodes()
+            for lid in range(len(labels))
+        },
         "values": {
             (space, key, labels[lid])
             for space in ("numbers", "numeric", "strings")

@@ -1,4 +1,4 @@
-"""Tests for serialization and the clustered page store."""
+"""Tests for the SSD1 serializer."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +8,7 @@ from repro.core.bisim import bisimilar
 from repro.core.builder import from_obj
 from repro.core.graph import Graph
 from repro.core.labels import real, string
-from repro.storage import (
-    GraphStore,
-    PageCache,
-    SerializationError,
-    dumps,
-    loads,
-    traversal_page_faults,
-)
+from repro.storage import SerializationError, dumps, loads
 
 
 def sample() -> Graph:
@@ -77,85 +70,6 @@ class TestSerializer:
     def test_large_int_values(self):
         g = from_obj({"big": 2**40, "neg": -(2**40)})
         assert bisimilar(loads(dumps(g)), g)
-
-
-class TestGraphStore:
-    def test_every_node_has_a_record(self):
-        g = sample()
-        store = GraphStore(g, page_size=128)
-        for node in g.reachable():
-            assert store.page_of(node) >= 0
-
-    def test_clustering_strategies_build(self):
-        g = sample()
-        for strategy in ("dfs", "bfs", "random"):
-            store = GraphStore(g, clustering=strategy, page_size=128)
-            assert store.num_pages >= 1
-
-    def test_unknown_clustering_rejected(self):
-        with pytest.raises(ValueError):
-            GraphStore(sample(), clustering="zigzag")
-
-    def test_tiny_page_size_rejected(self):
-        with pytest.raises(ValueError):
-            GraphStore(sample(), page_size=8)
-
-    def test_occupancy_reasonable(self):
-        store = GraphStore(sample(), page_size=256)
-        assert 0 < store.occupancy() <= 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        g = sample()
-        store = GraphStore(g, page_size=128)
-        path = tmp_path / "movies.ssd"
-        store.save(path)
-        again = GraphStore.load(path, page_size=128)
-        assert bisimilar(again.graph, g)
-
-    def test_dfs_clustering_fewer_faults_than_random(self):
-        # a deep, bushy tree: locality matters
-        def deep(levels, fanout):
-            if levels == 0:
-                return {"v": 1}
-            return {f"c{i}": deep(levels - 1, fanout) for i in range(fanout)}
-
-        g = from_obj(deep(5, 3))
-        dfs_store = GraphStore(g, clustering="dfs", page_size=256)
-        random_store = GraphStore(g, clustering="random", page_size=256, seed=7)
-        dfs_faults = traversal_page_faults(dfs_store, cache_pages=4, order="dfs")
-        random_faults = traversal_page_faults(random_store, cache_pages=4, order="dfs")
-        assert dfs_faults < random_faults
-
-    def test_cache_counts_hits_and_faults(self):
-        store = GraphStore(sample(), page_size=4096)  # all on one page
-        cache = PageCache(store, capacity=2)
-        nodes = sorted(store.graph.reachable())
-        for n in nodes:
-            cache.read_node(n)
-        assert cache.faults == 1
-        assert cache.hits == len(nodes) - 1
-
-    def test_cache_capacity_validated(self):
-        store = GraphStore(sample())
-        with pytest.raises(ValueError):
-            PageCache(store, capacity=0)
-
-    def test_oversized_record_gets_own_page(self):
-        g = Graph()
-        r = g.new_node()
-        g.set_root(r)
-        for i in range(100):
-            g.add_edge(r, string("x" * 50 + str(i)), g.new_node())
-        store = GraphStore(g, page_size=256)
-        assert store.num_pages > 1
-        assert store.page_of(r) >= 0
-
-    def test_traversal_orders(self):
-        store = GraphStore(sample(), page_size=128)
-        assert traversal_page_faults(store, order="dfs") >= 1
-        assert traversal_page_faults(store, order="bfs") >= 1
-        with pytest.raises(ValueError):
-            traversal_page_faults(store, order="sideways")
 
 
 @st.composite
