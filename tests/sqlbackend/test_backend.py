@@ -38,24 +38,29 @@ def _record_graph():
     return g
 
 
-def test_record_shaped_paths_compile_to_chains():
-    """Fixed paths through record-shaped data are self-join chains that
-    answer exactly like the kernel."""
+def _assert_chains_match_kernel(graph, patterns):
+    fg = freeze(graph)
+    backend = sql_backend_for(fg)
+    for pattern in patterns:
+        assert backend.compile(pattern).kind == "chain"
+        assert backend.rpq_nodes(pattern) == rpq_nodes(fg, pattern)
+
+
+def test_record_path_compiles_to_a_chain_that_matches_the_kernel():
+    """A fixed path through one of two member symbols is a self-join
+    chain that answers exactly like the kernel."""
+    _assert_chains_match_kernel(_record_graph(), ("A.m1.x",))
+
+
+def test_relational_sample_paths_compile_to_chains():
+    """Fixed paths through the record-shaped bridge dataset are
+    self-join chains that answer exactly like the kernel."""
     from repro.relational.encode import relational_to_graph
 
-    cases = (
-        (_record_graph(), ("A.m1.x",)),
-        (
-            relational_to_graph(generate_catalog(20, 10, seed=2)),
-            ("Movies.tuple.title", "Casts.tuple.actor"),
-        ),
+    _assert_chains_match_kernel(
+        relational_to_graph(generate_catalog(20, 10, seed=2)),
+        ("Movies.tuple.title", "Casts.tuple.actor"),
     )
-    for graph, patterns in cases:
-        fg = freeze(graph)
-        backend = sql_backend_for(fg)
-        for pattern in patterns:
-            assert backend.compile(pattern).kind == "chain"
-            assert backend.rpq_nodes(pattern) == rpq_nodes(fg, pattern)
 
 
 class TestSqlBackendFacade:
